@@ -73,6 +73,20 @@ def _parse_bool(val: str) -> bool:
     raise ConfigError(f"expected a boolean, got {val!r}")
 
 
+def _parse(key: str, val: str, kind):
+    """kind(val), with a ConfigError naming the key if it does not parse."""
+    try:
+        return kind(val)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{key}: expected {kind.__name__}, got {val!r}"
+        ) from exc
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and execution settings for one sweep."""
@@ -89,7 +103,11 @@ class SweepSpec:
     require_stable: bool = False
 
     def __post_init__(self):
-        if self.omega_count < 1 or not self.omega_min <= self.omega_max:
+        if not _is_count(self.omega_count) or self.omega_count < 1:
+            raise ConfigError("omega_count must be an integer >= 1")
+        if not (np.isfinite(self.omega_min) and np.isfinite(self.omega_max)):
+            raise ConfigError("omega_min and omega_max must be finite")
+        if not self.omega_min <= self.omega_max:
             raise ConfigError("omega grid must be non-empty and increasing")
         if self.omega_min <= 0:
             raise ConfigError("omega_min must be positive")
@@ -97,10 +115,17 @@ class SweepSpec:
             raise ConfigError("omega_spacing must be linear, log or hybrid")
         if len(self.temperatures) == 0:
             raise ConfigError("temperature list must be non-empty")
+        if not all(np.isfinite(t) and t >= 0 for t in self.temperatures):
+            raise ConfigError("temperatures must be finite and >= 0")
         if any(t2 <= t1 for t1, t2 in zip(self.temperatures, self.temperatures[1:])):
             raise ConfigError("temperatures must be strictly increasing")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not _is_count(self.workers) or self.workers < 1:
+            raise ConfigError("workers must be an integer >= 1")
+        if self.brownian_kernel not in dynamics.BROWNIAN_KERNELS:
+            raise ConfigError(
+                "brownian_kernel must be one of "
+                + ", ".join(dynamics.BROWNIAN_KERNELS)
+            )
 
     @classmethod
     def from_config(cls, values: dict) -> "SweepSpec":
@@ -110,24 +135,34 @@ class SweepSpec:
             )
         except (InvalidParameterError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        omega_m = params.big_omega
-        kwargs = {
-            "params": params,
-            "omega_min": float(values.get("omega_min", 0.5 * omega_m)),
-            "omega_max": float(values.get("omega_max", 1.5 * omega_m)),
-            "omega_count": int(values.get("omega_count", 2001)),
-            "omega_spacing": values.get("omega_spacing", "linear"),
-        }
-        if "temperatures" in values:
-            try:
-                temps = tuple(
-                    float(t) for t in values["temperatures"].split(",") if t.strip()
+        spacing = values.get("omega_spacing", "linear")
+        kwargs = {"params": params, "omega_spacing": spacing}
+        if spacing == "hybrid":
+            # The hybrid grid is fixed; record the grid actually used.
+            given = [k for k in ("omega_min", "omega_max", "omega_count")
+                     if k in values]
+            if given:
+                raise ConfigError(
+                    "omega_spacing = hybrid uses a fixed grid; remove "
+                    + ", ".join(given)
                 )
-            except ValueError as exc:
-                raise ConfigError("bad temperature list") from exc
-            kwargs["temperatures"] = temps
+            grid = dynamics.hybrid_grid(params.big_omega)
+            kwargs.update(omega_min=float(grid[0]), omega_max=float(grid[-1]),
+                          omega_count=int(grid.size))
+        else:
+            omega_m = params.big_omega
+            kwargs.update(
+                omega_min=_parse("omega_min", values.get("omega_min", 0.5 * omega_m), float),
+                omega_max=_parse("omega_max", values.get("omega_max", 1.5 * omega_m), float),
+                omega_count=_parse("omega_count", values.get("omega_count", 2001), int),
+            )
+        if "temperatures" in values:
+            kwargs["temperatures"] = tuple(
+                _parse("temperatures", t, float)
+                for t in values["temperatures"].split(",") if t.strip()
+            )
         if "workers" in values:
-            kwargs["workers"] = int(values["workers"])
+            kwargs["workers"] = _parse("workers", values["workers"], int)
         if "emit_components" in values:
             kwargs["emit_components"] = _parse_bool(values["emit_components"])
         if "brownian_kernel" in values:
@@ -144,46 +179,47 @@ class SweepSpec:
         return dynamics.hybrid_grid(self.params.big_omega)
 
 
+#: Frequencies per solve task.  Fixed, so that the arithmetic (and therefore
+#: the output bytes) cannot depend on the worker count.
+CHUNK = 256
+
+
 def _eval_chunk(args):
-    sys_obj, kernel, temperature, omegas = args
-    noise = dynamics.NoiseModel(
-        temperature=temperature,
-        big_gamma=sys_obj.params.big_gamma,
-        big_omega=sys_obj.params.big_omega,
-        kernel=kernel,
-    )
-    return entanglement.degree_sweep(sys_obj, noise, omegas)
+    """One solve task: the temperature-independent weights of an omega chunk."""
+    sys_obj, omegas = args
+    return entanglement.sweep_weights(sys_obj, omegas)
 
 
 def _sweep_rows(spec: SweepSpec):
     """Evaluate the sweep grid; returns (omegas, per-T dict of result arrays).
 
-    Results are deterministic and independent of the worker count: the grid
-    is chunked by index and reassembled in order.
+    Each omega chunk is solved once, serially or on the process pool; every
+    temperature is then evaluated from the same weights in O(n).  Results
+    are deterministic and independent of the worker count: the grid is
+    chunked by index and reassembled in order.
     """
     sys_obj = dynamics.build_linear_system(
         spec.params, require_stable=spec.require_stable
     )
     omegas = spec.omega_grid()
-    # Chunk size is independent of the worker count so the arithmetic (and
-    # therefore the output bytes) cannot depend on the degree of parallelism.
-    n_chunks = max(1, -(-omegas.size // 256))
-    tasks = []
-    for temp in spec.temperatures:
-        for chunk in np.array_split(omegas, n_chunks):
-            tasks.append((sys_obj, spec.brownian_kernel, temp, chunk))
-    if spec.workers == 1:
-        outs = [_eval_chunk(t) for t in tasks]
+    n_chunks = max(1, -(-omegas.size // CHUNK))
+    tasks = [(sys_obj, chunk) for chunk in np.array_split(omegas, n_chunks)]
+    workers = min(spec.workers, len(tasks))
+    if workers == 1:
+        parts = [_eval_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            outs = list(pool.map(_eval_chunk, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_eval_chunk, tasks, chunksize=1))
+    weights = np.concatenate(parts, axis=1)
     results = {}
-    for i, temp in enumerate(spec.temperatures):
-        parts = outs[i * n_chunks:(i + 1) * n_chunks]
-        results[temp] = {
-            key: np.concatenate([p[key] for p in parts])
-            for key in ("var_u", "var_v", "commutator_sq", "degree")
-        }
+    for temp in spec.temperatures:
+        noise = dynamics.NoiseModel(
+            temperature=temp,
+            big_gamma=spec.params.big_gamma,
+            big_omega=spec.params.big_omega,
+            kernel=spec.brownian_kernel,
+        )
+        results[temp] = entanglement.degree_from_weights(weights, noise, omegas)
     return omegas, results
 
 
@@ -191,19 +227,34 @@ def _fmt(x: float) -> str:
     return format(x, ".12e")
 
 
+#: Flag columns (entangled, epr) by level (degree < 1) + (degree < 1/4).
+_FLAG_LEVELS = (("false", "false"), ("true", "false"), ("true", "true"))
+
+
+def _csv_block(columns, temp, omegas, res):
+    """CSV rows of one temperature, formatted straight from the arrays.
+
+    The temperature field and the two flags are baked into one %-template
+    per flag level, so each row costs a single % operation.
+    """
+    templates = [
+        ",".join({"temperature": _fmt(temp), "entangled": entangled,
+                  "epr": epr}.get(c, "%.12e") for c in columns)
+        for entangled, epr in _FLAG_LEVELS
+    ]
+    degree = res["degree"]
+    arrays = dict(res, omega=omegas, degree_clipped=np.minimum(degree, 1.0))
+    numeric = [arrays[c] for c in columns if c in arrays]
+    level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
+    return [templates[k] % row for k, row in zip(level, zip(*numeric))]
+
+
 def _bands(omegas, mask):
     """Contiguous omega intervals where mask holds."""
-    bands = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            bands.append([float(omegas[start]), float(omegas[i - 1])])
-            start = None
-    if start is not None:
-        bands.append([float(omegas[start]), float(omegas[-1])])
-    return bands
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    return [[float(omegas[a]), float(omegas[b])] for a, b in zip(starts, stops)]
 
 
 def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
@@ -216,21 +267,7 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     columns = CSV_COLUMNS if spec.emit_components else CSV_COLUMNS_BARE
     lines = [",".join(columns)]
     for temp in spec.temperatures:
-        res = results[temp]
-        for i, w in enumerate(omegas):
-            degree = res["degree"][i]
-            row = {
-                "omega": _fmt(w),
-                "temperature": _fmt(temp),
-                "var_u": _fmt(res["var_u"][i]),
-                "var_v": _fmt(res["var_v"][i]),
-                "commutator_sq": _fmt(res["commutator_sq"][i]),
-                "degree": _fmt(degree),
-                "degree_clipped": _fmt(min(degree, 1.0)),
-                "entangled": "true" if degree < 1.0 else "false",
-                "epr": "true" if degree < 0.25 else "false",
-            }
-            lines.append(",".join(row[c] for c in columns))
+        lines.extend(_csv_block(columns, temp, omegas, results[temp]))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = {"temperatures": []}
@@ -251,10 +288,10 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     if emit_grid:
         blocks = []
         for temp in spec.temperatures:
-            degree = results[temp]["degree"]
+            template = "%.12e " + _fmt(temp) + " %.12e"
+            clipped = np.minimum(results[temp]["degree"], 1.0)
             blocks.append("\n".join(
-                f"{_fmt(w)} {_fmt(temp)} {_fmt(min(d, 1.0))}"
-                for w, d in zip(omegas, degree)
+                template % row for row in zip(omegas, clipped)
             ))
         (out / "sweep.grid").write_text(
             "\n\n".join(blocks) + "\n", encoding="utf-8"

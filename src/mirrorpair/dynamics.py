@@ -156,24 +156,40 @@ class NoiseModel:
             kernel=kernel,
         )
 
-    def brownian_spectrum(self, omega):
-        """Non-symmetrized thermal-force spectrum, elementwise over omega."""
-        w = np.asarray(omega, dtype=float)
+    @property
+    def pref(self) -> float:
+        """Brownian kernel prefactor: Gamma/Omega, or Gamma/(2 Omega) halved."""
         pref = self.big_gamma / self.big_omega
         if self.kernel == "halved":
             pref /= 2.0
+        return pref
+
+    def _wcoth(self, w):
+        """omega * coth(hbar omega / 2 kB T), even in omega; |omega| at T = 0."""
         if self.temperature == 0.0:
-            out = pref * w * (np.sign(w) + 1.0)
-        else:
-            x = HBAR * w / (2.0 * KB * self.temperature)
-            safe = np.where(x == 0.0, 1.0, x)
-            # omega -> 0 limit of w*coth(hbar w / 2 kB T) is 2 kB T / hbar.
-            wcoth = np.where(
-                x == 0.0,
-                2.0 * KB * self.temperature / HBAR,
-                w / np.tanh(safe),
-            )
-            out = pref * (wcoth + w)
+            return np.abs(w)
+        x = HBAR * w / (2.0 * KB * self.temperature)
+        safe = np.where(x == 0.0, 1.0, x)
+        # omega -> 0 limit of w*coth(hbar w / 2 kB T) is 2 kB T / hbar.
+        return np.where(
+            x == 0.0, 2.0 * KB * self.temperature / HBAR, w / np.tanh(safe)
+        )
+
+    def brownian_spectrum(self, omega):
+        """Non-symmetrized thermal-force spectrum, elementwise over omega."""
+        w = np.asarray(omega, dtype=float)
+        out = self.pref * (self._wcoth(w) + w)
+        return out if out.shape else float(out)
+
+    def symmetrized_spectrum(self, omega):
+        """S_sym(omega) = S_xi(omega) + S_xi(-omega) in closed form.
+
+        Equal to 2 * pref * omega * coth(hbar omega / 2 kB T), and to
+        2 * pref * |omega| at T = 0.  This is the only temperature-dependent
+        input of Var(u) and Var(v) (see entanglement.sweep_weights).
+        """
+        w = np.asarray(omega, dtype=float)
+        out = 2.0 * self.pref * self._wcoth(w)
         return out if out.shape else float(out)
 
     def commutator_spectrum(self, omega):
@@ -192,11 +208,8 @@ class NoiseModel:
         scalar = w.shape == ()
         w = np.atleast_1d(w)
         d = np.zeros(w.shape + (N_NOISE, N_NOISE), dtype=complex)
-        pref = self.big_gamma / self.big_omega
-        if self.kernel == "halved":
-            pref /= 2.0
-        d[..., IXI1, IXI1] = 2.0 * pref * w
-        d[..., IXI2, IXI2] = 2.0 * pref * w
+        d[..., IXI1, IXI1] = 2.0 * self.pref * w
+        d[..., IXI2, IXI2] = 2.0 * self.pref * w
         for k in (IXIN1, IXIN2, IXINB):
             d[..., k, k + 1] = 2j
             d[..., k + 1, k] = -2j

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel,
-    selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
+    NoiseModel, selected_transfer_rows,
 )
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
@@ -44,6 +44,10 @@ U_SELECTOR = _selector((IQ1, 1.0), (IQ2, 1.0))
 V_SELECTOR = _selector((IP1, 1.0), (IP2, -1.0))
 Q1_SELECTOR = _selector((IQ1, 1.0))
 P1_SELECTOR = _selector((IP1, 1.0))
+#: The selectors of one sweep solve, as columns: u, v, q1, p1.
+SWEEP_SELECTORS = np.stack(
+    [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
+)
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.
 SYMPLECTIC_FORM = np.array([
@@ -85,6 +89,74 @@ def r_correlation(s_plus, s_minus, c1, c2) -> complex:
     return 0.25 * (c1 @ s_plus @ c2 + c1 @ s_minus @ c2)
 
 
+def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
+    """Temperature-independent reduction of the transfer rows behind E(omega).
+
+    One adjoint solve at +omega gives the rows r = c^T M(omega) for u, v, q1
+    and p1 (see selected_transfer_rows); the rows at -omega are their complex
+    conjugates because A and B are real.  The input spectrum is the Brownian
+    diagonal plus constant vacuum blocks, so the hermitian forms
+    [r(w) D(w) r(-w) + r(-w) D(-w) r(w)] / 4 reduce to
+
+        Var(u), Var(v)  = [S_sym(omega) * brownian + 2 * vacuum] / 4
+        <[R_q1, R_p1]>  = i [pref * omega * comm_brownian + comm_vacuum]
+
+    with brownian and vacuum the sums of |r_k|^2 over the Brownian and the
+    optical channels, comm_brownian = Im sum_xi q_k conj(p_k) and
+    comm_vacuum = Re sum over vacuum pairs of q_k conj(p_k+1) - q_k+1 conj(p_k)
+    (q, p the rows of q1 and p1).  The +-i vacuum cross terms of Var cancel
+    exactly between +omega and -omega.
+
+    Returns shape (6, n) with rows brownian_u, brownian_v, vacuum_u,
+    vacuum_v, comm_brownian, comm_vacuum.
+    """
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    rows = selected_transfer_rows(sys, w, SWEEP_SELECTORS)   # (n, 4, 8)
+    uv = rows[:, :2]
+    power = uv.real ** 2 + uv.imag ** 2                       # (n, 2, 8)
+    brownian = power[..., IXI1:IXI2 + 1].sum(axis=-1)         # (n, 2): u, v
+    vacuum = power[..., IXIN1:].sum(axis=-1)
+    q, p = rows[:, 2], rows[:, 3]
+    comm_brownian = (q[:, IXI1:IXI2 + 1] * p[:, IXI1:IXI2 + 1].conj()).imag
+    comm_vacuum = (
+        q[:, IXIN1::2] * p[:, IYIN1::2].conj()
+        - q[:, IYIN1::2] * p[:, IXIN1::2].conj()
+    ).real
+    return np.stack([
+        brownian[:, 0], brownian[:, 1], vacuum[:, 0], vacuum[:, 1],
+        comm_brownian.sum(axis=-1), comm_vacuum.sum(axis=-1),
+    ])
+
+
+def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
+    """E(omega) and its ingredients from sweep_weights(sys, omegas).
+
+    O(n) per noise model: a sweep over several temperatures solves once and
+    calls this once per temperature.  Returns the dict of degree_sweep.
+    """
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    brownian_u, brownian_v, vacuum_u, vacuum_v, comm_b, comm_v = weights
+    s_sym = noise.symmetrized_spectrum(w)
+    var_u = 0.25 * (s_sym * brownian_u + 2.0 * vacuum_u)
+    var_v = 0.25 * (s_sym * brownian_v + 2.0 * vacuum_v)
+    # <[R_q1, R_p1]> depends only on the antisymmetric part of the input
+    # spectrum, which is available in closed form.  Using it directly keeps
+    # the denominator exactly temperature independent instead of extracting
+    # it by differencing two nearly equal thermal quadratic forms.
+    comm = noise.pref * w * comm_b + comm_v
+    comm_sq = comm * comm
+    if np.any(comm_sq == 0.0):
+        raise DegenerateCommutatorError(
+            "commutator denominator vanished on the grid"
+        )
+    return {
+        "var_u": var_u,
+        "var_v": var_v,
+        "commutator_sq": comm_sq,
+        "degree": var_u * var_v / comm_sq,
+    }
+
+
 def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     """Vectorized E(omega) over a frequency grid.
 
@@ -93,43 +165,7 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     vectors (see selected_transfer_rows) so that the strongly suppressed
     relative-momentum variance is computed without catastrophic cancellation.
     """
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    selectors = np.stack(
-        [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
-    )
-    rows_p = selected_transfer_rows(sys, w, selectors)    # (n, 4, 8)
-    rows_m = selected_transfer_rows(sys, -w, selectors)
-    d_p = noise.input_spectrum(w)                          # (n, 8, 8)
-    d_m = noise.input_spectrum(-w)
-
-    def corr(i, j):
-        plus = np.einsum("nk,nkl,nl->n", rows_p[:, i], d_p, rows_m[:, j])
-        minus = np.einsum("nk,nkl,nl->n", rows_m[:, i], d_m, rows_p[:, j])
-        return 0.25 * (plus + minus)
-
-    var_u = corr(0, 0)
-    var_v = corr(1, 1)
-    # <[R_q1, R_p1]> depends only on the antisymmetric part of the input
-    # spectrum, which is available in closed form.  Using it directly keeps
-    # the denominator exactly temperature independent instead of extracting
-    # it by differencing two nearly equal thermal quadratic forms.
-    da_p = noise.commutator_spectrum(w)
-    da_m = noise.commutator_spectrum(-w)
-    comm = 0.25 * (
-        np.einsum("nk,nkl,nl->n", rows_p[:, 2], da_p, rows_m[:, 3])
-        + np.einsum("nk,nkl,nl->n", rows_m[:, 2], da_m, rows_p[:, 3])
-    )
-    comm_sq = np.abs(comm) ** 2
-    if np.any(comm_sq == 0.0):
-        raise DegenerateCommutatorError(
-            "commutator denominator vanished on the grid"
-        )
-    return {
-        "var_u": var_u.real,
-        "var_v": var_v.real,
-        "commutator_sq": comm_sq,
-        "degree": var_u.real * var_v.real / comm_sq,
-    }
+    return degree_from_weights(sweep_weights(sys, omegas), noise, omegas)
 
 
 def degree_of_entanglement(

@@ -61,6 +61,9 @@ class PhysicalParams:
     temperature: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(f"{f.name} must be finite")
         positive = (
             "omega_a", "omega_b", "omega_a0", "omega_b0",
             "gamma_a", "gamma_b", "big_omega", "mass", "big_gamma",

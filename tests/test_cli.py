@@ -6,17 +6,26 @@ import json
 import numpy as np
 import pytest
 
-from mirrorpair import fig2_params, tmsv_state
+from mirrorpair import (
+    NoiseModel, build_linear_system, degree_sweep, dynamics, entanglement,
+    fig2_params, tmsv_state,
+)
 from mirrorpair.cli import (
+    CHUNK,
     CSV_COLUMNS,
     CSV_COLUMNS_BARE,
     SweepSpec,
+    _bands,
+    _csv_block,
+    _fmt,
+    _sweep_rows,
     check_state,
     main,
     parse_config_text,
     run_sweep,
 )
-from mirrorpair.errors import ConfigError
+from mirrorpair.dynamics import N_NOISE, N_STATE, LinearSystem
+from mirrorpair.errors import ConfigError, DegenerateCommutatorError
 
 
 class TestConfigParsing:
@@ -89,6 +98,94 @@ class TestSweepSpec:
         assert np.all(np.diff(hyb) > 0)  # standard dense-plus-log grid
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("text", [
+        "omega_count = abc\n",
+        "workers = 0.5\n",
+        "brownian_kernel = bogus\n",
+        "temperatures = -1, 2\n",
+        "temperatures = nan\n",
+        "mass = inf\n",
+        "omega_spacing = hybrid\nomega_count = 5\n",
+    ], ids=["count-abc", "workers-0.5", "kernel-bogus", "negative-T",
+            "nan-T", "inf-mass", "hybrid-with-count"])
+    def test_bad_value_exits_2_without_output(self, tmp_path, capsys, text):
+        config = tmp_path / "cfg.txt"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_workers_flag_zero_exits_2(self, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("omega_count = 3\n", encoding="utf-8")
+        assert main(["--sweep", "--config", str(config), "--workers", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_hybrid_spec_records_the_grid_used(self):
+        spec = SweepSpec.from_config({"omega_spacing": "hybrid"})
+        grid = spec.omega_grid()
+        assert spec.omega_count == grid.size
+        assert (spec.omega_min, spec.omega_max) == (grid[0], grid[-1])
+
+
+class TestSweepKernel:
+    def test_one_solve_per_chunk_for_all_temperatures(self, tmp_path, monkeypatch):
+        calls = []
+        solve = entanglement.selected_transfer_rows
+
+        def spy(sys, omegas, selectors):
+            calls.append(np.array(omegas))
+            return solve(sys, omegas, selectors)
+
+        monkeypatch.setattr(entanglement, "selected_transfer_rows", spy)
+        params = fig2_params()
+        spec = SweepSpec(params=params, omega_min=0.5 * params.big_omega,
+                         omega_max=1.5 * params.big_omega, omega_count=600,
+                         temperatures=(0.1, 1.0, 4.0))
+        run_sweep(spec, tmp_path)
+        assert len(calls) == -(-600 // CHUNK)
+        assert all(c.size <= CHUNK and np.all(c > 0) for c in calls)
+        assert np.array_equal(np.concatenate(calls), spec.omega_grid())
+
+    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
+    def test_multi_temperature_arrays_equal_degree_sweep(self, kernel):
+        params = fig2_params()
+        spec = SweepSpec(params=params, omega_min=1e-2 * params.big_omega,
+                         omega_max=1e2 * params.big_omega, omega_count=700,
+                         omega_spacing="log", temperatures=(0.0, 0.1, 300.0),
+                         brownian_kernel=kernel)
+        omegas, results = _sweep_rows(spec)
+        sys = build_linear_system(params)
+        for temp in spec.temperatures:
+            noise = NoiseModel(temp, params.big_gamma, params.big_omega, kernel)
+            want = degree_sweep(sys, noise, omegas)
+            for key, values in want.items():
+                assert np.array_equal(results[temp][key], values), (temp, key)
+
+    def test_degenerate_commutator_reaches_cli(self, tmp_path, monkeypatch, capsys):
+        build = dynamics.build_linear_system
+
+        def silent(params, require_stable=False):
+            sys = build(params, require_stable=require_stable)
+            return LinearSystem(drift=sys.drift,
+                                noise_coupling=np.zeros((N_STATE, N_NOISE)),
+                                params=sys.params, steady=sys.steady)
+
+        monkeypatch.setattr(dynamics, "build_linear_system", silent)
+        params = fig2_params()
+        spec = SweepSpec(params=params, omega_min=params.big_omega,
+                         omega_max=params.big_omega, omega_count=1)
+        with pytest.raises(DegenerateCommutatorError):
+            run_sweep(spec, tmp_path / "direct")
+        config = tmp_path / "cfg.txt"
+        config.write_text("omega_count = 3\n", encoding="utf-8")
+        assert main(["--sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "commutator" in capsys.readouterr().err
+
+
 class TestRunSweep:
     def test_single_point_sweep(self, tmp_path):
         params = fig2_params()
@@ -141,6 +238,36 @@ class TestRunSweep:
         assert all(len(b.splitlines()) == 5 for b in blocks)
         for line in blocks[0].splitlines():
             assert len(line.split()) == 3
+
+    @pytest.mark.parametrize("mask,want", [
+        ([0, 0, 0, 0], []),
+        ([1, 1, 1, 1], [[1.0, 4.0]]),
+        ([1, 0, 0, 1], [[1.0, 1.0], [4.0, 4.0]]),
+        ([0, 1, 1, 0], [[2.0, 3.0]]),
+    ])
+    def test_bands_are_contiguous_runs(self, mask, want):
+        omegas = np.array([1.0, 2.0, 3.0, 4.0])
+        assert _bands(omegas, np.array(mask, dtype=bool)) == want
+
+    @pytest.mark.parametrize("columns", [CSV_COLUMNS, CSV_COLUMNS_BARE])
+    def test_row_templates_match_per_field_formatting(self, columns):
+        omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5])
+        degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0)])
+        res = {"var_u": omegas * 1e-3, "var_v": 1.0 / omegas,
+               "commutator_sq": np.full(6, np.pi), "degree": degree}
+        want = []
+        for i, w in enumerate(omegas):
+            row = {
+                "omega": _fmt(w), "temperature": _fmt(0.1),
+                "var_u": _fmt(res["var_u"][i]), "var_v": _fmt(res["var_v"][i]),
+                "commutator_sq": _fmt(res["commutator_sq"][i]),
+                "degree": _fmt(degree[i]),
+                "degree_clipped": _fmt(min(degree[i], 1.0)),
+                "entangled": "true" if degree[i] < 1.0 else "false",
+                "epr": "true" if degree[i] < 0.25 else "false",
+            }
+            want.append(",".join(row[c] for c in columns))
+        assert _csv_block(columns, 0.1, omegas, res) == want
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         params = fig2_params()

@@ -169,6 +169,26 @@ class TestNoiseModel:
             noise.brownian_spectrum(1e-6), rel=1e-9
         )
 
+    @pytest.mark.parametrize("kernel,factor", [("corrected", 1.0), ("halved", 0.5)])
+    def test_pref_is_the_kernel_prefactor(self, kernel, factor):
+        params = fig2_params()
+        noise = NoiseModel(4.0, params.big_gamma, params.big_omega, kernel)
+        assert noise.pref == factor * params.big_gamma / params.big_omega
+
+    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
+    @pytest.mark.parametrize("temp", [0.0, 0.1, 300.0])
+    def test_symmetrized_spectrum_closed_form(self, kernel, temp):
+        params = fig2_params()
+        noise = NoiseModel(temp, params.big_gamma, params.big_omega, kernel)
+        ws = np.array([1e3, 0.5e5, 1e5, 1.7e5, 1e7])
+        s_sym = noise.symmetrized_spectrum(ws)
+        summed = noise.brownian_spectrum(ws) + noise.brownian_spectrum(-ws)
+        assert np.allclose(s_sym, summed, rtol=1e-14, atol=0)
+        assert np.array_equal(noise.symmetrized_spectrum(-ws), s_sym)
+        if temp == 0.0:
+            assert np.array_equal(s_sym, 2.0 * noise.pref * ws)
+        assert noise.symmetrized_spectrum(1e5) == s_sym[2]
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(1.0, 1.0, 1.0, kernel="bogus")

@@ -114,6 +114,8 @@ def test_coupling_ordering_warns():
     ("gamma_a", 0.0), ("gamma_b", -1.0), ("big_omega", 0.0),
     ("mass", 0.0), ("big_gamma", -2.0), ("temperature", -0.1),
     ("p_in_a", -1e-3), ("g", -0.5),
+    ("mass", np.inf), ("temperature", np.nan), ("g", np.nan),
+    ("delta_b", -np.inf),
 ])
 def test_parameter_validation(field, value):
     with pytest.raises(InvalidParameterError):
