@@ -119,6 +119,12 @@ class SweepSpec:
             raise ConfigError("temperatures must be finite and >= 0")
         if any(t2 <= t1 for t1, t2 in zip(self.temperatures, self.temperatures[1:])):
             raise ConfigError("temperatures must be strictly increasing")
+        if not all(map(model.in_magnitude_range,
+                       (self.omega_min, self.omega_max, *self.temperatures))):
+            raise ConfigError(
+                "omega_min, omega_max and temperatures must be 0 or of "
+                "magnitude %g to %g" % model.MAGNITUDE_RANGE
+            )
         if not _is_count(self.workers) or self.workers < 1:
             raise ConfigError("workers must be an integer >= 1")
         if self.brownian_kernel not in dynamics.BROWNIAN_KERNELS:

@@ -271,6 +271,41 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     return x.transpose(0, 2, 1) @ sys.noise_coupling
 
 
+# The input spectrum D(omega) is the Brownian diagonal plus constant vacuum
+# blocks, and the rows at -omega are the conjugates of the rows r at +omega
+# (A and B are real).  The hermitian form
+#     [r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2
+# therefore reduces to
+#     S_sym/2 * Re xi + vac + i [pref * omega * Im xi + pairs]
+# with the weights of noise_cross_weights, and to S_sym/2 * brownian + vacuum
+# (noise_power_weights) for i = j, where the +-i vacuum terms cancel.
+
+def noise_power_weights(rows):
+    """Sums of |r_k|^2 over the Brownian and over the vacuum channels.
+
+    rows: (..., 8) noise-space rows at +omega.  Returns (brownian, vacuum),
+    each of shape rows.shape[:-1].
+    """
+    power = rows.real ** 2 + rows.imag ** 2
+    return power[..., IXI1:IXI2 + 1].sum(axis=-1), power[..., IXIN1:].sum(axis=-1)
+
+
+def noise_cross_weights(ri, rj):
+    """Weights of the hermitian cross form of two rows at +omega.
+
+    Returns (xi, vac, pairs): the complex Brownian sum of r_i conj(r_j), the
+    real part of the same sum over the vacuum channels, and the vacuum-pair
+    term Re sum_pairs [r_i,X conj(r_j,Y) - r_i,Y conj(r_j,X)].
+    """
+    xi = (ri[..., IXI1:IXI2 + 1] * rj[..., IXI1:IXI2 + 1].conj()).sum(axis=-1)
+    vac = (ri[..., IXIN1:] * rj[..., IXIN1:].conj()).real.sum(axis=-1)
+    pairs = (
+        ri[..., IXIN1::2] * rj[..., IYIN1::2].conj()
+        - ri[..., IYIN1::2] * rj[..., IXIN1::2].conj()
+    ).real.sum(axis=-1)
+    return xi, vac, pairs
+
+
 def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.ndarray:
     """Stationary cross-spectral matrix S(omega) = M(omega) D(omega) M(-omega)^T.
 

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
-    NoiseModel, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel,
+    noise_cross_weights, noise_power_weights, selected_transfer_rows,
 )
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
@@ -102,9 +102,9 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
         <[R_q1, R_p1]>  = i [pref * omega * comm_brownian + comm_vacuum]
 
     with brownian and vacuum the sums of |r_k|^2 over the Brownian and the
-    optical channels, comm_brownian = Im sum_xi q_k conj(p_k) and
-    comm_vacuum = Re sum over vacuum pairs of q_k conj(p_k+1) - q_k+1 conj(p_k)
-    (q, p the rows of q1 and p1).  The +-i vacuum cross terms of Var cancel
+    optical channels (dynamics.noise_power_weights), and comm_brownian =
+    Im xi and comm_vacuum = pairs the cross weights of the q1 and p1 rows
+    (dynamics.noise_cross_weights).  The +-i vacuum cross terms of Var cancel
     exactly between +omega and -omega.
 
     Returns shape (6, n) with rows brownian_u, brownian_v, vacuum_u,
@@ -112,19 +112,11 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
     rows = selected_transfer_rows(sys, w, SWEEP_SELECTORS)   # (n, 4, 8)
-    uv = rows[:, :2]
-    power = uv.real ** 2 + uv.imag ** 2                       # (n, 2, 8)
-    brownian = power[..., IXI1:IXI2 + 1].sum(axis=-1)         # (n, 2): u, v
-    vacuum = power[..., IXIN1:].sum(axis=-1)
-    q, p = rows[:, 2], rows[:, 3]
-    comm_brownian = (q[:, IXI1:IXI2 + 1] * p[:, IXI1:IXI2 + 1].conj()).imag
-    comm_vacuum = (
-        q[:, IXIN1::2] * p[:, IYIN1::2].conj()
-        - q[:, IYIN1::2] * p[:, IXIN1::2].conj()
-    ).real
+    brownian, vacuum = noise_power_weights(rows[:, :2])       # (n, 2): u, v
+    comm_brownian, _, comm_vacuum = noise_cross_weights(rows[:, 2], rows[:, 3])
     return np.stack([
         brownian[:, 0], brownian[:, 1], vacuum[:, 0], vacuum[:, 1],
-        comm_brownian.sum(axis=-1), comm_vacuum.sum(axis=-1),
+        comm_brownian.imag, comm_vacuum,
     ])
 
 

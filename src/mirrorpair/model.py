@@ -27,6 +27,19 @@ DEFAULT_WAVELENGTH = 1.064e-6
 
 DEFAULT_OPTICAL_FREQUENCY = 2.0 * np.pi * C_LIGHT / DEFAULT_WAVELENGTH
 
+#: Allowed magnitudes of nonzero parameters, in SI units.  The linearized
+#: model multiplies and squares a few parameters at a time; beyond this range
+#: intermediate products leave double precision (at big_gamma = 1e308 the
+#: commutator of E(omega) underflows to zero, and an omega_a0 of 5e-324
+#: makes hbar * omega_a0 zero).
+MAGNITUDE_RANGE = (1e-30, 1e30)
+
+
+def in_magnitude_range(value) -> bool:
+    """True for 0 and for finite values whose magnitude is in MAGNITUDE_RANGE."""
+    lo, hi = MAGNITUDE_RANGE
+    return value == 0 or lo <= abs(value) <= hi
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -62,8 +75,14 @@ class PhysicalParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
                 raise InvalidParameterError(f"{f.name} must be finite")
+            if not in_magnitude_range(value):
+                raise InvalidParameterError(
+                    f"{f.name} must be 0 or of magnitude %g to %g"
+                    % MAGNITUDE_RANGE
+                )
         positive = (
             "omega_a", "omega_b", "omega_a0", "omega_b0",
             "gamma_a", "gamma_b", "big_omega", "mass", "big_gamma",

@@ -10,6 +10,14 @@ phase factor refl(omega) = (gamma_a/2 + i omega) / (gamma_a/2 - i omega) on
 the reflected vacuum.  Mirror 2 couples to its meter with the opposite sign,
 so its channel carries gain with an extra factor -1; the combiner removes the
 orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
+
+Each spectrum costs one batched adjoint solve at +omega for the coefficient
+rows c(omega) of the output in noise space.  A and B are real, and gain and
+refl at -omega are the conjugates of their values at +omega, so the rows at
+-omega are conj(c(omega)).  The hermitian form
+[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 then reduces in closed form
+to the noise weights of dynamics.noise_power_weights (auto spectra) and
+dynamics.noise_cross_weights (the cross spectrum s12).
 """
 
 from __future__ import annotations
@@ -19,13 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    LinearSystem, NoiseModel, selected_transfer_rows,
+    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_NOISE, N_STATE,
+    LinearSystem, NoiseModel, noise_cross_weights, noise_power_weights,
+    selected_transfer_rows,
 )
 from .errors import GridMismatchError, InvalidParameterError
-from .model import PhysicalParams, steady_state
+from .model import PhysicalParams, SteadyState, steady_state
 
 _CHANNELS = {1: (IQ1, IYA1, IYIN1, 1.0), 2: (IQ2, IYA2, IYIN2, -1.0)}
+
+
+def _channel(channel):
+    """(q index, Y_a index, Y_in index, sign) of meter channel 1 or 2."""
+    if channel not in _CHANNELS:
+        raise InvalidParameterError("channel must be 1 or 2")
+    return _CHANNELS[channel]
 
 
 @dataclass(frozen=True)
@@ -38,13 +54,20 @@ class ReadoutChannel:
 
     @classmethod
     def for_mirror(cls, params: PhysicalParams, channel: int):
-        if channel not in (1, 2):
-            raise InvalidParameterError("channel must be 1 or 2")
-        ss = steady_state(params)
+        """Channel of mirror 1 or 2; solves the working point of params."""
+        return cls._at(params, steady_state(params), channel)
+
+    @classmethod
+    def for_system(cls, sys: LinearSystem, channel: int):
+        """Channel of mirror 1 or 2 at the working point already in sys."""
+        return cls._at(sys.params, sys.steady, channel)
+
+    @classmethod
+    def _at(cls, params: PhysicalParams, ss: SteadyState, channel: int):
         return cls(
             g_alpha=params.g * ss.alpha,
             gamma_a=params.gamma_a,
-            sign=_CHANNELS[channel][3],
+            sign=_channel(channel)[3],
         )
 
     def gain(self, omega):
@@ -72,47 +95,46 @@ def gain_condition(params: PhysicalParams, omega: float, threshold: float = 10.0
     return float(ratio), bool(ratio > threshold)
 
 
-def _output_selectors(sys: LinearSystem, channel: int):
-    iq, iya, iyin, sign = _CHANNELS[channel]
-    return iq, iya, iyin, sign
+def _state_rows(sys, w, indices):
+    """Rows e_i^T M(omega) for the state indices, from one solve: (n, k, 8)."""
+    sel = np.zeros((N_STATE, len(indices)))
+    sel[indices, np.arange(len(indices))] = 1.0
+    return selected_transfer_rows(sys, w, sel)
 
 
-def _r_spectrum(sys, noise, omegas, coeff_fn):
-    """Symmetrized output spectrum for noise-space coefficient rows.
+def _auto_spectrum(noise, w, rows):
+    """[c(w) D(w) c(-w) + c(-w) D(-w) c(w)] / 2 for the rows c at +omega."""
+    brownian, vacuum = noise_power_weights(rows)
+    return 0.5 * noise.symmetrized_spectrum(w) * brownian + vacuum
 
-    coeff_fn(omega_array) must return rows (n, 8) of the map from noise
-    inputs to the output operator.  Returns Re of the hermitian combination
-    [S(omega) + S(-omega)] / 2 for the operator against itself.
-    """
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rp = coeff_fn(w)
-    rm = coeff_fn(-w)
-    dp = noise.input_spectrum(w)
-    dm = noise.input_spectrum(-w)
-    plus = np.einsum("nk,nkl,nl->n", rp, dp, rm)
-    minus = np.einsum("nk,nkl,nl->n", rm, dm, rp)
-    return 0.5 * (plus + minus).real
+
+def _cross_spectrum(noise, w, ci, cj):
+    """[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 for rows at +omega."""
+    xi, vac, pairs = noise_cross_weights(ci, cj)
+    return (
+        (0.5 * noise.symmetrized_spectrum(w) * xi.real + vac)
+        + 1j * (noise.pref * w * xi.imag + pairs)
+    )
+
+
+def _meter_rows(sys, w, channel, q_rows):
+    """Noise-space rows of Y_out_j: sign * gain * q_j + refl * Y_in_j."""
+    chan = ReadoutChannel.for_system(sys, channel)
+    e_yin = np.zeros(N_NOISE)
+    e_yin[_channel(channel)[2]] = 1.0
+    return (
+        chan.sign * chan.gain(w)[:, None] * q_rows
+        + chan.noise_reflection(w)[:, None] * e_yin
+    )
 
 
 def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     """Symmetrized spectrum of Y_out_j, assembled directly from the
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
-    iq, _, iyin, sign = _output_selectors(sys, channel)
-    chan = ReadoutChannel.for_mirror(sys.params, channel)
-    e_yin = np.zeros(8)
-    e_yin[iyin] = 1.0
-    q_sel = np.zeros((N_STATE, 1))
-    q_sel[iq, 0] = 1.0
-
-    def coeff(w):
-        q_rows = selected_transfer_rows(sys, w, q_sel)[:, 0, :]   # (n, 8)
-        return (
-            sign * chan.gain(w)[:, None] * q_rows
-            + chan.noise_reflection(w)[:, None] * e_yin
-        )
-
-    out = _r_spectrum(sys, noise, omegas, coeff)
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    q_rows = _state_rows(sys, w, [_channel(channel)[0]])[:, 0]
+    out = _auto_spectrum(noise, w, _meter_rows(sys, w, channel, q_rows))
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -121,18 +143,11 @@ def output_spectrum_via_transfer(
 ):
     """Same spectrum assembled from the boundary relation
     Y_out = sqrt(gamma_a) Y_cav - Y_in using the full transfer matrix."""
-    _, iya, iyin, _ = _output_selectors(sys, channel)
-    e_yin = np.zeros(8)
-    e_yin[iyin] = 1.0
-    y_sel = np.zeros((N_STATE, 1))
-    y_sel[iya, 0] = 1.0
-    root_gamma = np.sqrt(sys.params.gamma_a)
-
-    def coeff(w):
-        y_rows = selected_transfer_rows(sys, w, y_sel)[:, 0, :]
-        return root_gamma * y_rows - e_yin
-
-    out = _r_spectrum(sys, noise, omegas, coeff)
+    _, iya, iyin, _ = _channel(channel)
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    rows = np.sqrt(sys.params.gamma_a) * _state_rows(sys, w, [iya])[:, 0]
+    rows[:, iyin] -= 1.0
+    out = _auto_spectrum(noise, w, rows)
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -153,37 +168,17 @@ class TwoChannelSpectra:
 def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    coeffs = {}
-    for channel in (1, 2):
-        iq, _, iyin, sign = _output_selectors(sys, channel)
-        chan = ReadoutChannel.for_mirror(sys.params, channel)
-        e_yin = np.zeros(8)
-        e_yin[iyin] = 1.0
-        q_sel = np.zeros((N_STATE, 1))
-        q_sel[iq, 0] = 1.0
-
-        def coeff(wa, sign=sign, chan=chan, q_sel=q_sel, e_yin=e_yin):
-            q_rows = selected_transfer_rows(sys, wa, q_sel)[:, 0, :]
-            raw = (
-                sign * chan.gain(wa)[:, None] * q_rows
-                + chan.noise_reflection(wa)[:, None] * e_yin
-            )
-            return sign * raw          # orient so the signal term is +gain*q
-
-        coeffs[channel] = coeff
-    dp = noise.input_spectrum(w)
-    dm = noise.input_spectrum(-w)
-
-    def cross(ci, cj):
-        plus = np.einsum("nk,nkl,nl->n", ci(w), dp, cj(-w))
-        minus = np.einsum("nk,nkl,nl->n", ci(-w), dm, cj(w))
-        return 0.5 * (plus + minus)
-
+    q_rows = _state_rows(sys, w, [IQ1, IQ2])
+    # Orient each current so that its signal term is +gain * q_j.
+    c1, c2 = (
+        _CHANNELS[j][3] * _meter_rows(sys, w, j, q_rows[:, j - 1])
+        for j in (1, 2)
+    )
     return TwoChannelSpectra(
         omegas=w,
-        s11=cross(coeffs[1], coeffs[1]).real,
-        s22=cross(coeffs[2], coeffs[2]).real,
-        s12=cross(coeffs[1], coeffs[2]),
+        s11=_auto_spectrum(noise, w, c1),
+        s22=_auto_spectrum(noise, w, c2),
+        s12=_cross_spectrum(noise, w, c1, c2),
     )
 
 

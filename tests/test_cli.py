@@ -1,16 +1,22 @@
 """Tests for the batch command-line front end."""
 
+import contextlib
 import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorpair import (
     NoiseModel, build_linear_system, degree_sweep, dynamics, entanglement,
     fig2_params, tmsv_state,
 )
 from mirrorpair.cli import (
+    _PARAM_KEYS,
     CHUNK,
     CSV_COLUMNS,
     CSV_COLUMNS_BARE,
@@ -107,8 +113,15 @@ class TestConfigValidation:
         "temperatures = nan\n",
         "mass = inf\n",
         "omega_spacing = hybrid\nomega_count = 5\n",
+        # big_gamma = 1e308 underflowed the commutator to 0 (exit 1) and a
+        # denormal omega_a0 divided by zero (a traceback)
+        "big_gamma = 1e308\nbig_g = 0\nomega_count = 1\n",
+        "omega_a0 = 5e-324\nbig_g = 0\nomega_count = 1\n",
+        "omega_max = 1e31\nomega_count = 1\n",
+        "temperatures = 0, 1e-31\nomega_count = 1\n",
     ], ids=["count-abc", "workers-0.5", "kernel-bogus", "negative-T",
-            "nan-T", "inf-mass", "hybrid-with-count"])
+            "nan-T", "inf-mass", "hybrid-with-count", "gamma-1e308",
+            "omega_a0-denormal", "omega_max-1e31", "T-1e-31"])
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, text):
         config = tmp_path / "cfg.txt"
         config.write_text(text, encoding="utf-8")
@@ -128,6 +141,59 @@ class TestConfigValidation:
         grid = spec.omega_grid()
         assert spec.omega_count == grid.size
         assert (spec.omega_min, spec.omega_max) == (grid[0], grid[-1])
+
+
+# Config values for the fuzz test: arbitrary floats, floats near the ends of
+# the allowed magnitude range, and words that do or do not parse.
+_FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-31, 31).map(lambda e: f"1e{e}"),
+    st.floats(min_value=-30.0, max_value=30.0).map(lambda e: repr(10.0 ** e)),
+    st.sampled_from(["0", "-1", "5e-324", "nan", "-inf", "abc", "1,2", "1e"]),
+)
+_WORD = st.sampled_from(["linear", "log", "hybrid", "cubic", "corrected",
+                         "halved", "true", "false", "yes", "0", "1", "x"])
+_FUZZ_VALUES = {
+    **{key: _FLOAT_TEXT for key in _PARAM_KEYS},
+    "omega_min": _FLOAT_TEXT,
+    "omega_max": _FLOAT_TEXT,
+    "omega_spacing": _WORD,
+    "temperatures": st.lists(_FLOAT_TEXT, min_size=1, max_size=3).map(", ".join),
+    "workers": st.one_of(st.integers(-1, 4).map(str), _WORD),
+    "emit_components": _WORD,
+    "brownian_kernel": _WORD,
+    "require_stable": _WORD,
+}
+# Always present, so no example falls back to the 2001-point default grid.
+_FUZZ_COUNT = st.one_of(st.integers(-1, 64).map(str),
+                        st.sampled_from(["abc", "2.5", "1e1"]))
+
+
+@st.composite
+def _config_texts(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)),
+                         unique=True, max_size=6))
+    lines = [f"{key} = {draw(_FUZZ_VALUES[key])}" for key in keys]
+    lines.append(f"omega_count = {draw(_FUZZ_COUNT)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(text=_config_texts())
+    def test_main_exits_with_a_documented_code(self, text):
+        # --workers 1 on the command line: no process pool, whatever the
+        # config says about workers
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = Path(tmp) / "fuzz.cfg"
+            config.write_text(text, encoding="utf-8")
+            code = main(["--sweep", "--config", str(config), "--out",
+                         str(Path(tmp) / "out"), "--workers", "1"])
+        assert code in (0, 2, 3, 4, 5), (code, err.getvalue(), text)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSweepKernel:

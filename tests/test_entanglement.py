@@ -16,7 +16,7 @@ from mirrorpair import (
     tmsv_state,
 )
 from mirrorpair.dynamics import LinearSystem, N_NOISE, N_STATE
-from mirrorpair.entanglement import separability_products
+from mirrorpair.entanglement import EntanglementPoint, separability_products
 from mirrorpair.errors import (
     DegenerateCommutatorError,
     InvalidParameterError,
@@ -141,6 +141,37 @@ class TestDegreeSweep:
         noise = NoiseModel.from_params(sys.params)
         with pytest.raises(DegenerateCommutatorError):
             degree_sweep(silent, noise, [sys.params.big_omega])
+
+
+class TestEntanglementPoint:
+    @staticmethod
+    def point(degree):
+        return EntanglementPoint(omega=1e5, temperature=0.1, var_u=1.0,
+                                 var_v=1.0, commutator_sq=1.0, degree=degree)
+
+    @pytest.mark.parametrize("degree,entangled,epr", [
+        (1.0, False, False),
+        (float(np.nextafter(1.0, 0.0)), True, False),
+        (0.25, True, False),
+        (float(np.nextafter(0.25, 0.0)), True, True),
+    ], ids=["one", "one-minus-ulp", "quarter", "quarter-minus-ulp"])
+    def test_thresholds_are_strict(self, degree, entangled, epr):
+        pt = self.point(degree)
+        assert pt.entangled is entangled
+        assert pt.epr is epr
+
+    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
+    @pytest.mark.parametrize("temperature", [0.0, 4.0])
+    def test_single_point_equals_sweep_bitwise(self, fig2, kernel, temperature):
+        params, sys = fig2
+        noise = NoiseModel(temperature, params.big_gamma, params.big_omega,
+                           kernel)
+        for w in (0.9e5, params.big_omega, 1.7e5):
+            pt = degree_of_entanglement(sys, noise, w)
+            sweep = degree_sweep(sys, noise, [w])
+            assert (pt.omega, pt.temperature) == (w, temperature)
+            for key, values in sweep.items():
+                assert getattr(pt, key) == values[0], (w, key)
 
 
 class TestGaussianState:

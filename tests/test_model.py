@@ -5,6 +5,7 @@ from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from mirrorpair import PhysicalParams, fig2_params, power_to_amplitude, steady_state
 from mirrorpair.errors import InvalidParameterError
+from mirrorpair.model import MAGNITUDE_RANGE
 
 from conftest import make_params
 
@@ -116,10 +117,18 @@ def test_coupling_ordering_warns():
     ("p_in_a", -1e-3), ("g", -0.5),
     ("mass", np.inf), ("temperature", np.nan), ("g", np.nan),
     ("delta_b", -np.inf),
+    ("big_gamma", 1e308), ("omega_a0", 5e-324), ("p_in_b", 1e31),
+    ("delta_b", -1e-31), ("temperature", 2e30),
 ])
 def test_parameter_validation(field, value):
     with pytest.raises(InvalidParameterError):
         PhysicalParams(**{field: value})
+
+
+def test_magnitude_range_ends_and_zero_accepted():
+    lo, hi = MAGNITUDE_RANGE
+    make_params(big_gamma=hi, delta_b=-lo, g=0.0, big_g=0.0, temperature=0.0)
+    make_params(big_gamma=lo, delta_b=-hi)
 
 
 def test_from_dict_rejects_unknown_keys():

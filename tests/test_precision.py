@@ -1,17 +1,22 @@
-"""Extended-precision oracle for the sweep kernel.
+"""Extended-precision oracles for the sweep kernel and the readout spectra.
 
 The reference solves the adjoint resolvent rows c^T (-i w - A)^{-1} B in
 30-digit arithmetic at +w and at -w separately and contracts them with the
 full 8x8 input spectra, [r(w) D(w) r(-w) + r(-w) D(-w) r(w)] / 4, as written
 in the documented formulas.  It shares no arithmetic with the package's
-temperature-factored evaluation.
+temperature-factored evaluation, nor with the closed-form readout
+contraction.
 """
 
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR, k as KB
 
-from mirrorpair import NoiseModel, build_linear_system, degree_sweep, fig2_params
+from mirrorpair import (
+    NoiseModel, build_linear_system, degree_sweep, fig2_params, output_spectrum,
+    output_spectrum_via_transfer, steady_state, two_channel_spectra,
+)
+from mirrorpair.dynamics import IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
 )
@@ -25,26 +30,33 @@ TEMPERATURES = (0.0, 0.1, 300.0)
 class Reference:
     """E(omega) ingredients at (omega, T) in extended precision."""
 
-    def __init__(self, params, dps=30):
+    def __init__(self, params, dps=30, kernel="corrected"):
         lin = build_linear_system(params)
         self.mp = mpmath.mp.clone()
         self.mp.dps = dps
         self.drift = self.mp.matrix(lin.drift.tolist())
         self.coupling = self.mp.matrix(lin.noise_coupling.tolist())
         self.pref = self.mp.mpf(params.big_gamma) / params.big_omega
+        if kernel == "halved":
+            self.pref /= 2
         self._rows = {}
 
+    def selected_rows(self, w, selectors):
+        """Rows c^T M(w) for the selectors; each a list of 8 mp complexes."""
+        mp = self.mp
+        shifted_t = (-1j * mp.mpf(w) * mp.eye(10) - self.drift).T
+        out = []
+        for c in selectors:
+            x = mp.lu_solve(shifted_t, mp.matrix(list(map(float, c))))
+            out.append([sum(x[i] * self.coupling[i, k] for i in range(10))
+                        for k in range(8)])
+        return out
+
     def rows(self, w):
-        """Rows c^T M(w) for u, v, q1, p1; each a list of 8 mp complexes."""
+        """Rows c^T M(w) for u, v, q1, p1."""
         if w not in self._rows:
-            mp = self.mp
-            shifted_t = (-1j * mp.mpf(w) * mp.eye(10) - self.drift).T
-            out = []
-            for c in (U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR):
-                x = mp.lu_solve(shifted_t, mp.matrix(c.tolist()))
-                out.append([sum(x[i] * self.coupling[i, k] for i in range(10))
-                            for k in range(8)])
-            self._rows[w] = out
+            self._rows[w] = self.selected_rows(
+                w, (U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR))
         return self._rows[w]
 
     def spectrum(self, w, temperature):
@@ -105,3 +117,82 @@ def test_degree_sweep_matches_extended_precision(reference, temperature):
         for key, value in want.items():
             rel = abs(got[key][i] - float(value)) / abs(float(value))
             assert rel <= 1e-9, (w, key, rel)
+
+
+READOUT_OMEGA_FACTORS = (1e-2, 0.9, 1.0, 1.1, 1e2)
+
+
+class ReadoutReference(Reference):
+    """Output spectra of the meter channels in extended precision."""
+
+    def __init__(self, params, kernel):
+        super().__init__(params, kernel=kernel)
+        mp = self.mp
+        self.gamma_a = mp.mpf(params.gamma_a)
+        self.g_alpha = mp.mpf(params.g) * steady_state(params).alpha
+
+    def currents(self, w):
+        """Noise-space rows at w of Y_out_1, Y_out_2 (from q_j), of the same
+        outputs from Y_out = sqrt(gamma_a) Y_a - Y_in, and of the two
+        oriented currents gain * q_j +- refl * Y_in_j."""
+        mp = self.mp
+        units = [[1.0 if i == j else 0.0 for i in range(10)]
+                 for j in (IQ1, IQ2, IYA1, IYA2)]
+        q1, q2, ya1, ya2 = self.selected_rows(w, units)
+        den = self.gamma_a / 2 - 1j * mp.mpf(w)
+        gain = 2 * self.g_alpha * mp.sqrt(self.gamma_a) / den
+        refl = (self.gamma_a / 2 + 1j * mp.mpf(w)) / den
+
+        def row(signal, scale, index, vacuum):
+            out = [scale * x for x in signal]
+            out[index] += vacuum
+            return out
+
+        root = mp.sqrt(self.gamma_a)
+        return {
+            "direct1": row(q1, gain, IYIN1, refl),
+            "direct2": row(q2, -gain, IYIN2, refl),
+            "transfer1": row(ya1, root, IYIN1, -1),
+            "transfer2": row(ya2, root, IYIN2, -1),
+            "current1": row(q1, gain, IYIN1, refl),
+            "current2": row(q2, gain, IYIN2, -refl),
+        }
+
+    def spectra(self, w, temperature):
+        plus, minus = self.currents(w), self.currents(-w)
+        dp, dm = self.spectrum(w, temperature), self.spectrum(-w, temperature)
+
+        def s(a, b):
+            return (self.form(plus[a], dp, minus[b])
+                    + self.form(minus[a], dm, plus[b])) / 2
+
+        out = {k: s(k, k).real for k in plus if not k.startswith("current")}
+        out["s12"] = s("current1", "current2")
+        return out
+
+
+@pytest.mark.parametrize("kernel", ["corrected", "halved"])
+def test_readout_spectra_match_extended_precision(kernel):
+    params = fig2_params()
+    sys = build_linear_system(params)
+    ref = ReadoutReference(params, kernel)
+    omegas = np.array(READOUT_OMEGA_FACTORS) * params.big_omega
+    for temperature in (0.0, 300.0):
+        noise = NoiseModel(temperature, params.big_gamma, params.big_omega,
+                           kernel)
+        got = {f"{name}{ch}": fn(sys, noise, omegas, ch)
+               for ch in (1, 2)
+               for name, fn in (("direct", output_spectrum),
+                                ("transfer", output_spectrum_via_transfer))}
+        got["s12"] = two_channel_spectra(sys, noise, omegas).s12
+        for i, w in enumerate(omegas):
+            want = ref.spectra(float(w), temperature)
+            for key, value in want.items():
+                have = complex(got[key][i])
+                # The two output currents commute, so the exact imaginary
+                # part of s12 is zero: it is checked on the scale of |s12|.
+                checks = [(have.real, value.real, abs(value.real)),
+                          (have.imag, value.imag, abs(value))]
+                for part, (x, exact, norm) in zip(("re", "im"), checks):
+                    rel = abs(x - float(exact)) / float(norm)
+                    assert rel <= 1e-9, (w, temperature, key, part, rel)

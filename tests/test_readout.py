@@ -5,6 +5,9 @@ import pytest
 
 from mirrorpair import (
     NoiseModel,
+    dynamics,
+    model,
+    readout,
     ReadoutChannel,
     build_linear_system,
     combine_currents,
@@ -44,6 +47,12 @@ class TestReadoutChannel:
     def test_bad_channel_rejected(self):
         with pytest.raises(InvalidParameterError):
             ReadoutChannel.for_mirror(fig2_params(), 3)
+
+    def test_for_system_equals_for_mirror(self, fig2):
+        params, sys = fig2
+        for channel in (1, 2):
+            assert (ReadoutChannel.for_system(sys, channel)
+                    == ReadoutChannel.for_mirror(params, channel))
 
     def test_zero_frequency_gain_magnitude(self):
         chan = ReadoutChannel(g_alpha=2.0, gamma_a=1e5)
@@ -145,6 +154,24 @@ class TestTwoChannelCombination:
         direct = 0.5 * (plus + minus).real
         assert np.allclose(combined, direct, rtol=1e-10, atol=0)
 
+        # s12 from the same dense einsum path, one oriented current per side.
+        def current(wa, j):
+            rows = selected_transfer_rows(sys, wa, sel)
+            e = e1 if j == 0 else -e2
+            return (chan1.gain(wa)[:, None] * rows[:, j, :]
+                    + chan1.noise_reflection(wa)[:, None] * e)
+
+        s12 = 0.5 * (
+            np.einsum("nk,nkl,nl->n", current(w, 0), dp, current(-w, 1))
+            + np.einsum("nk,nkl,nl->n", current(-w, 0), dm, current(w, 1))
+        )
+        assert np.allclose(spectra.s12.real, s12.real, rtol=1e-10, atol=0)
+        # The two output currents commute, so the exact imaginary part is 0
+        # and both paths hold rounding noise only, on the scale of |s12|.
+        scale = np.abs(s12).max()
+        assert np.allclose(spectra.s12.imag, s12.imag, rtol=0,
+                           atol=1e-12 * scale)
+
     def test_difference_differs_from_sum(self, fig2, fig2_noise):
         _, sys = fig2
         w = np.array([sys.params.big_omega])
@@ -179,3 +206,74 @@ class TestTwoChannelCombination:
     def test_second_channel_required_for_plain_pairs(self):
         with pytest.raises(InvalidParameterError):
             combine_currents((np.arange(3), np.ones(3)), "sum")
+
+
+class TestReadoutSolveCount:
+    @pytest.mark.parametrize("call", [
+        lambda sys, noise, w: readout.two_channel_spectra(sys, noise, w),
+        lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 1),
+        lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 2),
+        lambda sys, noise, w: readout.output_spectrum_via_transfer(
+            sys, noise, w, 1),
+        lambda sys, noise, w: readout.output_spectrum_via_transfer(
+            sys, noise, w, 2),
+    ], ids=["two_channel", "direct1", "direct2", "transfer1", "transfer2"])
+    def test_one_positive_frequency_solve(self, fig2, fig2_noise,
+                                          monkeypatch, call):
+        _, sys = fig2
+        calls = []
+        solve = readout.selected_transfer_rows
+
+        def spy(sys, omegas, selectors):
+            calls.append(np.array(omegas))
+            return solve(sys, omegas, selectors)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("readout must not call this")
+
+        monkeypatch.setattr(readout, "selected_transfer_rows", spy)
+        monkeypatch.setattr(NoiseModel, "input_spectrum", forbidden)
+        for module in (readout, dynamics, model):
+            monkeypatch.setattr(module, "steady_state", forbidden)
+        w = np.linspace(0.5, 1.5, 33) * sys.params.big_omega
+        call(sys, fig2_noise, w)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], w)
+
+    def test_bad_channel_rejected_before_solving(self, fig2, fig2_noise):
+        _, sys = fig2
+        for fn in (output_spectrum, output_spectrum_via_transfer):
+            with pytest.raises(InvalidParameterError):
+                fn(sys, fig2_noise, [1e5], 3)
+
+
+class TestClosedFormContraction:
+    """The closed-form hermitian forms against the dense 8x8 contraction,
+    on random rows where no term vanishes by symmetry."""
+
+    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
+    @pytest.mark.parametrize("temperature", [0.0, 300.0])
+    def test_matches_dense_input_spectrum(self, kernel, temperature):
+        rng = np.random.default_rng(3)
+        w = np.array([1e3, 0.9e5, 1e5, 1.1e5, 1e7])
+        ci, cj = (rng.normal(size=(2, w.size, 8))
+                  + 1j * rng.normal(size=(2, w.size, 8)))
+        noise = NoiseModel(temperature, 1.0, 1e5, kernel)
+        dp, dm = noise.input_spectrum(w), noise.input_spectrum(-w)
+
+        def dense(a, b):
+            return 0.5 * (np.einsum("nk,nkl,nl->n", a, dp, b.conj())
+                          + np.einsum("nk,nkl,nl->n", a.conj(), dm, b))
+
+        want = dense(ci, cj)
+        got = readout._cross_spectrum(noise, w, ci, cj)
+        # Real and imaginary parts each to 1e-13 of |s|; at 300 K the
+        # imaginary part is ~1e-9 of |s|, so it is still checked.
+        tol = 1e-13 * np.abs(want)
+        assert np.all(np.abs(got.real - want.real) <= tol)
+        assert np.all(np.abs(got.imag - want.imag) <= tol)
+        assert np.all(np.abs(want.imag) > 100.0 * tol)
+        auto = dense(ci, ci)
+        assert np.allclose(readout._auto_spectrum(noise, w, ci), auto.real,
+                           rtol=1e-13, atol=0)
+        assert np.all(np.abs(auto.imag) <= 1e-13 * np.abs(auto))
