@@ -5,8 +5,9 @@ keys rejected).  Physical keys are the PhysicalParams field names; sweep keys
 are omega_min, omega_max, omega_count, omega_spacing, temperatures, workers,
 emit_components, brownian_kernel, require_stable.
 
-Exit codes: 0 success, 2 configuration error, 3 unstable drift (only when
-require_stable is set), 4 numerical singularity, 5 unphysical covariance.
+Exit codes: 0 success, 2 configuration or input error, 3 unstable drift
+(only when require_stable is set), 4 numerical singularity, 5 unphysical
+covariance.
 """
 
 from __future__ import annotations
@@ -308,7 +309,6 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
 def check_state(path, out=_sys.stdout) -> dict:
     """Evaluate the separability criterion on a covariance file."""
     state = entanglement.GaussianState.from_file(path)
-    state.require_physical()
     product, bound = entanglement.separability_product(state, 1.0)
     best_a, best_product = entanglement.optimize_separability(state)
     report = {
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
             spec = dataclasses.replace(spec, workers=args.workers)
         run_sweep(spec, args.out, emit_grid=args.emit_grid)
         return 0
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except DriftUnstableError as exc:

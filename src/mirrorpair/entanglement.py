@@ -191,6 +191,8 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         if cov.shape != (4, 4) or mean.shape != (4,):
             raise InvalidParameterError("cov must be 4x4 and mean length 4")
+        if not (np.isfinite(cov).all() and np.isfinite(mean).all()):
+            raise InvalidParameterError("cov and mean must be finite")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
 
@@ -203,14 +205,19 @@ class GaussianState:
         margin = self.physicality_margin()
         if margin < -tol:
             raise UnphysicalStateError(margin)
-        if not np.allclose(self.cov, self.cov.T):
+        # np.allclose(cov, cov.T) for finite entries, at a tenth of its cost
+        cov = self.cov
+        if not np.all(np.abs(cov - cov.T) <= 1e-8 + 1e-5 * np.abs(cov.T)):
             raise UnphysicalStateError(0.0, "covariance matrix not symmetric")
 
     @classmethod
     def from_file(cls, path) -> "GaussianState":
         """Load from whitespace-separated text: 4 covariance rows, then an
         optional fifth row holding the mean vector."""
-        data = np.loadtxt(Path(path), ndmin=2)
+        try:
+            data = np.loadtxt(Path(path), ndmin=2)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}: not numeric: {exc}") from exc
         if data.shape == (4, 4):
             return cls(cov=data)
         if data.shape == (5, 4):
@@ -226,6 +233,22 @@ class GaussianState:
         np.savetxt(Path(path), rows, fmt="%.17e")
 
 
+def _moments(covs):
+    """qa, qb, qc, pa, pb, pc: Var q1, Var q2, Cov(q1, q2), the same for p."""
+    c = np.asarray(covs, dtype=float)
+    pairs = ((0, 0), (2, 2), (0, 2), (1, 1), (3, 3), (1, 3))
+    return tuple(c[..., i, j] for i, j in pairs)
+
+
+def _products(moments, a):
+    """Var(|a| q1 + q2/a) Var(|a| p1 - p2/a), with t = a^2 and s = sign a:
+    (qa t + 2 s qc + qb/t)(pa t - 2 s pc + pb/t).  a (..., m) broadcasts
+    against the batch shape of the moments; returns shape (..., m)."""
+    qa, qb, qc, pa, pb, pc = (m[..., None] for m in moments)
+    t, s = a * a, np.sign(a)
+    return (qa * t + 2.0 * s * qc + qb / t) * (pa * t - 2.0 * s * pc + pb / t)
+
+
 def separability_products(covs, a_values) -> np.ndarray:
     """Vectorized variance products for stacked covariances.
 
@@ -233,17 +256,39 @@ def separability_products(covs, a_values) -> np.ndarray:
     where product[..., k] = Var(|a| q1 + q2/a) * Var(|a| p1 - p2/a) at
     a = a_values[k].
     """
-    covs = np.asarray(covs, dtype=float)
     a = np.asarray(a_values, dtype=float)
     if np.any(a == 0.0):
         raise InvalidParameterError("a must be nonzero")
-    cu = np.stack([np.abs(a), 1.0 / a], axis=-1)           # (m, 2)
-    cv = np.stack([np.abs(a), -1.0 / a], axis=-1)
-    qblock = covs[..., 0::2, 0::2]                          # (..., 2, 2)
-    pblock = covs[..., 1::2, 1::2]
-    var_u = np.einsum("mi,...ij,mj->...m", cu, qblock, cu)
-    var_v = np.einsum("mi,...ij,mj->...m", cv, pblock, cv)
-    return var_u * var_v
+    return _products(_moments(covs), a)
+
+
+def separability_optimum(covs):
+    """(best_a, best_product) over a > 0 for physical covs (..., 4, 4).
+
+    With t = a^2 the product's stationary points are the positive roots of
+    qa pa t^4 + (qc pa - pc qa) t^3 - (qc pb - pc qb) t - qb pb, one of which
+    exists since qa pa >= 1/4 and qb pb > 0.  Every root's real part > 0 and
+    a = 1 are scored exactly, so no candidate undercuts the true minimum and
+    best_product <= product(a = 1).
+    """
+    moments = _moments(covs)
+    qa, qb, qc, pa, pb, pc = moments
+    lead = qa * pa
+    comp = np.zeros(lead.shape + (4, 4))    # companions of the monic quartics
+    with np.errstate(all="ignore"):
+        comp[..., 0, 0] = (pc * qa - qc * pa) / lead
+        comp[..., 0, 2] = (qc * pb - pc * qb) / lead
+        comp[..., 0, 3] = qb * pb / lead
+    if not np.isfinite(comp).all():
+        raise InvalidParameterError("needs finite covs with Var q1 Var p1 > 0")
+    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(comp).real
+    a = np.sqrt(np.where(roots > 0.0, roots, 1.0))
+    a = np.concatenate([a, np.ones(lead.shape + (1,))], axis=-1)
+    products = _products(moments, a)
+    k = np.argmin(products, axis=-1)[..., None]
+    return (np.take_along_axis(a, k, axis=-1)[..., 0],
+            np.take_along_axis(products, k, axis=-1)[..., 0])
 
 
 def separability_product(state: GaussianState, a: float = 1.0):
@@ -259,36 +304,8 @@ def separability_product(state: GaussianState, a: float = 1.0):
     return product, 1.0
 
 
-def optimize_separability(state: GaussianState, a_range=(1e-3, 1e3)):
-    """Most violating weighting a, by golden-section search on log a.
-
-    Returns (best_a, best_product).  The search runs over positive a; the
-    product depends on a only through a^2, so this covers the magnitude
-    freedom of the criterion.
-    """
+def optimize_separability(state: GaussianState):
+    """Most violating weighting a > 0 and its product, in closed form."""
     state.require_physical()
-    lo, hi = np.log(a_range[0]), np.log(a_range[1])
-
-    def f(la):
-        return float(separability_products(state.cov, [np.exp(la)])[0])
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    best_la = x1 if f1 <= f2 else x2
-    best = min(
-        [(f(best_la), np.exp(best_la)), (f(0.0), 1.0)], key=lambda t: t[0]
-    )
-    return best[1], best[0]
+    best_a, best = separability_optimum(state.cov)
+    return float(best_a), float(best)

@@ -28,7 +28,7 @@ from mirrorpair import (
 )
 from mirrorpair.cli import SweepSpec, run_sweep
 from mirrorpair.dynamics import IQ1
-from mirrorpair.entanglement import separability_products
+from mirrorpair.entanglement import separability_optimum, separability_products
 from mirrorpair.oracle import sample_separable_covariances
 from conftest import make_params
 
@@ -114,6 +114,9 @@ def test_criterion_5_separability_theorem_suite():
     a_values = 2.0 ** np.arange(-5, 6, dtype=float)
     products = separability_products(covs, a_values)
     ok = bool(products.min() >= 1.0 - 1e-9)
+    # the true optimum over a > 0 of every sample, in one batched call
+    _, best = separability_optimum(covs)
+    ok = ok and bool(best.min() >= 1.0 - 1e-9)
     product, _ = separability_product(tmsv_state(1.0), 1.0)
     ok = ok and abs(product - np.exp(-4.0)) <= 1e-12
     ok = ok and (time.perf_counter() - t0) < 60.0

@@ -1,0 +1,28 @@
+"""Smoke run of the separability benchmark workload and its gate.
+
+Keeps perfbench/ importable and its gate green against the package at a
+twentieth of the benchmark's problem size; timings are not checked.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("mpmath")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_separability_workload_passes_its_gate(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import gate
+    import workloads
+
+    spec = workloads.make_spec("separability", seed=7, scale=0.05)
+    work = workloads.Workload(spec, tmp_path)
+    work.run_pass()
+    problems, _ = gate.check_separability(workloads.make_states(spec),
+                                          work.outputs)
+    assert problems == []

@@ -178,6 +178,33 @@ def _config_texts(draw):
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+# State files for the fuzz test: a TMSV covariance (with or without a mean
+# row) with up to four tokens replaced or appended, so that examples reach
+# every stage: parsing, shape, finiteness, physicality and the optimum.
+_STATE_TOKEN = st.one_of(
+    _FLOAT_TEXT,
+    st.sampled_from(["", "0.5", "-0.5", "1e400", "1e200", "x y", "#", ";"]),
+)
+
+
+@st.composite
+def _state_texts(draw):
+    cov = tmsv_state(draw(st.floats(0.0, 3.0))).cov
+    rows = [[repr(float(v)) for v in row] for row in cov]
+    if draw(st.booleans()):
+        rows.append(["0.0"] * 4)
+    edits = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                    _STATE_TOKEN), max_size=4))
+    for i, j, token in edits:
+        if i >= len(rows):
+            rows.append([token])
+        elif j >= len(rows[i]):
+            rows[i].append(token)
+        else:
+            rows[i][j] = token
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
 class TestConfigFuzz:
     @settings(max_examples=150, deadline=None)
     @given(text=_config_texts())
@@ -365,6 +392,36 @@ class TestCheckState:
         report = check_state(path, out=sink)
         assert not report["entangled"]
         assert "entangled:        no" in sink.getvalue()
+
+
+class TestStateFileInput:
+    @pytest.mark.parametrize("text", [
+        "nan 0 0 0\n0 0.5 0 0\n0 0 0.5 0\n0 0 0 0.5\n",
+        "0.5 0 0 0\n0 inf 0 0\n0 0 0.5 0\n0 0 0 0.5\n",
+        "0.5 0 0 0\n0 0.5 0 0\n0 0 0.5 0\n0 0 0 0.5\n0 -inf 0 0\n",
+        "0.5 0 0 0\n0 0.5 0 zero\n0 0 0.5 0\n0 0 0 0.5\n",
+        "0.5 0 0\n0 0.5 0\n0 0 0.5\n",
+        "0.5 0 0 0\n0 0.5 0\n0 0 0.5 0\n0 0 0 0.5\n",
+    ], ids=["nan", "inf", "inf-mean", "word", "3x3", "ragged"])
+    def test_bad_state_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "state.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--check-state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_state_texts())
+    def test_state_file_fuzz_exits_with_a_documented_code(self, text):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = Path(tmp) / "state.txt"
+            path.write_text(text, encoding="utf-8")
+            code = main(["--check-state", str(path)])
+        assert code in (0, 2, 5), (code, err.getvalue(), text)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestMainExitCodes:

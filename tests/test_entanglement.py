@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mirrorpair import (
     GaussianState,
@@ -16,7 +17,11 @@ from mirrorpair import (
     tmsv_state,
 )
 from mirrorpair.dynamics import LinearSystem, N_NOISE, N_STATE
-from mirrorpair.entanglement import EntanglementPoint, separability_products
+from mirrorpair.entanglement import (
+    SYMPLECTIC_FORM, EntanglementPoint, separability_optimum,
+    separability_products,
+)
+from mirrorpair.oracle import sample_separable_covariances
 from mirrorpair.errors import (
     DegenerateCommutatorError,
     InvalidParameterError,
@@ -242,6 +247,35 @@ class TestGaussianState:
         with pytest.raises(InvalidParameterError):
             GaussianState.from_file(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        cov = 0.5 * np.eye(4)
+        cov[1, 3] = cov[3, 1] = bad
+        with pytest.raises(InvalidParameterError):
+            GaussianState(cov=cov)
+        with pytest.raises(InvalidParameterError):
+            GaussianState(cov=0.5 * np.eye(4), mean=[0.0, bad, 0.0, 0.0])
+
+    def test_symmetry_tolerance_is_that_of_allclose(self):
+        # the largest cov[2, 0] that np.allclose(cov, cov.T) accepts, found
+        # to the ulp: require_physical must accept it and reject the next
+        cov = np.eye(4)
+        cov[0, 2] = 0.1
+
+        def with_entry(x):
+            out = cov.copy()
+            out[2, 0] = x
+            return out
+
+        x = 0.1 + (1e-8 + 1e-5 * 0.1)
+        while np.allclose(with_entry(x), with_entry(x).T):
+            x = np.nextafter(x, np.inf)
+        while not np.allclose(with_entry(x), with_entry(x).T):
+            x = np.nextafter(x, -np.inf)
+        GaussianState(cov=with_entry(x)).require_physical()
+        with pytest.raises(UnphysicalStateError, match="not symmetric"):
+            GaussianState(cov=with_entry(np.nextafter(x, np.inf))).require_physical()
+
 
 class TestSeparabilityWeighting:
     def test_zero_weight_rejected(self):
@@ -252,8 +286,6 @@ class TestSeparabilityWeighting:
             separability_products(state.cov, [1.0, 0.0])
 
     def test_vectorized_matches_scalar(self):
-        from mirrorpair.oracle import sample_separable_covariances
-
         covs, _ = sample_separable_covariances(seed=3, count=16)
         a_values = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
         batch = separability_products(covs, a_values)
@@ -308,9 +340,115 @@ class TestSeparabilityWeighting:
             optimize_separability(GaussianState(cov=0.05 * np.eye(4)))
 
     def test_separable_samples_respect_bound(self):
-        from mirrorpair.oracle import sample_separable_covariances
-
         covs, _ = sample_separable_covariances(seed=5, count=500)
         a_values = 2.0 ** np.arange(-5, 6, dtype=float)
         products = separability_products(covs, a_values)
         assert products.min() >= 1.0 - 1e-9
+
+
+def _random_tmsv(seed, count):
+    """TMSV states with r in [0, 1.5] and local scalings e^[-1, 1]."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 1.5, size=count)
+    scal = np.exp(rng.uniform(-1.0, 1.0, size=(count, 2)))
+    return np.stack([tmsv_state(ri, tuple(si)).cov for ri, si in zip(r, scal)])
+
+
+def _random_symplectic_images(seed, count):
+    """S diag(n1, n1, n2, n2) S^T with S = expm(Sigma H), H random symmetric:
+    every two-mode Gaussian state has this form (Williamson)."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(scale=0.5, size=(count, 4, 4))
+    s = np.stack([expm(SYMPLECTIC_FORM @ (x + x.T)) for x in h])
+    nu = 0.5 + rng.exponential(0.3, size=(count, 2))
+    covs = s * np.repeat(nu, 2, axis=1)[:, None, :] @ s.transpose(0, 2, 1)
+    return 0.5 * (covs + covs.transpose(0, 2, 1))
+
+
+_RANDOM_STATES = {
+    "separable": lambda: sample_separable_covariances(seed=41, count=300)[0],
+    "tmsv": lambda: _random_tmsv(42, 300),
+    "symplectic": lambda: _random_symplectic_images(43, 300),
+}
+
+
+def _smallest_pt_symplectic_eigenvalue(covs):
+    """Smallest symplectic eigenvalue of the partial transpose (p2 -> -p2)."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    pt = flip @ covs @ flip
+    return np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ pt)).min(axis=-1)
+
+
+@pytest.mark.parametrize("kind", sorted(_RANDOM_STATES))
+class TestClosedFormOptimum:
+    """Independent oracles for separability_optimum over random states."""
+
+    def test_dense_grid_brackets_the_optimum(self, kind):
+        covs = _RANDOM_STATES[kind]()
+        best_a, best = separability_optimum(covs)
+        grid = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 20001))
+        brute = separability_products(covs, grid).min(axis=1)
+        # the grid brackets every optimum here, and its spacing bounds how
+        # far its minimum can sit above the true one
+        assert np.all((best_a > 1e-3) & (best_a < 1e3))
+        assert np.all(best <= brute * (1.0 + 1e-12))
+        assert np.all(best >= brute * (1.0 - 1e-4))
+
+    def test_not_above_unit_weighting(self, kind):
+        covs = _RANDOM_STATES[kind]()
+        _, best = separability_optimum(covs)
+        assert np.all(best <= separability_products(covs, [1.0])[:, 0])
+
+    def test_flagged_states_fail_ppt(self, kind):
+        # PPT is necessary and sufficient for two-mode Gaussian states
+        # (Simon, PRL 84, 2726, 2000): whatever the product criterion flags
+        # must have a partial-transpose symplectic eigenvalue below 1/2
+        covs = _RANDOM_STATES[kind]()
+        _, best = separability_optimum(covs)
+        flagged = best < 1.0
+        if kind == "separable":
+            assert not np.any(flagged)
+        else:
+            assert flagged.sum() >= 5
+        assert np.all(_smallest_pt_symplectic_eigenvalue(covs[flagged]) < 0.5)
+
+    def test_batched_equals_per_state(self, kind):
+        covs = _RANDOM_STATES[kind]()
+        best_a, best = separability_optimum(covs)
+        for i, cov in enumerate(covs):
+            a_i, best_i = separability_optimum(cov)
+            assert (a_i, best_i) == (best_a[i], best[i]), i
+            assert optimize_separability(GaussianState(cov=cov)) == (a_i, best_i)
+
+
+class TestSeparabilityOptimumInput:
+    def test_inexact_roots_never_beat_unit_weighting(self, monkeypatch):
+        # with every root made positive and off by 1e-3, no root-derived
+        # candidate hits the optimum a = 1 of equal-scaling TMSV states; a = 1
+        # is a candidate of its own, so the result is still exactly f(1)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda m: np.abs(eigvals(m)) * (1.0 + 1e-3))
+        covs = np.stack([tmsv_state(r, (1.3, 1.3)).cov for r in (0.2, 0.9)])
+        best_a, best = separability_optimum(covs)
+        assert np.all(best_a == 1.0)
+        assert np.all(best == separability_products(covs, [1.0])[:, 0])
+
+    def test_batch_shapes(self):
+        covs = _random_tmsv(45, 6).reshape(2, 3, 4, 4)
+        best_a, best = separability_optimum(covs)
+        assert best_a.shape == best.shape == (2, 3)
+        a0, b0 = separability_optimum(covs[1, 2])
+        assert (a0.shape, b0.shape) == ((), ())
+        assert (a0, b0) == (best_a[1, 2], best[1, 2])
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): 0.0}, {(1, 1): 0.0}, {(2, 2): np.inf}, {(3, 3): np.nan},
+        {(2, 2): 1e200, (3, 3): 1e200},     # Var q2 Var p2 overflows
+    ])
+    def test_degenerate_or_non_finite_rejected(self, entries):
+        cov = 0.5 * np.eye(4)
+        for index, value in entries.items():
+            cov[index] = value
+        with pytest.raises(InvalidParameterError):
+            separability_optimum(cov)
