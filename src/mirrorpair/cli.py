@@ -306,8 +306,14 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     return summary
 
 
-def check_state(path, out=_sys.stdout) -> dict:
-    """Evaluate the separability criterion on a covariance file."""
+def check_state(path, out=None) -> dict:
+    """Evaluate the separability criterion on a covariance file.
+
+    The report goes to ``out``, by default to sys.stdout as it is at call
+    time, so that contextlib.redirect_stdout captures it.
+    """
+    if out is None:
+        out = _sys.stdout
     state = entanglement.GaussianState.from_file(path)
     product, bound = entanglement.separability_product(state, 1.0)
     best_a, best_product = entanglement.optimize_separability(state)

@@ -47,10 +47,42 @@ class LinearSystem:
     noise_coupling: np.ndarray  # (10, 8) real
     params: PhysicalParams
     steady: SteadyState
+    #: Diagonal blocks of the adjoint solve, in solve order (_adjoint_blocks).
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.drift.setflags(write=False)
         self.noise_coupling.setflags(write=False)
+        object.__setattr__(self, "blocks", _adjoint_blocks(self.drift))
+
+
+def _adjoint_blocks(drift) -> tuple:
+    """Block back-substitution order of (-i omega I - A)^T x = c.
+
+    Row j of the transposed system couples x_j to x_i for every state i
+    that j drives (drift[i, j] != 0).  A state that drives nothing among the
+    remaining states is solved before them; a state that nothing remaining
+    drives is solved after them.  Peeling both kinds off repeatedly leaves a
+    coupled core, solved as one dense block.  Returns a tuple of index
+    tuples; a drift with no such structure gives the single block of all
+    states.
+    """
+    n = len(drift)
+    coupled = (np.asarray(drift) != 0) & ~np.eye(n, dtype=bool)
+    rest, first, last = list(range(n)), [], []
+    while rest:
+        sub = coupled[np.ix_(rest, rest)]
+        peel = [s for s, d in zip(rest, sub.any(axis=0)) if not d]
+        if peel:
+            first += peel
+        else:
+            peel = [s for s, d in zip(rest, sub.any(axis=1)) if not d]
+            if not peel:
+                break
+            last = peel + last
+        rest = [s for s in rest if s not in peel]
+    core = [tuple(rest)] if rest else []
+    return tuple([(s,) for s in first] + core + [(s,) for s in last])
 
 
 def build_linear_system(
@@ -256,19 +288,50 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     relative-momentum response is ~14 orders of magnitude below individual
     mirror responses at strong entangler drive).
 
+    The adjoint system is block triangular (sys.blocks, see _adjoint_blocks):
+    at the reference point the meter phase quadratures are solved first and
+    the meter amplitude quadratures last, by one complex division each, and
+    only the 6x6 mirror-entangler core goes through an LU factorization.
+    Leaving the meter states out of that factorization also keeps the mirror
+    rows accurate: near the two zero crossings of the commutator at the
+    Fig. 2 point the commutator stays within ~1e-11 of a 30-digit
+    reference, where a dense 10x10 LU is off by up to ~2e-8
+    (tests/test_precision.py).
+
     omegas: shape (n,); selectors: shape (10, k).  Returns (n, k, 8).
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    sel = np.asarray(selectors, dtype=complex)
-    eye = np.eye(N_STATE)
-    shifted_t = (
-        -1j * w[:, None, None] * eye - sys.drift
-    ).transpose(0, 2, 1)
-    try:
-        x = np.linalg.solve(shifted_t, np.broadcast_to(sel, (w.size,) + sel.shape))
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("shifted drift matrix singular on grid") from exc
-    return x.transpose(0, 2, 1) @ sys.noise_coupling
+    sel = np.asarray(selectors, dtype=complex).T                 # (k, 10)
+    n, k = w.size, sel.shape[0]
+    a = sys.drift
+    # Solutions as rows, x[:, s] = x^T for selector s, so that the couplings
+    # and the final contraction with B are single 2-D matrix products.
+    x = np.empty((n, k, N_STATE), dtype=complex)
+    solved = []
+    for block in sys.blocks:
+        idx, m = list(block), len(block)
+        rhs = np.broadcast_to(sel[:, idx], (n, k, m))
+        if solved:
+            feed = x[:, :, solved].reshape(-1, len(solved)) @ a[np.ix_(solved, idx)]
+            rhs = rhs + feed.reshape(n, k, m)
+        if m == 1:
+            diag = -1j * w - a[idx[0], idx[0]]
+            if not diag.all():
+                raise SingularityError("shifted drift matrix singular on grid")
+            x[:, :, idx] = rhs / diag[:, None, None]
+        else:
+            shifted_t = np.empty((n, m * m), dtype=complex)
+            shifted_t[:] = -a[np.ix_(idx, idx)].T.ravel()
+            shifted_t[:, ::m + 1] -= 1j * w[:, None]     # the diagonal
+            try:
+                x[:, :, idx] = np.linalg.solve(
+                    shifted_t.reshape(n, m, m), rhs.transpose(0, 2, 1)
+                ).transpose(0, 2, 1)
+            except np.linalg.LinAlgError as exc:
+                raise SingularityError(
+                    "shifted drift matrix singular on grid") from exc
+        solved += idx
+    return (x.reshape(-1, N_STATE) @ sys.noise_coupling).reshape(n, k, -1)
 
 
 # The input spectrum D(omega) is the Brownian diagonal plus constant vacuum

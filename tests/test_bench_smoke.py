@@ -1,7 +1,9 @@
-"""Smoke run of the separability benchmark workload and its gate.
+"""Smoke runs of the separability and readout benchmark workloads and
+their gates.
 
-Keeps perfbench/ importable and its gate green against the package at a
-twentieth of the benchmark's problem size; timings are not checked.
+Keeps perfbench/ importable and its gates green against the package at a
+twentieth (separability) and a hundredth (readout) of the benchmark's problem
+size; timings are not checked.
 """
 
 import sys
@@ -25,4 +27,17 @@ def test_separability_workload_passes_its_gate(tmp_path, monkeypatch):
     work.run_pass()
     problems, _ = gate.check_separability(workloads.make_states(spec),
                                           work.outputs)
+    assert problems == []
+
+
+def test_readout_workload_passes_its_gate(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import gate
+    import workloads
+
+    spec = workloads.make_spec("readout", seed=7, scale=0.01)
+    work = workloads.Workload(spec, tmp_path)
+    work.run_pass()
+    problems, _ = gate.check_readout(work.outputs)
     assert problems == []

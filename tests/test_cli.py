@@ -393,6 +393,14 @@ class TestCheckState:
         assert not report["entangled"]
         assert "entangled:        no" in sink.getvalue()
 
+    def test_report_follows_redirected_stdout(self, tmp_path):
+        path = tmp_path / "vac.txt"
+        np.savetxt(path, 0.5 * np.eye(4))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            check_state(path)
+        assert "entangled:        no" in sink.getvalue()
+
 
 class TestStateFileInput:
     @pytest.mark.parametrize("text", [
@@ -453,6 +461,29 @@ class TestMainExitCodes:
         )
         assert main(["--sweep", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_singular_resolvent_exit_4(self, tmp_path, monkeypatch, capsys):
+        # An undamped mirror driven at its own frequency: the 2x2 core of
+        # the adjoint solve is exactly singular on the one-point grid.
+        build = dynamics.build_linear_system
+        w0 = 1e5
+
+        def undamped(params, require_stable=False):
+            sys = build(params, require_stable=require_stable)
+            drift = -np.eye(N_STATE)
+            drift[0, 0] = drift[1, 1] = 0.0
+            drift[0, 1], drift[1, 0] = w0, -w0
+            return LinearSystem(drift=drift, noise_coupling=sys.noise_coupling,
+                                params=sys.params, steady=sys.steady)
+
+        monkeypatch.setattr(dynamics, "build_linear_system", undamped)
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"omega_min = {w0!r}\nomega_max = {w0!r}\n"
+                          "omega_count = 1\n", encoding="utf-8")
+        assert main(["--sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unphysical_state_exit_5(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -8,9 +8,10 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1,
-    N_NOISE, N_STATE,
+    N_NOISE, N_STATE, LinearSystem, selected_transfer_rows,
 )
-from mirrorpair.errors import DriftUnstableError
+from mirrorpair.entanglement import P1_SELECTOR, Q1_SELECTOR, U_SELECTOR
+from mirrorpair.errors import DriftUnstableError, SingularityError
 
 from conftest import make_params
 
@@ -89,6 +90,65 @@ class TestTransferMatrix:
         for w in (0.3e5, 1.0e5, 2.7e5):
             m = transfer_matrix(sys, w)
             assert m[IQ1, IXI1] == pytest.approx(chi(w, params), rel=1e-12)
+
+
+def with_drift(sys, drift):
+    """A hand-built LinearSystem: sys with its drift matrix replaced."""
+    return LinearSystem(drift=np.array(drift, dtype=float),
+                        noise_coupling=sys.noise_coupling,
+                        params=sys.params, steady=sys.steady)
+
+
+def check_rows_against_transfer_matrix(sys, selectors, omegas):
+    """selected_transfer_rows against c^T M(omega) from the dense path."""
+    rows = selected_transfer_rows(sys, omegas, selectors)
+    for i, w in enumerate(omegas):
+        want = selectors.T @ transfer_matrix(sys, w)
+        err = np.linalg.norm(rows[i] - want, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=-1)), (w, err)
+
+
+class TestAdjointSolve:
+    def test_block_plan_at_reference_point(self, fig2):
+        _, sys = fig2
+        assert sys.blocks == (
+            (IYA1,), (IYA2,), (IQ1, IP1, IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
+        )
+
+    def test_dense_drift_is_one_core(self, fig2):
+        _, sys = fig2
+        rng = np.random.default_rng(3)
+        dense = with_drift(sys, rng.normal(size=(N_STATE, N_STATE)))
+        assert dense.blocks == (tuple(range(N_STATE)),)
+        check_rows_against_transfer_matrix(dense, np.eye(N_STATE), [0.0, 0.5, 3.0])
+
+    def test_rows_match_transfer_matrix(self, fig2):
+        # Unit selectors and the sweep selectors other than v, whose rows
+        # carry no cancellation; v is checked by tests/test_precision.py.
+        # omega = Omega is left out: the shifted drift has condition ~4e7
+        # there, and neither solve holds 1e-12 on every row.
+        params, sys = fig2
+        selectors = np.column_stack(
+            [np.eye(N_STATE), U_SELECTOR, Q1_SELECTOR, P1_SELECTOR])
+        omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * params.big_omega
+        check_rows_against_transfer_matrix(sys, selectors, omegas)
+
+    def test_singular_core_raises(self, fig2):
+        _, sys = fig2
+        singular = with_drift(sys, np.ones((N_STATE, N_STATE)))
+        assert len(singular.blocks) == 1
+        with pytest.raises(SingularityError):
+            selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
+
+    def test_singular_single_state_block_raises(self, fig2):
+        _, sys = fig2
+        drift = -np.eye(N_STATE)
+        drift[IXB, IXB] = 0.0
+        singular = with_drift(sys, drift)
+        assert (IXB,) in singular.blocks
+        selected_transfer_rows(singular, [1.0], np.eye(N_STATE))
+        with pytest.raises(SingularityError):
+            selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
 
 
 class TestNoiseModel:

@@ -23,7 +23,11 @@ from mirrorpair.entanglement import (
 
 mpmath = pytest.importorskip("mpmath")
 
-OMEGA_FACTORS = (1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2)
+#: The last four straddle the two zero crossings of the commutator at the
+#: Fig. 2 point (0.923915 and 1.070685 Omega), where E(omega) is largest and
+#: the commutator is smallest against its ingredients.
+OMEGA_FACTORS = (1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2,
+                 0.923905, 0.923925, 1.070675, 1.070695)
 TEMPERATURES = (0.0, 0.1, 300.0)
 
 
