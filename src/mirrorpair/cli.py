@@ -37,10 +37,6 @@ CSV_COLUMNS_BARE = (
 )
 
 _PARAM_KEYS = {f.name for f in dataclasses.fields(model.PhysicalParams)}
-_SWEEP_KEYS = {
-    "omega_min", "omega_max", "omega_count", "omega_spacing", "temperatures",
-    "workers", "emit_components", "brownian_kernel", "require_stable",
-}
 
 
 def parse_config_text(text: str) -> dict:
@@ -185,6 +181,9 @@ class SweepSpec:
             return np.geomspace(self.omega_min, self.omega_max, self.omega_count)
         return dynamics.hybrid_grid(self.params.big_omega)
 
+
+#: Config keys of SweepSpec; the physical keys fill its params field.
+_SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"params"}
 
 #: Frequencies per solve task.  Fixed, so that the arithmetic (and therefore
 #: the output bytes) cannot depend on the worker count.
@@ -362,7 +361,12 @@ def main(argv=None) -> int:
             return 0
         values = {}
         if args.config is not None:
-            values = parse_config_text(args.config.read_text(encoding="utf-8"))
+            try:
+                text = args.config.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"{args.config}: not UTF-8 text: {exc}") from exc
+            values = parse_config_text(text)
         spec = SweepSpec.from_config(values)
         if args.workers is not None:
             spec = dataclasses.replace(spec, workers=args.workers)

@@ -224,6 +224,17 @@ class NoiseModel:
         out = 2.0 * self.pref * self._wcoth(w)
         return out if out.shape else float(out)
 
+    def power(self, omega, brownian, vacuum):
+        """[c(w) D(w) c(-w) + c(-w) D(-w) c(w)] / 2 from the weights
+        (brownian, vacuum) of noise_power_weights(c)."""
+        return 0.5 * self.symmetrized_spectrum(omega) * brownian + vacuum
+
+    def commutator(self, omega, xi_imag, pairs):
+        """Imaginary part of the cross form of two rows, from Im xi and pairs
+        of noise_cross_weights; temperature independent, since only the
+        antisymmetric part of D(omega) enters (commutator_spectrum)."""
+        return self.pref * omega * xi_imag + pairs
+
     def commutator_spectrum(self, omega):
         """Antisymmetric part D(omega) - D(-omega)^T in closed form.
 
@@ -237,15 +248,7 @@ class NoiseModel:
         Accepts a scalar (returns (8, 8)) or shape (n,) (returns (n, 8, 8)).
         """
         w = np.asarray(omega, dtype=float)
-        scalar = w.shape == ()
-        w = np.atleast_1d(w)
-        d = np.zeros(w.shape + (N_NOISE, N_NOISE), dtype=complex)
-        d[..., IXI1, IXI1] = 2.0 * self.pref * w
-        d[..., IXI2, IXI2] = 2.0 * self.pref * w
-        for k in (IXIN1, IXIN2, IXINB):
-            d[..., k, k + 1] = 2j
-            d[..., k + 1, k] = -2j
-        return d[0] if scalar else d
+        return self._noise_matrix(w, 2.0 * self.pref * w, 0.0, 2j)
 
     def input_spectrum(self, omega):
         """Non-symmetrized 8x8 input spectral matrix D(omega).
@@ -253,19 +256,23 @@ class NoiseModel:
         Accepts a scalar (returns (8, 8)) or an array of shape (n,)
         (returns (n, 8, 8)).
         """
+        return self._noise_matrix(omega, self.brownian_spectrum(omega), 1.0, 1j)
+
+    @staticmethod
+    def _noise_matrix(omega, brownian, vacuum, pair):
+        """8x8 matrix per omega: brownian on both Brownian diagonals, vacuum
+        on the optical diagonal and +pair / -pair at (X, Y) / (Y, X) of each
+        optical mode.  (8, 8) for a scalar omega, else (n, 8, 8)."""
         w = np.asarray(omega, dtype=float)
-        scalar = w.shape == ()
-        w = np.atleast_1d(w)
-        d = np.zeros(w.shape + (N_NOISE, N_NOISE), dtype=complex)
-        s_xi = np.atleast_1d(self.brownian_spectrum(w))
-        d[..., IXI1, IXI1] = s_xi
-        d[..., IXI2, IXI2] = s_xi
+        d = np.zeros(np.atleast_1d(w).shape + (N_NOISE, N_NOISE), dtype=complex)
+        d[..., IXI1, IXI1] = brownian
+        d[..., IXI2, IXI2] = brownian
         for k in (IXIN1, IXIN2, IXINB):
-            d[..., k, k] = 1.0
-            d[..., k + 1, k + 1] = 1.0
-            d[..., k, k + 1] = 1j
-            d[..., k + 1, k] = -1j
-        return d[0] if scalar else d
+            d[..., k, k] = vacuum
+            d[..., k + 1, k + 1] = vacuum
+            d[..., k, k + 1] = pair
+            d[..., k + 1, k] = -pair
+        return d[0] if w.shape == () else d
 
 
 def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
@@ -338,10 +345,10 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
 # blocks, and the rows at -omega are the conjugates of the rows r at +omega
 # (A and B are real).  The hermitian form
 #     [r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2
-# therefore reduces to
-#     S_sym/2 * Re xi + vac + i [pref * omega * Im xi + pairs]
-# with the weights of noise_cross_weights, and to S_sym/2 * brownian + vacuum
-# (noise_power_weights) for i = j, where the +-i vacuum terms cancel.
+# therefore reduces to the weights below, which depend on the rows alone, and
+# a closed form in the noise, written once in NoiseModel: power(w, Re xi, vac)
+# + i commutator(w, Im xi, pairs), and power(w, brownian, vacuum) for i = j,
+# where the +-i vacuum terms cancel.
 
 def noise_power_weights(rows):
     """Sums of |r_k|^2 over the Brownian and over the vacuum channels.

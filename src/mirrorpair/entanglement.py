@@ -94,18 +94,18 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
 
     One adjoint solve at +omega gives the rows r = c^T M(omega) for u, v, q1
     and p1 (see selected_transfer_rows); the rows at -omega are their complex
-    conjugates because A and B are real.  The input spectrum is the Brownian
-    diagonal plus constant vacuum blocks, so the hermitian forms
-    [r(w) D(w) r(-w) + r(-w) D(-w) r(w)] / 4 reduce to
+    conjugates because A and B are real.  The hermitian forms
+    [r(w) D(w) r(-w) + r(-w) D(-w) r(w)] / 4 then reduce to
 
-        Var(u), Var(v)  = [S_sym(omega) * brownian + 2 * vacuum] / 4
-        <[R_q1, R_p1]>  = i [pref * omega * comm_brownian + comm_vacuum]
+        Var(u), Var(v)  = NoiseModel.power(omega, brownian, vacuum) / 2
+        <[R_q1, R_p1]>  = i NoiseModel.commutator(omega, comm_brownian,
+                                                  comm_vacuum)
 
     with brownian and vacuum the sums of |r_k|^2 over the Brownian and the
     optical channels (dynamics.noise_power_weights), and comm_brownian =
     Im xi and comm_vacuum = pairs the cross weights of the q1 and p1 rows
-    (dynamics.noise_cross_weights).  The +-i vacuum cross terms of Var cancel
-    exactly between +omega and -omega.
+    (dynamics.noise_cross_weights).  Those two NoiseModel methods are the one
+    home of the closed form; the weights here carry no temperature.
 
     Returns shape (6, n) with rows brownian_u, brownian_v, vacuum_u,
     vacuum_v, comm_brownian, comm_vacuum.
@@ -127,15 +127,12 @@ def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
     calls this once per temperature.  Returns the dict of degree_sweep.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    brownian_u, brownian_v, vacuum_u, vacuum_v, comm_b, comm_v = weights
-    s_sym = noise.symmetrized_spectrum(w)
-    var_u = 0.25 * (s_sym * brownian_u + 2.0 * vacuum_u)
-    var_v = 0.25 * (s_sym * brownian_v + 2.0 * vacuum_v)
+    var_u, var_v = 0.5 * noise.power(w, weights[:2], weights[2:4])
     # <[R_q1, R_p1]> depends only on the antisymmetric part of the input
     # spectrum, which is available in closed form.  Using it directly keeps
     # the denominator exactly temperature independent instead of extracting
     # it by differencing two nearly equal thermal quadratic forms.
-    comm = noise.pref * w * comm_b + comm_v
+    comm = noise.commutator(w, weights[4], weights[5])
     comm_sq = comm * comm
     if np.any(comm_sq == 0.0):
         raise DegenerateCommutatorError(

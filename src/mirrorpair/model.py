@@ -115,7 +115,7 @@ class PhysicalParams:
 
 def fig2_params(**overrides) -> PhysicalParams:
     """The default working point used throughout the test suite."""
-    return PhysicalParams(**overrides) if overrides else PhysicalParams()
+    return PhysicalParams(**overrides)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ the reflected vacuum.  Mirror 2 couples to its meter with the opposite sign,
 so its channel carries gain with an extra factor -1; the combiner removes the
 orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
 
-Each spectrum costs one batched adjoint solve at +omega for the coefficient
-rows c(omega) of the output in noise space.  A and B are real, and gain and
-refl at -omega are the conjugates of their values at +omega, so the rows at
--omega are conj(c(omega)).  The hermitian form
-[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 then reduces in closed form
-to the noise weights of dynamics.noise_power_weights (auto spectra) and
-dynamics.noise_cross_weights (the cross spectrum s12).
+The oriented rows of the currents are built once, by _currents, for one
+channel or both.  Each spectrum costs one batched adjoint solve at +omega for
+the coefficient rows c(omega) of the output in noise space.  A and B are
+real, and gain and refl at -omega are the conjugates of their values at
++omega, so the rows at -omega are conj(c(omega)).  The hermitian form
+[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 then reduces to the weights
+of dynamics.noise_power_weights and noise_cross_weights, evaluated by
+NoiseModel.power and NoiseModel.commutator, the single home of the closed
+form that the entanglement sweep uses as well.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_NOISE, N_STATE,
+    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
     LinearSystem, NoiseModel, noise_cross_weights, noise_power_weights,
     selected_transfer_rows,
 )
@@ -95,37 +97,22 @@ def gain_condition(params: PhysicalParams, omega: float, threshold: float = 10.0
     return float(ratio), bool(ratio > threshold)
 
 
-def _state_rows(sys, w, indices):
-    """Rows e_i^T M(omega) for the state indices, from one solve: (n, k, 8)."""
-    sel = np.zeros((N_STATE, len(indices)))
-    sel[indices, np.arange(len(indices))] = 1.0
-    return selected_transfer_rows(sys, w, sel)
+def _currents(sys, w, channels):
+    """Noise-space rows of the oriented output currents, from one solve.
 
-
-def _auto_spectrum(noise, w, rows):
-    """[c(w) D(w) c(-w) + c(-w) D(-w) c(w)] / 2 for the rows c at +omega."""
-    brownian, vacuum = noise_power_weights(rows)
-    return 0.5 * noise.symmetrized_spectrum(w) * brownian + vacuum
-
-
-def _cross_spectrum(noise, w, ci, cj):
-    """[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 for rows at +omega."""
-    xi, vac, pairs = noise_cross_weights(ci, cj)
-    return (
-        (0.5 * noise.symmetrized_spectrum(w) * xi.real + vac)
-        + 1j * (noise.pref * w * xi.imag + pairs)
-    )
-
-
-def _meter_rows(sys, w, channel, q_rows):
-    """Noise-space rows of Y_out_j: sign * gain * q_j + refl * Y_in_j."""
-    chan = ReadoutChannel.for_system(sys, channel)
-    e_yin = np.zeros(N_NOISE)
-    e_yin[_channel(channel)[2]] = 1.0
-    return (
-        chan.sign * chan.gain(w)[:, None] * q_rows
-        + chan.noise_reflection(w)[:, None] * e_yin
-    )
+    Row k is gain * q_j + sign_j * refl * Y_in_j for channel j = channels[k],
+    so that every current carries +gain * q_j.  Returns (n, len(channels), 8).
+    """
+    specs = [_channel(j) for j in channels]
+    sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
+    rows = selected_transfer_rows(sys, w, sel)
+    # gain and refl are the same for both channels; only the sign differs.
+    chan = ReadoutChannel.for_system(sys, 1)
+    gain, refl = chan.gain(w)[:, None], chan.noise_reflection(w)
+    for k, (_, _, iyin, sign) in enumerate(specs):
+        rows[:, k] = gain * rows[:, k]
+        rows[:, k, iyin] += sign * refl
+    return rows
 
 
 def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
@@ -133,8 +120,8 @@ def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    q_rows = _state_rows(sys, w, [_channel(channel)[0]])[:, 0]
-    out = _auto_spectrum(noise, w, _meter_rows(sys, w, channel, q_rows))
+    rows = _currents(sys, w, (channel,))[:, 0]
+    out = noise.power(w, *noise_power_weights(rows))
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -145,9 +132,10 @@ def output_spectrum_via_transfer(
     Y_out = sqrt(gamma_a) Y_cav - Y_in using the full transfer matrix."""
     _, iya, iyin, _ = _channel(channel)
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rows = np.sqrt(sys.params.gamma_a) * _state_rows(sys, w, [iya])[:, 0]
+    rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])[:, 0]
+    rows = np.sqrt(sys.params.gamma_a) * rows
     rows[:, iyin] -= 1.0
-    out = _auto_spectrum(noise, w, rows)
+    out = noise.power(w, *noise_power_weights(rows))
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -168,17 +156,15 @@ class TwoChannelSpectra:
 def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    q_rows = _state_rows(sys, w, [IQ1, IQ2])
-    # Orient each current so that its signal term is +gain * q_j.
-    c1, c2 = (
-        _CHANNELS[j][3] * _meter_rows(sys, w, j, q_rows[:, j - 1])
-        for j in (1, 2)
-    )
+    rows = _currents(sys, w, (1, 2))
+    c1, c2 = rows[:, 0], rows[:, 1]
+    xi, vac, pairs = noise_cross_weights(c1, c2)
     return TwoChannelSpectra(
         omegas=w,
-        s11=_auto_spectrum(noise, w, c1),
-        s22=_auto_spectrum(noise, w, c2),
-        s12=_cross_spectrum(noise, w, c1, c2),
+        s11=noise.power(w, *noise_power_weights(c1)),
+        s22=noise.power(w, *noise_power_weights(c2)),
+        s12=(noise.power(w, xi.real, vac)
+             + 1j * noise.commutator(w, xi.imag, pairs)),
     )
 
 

@@ -41,3 +41,20 @@ def test_readout_workload_passes_its_gate(tmp_path, monkeypatch):
     work.run_pass()
     problems, _ = gate.check_readout(work.outputs)
     assert problems == []
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # The benchmark's tracer patches package attributes by name; a refactor
+    # that drops one of them must fail here, not in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracing
+    from mirrorpair import readout
+
+    solve = readout.selected_transfer_rows
+    try:
+        tracing.install()
+        assert readout.selected_transfer_rows is not solve
+    finally:
+        tracing.uninstall()
+    assert readout.selected_transfer_rows is solve

@@ -448,6 +448,16 @@ class TestMainExitCodes:
         config.write_text("bogus_key = 1\n", encoding="utf-8")
         assert main(["--sweep", "--config", str(config)]) == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"omega_count = 3\n\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["--sweep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["--sweep", "--config", str(tmp_path / "nope.txt")]) == 2
 

@@ -172,6 +172,18 @@ class TestTwoChannelCombination:
         assert np.allclose(spectra.s12.imag, s12.imag, rtol=0,
                            atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
+    def test_auto_spectra_are_the_single_channel_spectra(self, fig2,
+                                                         temperature):
+        # Both paths build their currents in one place, so they agree bitwise.
+        params, sys = fig2
+        noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
+        w = np.concatenate([np.geomspace(1e-2, 1e2, 37),
+                            np.linspace(0.5, 1.5, 41)]) * params.big_omega
+        spectra = two_channel_spectra(sys, noise, w)
+        assert np.array_equal(output_spectrum(sys, noise, w, 1), spectra.s11)
+        assert np.array_equal(output_spectrum(sys, noise, w, 2), spectra.s22)
+
     def test_difference_differs_from_sum(self, fig2, fig2_noise):
         _, sys = fig2
         w = np.array([sys.params.big_omega])
@@ -248,8 +260,9 @@ class TestReadoutSolveCount:
 
 
 class TestClosedFormContraction:
-    """The closed-form hermitian forms against the dense 8x8 contraction,
-    on random rows where no term vanishes by symmetry."""
+    """NoiseModel.power/commutator on the weights of noise_power_weights and
+    noise_cross_weights against the dense 8x8 contraction, on random rows
+    where no term vanishes by symmetry."""
 
     @pytest.mark.parametrize("kernel", ["corrected", "halved"])
     @pytest.mark.parametrize("temperature", [0.0, 300.0])
@@ -266,7 +279,9 @@ class TestClosedFormContraction:
                           + np.einsum("nk,nkl,nl->n", a.conj(), dm, b))
 
         want = dense(ci, cj)
-        got = readout._cross_spectrum(noise, w, ci, cj)
+        xi, vac, pairs = dynamics.noise_cross_weights(ci, cj)
+        got = (noise.power(w, xi.real, vac)
+               + 1j * noise.commutator(w, xi.imag, pairs))
         # Real and imaginary parts each to 1e-13 of |s|; at 300 K the
         # imaginary part is ~1e-9 of |s|, so it is still checked.
         tol = 1e-13 * np.abs(want)
@@ -274,6 +289,6 @@ class TestClosedFormContraction:
         assert np.all(np.abs(got.imag - want.imag) <= tol)
         assert np.all(np.abs(want.imag) > 100.0 * tol)
         auto = dense(ci, ci)
-        assert np.allclose(readout._auto_spectrum(noise, w, ci), auto.real,
-                           rtol=1e-13, atol=0)
+        got_auto = noise.power(w, *dynamics.noise_power_weights(ci))
+        assert np.allclose(got_auto, auto.real, rtol=1e-13, atol=0)
         assert np.all(np.abs(auto.imag) <= 1e-13 * np.abs(auto))
