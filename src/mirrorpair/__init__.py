@@ -14,8 +14,7 @@ from .dynamics import (
     spectral_matrix, stability_margin, transfer_matrix,
 )
 from .entanglement import (
-    EntanglementPoint, GaussianState, degree_of_entanglement, degree_sweep,
-    optimize_separability, r_correlation, separability_product,
+    GaussianState, degree_sweep, optimize_separability, separability_product,
 )
 from .readout import (
     ReadoutChannel, combine_currents, gain_condition, output_spectrum,
@@ -33,9 +32,8 @@ __all__ = [
     "PhysicalParams", "SteadyState", "fig2_params", "power_to_amplitude",
     "steady_state", "LinearSystem", "NoiseModel", "build_linear_system",
     "hybrid_grid", "is_stable", "spectral_matrix", "stability_margin",
-    "transfer_matrix", "EntanglementPoint", "GaussianState",
-    "degree_of_entanglement", "degree_sweep", "optimize_separability",
-    "r_correlation", "separability_product", "ReadoutChannel",
+    "transfer_matrix", "GaussianState", "degree_sweep",
+    "optimize_separability", "separability_product", "ReadoutChannel",
     "combine_currents", "gain_condition", "output_spectrum",
     "output_spectrum_via_transfer", "two_channel_spectra", "OracleSpectra",
     "SdeRun", "classical_sde_psd", "sample_separable_gaussian", "tmsv_state",

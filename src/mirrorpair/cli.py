@@ -1,9 +1,11 @@
 """Batch front end: configuration loading, parallel sweeps, reports.
 
 Configuration is a flat key = value file (SI units, '#' comments, unknown
-keys rejected).  Physical keys are the PhysicalParams field names; sweep keys
-are omega_min, omega_max, omega_count, omega_spacing, temperatures, workers,
-emit_components, brownian_kernel, require_stable.
+keys rejected, a leading UTF-8 byte-order mark ignored).  Physical keys are
+the PhysicalParams field names except temperature, which a sweep sets through
+temperatures; sweep keys are omega_min, omega_max, omega_count,
+omega_spacing, temperatures, workers, emit_components, brownian_kernel,
+require_stable.
 
 Exit codes: 0 success, 2 configuration or input error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
@@ -36,7 +38,10 @@ CSV_COLUMNS_BARE = (
     "omega", "temperature", "degree", "degree_clipped", "entangled", "epr",
 )
 
-_PARAM_KEYS = {f.name for f in dataclasses.fields(model.PhysicalParams)}
+#: A sweep takes its temperatures from the temperatures key alone.
+_PARAM_KEYS = {
+    f.name for f in dataclasses.fields(model.PhysicalParams)
+} - {"temperature"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -362,7 +367,7 @@ def main(argv=None) -> int:
         values = {}
         if args.config is not None:
             try:
-                text = args.config.read_text(encoding="utf-8")
+                text = args.config.read_text(encoding="utf-8-sig")
             except UnicodeDecodeError as exc:
                 raise ConfigError(
                     f"{args.config}: not UTF-8 text: {exc}") from exc

@@ -86,9 +86,7 @@ def _adjoint_blocks(drift) -> tuple:
 
 
 def build_linear_system(
-    params: PhysicalParams,
-    ss: SteadyState | None = None,
-    require_stable: bool = False,
+    params: PhysicalParams, require_stable: bool = False
 ) -> LinearSystem:
     """Assemble the linearized quadrature dynamics.
 
@@ -104,8 +102,7 @@ def build_linear_system(
     driven working points of interest are formally unstable, and their
     frequency-domain spectra are still evaluated (see README).
     """
-    if ss is None:
-        ss = steady_state(params)
+    ss = steady_state(params)
     galpha = params.g * ss.alpha
     gbeta_r = params.big_g * ss.beta.real
     gbeta_i = params.big_g * ss.beta.imag
@@ -388,20 +385,12 @@ def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.nd
     return m_plus @ noise.input_spectrum(omega) @ m_minus.T
 
 
-def hybrid_grid(
-    big_omega: float,
-    linear_points: int = 2001,
-    log_points: int = 512,
-    linear_span: tuple = (0.5, 1.5),
-    log_span: tuple = (1e-2, 1e2),
-) -> np.ndarray:
+def hybrid_grid(big_omega: float) -> np.ndarray:
     """Frequency grid refined around the mechanical resonance.
 
-    A dense linear segment over linear_span * Omega (where the mechanical
-    response peaks) merged with a wide log-spaced background grid.
+    2001 linear points over [0.5, 1.5] Omega (where the mechanical response
+    peaks) merged with 512 log-spaced points over [1e-2, 1e2] Omega.
     """
-    lin = np.linspace(linear_span[0] * big_omega, linear_span[1] * big_omega,
-                      linear_points)
-    log = np.geomspace(log_span[0] * big_omega, log_span[1] * big_omega,
-                       log_points)
+    lin = np.linspace(0.5 * big_omega, 1.5 * big_omega, 2001)
+    log = np.geomspace(1e-2 * big_omega, 1e2 * big_omega, 512)
     return np.unique(np.concatenate([lin, log]))

@@ -58,37 +58,6 @@ SYMPLECTIC_FORM = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class EntanglementPoint:
-    """E(omega) at one (omega, T) point together with its ingredients."""
-
-    omega: float
-    temperature: float
-    var_u: float
-    var_v: float
-    commutator_sq: float
-    degree: float
-
-    @property
-    def entangled(self) -> bool:
-        return self.degree < 1.0
-
-    @property
-    def epr(self) -> bool:
-        return self.degree < 0.25
-
-
-def r_correlation(s_plus, s_minus, c1, c2) -> complex:
-    """<R_O R_P> for O = c1 . x, P = c2 . x from spectral matrices at +-omega.
-
-    In the long-measurement-time limit same-sign frequency terms vanish and
-    <R_O(omega) R_P(omega)> = [c1^T S(omega) c2 + c1^T S(-omega) c2] / 4.
-    """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    return 0.25 * (c1 @ s_plus @ c2 + c1 @ s_minus @ c2)
-
-
 def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """Temperature-independent reduction of the transfer rows behind E(omega).
 
@@ -157,27 +126,13 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     return degree_from_weights(sweep_weights(sys, omegas), noise, omegas)
 
 
-def degree_of_entanglement(
-    sys: LinearSystem, noise: NoiseModel, omega: float
-) -> EntanglementPoint:
-    """E(omega) at a single frequency (means <u> = <v> = 0 by construction)."""
-    out = degree_sweep(sys, noise, [float(omega)])
-    return EntanglementPoint(
-        omega=float(omega),
-        temperature=noise.temperature,
-        var_u=float(out["var_u"][0]),
-        var_v=float(out["var_v"][0]),
-        commutator_sq=float(out["commutator_sq"][0]),
-        degree=float(out["degree"][0]),
-    )
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Two-mode Gaussian state: mean over (q1, p1, q2, p2) and 4x4 covariance.
 
     Covariance entries are symmetrized second moments
-    cov_ij = <Delta O_i Delta O_j + Delta O_j Delta O_i> / 2.
+    cov_ij = <Delta O_i Delta O_j + Delta O_j Delta O_i> / 2.  Construction
+    checks physicality (require_physical), so every instance is physical.
     """
 
     cov: np.ndarray
@@ -192,15 +147,16 @@ class GaussianState:
             raise InvalidParameterError("cov and mean must be finite")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
+        self.require_physical()
 
     def physicality_margin(self) -> float:
         """Smallest eigenvalue of cov + (i/2) Sigma; >= 0 for physical states."""
         h = self.cov + 0.5j * SYMPLECTIC_FORM
         return float(np.linalg.eigvalsh(h).min())
 
-    def require_physical(self, tol: float = 1e-9):
+    def require_physical(self):
         margin = self.physicality_margin()
-        if margin < -tol:
+        if margin < -1e-9:      # allowance for rounding in eigvalsh
             raise UnphysicalStateError(margin)
         # np.allclose(cov, cov.T) for finite entries, at a tenth of its cost
         cov = self.cov
@@ -296,13 +252,11 @@ def separability_product(state: GaussianState, a: float = 1.0):
     """
     if a == 0.0:
         raise InvalidParameterError("a must be nonzero")
-    state.require_physical()
     product = float(separability_products(state.cov, [float(a)])[0])
     return product, 1.0
 
 
 def optimize_separability(state: GaussianState):
     """Most violating weighting a > 0 and its product, in closed form."""
-    state.require_physical()
     best_a, best = separability_optimum(state.cov)
     return float(best_a), float(best)

@@ -40,7 +40,3 @@ class UnphysicalStateError(MirrorPairError, ValueError):
         super().__init__(
             message or "covariance matrix is unphysical (margin %.3e)" % margin
         )
-
-
-class GridMismatchError(MirrorPairError, ValueError):
-    """Two spectra expected on identical frequency grids disagree."""

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as KB, c as C_LIGHT
+from scipy.constants import hbar as HBAR, c as C_LIGHT
 
 from .errors import InvalidParameterError
 
@@ -45,11 +45,9 @@ def in_magnitude_range(value) -> bool:
 class PhysicalParams:
     """All experimental constants of the two-mirror setup, in SI units.
 
-    omega_a, omega_b       optical angular frequencies of meter/entangler modes
     omega_a0, omega_b0     drive laser angular frequencies
     gamma_a, gamma_b       cavity linewidths (1/s)
     big_omega              mechanical angular frequency (rad/s)
-    mass                   mirror mass (kg)
     big_gamma              mechanical damping rate (1/s)
     g, big_g               meter / entangler optomechanical couplings (1/s)
     p_in_a, p_in_b         input powers (W)
@@ -57,14 +55,11 @@ class PhysicalParams:
     temperature            bath temperature (K)
     """
 
-    omega_a: float = DEFAULT_OPTICAL_FREQUENCY
-    omega_b: float = DEFAULT_OPTICAL_FREQUENCY
     omega_a0: float = DEFAULT_OPTICAL_FREQUENCY
     omega_b0: float = DEFAULT_OPTICAL_FREQUENCY
     gamma_a: float = 1.0e5
     gamma_b: float = 1.0e5
     big_omega: float = 1.0e5
-    mass: float = 1.0e-5
     big_gamma: float = 1.0
     g: float = 0.5
     big_g: float = 5.0
@@ -84,8 +79,8 @@ class PhysicalParams:
                     % MAGNITUDE_RANGE
                 )
         positive = (
-            "omega_a", "omega_b", "omega_a0", "omega_b0",
-            "gamma_a", "gamma_b", "big_omega", "mass", "big_gamma",
+            "omega_a0", "omega_b0", "gamma_a", "gamma_b", "big_omega",
+            "big_gamma",
         )
         for name in positive:
             if not getattr(self, name) > 0:
@@ -126,8 +121,6 @@ class SteadyState:
     beta: complex           # entangler intracavity amplitude
     q1_ss: float
     q2_ss: float
-    p1_ss: float = 0.0
-    p2_ss: float = 0.0
 
 
 def power_to_amplitude(power: float, drive_frequency: float) -> float:

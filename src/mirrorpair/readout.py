@@ -33,8 +33,8 @@ from .dynamics import (
     LinearSystem, NoiseModel, noise_cross_weights, noise_power_weights,
     selected_transfer_rows,
 )
-from .errors import GridMismatchError, InvalidParameterError
-from .model import PhysicalParams, SteadyState, steady_state
+from .errors import InvalidParameterError
+from .model import PhysicalParams, steady_state
 
 _CHANNELS = {1: (IQ1, IYA1, IYIN1, 1.0), 2: (IQ2, IYA2, IYIN2, -1.0)}
 
@@ -48,29 +48,19 @@ def _channel(channel):
 
 @dataclass(frozen=True)
 class ReadoutChannel:
-    """Transfer functions of one meter output channel."""
+    """Transfer functions of a meter output channel.
+
+    Both channels share them; mirror 2's opposite sign lives in _CHANNELS.
+    """
 
     g_alpha: float
     gamma_a: float
-    sign: float = 1.0       # -1 for the mirror-2 channel
 
     @classmethod
-    def for_mirror(cls, params: PhysicalParams, channel: int):
-        """Channel of mirror 1 or 2; solves the working point of params."""
-        return cls._at(params, steady_state(params), channel)
-
-    @classmethod
-    def for_system(cls, sys: LinearSystem, channel: int):
-        """Channel of mirror 1 or 2 at the working point already in sys."""
-        return cls._at(sys.params, sys.steady, channel)
-
-    @classmethod
-    def _at(cls, params: PhysicalParams, ss: SteadyState, channel: int):
-        return cls(
-            g_alpha=params.g * ss.alpha,
-            gamma_a=params.gamma_a,
-            sign=_channel(channel)[3],
-        )
+    def for_system(cls, sys: LinearSystem):
+        """The channel at the working point already in sys."""
+        return cls(g_alpha=sys.params.g * sys.steady.alpha,
+                   gamma_a=sys.params.gamma_a)
 
     def gain(self, omega):
         """Position-to-output transfer 2 g alpha sqrt(gamma_a)/(gamma_a/2 - i w)."""
@@ -107,7 +97,7 @@ def _currents(sys, w, channels):
     sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
     rows = selected_transfer_rows(sys, w, sel)
     # gain and refl are the same for both channels; only the sign differs.
-    chan = ReadoutChannel.for_system(sys, 1)
+    chan = ReadoutChannel.for_system(sys)
     gain, refl = chan.gain(w)[:, None], chan.noise_reflection(w)
     for k, (_, _, iyin, sign) in enumerate(specs):
         rows[:, k] = gain * rows[:, k]
@@ -168,23 +158,14 @@ def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     )
 
 
-def combine_currents(spectra, mode: str, second=None):
-    """Combine two channels measured on identical grids.
+def combine_currents(spectra: TwoChannelSpectra, mode: str):
+    """Spectrum of the sum or the difference of the two oriented currents.
 
-    mode="sum" estimates the center-of-mass coordinate (q1 + q2); "difference"
-    the relative coordinate.  Accepts either a TwoChannelSpectra (preferred,
-    includes the cross term) or two plain (omegas, psd) pairs treated as
-    uncorrelated channels.  The two vacuum floors add incoherently.
+    mode="sum" estimates the center-of-mass coordinate (q1 + q2) and
+    "difference" the relative coordinate: s11 + s22 +- 2 Re s12.  The cross
+    term s12 is required, because the entangler correlates the channels.
     """
     if mode not in ("sum", "difference"):
         raise InvalidParameterError("mode must be 'sum' or 'difference'")
     s = 1.0 if mode == "sum" else -1.0
-    if isinstance(spectra, TwoChannelSpectra):
-        return spectra.s11 + spectra.s22 + 2.0 * s * spectra.s12.real
-    if second is None:
-        raise InvalidParameterError("second channel spectrum required")
-    w1, p1 = spectra
-    w2, p2 = second
-    if np.shape(w1) != np.shape(w2) or not np.array_equal(w1, w2):
-        raise GridMismatchError("channel spectra are on different grids")
-    return np.asarray(p1) + np.asarray(p2)
+    return spectra.s11 + spectra.s22 + 2.0 * s * spectra.s12.real

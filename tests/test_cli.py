@@ -111,7 +111,7 @@ class TestConfigValidation:
         "brownian_kernel = bogus\n",
         "temperatures = -1, 2\n",
         "temperatures = nan\n",
-        "mass = inf\n",
+        "gamma_b = inf\n",
         "omega_spacing = hybrid\nomega_count = 5\n",
         # big_gamma = 1e308 underflowed the commutator to 0 (exit 1) and a
         # denormal omega_a0 divided by zero (a traceback)
@@ -119,9 +119,15 @@ class TestConfigValidation:
         "omega_a0 = 5e-324\nbig_g = 0\nomega_count = 1\n",
         "omega_max = 1e31\nomega_count = 1\n",
         "temperatures = 0, 1e-31\nomega_count = 1\n",
+        # keys that no sweep reads: temperature (a sweep uses temperatures)
+        # and the removed parameters mass and omega_a
+        "temperature = 300\nomega_count = 1\n",
+        "mass = 1\nomega_count = 1\n",
+        "omega_a = 7\nomega_count = 1\n",
     ], ids=["count-abc", "workers-0.5", "kernel-bogus", "negative-T",
-            "nan-T", "inf-mass", "hybrid-with-count", "gamma-1e308",
-            "omega_a0-denormal", "omega_max-1e31", "T-1e-31"])
+            "nan-T", "inf-gamma_b", "hybrid-with-count", "gamma-1e308",
+            "omega_a0-denormal", "omega_max-1e31", "T-1e-31",
+            "temperature-key", "mass-key", "omega_a-key"])
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, text):
         config = tmp_path / "cfg.txt"
         config.write_text(text, encoding="utf-8")
@@ -129,6 +135,19 @@ class TestConfigValidation:
         assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "omega_count = 3\ntemperatures = 0.1\n"
+        outputs = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(text, encoding=encoding)
+            out = tmp_path / name
+            assert main(["--sweep", "--config", str(config),
+                         "--out", str(out)]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
 
     def test_workers_flag_zero_exits_2(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -344,10 +363,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("columns", [CSV_COLUMNS, CSV_COLUMNS_BARE])
     def test_row_templates_match_per_field_formatting(self, columns):
-        omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5])
-        degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0)])
+        omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5])
+        degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
+                           np.nextafter(0.25, 0.0)])
         res = {"var_u": omegas * 1e-3, "var_v": 1.0 / omegas,
-               "commutator_sq": np.full(6, np.pi), "degree": degree}
+               "commutator_sq": np.full(7, np.pi), "degree": degree}
         want = []
         for i, w in enumerate(omegas):
             row = {

@@ -8,18 +8,15 @@ from mirrorpair import (
     GaussianState,
     NoiseModel,
     build_linear_system,
-    degree_of_entanglement,
     degree_sweep,
     fig2_params,
     optimize_separability,
-    r_correlation,
     separability_product,
     tmsv_state,
 )
 from mirrorpair.dynamics import LinearSystem, N_NOISE, N_STATE
 from mirrorpair.entanglement import (
-    SYMPLECTIC_FORM, EntanglementPoint, separability_optimum,
-    separability_products,
+    SYMPLECTIC_FORM, separability_optimum, separability_products,
 )
 from mirrorpair.oracle import sample_separable_covariances
 from mirrorpair.errors import (
@@ -32,28 +29,6 @@ from mirrorpair.errors import (
 def chi(omega, params):
     om = params.big_omega
     return om / (om ** 2 - omega ** 2 - 1j * params.big_gamma * omega)
-
-
-class TestRCorrelation:
-    def test_hand_built_example(self):
-        # symmetric 2x2 "spectra" with unit selectors reproduce the average
-        s_plus = np.array([[2.0, 0.5], [0.5, 1.0]])
-        s_minus = np.array([[4.0, -0.5], [-0.5, 3.0]])
-        c1 = np.array([1.0, 0.0])
-        c2 = np.array([0.0, 1.0])
-        val = r_correlation(s_plus, s_minus, c1, c2)
-        assert val == pytest.approx(0.25 * (0.5 - 0.5))
-        val = r_correlation(s_plus, s_minus, c1, c1)
-        assert val == pytest.approx(0.25 * (2.0 + 4.0))
-
-    def test_symmetric_in_spectra_swap_with_transpose(self):
-        rng = np.random.default_rng(7)
-        s_plus = rng.normal(size=(4, 4))
-        s_minus = rng.normal(size=(4, 4))
-        c1, c2 = rng.normal(size=4), rng.normal(size=4)
-        a = r_correlation(s_plus, s_minus, c1, c2)
-        b = r_correlation(s_minus.T, s_plus.T, c2, c1)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestDegreeSweep:
@@ -89,29 +64,26 @@ class TestDegreeSweep:
     def test_epr_at_low_temperature(self, fig2):
         params, sys = fig2
         noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
-        pt = degree_of_entanglement(sys, noise, params.big_omega)
-        assert pt.degree < 0.25
-        assert pt.entangled and pt.epr
+        degree = degree_sweep(sys, noise, [params.big_omega])["degree"][0]
+        assert degree < 0.25
 
     def test_entangled_at_4k(self, fig2):
         params, sys = fig2
         noise = NoiseModel(4.0, params.big_gamma, params.big_omega)
-        pt = degree_of_entanglement(sys, noise, params.big_omega)
-        assert pt.degree < 1.0
-        assert pt.entangled
+        degree = degree_sweep(sys, noise, [params.big_omega])["degree"][0]
+        assert degree < 1.0
 
     def test_halved_kernel_entangled_but_not_epr_at_4k(self, fig2):
         params, sys = fig2
         noise = NoiseModel(4.0, params.big_gamma, params.big_omega, "halved")
-        pt = degree_of_entanglement(sys, noise, params.big_omega)
-        assert 0.25 < pt.degree < 1.0
-        assert pt.entangled and not pt.epr
+        degree = degree_sweep(sys, noise, [params.big_omega])["degree"][0]
+        assert 0.25 < degree < 1.0
 
     def test_halved_kernel_also_shows_entanglement(self, fig2):
         params, sys = fig2
         noise = NoiseModel(0.1, params.big_gamma, params.big_omega, "halved")
-        pt = degree_of_entanglement(sys, noise, params.big_omega)
-        assert pt.degree < 0.25
+        degree = degree_sweep(sys, noise, [params.big_omega])["degree"][0]
+        assert degree < 0.25
 
     def test_degree_monotone_in_temperature(self, fig2):
         params, sys = fig2
@@ -119,7 +91,7 @@ class TestDegreeSweep:
         for temp in np.geomspace(0.1, 300.0, 12):
             noise = NoiseModel(temp, params.big_gamma, params.big_omega)
             degrees.append(
-                degree_of_entanglement(sys, noise, params.big_omega).degree
+                degree_sweep(sys, noise, [params.big_omega])["degree"][0]
             )
         assert all(b >= a - 1e-9 for a, b in zip(degrees, degrees[1:]))
 
@@ -146,37 +118,6 @@ class TestDegreeSweep:
         noise = NoiseModel.from_params(sys.params)
         with pytest.raises(DegenerateCommutatorError):
             degree_sweep(silent, noise, [sys.params.big_omega])
-
-
-class TestEntanglementPoint:
-    @staticmethod
-    def point(degree):
-        return EntanglementPoint(omega=1e5, temperature=0.1, var_u=1.0,
-                                 var_v=1.0, commutator_sq=1.0, degree=degree)
-
-    @pytest.mark.parametrize("degree,entangled,epr", [
-        (1.0, False, False),
-        (float(np.nextafter(1.0, 0.0)), True, False),
-        (0.25, True, False),
-        (float(np.nextafter(0.25, 0.0)), True, True),
-    ], ids=["one", "one-minus-ulp", "quarter", "quarter-minus-ulp"])
-    def test_thresholds_are_strict(self, degree, entangled, epr):
-        pt = self.point(degree)
-        assert pt.entangled is entangled
-        assert pt.epr is epr
-
-    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
-    @pytest.mark.parametrize("temperature", [0.0, 4.0])
-    def test_single_point_equals_sweep_bitwise(self, fig2, kernel, temperature):
-        params, sys = fig2
-        noise = NoiseModel(temperature, params.big_gamma, params.big_omega,
-                           kernel)
-        for w in (0.9e5, params.big_omega, 1.7e5):
-            pt = degree_of_entanglement(sys, noise, w)
-            sweep = degree_sweep(sys, noise, [w])
-            assert (pt.omega, pt.temperature) == (w, temperature)
-            for key, values in sweep.items():
-                assert getattr(pt, key) == values[0], (w, key)
 
 
 class TestGaussianState:
@@ -215,9 +156,8 @@ class TestGaussianState:
             tmsv_state(-0.1)
 
     def test_unphysical_state_raises(self):
-        state = GaussianState(cov=0.1 * np.eye(4))
         with pytest.raises(UnphysicalStateError) as excinfo:
-            state.require_physical()
+            GaussianState(cov=0.1 * np.eye(4))
         assert excinfo.value.margin < 0
 
     def test_bad_shapes_rejected(self):
@@ -272,9 +212,9 @@ class TestGaussianState:
             x = np.nextafter(x, np.inf)
         while not np.allclose(with_entry(x), with_entry(x).T):
             x = np.nextafter(x, -np.inf)
-        GaussianState(cov=with_entry(x)).require_physical()
+        GaussianState(cov=with_entry(x))
         with pytest.raises(UnphysicalStateError, match="not symmetric"):
-            GaussianState(cov=with_entry(np.nextafter(x, np.inf))).require_physical()
+            GaussianState(cov=with_entry(np.nextafter(x, np.inf)))
 
 
 class TestSeparabilityWeighting:

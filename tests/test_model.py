@@ -1,9 +1,14 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
-from mirrorpair import PhysicalParams, fig2_params, power_to_amplitude, steady_state
+from mirrorpair import (
+    NoiseModel, PhysicalParams, build_linear_system, fig2_params,
+    power_to_amplitude, steady_state,
+)
 from mirrorpair.errors import InvalidParameterError
 from mirrorpair.model import MAGNITUDE_RANGE
 
@@ -77,7 +82,6 @@ def test_steady_state_amplitudes_match_scalar_oracle():
 def test_steady_state_structure():
     ss = steady_state(fig2_params())
     assert ss.alpha > 0 and isinstance(ss.alpha, float)  # alpha real positive
-    assert ss.p1_ss == 0.0 and ss.p2_ss == 0.0
     assert ss.q1_ss == -ss.q2_ss
     assert ss.q1_ss * ss.q2_ss <= 0.0
 
@@ -113,9 +117,9 @@ def test_coupling_ordering_warns():
 
 @pytest.mark.parametrize("field,value", [
     ("gamma_a", 0.0), ("gamma_b", -1.0), ("big_omega", 0.0),
-    ("mass", 0.0), ("big_gamma", -2.0), ("temperature", -0.1),
+    ("gamma_b", 0.0), ("big_gamma", -2.0), ("temperature", -0.1),
     ("p_in_a", -1e-3), ("g", -0.5),
-    ("mass", np.inf), ("temperature", np.nan), ("g", np.nan),
+    ("gamma_b", np.inf), ("temperature", np.nan), ("g", np.nan),
     ("delta_b", -np.inf),
     ("big_gamma", 1e308), ("omega_a0", 5e-324), ("p_in_b", 1e31),
     ("delta_b", -1e-31), ("temperature", 2e30),
@@ -140,3 +144,24 @@ def test_from_dict_roundtrip():
     params = PhysicalParams.from_dict({"temperature": "4.0", "big_gamma": "2"})
     assert params.temperature == 4.0
     assert params.big_gamma == 2.0
+
+
+def test_every_parameter_reaches_the_model():
+    # A field that no equation reads would be a config key that silently
+    # does nothing: scaling each one must move the drift, the noise
+    # coupling or the thermal spectrum.
+    def model_arrays(params):
+        sys = build_linear_system(params)
+        noise = NoiseModel.from_params(params)
+        return (sys.drift, sys.noise_coupling,
+                noise.symmetrized_spectrum(params.big_omega))
+
+    base = fig2_params()
+    ref = model_arrays(base)
+    inert = [
+        f.name for f in fields(base)
+        if all(np.array_equal(a, b) for a, b in zip(
+            ref, model_arrays(replace(base, **{f.name: 1.1 * getattr(base, f.name)}))
+        ))
+    ]
+    assert inert == []

@@ -19,7 +19,7 @@ from mirrorpair import (
     two_channel_spectra,
 )
 from mirrorpair.dynamics import selected_transfer_rows, IYIN1, IYIN2, IQ1, IQ2, N_STATE
-from mirrorpair.errors import GridMismatchError, InvalidParameterError
+from mirrorpair.errors import InvalidParameterError
 
 
 class TestReadoutChannel:
@@ -28,31 +28,16 @@ class TestReadoutChannel:
         for w in (0.0, 0.3e5, 1e5, 1e7):
             assert abs(chan.noise_reflection(w)) == pytest.approx(1.0, rel=1e-14)
 
-    def test_gain_closed_form(self):
-        params = fig2_params()
+    def test_gain_closed_form(self, fig2):
+        params, sys = fig2
         ss = steady_state(params)
-        chan = ReadoutChannel.for_mirror(params, 1)
+        chan = ReadoutChannel.for_system(sys)
         w = 0.9e5
         expected = (
             2.0 * params.g * ss.alpha * np.sqrt(params.gamma_a)
             / (params.gamma_a / 2.0 - 1j * w)
         )
         assert chan.gain(w) == pytest.approx(expected, rel=1e-14)
-
-    def test_mirror_two_channel_carries_opposite_sign(self):
-        params = fig2_params()
-        assert ReadoutChannel.for_mirror(params, 1).sign == 1.0
-        assert ReadoutChannel.for_mirror(params, 2).sign == -1.0
-
-    def test_bad_channel_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ReadoutChannel.for_mirror(fig2_params(), 3)
-
-    def test_for_system_equals_for_mirror(self, fig2):
-        params, sys = fig2
-        for channel in (1, 2):
-            assert (ReadoutChannel.for_system(sys, channel)
-                    == ReadoutChannel.for_mirror(params, channel))
 
     def test_zero_frequency_gain_magnitude(self):
         chan = ReadoutChannel(g_alpha=2.0, gamma_a=1e5)
@@ -128,7 +113,7 @@ class TestTwoChannelCombination:
         spectra = two_channel_spectra(sys, fig2_noise, w)
         combined = combine_currents(spectra, "sum")
 
-        chan1 = ReadoutChannel.for_mirror(params, 1)
+        chan1 = ReadoutChannel.for_system(sys)
         sel = np.zeros((N_STATE, 2))
         sel[IQ1, 0] = 1.0
         sel[IQ2, 1] = 1.0
@@ -199,25 +184,16 @@ class TestTwoChannelCombination:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         w = np.linspace(0.5, 1.5, 5) * params.big_omega
-        p1 = output_spectrum(sys, noise, w, 1)
-        p2 = output_spectrum(sys, noise, w, 2)
-        combined = combine_currents((w, p1), "sum", second=(w, p2))
+        spectra = two_channel_spectra(sys, noise, w)
+        combined = combine_currents(spectra, "sum")
         assert np.allclose(combined, 2.0, rtol=0, atol=1e-12)
 
-    def test_grid_mismatch_raises(self):
-        w1 = np.linspace(0.0, 1.0, 5)
-        w2 = np.linspace(0.0, 2.0, 5)
-        with pytest.raises(GridMismatchError):
-            combine_currents((w1, np.ones(5)), "sum", second=(w2, np.ones(5)))
-
-    def test_bad_mode_rejected(self):
+    def test_bad_mode_rejected(self, decoupled):
+        params, sys = decoupled
+        noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
+        spectra = two_channel_spectra(sys, noise, np.arange(1, 4) * 1e5)
         with pytest.raises(InvalidParameterError):
-            combine_currents((np.arange(3), np.ones(3)), "average",
-                             second=(np.arange(3), np.ones(3)))
-
-    def test_second_channel_required_for_plain_pairs(self):
-        with pytest.raises(InvalidParameterError):
-            combine_currents((np.arange(3), np.ones(3)), "sum")
+            combine_currents(spectra, "average")
 
 
 class TestReadoutSolveCount:
