@@ -7,9 +7,14 @@ temperatures; sweep keys are omega_min, omega_max, omega_count,
 omega_spacing, temperatures, workers, emit_components, brownian_kernel,
 require_stable.
 
+Each value is parsed by the declared type of its dataclass field; a value
+that does not parse is reported as "<key>: expected <kind>, got '<value>'".
+The output directory is created only after the sweep has been solved, so a
+failed sweep leaves none behind.
+
 Exit codes: 0 success, 2 configuration or input error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
-covariance.
+covariance, 1 any other package error.
 """
 
 from __future__ import annotations
@@ -66,23 +71,34 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _parse_bool(val: str) -> bool:
-    low = val.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {val!r}")
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+#: Config value parsers by declared field type: (kind named in errors, parser).
+_PARSERS = {
+    "float": ("float", float),
+    "int": ("int", int),
+    "str": ("str", str),
+    "bool": ("bool", lambda val: _BOOLS[val.lower()]),
+    "tuple": ("comma-separated floats",
+              lambda val: tuple(float(t) for t in val.split(",") if t.strip())),
+}
 
 
-def _parse(key: str, val: str, kind):
-    """kind(val), with a ConfigError naming the key if it does not parse."""
-    try:
-        return kind(val)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{key}: expected {kind.__name__}, got {val!r}"
-        ) from exc
+def _parse_fields(cls, values: dict, keys) -> dict:
+    """The values of cls's fields named in keys, parsed by declared type."""
+    parsed = {}
+    for f in dataclasses.fields(cls):
+        if f.name in keys and f.name in values:
+            kind, parse = _PARSERS[f.type]
+            val = values[f.name]
+            try:
+                parsed[f.name] = parse(val)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(
+                    f"{f.name}: expected {kind}, got {val!r}"
+                ) from exc
+    return parsed
 
 
 def _is_count(x) -> bool:
@@ -138,14 +154,13 @@ class SweepSpec:
     @classmethod
     def from_config(cls, values: dict) -> "SweepSpec":
         try:
-            params = model.PhysicalParams.from_dict(
-                {k: v for k, v in values.items() if k in _PARAM_KEYS}
+            params = model.PhysicalParams(
+                **_parse_fields(model.PhysicalParams, values, _PARAM_KEYS)
             )
-        except (InvalidParameterError, ValueError) as exc:
+        except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        spacing = values.get("omega_spacing", "linear")
-        kwargs = {"params": params, "omega_spacing": spacing}
-        if spacing == "hybrid":
+        kwargs = _parse_fields(cls, values, _SWEEP_KEYS)
+        if kwargs.get("omega_spacing") == "hybrid":
             # The hybrid grid is fixed; record the grid actually used.
             given = [k for k in ("omega_min", "omega_max", "omega_count")
                      if k in values]
@@ -158,26 +173,10 @@ class SweepSpec:
             kwargs.update(omega_min=float(grid[0]), omega_max=float(grid[-1]),
                           omega_count=int(grid.size))
         else:
-            omega_m = params.big_omega
-            kwargs.update(
-                omega_min=_parse("omega_min", values.get("omega_min", 0.5 * omega_m), float),
-                omega_max=_parse("omega_max", values.get("omega_max", 1.5 * omega_m), float),
-                omega_count=_parse("omega_count", values.get("omega_count", 2001), int),
-            )
-        if "temperatures" in values:
-            kwargs["temperatures"] = tuple(
-                _parse("temperatures", t, float)
-                for t in values["temperatures"].split(",") if t.strip()
-            )
-        if "workers" in values:
-            kwargs["workers"] = _parse("workers", values["workers"], int)
-        if "emit_components" in values:
-            kwargs["emit_components"] = _parse_bool(values["emit_components"])
-        if "brownian_kernel" in values:
-            kwargs["brownian_kernel"] = values["brownian_kernel"]
-        if "require_stable" in values:
-            kwargs["require_stable"] = _parse_bool(values["require_stable"])
-        return cls(**kwargs)
+            kwargs.setdefault("omega_min", 0.5 * params.big_omega)
+            kwargs.setdefault("omega_max", 1.5 * params.big_omega)
+            kwargs.setdefault("omega_count", 2001)
+        return cls(params=params, **kwargs)
 
     def omega_grid(self) -> np.ndarray:
         if self.omega_spacing == "linear":
@@ -242,14 +241,18 @@ def _fmt(x: float) -> str:
 _FLAG_LEVELS = (("false", "false"), ("true", "false"), ("true", "true"))
 
 
-def _csv_block(columns, temp, omegas, res):
-    """CSV rows of one temperature, formatted straight from the arrays.
+#: Columns of sweep.grid, a gnuplot block file with one block per temperature.
+_GRID_COLUMNS = ("omega", "temperature", "degree_clipped")
+
+
+def _csv_block(columns, temp, omegas, res, sep=","):
+    """Rows of one temperature, formatted straight from the arrays.
 
     The temperature field and the two flags are baked into one %-template
     per flag level, so each row costs a single % operation.
     """
     templates = [
-        ",".join({"temperature": _fmt(temp), "entangled": entangled,
+        sep.join({"temperature": _fmt(temp), "entangled": entangled,
                   "epr": epr}.get(c, "%.12e") for c in columns)
         for entangled, epr in _FLAG_LEVELS
     ]
@@ -271,19 +274,15 @@ def _bands(omegas, mask):
 def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     """Run the sweep and write sweep.csv, summary.json and optionally
     sweep.grid (gnuplot block format).  Returns the summary dict."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     omegas, results = _sweep_rows(spec)
-
     columns = CSV_COLUMNS if spec.emit_components else CSV_COLUMNS_BARE
     lines = [",".join(columns)]
-    for temp in spec.temperatures:
-        lines.extend(_csv_block(columns, temp, omegas, results[temp]))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     summary = {"temperatures": []}
+    blocks = []
     for temp in spec.temperatures:
-        degree = results[temp]["degree"]
+        res = results[temp]
+        lines.extend(_csv_block(columns, temp, omegas, res))
+        degree = res["degree"]
         imin = int(np.argmin(degree))
         summary["temperatures"].append({
             "temperature": temp,
@@ -292,18 +291,18 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
             "entangled_bands": _bands(omegas, degree < 1.0),
             "epr_bands": _bands(omegas, degree < 0.25),
         })
+        if emit_grid:
+            blocks.append("\n".join(
+                _csv_block(_GRID_COLUMNS, temp, omegas, res, sep=" ")
+            ))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
     if emit_grid:
-        blocks = []
-        for temp in spec.temperatures:
-            template = "%.12e " + _fmt(temp) + " %.12e"
-            clipped = np.minimum(results[temp]["degree"], 1.0)
-            blocks.append("\n".join(
-                template % row for row in zip(omegas, clipped)
-            ))
         (out / "sweep.grid").write_text(
             "\n\n".join(blocks) + "\n", encoding="utf-8"
         )
@@ -358,6 +357,15 @@ def _build_parser():
     return parser
 
 
+#: Exit code by error type; any other package error exits 1.
+_EXIT_CODES = (
+    ((ConfigError, InvalidParameterError, OSError), 2),
+    (DriftUnstableError, 3),
+    (SingularityError, 4),
+    (UnphysicalStateError, 5),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -377,21 +385,10 @@ def main(argv=None) -> int:
             spec = dataclasses.replace(spec, workers=args.workers)
         run_sweep(spec, args.out, emit_grid=args.emit_grid)
         return 0
-    except (ConfigError, InvalidParameterError, OSError) as exc:
+    except (MirrorPairError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except DriftUnstableError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except SingularityError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 4
-    except UnphysicalStateError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 5
-    except MirrorPairError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES
+                     if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ class DriftUnstableError(MirrorPairError, RuntimeError):
 
     def __init__(self, eigenvalues):
         self.eigenvalues = eigenvalues
-        offending = [z for z in eigenvalues if z.real >= 0]
+        offending = [complex(z) for z in eigenvalues if z.real >= 0]
         super().__init__(
             "drift matrix is unstable; offending eigenvalues: %s" % (offending,)
         )

@@ -97,16 +97,6 @@ class PhysicalParams:
                 stacklevel=2,
             )
 
-    @classmethod
-    def from_dict(cls, values: dict) -> "PhysicalParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise InvalidParameterError(
-                "unknown parameter keys: %s" % ", ".join(sorted(unknown))
-            )
-        return cls(**{k: float(v) for k, v in values.items()})
-
 
 def fig2_params(**overrides) -> PhysicalParams:
     """The default working point used throughout the test suite."""

@@ -17,6 +17,7 @@ from mirrorpair import (
 )
 from mirrorpair.cli import (
     _PARAM_KEYS,
+    _SWEEP_KEYS,
     CHUNK,
     CSV_COLUMNS,
     CSV_COLUMNS_BARE,
@@ -135,6 +136,36 @@ class TestConfigValidation:
         assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("g", "abc", "float"),
+        ("omega_count", "2.5", "int"),
+        ("emit_components", "maybe", "bool"),
+        ("temperatures", "0.1, abc", "comma-separated floats"),
+    ])
+    def test_parse_error_names_the_key(self, tmp_path, capsys, key, value, kind):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["--sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: expected {kind}, got {value!r}\n"
+
+    def test_every_key_parses_from_a_valid_string(self):
+        valid = {
+            **{key: ("1.5", 1.5) for key in _PARAM_KEYS},
+            "omega_min": ("1e5", 1e5), "omega_max": ("2e5", 2e5),
+            "omega_count": ("3", 3), "omega_spacing": ("log", "log"),
+            "temperatures": ("0.1, 4", (0.1, 4.0)), "workers": ("2", 2),
+            "emit_components": ("No", False),
+            "brownian_kernel": ("halved", "halved"),
+            "require_stable": ("YES", True),
+        }
+        assert set(valid) == _PARAM_KEYS | _SWEEP_KEYS
+        for key, (text, want) in valid.items():
+            spec = SweepSpec.from_config({key: text})
+            got = getattr(spec.params if key in _PARAM_KEYS else spec, key)
+            assert (got, type(got)) == (want, type(want)), key
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         text = "omega_count = 3\ntemperatures = 0.1\n"
@@ -350,6 +381,15 @@ class TestRunSweep:
         assert all(len(b.splitlines()) == 5 for b in blocks)
         for line in blocks[0].splitlines():
             assert len(line.split()) == 3
+        omegas = spec.omega_grid()
+        sys = build_linear_system(params)
+        for temp, block in zip(spec.temperatures, blocks):
+            noise = NoiseModel(temp, params.big_gamma, params.big_omega)
+            degree = degree_sweep(sys, noise, omegas)["degree"]
+            assert block.splitlines() == [
+                "%.12e %.12e %.12e" % (w, temp, min(e, 1.0))
+                for w, e in zip(omegas, degree)
+            ]
 
     @pytest.mark.parametrize("mask,want", [
         ([0, 0, 0, 0], []),
@@ -489,8 +529,10 @@ class TestMainExitCodes:
             "omega_count = 3\ntemperatures = 0.1\nrequire_stable = true\n",
             encoding="utf-8",
         )
+        out = tmp_path / "out"
         assert main(["--sweep", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 3
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_singular_resolvent_exit_4(self, tmp_path, monkeypatch, capsys):
         # An undamped mirror driven at its own frequency: the 2x2 core of
@@ -510,10 +552,12 @@ class TestMainExitCodes:
         config = tmp_path / "cfg.txt"
         config.write_text(f"omega_min = {w0!r}\nomega_max = {w0!r}\n"
                           "omega_count = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
         assert main(["--sweep", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 4
+                     "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_unphysical_state_exit_5(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -67,6 +67,12 @@ class TestDriftStructure:
             build_linear_system(params, require_stable=True)
         assert max(z.real for z in err.value.eigenvalues) > 0
 
+    def test_unstable_message_lists_plain_eigenvalues(self):
+        eigenvalues = np.array([-1.0 + 2.0j, 451245.77 + 485988.97j, 0.0 - 3.0j])
+        message = str(DriftUnstableError(eigenvalues))
+        assert "np." not in message
+        assert message.endswith("[(451245.77+485988.97j), -3j]")
+
     def test_meters_only_config_is_stable(self, meters_only):
         _, sys = meters_only
         assert is_stable(sys)

@@ -135,17 +135,6 @@ def test_magnitude_range_ends_and_zero_accepted():
     make_params(big_gamma=lo, delta_b=-hi)
 
 
-def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(InvalidParameterError, match="unknown"):
-        PhysicalParams.from_dict({"gamma_a": 1e5, "bogus": 1.0})
-
-
-def test_from_dict_roundtrip():
-    params = PhysicalParams.from_dict({"temperature": "4.0", "big_gamma": "2"})
-    assert params.temperature == 4.0
-    assert params.big_gamma == 2.0
-
-
 def test_every_parameter_reaches_the_model():
     # A field that no equation reads would be a config key that silently
     # does nothing: scaling each one must move the drift, the noise
