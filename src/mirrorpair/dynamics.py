@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as KB
 
-from .errors import DriftUnstableError, SingularityError
-from .model import PhysicalParams, SteadyState, steady_state
+from .errors import DriftUnstableError, InvalidParameterError, SingularityError
+from .model import HBAR, KB, PhysicalParams, SteadyState, steady_state
 
 N_STATE = 10
 N_NOISE = 8
@@ -174,7 +173,11 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kernel not in BROWNIAN_KERNELS:
-            raise ValueError(f"unknown Brownian kernel {self.kernel!r}")
+            raise InvalidParameterError(f"unknown Brownian kernel {self.kernel!r}")
+        if not (np.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise InvalidParameterError(
+                f"temperature must be finite and >= 0, got {self.temperature!r}"
+            )
 
     @classmethod
     def from_params(cls, params: PhysicalParams, kernel: str = "corrected"):

@@ -250,8 +250,6 @@ def separability_product(state: GaussianState, a: float = 1.0):
     product < bound certifies entanglement; product < bound/4 certifies EPR
     correlations.  The bound |<[q1, p1]>|^2 is 1 in this convention.
     """
-    if a == 0.0:
-        raise InvalidParameterError("a must be nonzero")
     product = float(separability_products(state.cov, [float(a)])[0])
     return product, 1.0
 

@@ -16,9 +16,14 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import hbar as HBAR, c as C_LIGHT
 
 from .errors import InvalidParameterError
+
+#: Exact 2019-SI constants (reduced Planck, Boltzmann, speed of light);
+#: bit-identical to scipy.constants.hbar, k and c.
+HBAR = 6.62607015e-34 / (2 * np.pi)
+KB = 1.380649e-23
+C_LIGHT = 299792458.0
 
 #: Default drive wavelength (m) used to fix the optical carrier frequencies.
 #: Only the ratio P / (hbar * omega) enters the dynamics, so the exact carrier

@@ -7,8 +7,9 @@ variance-product criterion, and the two-mode squeezed vacuum as the canonical
 entangled witness.
 
 The SDE path deliberately shares no linear algebra with the frequency-domain
-engine beyond the drift matrix itself: it uses matrix exponentials / explicit
-Euler stepping and FFT periodograms instead of resolvent solves.
+engine beyond the drift matrix itself: it steps with the matrix-exponential
+propagator, exact in distribution at any dt, and estimates spectra from FFT
+periodograms instead of resolvent solves.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import N_NOISE, N_STATE, LinearSystem, NoiseModel, is_stable
+from .dynamics import N_STATE, LinearSystem, NoiseModel, is_stable
 from .errors import DriftUnstableError, InvalidParameterError
 from .entanglement import GaussianState
 
@@ -33,24 +33,12 @@ class SdeRun:
     burn_in: float
     trajectories: int
     record: tuple = ((0,),)   # tuples of state indices summed into one signal
-    scheme: str = "euler"     # "euler" or "exact" (exact-in-distribution)
 
     def __post_init__(self):
         if self.dt <= 0 or self.total_time <= 0 or self.burn_in < 0:
             raise InvalidParameterError("dt, total_time must be > 0; burn_in >= 0")
         if self.trajectories < 1:
             raise InvalidParameterError("trajectories must be >= 1")
-        if self.scheme not in ("euler", "exact"):
-            raise InvalidParameterError("scheme must be 'euler' or 'exact'")
-
-
-def _validate_step(sys: LinearSystem, run: SdeRun):
-    p = sys.params
-    fastest = min(1.0 / p.gamma_a, 1.0 / p.gamma_b, 1.0 / p.big_omega)
-    if run.scheme == "euler" and run.dt >= 0.05 * fastest:
-        raise InvalidParameterError(
-            f"Euler step {run.dt} too coarse; need dt < {0.05 * fastest:.3e}"
-        )
 
 
 def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
@@ -63,25 +51,24 @@ def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
     return np.real(np.diag(sym)).copy()
 
 
-def _discretize(sys: LinearSystem, noise: NoiseModel, dt: float, scheme: str):
+def _discretize(sys: LinearSystem, noise: NoiseModel, dt: float):
     """One-step propagator and noise-increment Cholesky factor."""
+    # Imported here so that `import mirrorpair` does not load scipy.
+    from scipy.linalg import expm
+
     a = sys.drift
     b = sys.noise_coupling
     q = b @ np.diag(white_noise_intensities(noise)) @ b.T
-    if scheme == "euler":
-        phi = np.eye(N_STATE) + a * dt
-        cov = q * dt
-    else:
-        # Van Loan block-exponential for the exact discrete-time noise
-        # covariance integral_0^dt e^{As} Q e^{A^T s} ds.
-        blk = np.zeros((2 * N_STATE, 2 * N_STATE))
-        blk[:N_STATE, :N_STATE] = -a
-        blk[:N_STATE, N_STATE:] = q
-        blk[N_STATE:, N_STATE:] = a.T
-        e = expm(blk * dt)
-        phi = e[N_STATE:, N_STATE:].T
-        cov = phi @ e[:N_STATE, N_STATE:]
-        cov = 0.5 * (cov + cov.T)
+    # Van Loan block-exponential for the exact discrete-time noise
+    # covariance integral_0^dt e^{As} Q e^{A^T s} ds.
+    blk = np.zeros((2 * N_STATE, 2 * N_STATE))
+    blk[:N_STATE, :N_STATE] = -a
+    blk[:N_STATE, N_STATE:] = q
+    blk[N_STATE:, N_STATE:] = a.T
+    e = expm(blk * dt)
+    phi = e[N_STATE:, N_STATE:].T
+    cov = phi @ e[:N_STATE, N_STATE:]
+    cov = 0.5 * (cov + cov.T)
     # Small jitter keeps the Cholesky factor defined when channels vanish.
     scale = max(np.abs(cov).max(), 1e-300)
     chol = np.linalg.cholesky(cov + 1e-14 * scale * np.eye(N_STATE))
@@ -115,8 +102,7 @@ def classical_sde_psd(
     """
     if not is_stable(sys):
         raise DriftUnstableError(np.linalg.eigvals(sys.drift))
-    _validate_step(sys, run)
-    phi, chol = _discretize(sys, noise, run.dt, run.scheme)
+    phi, chol = _discretize(sys, noise, run.dt)
 
     n_burn = int(round(run.burn_in / run.dt))
     n_rec = int(round(run.total_time / run.dt))
@@ -169,18 +155,18 @@ def _single_mode_covs(rng, n):
     return (nbar + 0.5)[:, None, None] * covs
 
 
-def sample_separable_covariances(seed, count, max_components: int = 8):
+def sample_separable_covariances(seed, count):
     """Vectorized sampler behind sample_separable_gaussian.
 
     Returns (covs, means) with shapes (count, 4, 4) and (count, 4).  Each
-    state is a random mixture rho = sum_i w_i rho_i1 (x) rho_i2 of products of
-    displaced, rotated squeezed thermal states; the covariance includes the
-    spread of the component means.
+    state is a random mixture rho = sum_i w_i rho_i1 (x) rho_i2 of 2 to 8
+    products of displaced, rotated squeezed thermal states; the covariance
+    includes the spread of the component means.
     """
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_comp = rng.integers(2, max_components + 1, size=count)
+    n_comp = rng.integers(2, 9, size=count)
     covs = np.empty((count, 4, 4))
     means = np.empty((count, 4))
     for k in np.unique(n_comp):
@@ -202,9 +188,9 @@ def sample_separable_covariances(seed, count, max_components: int = 8):
     return covs, means
 
 
-def sample_separable_gaussian(seed, count, max_components: int = 8):
+def sample_separable_gaussian(seed, count):
     """Random separable two-mode Gaussian states (physical by construction)."""
-    covs, means = sample_separable_covariances(seed, count, max_components)
+    covs, means = sample_separable_covariances(seed, count)
     return [GaussianState(cov=c, mean=m) for c, m in zip(covs, means)]
 
 

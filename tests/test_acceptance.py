@@ -150,7 +150,7 @@ def test_criterion_6b_monte_carlo_periodogram():
     sys = build_linear_system(params)
     noise = NoiseModel(300.0, params.big_gamma, params.big_omega)
     run = SdeRun(seed=20240817, dt=2e-5, total_time=0.1, burn_in=5e-3,
-                 trajectories=800, record=((IQ1,),), scheme="exact")
+                 trajectories=800, record=((IQ1,),))
     spectra = classical_sde_psd(sys, noise, run)
     order = np.argsort(np.abs(spectra.omegas - params.big_omega))[:11]
     ws = spectra.omegas[order]

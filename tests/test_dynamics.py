@@ -11,7 +11,9 @@ from mirrorpair.dynamics import (
     N_NOISE, N_STATE, LinearSystem, selected_transfer_rows,
 )
 from mirrorpair.entanglement import P1_SELECTOR, Q1_SELECTOR, U_SELECTOR
-from mirrorpair.errors import DriftUnstableError, SingularityError
+from mirrorpair.errors import (
+    DriftUnstableError, InvalidParameterError, SingularityError,
+)
 
 from conftest import make_params
 
@@ -256,8 +258,13 @@ class TestNoiseModel:
         assert noise.symmetrized_spectrum(1e5) == s_sym[2]
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             NoiseModel(1.0, 1.0, 1.0, kernel="bogus")
+
+    @pytest.mark.parametrize("temperature", [-1.0, np.nan, np.inf])
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(InvalidParameterError):
+            NoiseModel(temperature, 1.0, 1e5)
 
 
 class TestSpectralMatrix:

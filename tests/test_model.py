@@ -1,20 +1,45 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import given, strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
+import mirrorpair
 from mirrorpair import (
     NoiseModel, PhysicalParams, build_linear_system, fig2_params,
     power_to_amplitude, steady_state,
 )
+from mirrorpair import model
 from mirrorpair.errors import InvalidParameterError
 from mirrorpair.model import MAGNITUDE_RANGE
 
 from conftest import make_params
 
 OMEGA_1064 = 2.0 * np.pi * C_LIGHT / 1.064e-6
+
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    assert model.HBAR == scipy.constants.hbar
+    assert model.KB == scipy.constants.k
+    assert model.C_LIGHT == scipy.constants.c
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by the Monte Carlo oracle's matrix exponential,
+    # which imports it on first use.
+    code = ("import mirrorpair, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mirrorpair.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_zero_power_gives_zero_amplitude():

@@ -31,17 +31,6 @@ class TestSdeRunValidation:
             SdeRun(seed=1, dt=1e-6, total_time=-1.0, burn_in=0.0, trajectories=1)
         with pytest.raises(InvalidParameterError):
             SdeRun(seed=1, dt=1e-6, total_time=1.0, burn_in=0.0, trajectories=0)
-        with pytest.raises(InvalidParameterError):
-            SdeRun(seed=1, dt=1e-6, total_time=1.0, burn_in=0.0,
-                   trajectories=1, scheme="heun")
-
-    def test_euler_step_limit_enforced(self, decoupled):
-        _, sys = decoupled
-        noise = NoiseModel(0.0, sys.params.big_gamma, sys.params.big_omega)
-        run = SdeRun(seed=1, dt=1e-5, total_time=1e-3, burn_in=0.0,
-                     trajectories=2, scheme="euler")
-        with pytest.raises(InvalidParameterError):
-            classical_sde_psd(sys, noise, run)
 
     def test_unstable_system_rejected(self, fig2, fig2_noise):
         _, sys = fig2
@@ -59,7 +48,7 @@ class TestDiscretization:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         dt = 3e-6
-        phi, chol = _discretize(sys, noise, dt, "exact")
+        phi, chol = _discretize(sys, noise, dt)
         cov = chol @ chol.T
         lam = params.gamma_a / 2.0
         assert phi[IXA1, IXA1] == pytest.approx(np.exp(-lam * dt), rel=1e-10)
@@ -71,8 +60,8 @@ class TestDiscretization:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         dt = 1e-9
-        phi_e, _ = _discretize(sys, noise, dt, "euler")
-        phi_x, _ = _discretize(sys, noise, dt, "exact")
+        phi_e = np.eye(N_STATE) + sys.drift * dt
+        phi_x, _ = _discretize(sys, noise, dt)
         step = np.linalg.norm(sys.drift) * dt
         assert np.linalg.norm(phi_e - phi_x) <= step ** 2
 
@@ -94,7 +83,7 @@ class TestClassicalSdePsd:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         run = SdeRun(seed=20240817, dt=1e-6, total_time=2e-2, burn_in=2e-4,
-                     trajectories=160, record=((IXA1,),), scheme="exact")
+                     trajectories=160, record=((IXA1,),))
         spectra = classical_sde_psd(sys, noise, run)
         lam = params.gamma_a / 2.0
         for w in (0.0, 0.5e5, 1.0e5, 2.0e5):
@@ -106,12 +95,12 @@ class TestClassicalSdePsd:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         run = SdeRun(seed=5, dt=2e-6, total_time=2e-3, burn_in=1e-4,
-                     trajectories=8, record=((IXA1,),), scheme="exact")
+                     trajectories=8, record=((IXA1,),))
         a = classical_sde_psd(sys, noise, run)
         b = classical_sde_psd(sys, noise, run)
         assert np.array_equal(a.psd, b.psd)
         other = SdeRun(seed=6, dt=2e-6, total_time=2e-3, burn_in=1e-4,
-                       trajectories=8, record=((IXA1,),), scheme="exact")
+                       trajectories=8, record=((IXA1,),))
         c = classical_sde_psd(sys, noise, other)
         assert not np.array_equal(a.psd, c.psd)
 
@@ -119,8 +108,7 @@ class TestClassicalSdePsd:
         params, sys = decoupled
         noise = NoiseModel(300.0, params.big_gamma, params.big_omega)
         run = SdeRun(seed=9, dt=2e-6, total_time=1e-3, burn_in=0.0,
-                     trajectories=4, record=((IQ1,), (IQ1, IXA1)),
-                     scheme="exact")
+                     trajectories=4, record=((IQ1,), (IQ1, IXA1)))
         spectra = classical_sde_psd(sys, noise, run)
         assert spectra.psd.shape[0] == 2
         assert spectra.psd.shape == spectra.stderr.shape
