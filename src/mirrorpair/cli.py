@@ -8,11 +8,12 @@ omega_spacing, temperatures, workers, emit_components, brownian_kernel,
 require_stable.
 
 Each value is parsed by the declared type of its dataclass field; a value
-that does not parse is reported as "<key>: expected <kind>, got '<value>'".
+that does not parse is a ConfigError "<key>: expected <kind>, got '<value>'",
+and one that parses but is not allowed an InvalidParameterError.
 The output directory is created only after the sweep has been solved, so a
 failed sweep leaves none behind.
 
-Exit codes: 0 success, 2 configuration or input error, 3 unstable drift
+Exit codes: 0 success, 2 config text or value error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
 covariance, 1 any other package error.
 """
@@ -101,10 +102,6 @@ def _parse_fields(cls, values: dict, keys) -> dict:
     return parsed
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and execution settings for one sweep."""
@@ -121,44 +118,31 @@ class SweepSpec:
     require_stable: bool = False
 
     def __post_init__(self):
-        if not _is_count(self.omega_count) or self.omega_count < 1:
-            raise ConfigError("omega_count must be an integer >= 1")
-        if not (np.isfinite(self.omega_min) and np.isfinite(self.omega_max)):
-            raise ConfigError("omega_min and omega_max must be finite")
+        model.check_numbers(
+            vars(self), positive=("omega_min", "omega_max"),
+            nonnegative=("temperatures",), counts=("omega_count", "workers"),
+        )
         if not self.omega_min <= self.omega_max:
-            raise ConfigError("omega grid must be non-empty and increasing")
-        if self.omega_min <= 0:
-            raise ConfigError("omega_min must be positive")
+            raise InvalidParameterError(
+                "omega grid must be non-empty and increasing")
         if self.omega_spacing not in ("linear", "log", "hybrid"):
-            raise ConfigError("omega_spacing must be linear, log or hybrid")
+            raise InvalidParameterError(
+                "omega_spacing must be linear, log or hybrid")
         if len(self.temperatures) == 0:
-            raise ConfigError("temperature list must be non-empty")
-        if not all(np.isfinite(t) and t >= 0 for t in self.temperatures):
-            raise ConfigError("temperatures must be finite and >= 0")
+            raise InvalidParameterError("temperature list must be non-empty")
         if any(t2 <= t1 for t1, t2 in zip(self.temperatures, self.temperatures[1:])):
-            raise ConfigError("temperatures must be strictly increasing")
-        if not all(map(model.in_magnitude_range,
-                       (self.omega_min, self.omega_max, *self.temperatures))):
-            raise ConfigError(
-                "omega_min, omega_max and temperatures must be 0 or of "
-                "magnitude %g to %g" % model.MAGNITUDE_RANGE
-            )
-        if not _is_count(self.workers) or self.workers < 1:
-            raise ConfigError("workers must be an integer >= 1")
+            raise InvalidParameterError("temperatures must be strictly increasing")
         if self.brownian_kernel not in dynamics.BROWNIAN_KERNELS:
-            raise ConfigError(
+            raise InvalidParameterError(
                 "brownian_kernel must be one of "
                 + ", ".join(dynamics.BROWNIAN_KERNELS)
             )
 
     @classmethod
     def from_config(cls, values: dict) -> "SweepSpec":
-        try:
-            params = model.PhysicalParams(
-                **_parse_fields(model.PhysicalParams, values, _PARAM_KEYS)
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        params = model.PhysicalParams(
+            **_parse_fields(model.PhysicalParams, values, _PARAM_KEYS)
+        )
         kwargs = _parse_fields(cls, values, _SWEEP_KEYS)
         if kwargs.get("omega_spacing") == "hybrid":
             # The hybrid grid is fixed; record the grid actually used.

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DriftUnstableError, InvalidParameterError, SingularityError
-from .model import HBAR, KB, PhysicalParams, SteadyState, steady_state
+from .model import (
+    HBAR, KB, PhysicalParams, SteadyState, check_numbers, steady_state,
+)
 
 N_STATE = 10
 N_NOISE = 8
@@ -174,10 +176,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kernel not in BROWNIAN_KERNELS:
             raise InvalidParameterError(f"unknown Brownian kernel {self.kernel!r}")
-        if not (np.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise InvalidParameterError(
-                f"temperature must be finite and >= 0, got {self.temperature!r}"
-            )
+        check_numbers(vars(self), positive=("big_gamma", "big_omega"),
+                      nonnegative=("temperature",))
 
     @classmethod
     def from_params(cls, params: PhysicalParams, kernel: str = "corrected"):

@@ -210,8 +210,8 @@ def separability_products(covs, a_values) -> np.ndarray:
     a = a_values[k].
     """
     a = np.asarray(a_values, dtype=float)
-    if np.any(a == 0.0):
-        raise InvalidParameterError("a must be nonzero")
+    if not np.all(np.isfinite(a) & (a != 0.0)):
+        raise InvalidParameterError("a must be finite and nonzero")
     return _products(_moments(covs), a)
 
 

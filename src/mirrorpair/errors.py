@@ -6,11 +6,11 @@ class MirrorPairError(Exception):
 
 
 class InvalidParameterError(MirrorPairError, ValueError):
-    """A physical parameter or argument is out of its allowed range."""
+    """A value is out of range: an argument, or a config value that parsed."""
 
 
 class ConfigError(MirrorPairError, ValueError):
-    """A configuration file could not be parsed or contains unknown keys."""
+    """Faulty config text: not UTF-8, bad syntax, unknown or clashing keys."""
 
 
 class DriftUnstableError(MirrorPairError, RuntimeError):

@@ -13,7 +13,7 @@ the meter detuning is fixed to zero and the meter amplitude alpha is real.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,37 @@ DEFAULT_OPTICAL_FREQUENCY = 2.0 * np.pi * C_LIGHT / DEFAULT_WAVELENGTH
 MAGNITUDE_RANGE = (1e-30, 1e30)
 
 
-def in_magnitude_range(value) -> bool:
-    """True for 0 and for finite values whose magnitude is in MAGNITUDE_RANGE."""
-    lo, hi = MAGNITUDE_RANGE
-    return value == 0 or lo <= abs(value) <= hi
+def check_numbers(values, signed=(), positive=(), nonnegative=(), counts=(),
+                  magnitude=MAGNITUDE_RANGE):
+    """Raise InvalidParameterError unless the named entries of values (a
+    dict, such as vars(self)) obey the package's input contract.
+
+    Every signed, positive or nonnegative value (each element, for a tuple)
+    must be finite and either 0 or of a magnitude within magnitude, which is
+    MAGNITUDE_RANGE for SI values; positive values must be > 0 and
+    nonnegative ones >= 0.  counts must be integers >= 1, not bools.
+    """
+    for name in counts:
+        n = values[name]
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidParameterError(
+                f"{name} must be an integer >= 1, got {n!r}")
+    lo, hi = magnitude
+    for names, sign, holds in ((signed, None, None),
+                               (positive, "> 0", np.greater),
+                               (nonnegative, ">= 0", np.greater_equal)):
+        for name in names:
+            x = np.asarray(values[name])
+            if not np.isfinite(x).all():
+                rule = "finite"
+            elif not np.all((x == 0) | ((lo <= abs(x)) & (abs(x) <= hi))):
+                rule = "0 or of magnitude %g to %g" % magnitude
+            elif sign and not np.all(holds(x, 0)):
+                rule = sign
+            else:
+                continue
+            raise InvalidParameterError(
+                f"{name} must be {rule}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -74,27 +101,13 @@ class PhysicalParams:
     temperature: float = 0.1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value):
-                raise InvalidParameterError(f"{f.name} must be finite")
-            if not in_magnitude_range(value):
-                raise InvalidParameterError(
-                    f"{f.name} must be 0 or of magnitude %g to %g"
-                    % MAGNITUDE_RANGE
-                )
-        positive = (
-            "omega_a0", "omega_b0", "gamma_a", "gamma_b", "big_omega",
-            "big_gamma",
+        check_numbers(
+            vars(self),
+            signed=("delta_b",),
+            positive=("omega_a0", "omega_b0", "gamma_a", "gamma_b",
+                      "big_omega", "big_gamma"),
+            nonnegative=("g", "big_g", "p_in_a", "p_in_b", "temperature"),
         )
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
-        for name in ("g", "big_g", "p_in_a", "p_in_b"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be non-negative")
-        if self.temperature < 0:
-            raise InvalidParameterError("temperature must be >= 0")
         if not self.g < self.big_g:
             warnings.warn(
                 "expected entangler coupling big_g > meter coupling g; "
@@ -120,10 +133,8 @@ class SteadyState:
 
 def power_to_amplitude(power: float, drive_frequency: float) -> float:
     """Photon-flux amplitude sqrt(P / hbar omega) of a drive of power P."""
-    if drive_frequency <= 0:
-        raise InvalidParameterError("drive_frequency must be strictly positive")
-    if power < 0:
-        raise InvalidParameterError("power must be non-negative")
+    check_numbers({"power": power, "drive_frequency": drive_frequency},
+                  positive=("drive_frequency",), nonnegative=("power",))
     return float(np.sqrt(power / (HBAR * drive_frequency)))
 
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import N_STATE, LinearSystem, NoiseModel, is_stable
-from .errors import DriftUnstableError, InvalidParameterError
+from .errors import DriftUnstableError
 from .entanglement import GaussianState
+from .model import check_numbers
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,8 @@ class SdeRun:
     record: tuple = ((0,),)   # tuples of state indices summed into one signal
 
     def __post_init__(self):
-        if self.dt <= 0 or self.total_time <= 0 or self.burn_in < 0:
-            raise InvalidParameterError("dt, total_time must be > 0; burn_in >= 0")
-        if self.trajectories < 1:
-            raise InvalidParameterError("trajectories must be >= 1")
+        check_numbers(vars(self), positive=("dt", "total_time"),
+                      nonnegative=("burn_in",), counts=("trajectories",))
 
 
 def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
@@ -163,8 +162,7 @@ def sample_separable_covariances(seed, count):
     products of displaced, rotated squeezed thermal states; the covariance
     includes the spread of the component means.
     """
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    check_numbers({"count": count}, counts=("count",))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_comp = rng.integers(2, 9, size=count)
     covs = np.empty((count, 4, 4))
@@ -200,15 +198,18 @@ def tmsv_state(r: float, local_scalings=None) -> GaussianState:
     Var(q1 + q2) = Var(p1 - p2) = exp(-2 r).  Optional local_scalings
     (s1, s2) apply the local symplectic q_i -> s_i q_i, p_i -> p_i / s_i.
     """
-    if r < 0:
-        raise InvalidParameterError("r must be >= 0")
+    scalings = (1.0, 1.0) if local_scalings is None else tuple(local_scalings)
+    # A negative scaling is a symplectic map too; 0 has no inverse.  Both
+    # are dimensionless, and r = 1e-300 is as exact as r = 0.
+    check_numbers({"r": r, "|local_scalings|": tuple(map(abs, scalings))},
+                  nonnegative=("r",), positive=("|local_scalings|",),
+                  magnitude=(0.0, np.inf))
     ch, sh = np.cosh(2.0 * r) / 2.0, np.sinh(2.0 * r) / 2.0
     cov = np.diag([ch, ch, ch, ch])
     # Anticorrelated positions, correlated momenta.
     cov[0, 2] = cov[2, 0] = -sh
     cov[1, 3] = cov[3, 1] = sh
-    if local_scalings is not None:
-        s1, s2 = local_scalings
-        scale = np.diag([s1, 1.0 / s1, s2, 1.0 / s2])
-        cov = scale @ cov @ scale.T
+    s1, s2 = scalings
+    scale = np.diag([s1, 1.0 / s1, s2, 1.0 / s2])
+    cov = scale @ cov @ scale.T
     return GaussianState(cov=cov)

@@ -32,7 +32,9 @@ from mirrorpair.cli import (
     run_sweep,
 )
 from mirrorpair.dynamics import N_NOISE, N_STATE, LinearSystem
-from mirrorpair.errors import ConfigError, DegenerateCommutatorError
+from mirrorpair.errors import (
+    ConfigError, DegenerateCommutatorError, InvalidParameterError,
+)
 
 
 class TestConfigParsing:
@@ -73,22 +75,22 @@ class TestSweepSpec:
 
     def test_bad_grid_rejected(self):
         params = fig2_params()
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             SweepSpec(params=params, omega_min=2e5, omega_max=1e5, omega_count=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             SweepSpec(params=params, omega_min=-1.0, omega_max=1e5, omega_count=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             SweepSpec(params=params, omega_min=1e5, omega_max=2e5,
                       omega_count=10, omega_spacing="cubic")
 
     def test_temperatures_must_increase(self):
         params = fig2_params()
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             SweepSpec(params=params, omega_min=1e5, omega_max=2e5,
                       omega_count=10, temperatures=(4.0, 0.1))
 
-    def test_bad_physical_value_becomes_config_error(self):
-        with pytest.raises(ConfigError):
+    def test_bad_physical_value_is_invalid_parameter(self):
+        with pytest.raises(InvalidParameterError):
             SweepSpec.from_config({"big_omega": "-1"})
 
     def test_grid_spacings(self):

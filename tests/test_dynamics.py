@@ -261,10 +261,17 @@ class TestNoiseModel:
         with pytest.raises(InvalidParameterError):
             NoiseModel(1.0, 1.0, 1.0, kernel="bogus")
 
-    @pytest.mark.parametrize("temperature", [-1.0, np.nan, np.inf])
-    def test_bad_temperature_rejected(self, temperature):
+    # Temperature cases keep their bare ids: [-1.0], [nan], [inf].
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("temperature", v, id=str(v)) for v in (-1.0, np.nan, np.inf)
+    ] + [
+        (f, v) for f in ("big_gamma", "big_omega")
+        for v in (0.0, -1.0, np.nan, np.inf)
+    ])
+    def test_bad_temperature_rejected(self, field, value):
+        good = {"temperature": 1.0, "big_gamma": 1.0, "big_omega": 1e5}
         with pytest.raises(InvalidParameterError):
-            NoiseModel(temperature, 1.0, 1e5)
+            NoiseModel(**{**good, field: value})
 
 
 class TestSpectralMatrix:

@@ -154,6 +154,10 @@ class TestGaussianState:
     def test_negative_r_rejected(self):
         with pytest.raises(InvalidParameterError):
             tmsv_state(-0.1)
+        with pytest.raises(InvalidParameterError, match="^r must be finite"):
+            tmsv_state(np.nan)
+        with pytest.raises(InvalidParameterError):
+            tmsv_state(0.5, (0.0, 1.0))
 
     def test_unphysical_state_raises(self):
         with pytest.raises(UnphysicalStateError) as excinfo:
@@ -222,8 +226,9 @@ class TestSeparabilityWeighting:
         state = tmsv_state(0.5)
         with pytest.raises(InvalidParameterError):
             separability_product(state, 0.0)
-        with pytest.raises(InvalidParameterError):
-            separability_products(state.cov, [1.0, 0.0])
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameterError):
+                separability_products(state.cov, [1.0, bad])
 
     def test_vectorized_matches_scalar(self):
         covs, _ = sample_separable_covariances(seed=3, count=16)

@@ -65,6 +65,10 @@ def test_amplitude_rejects_bad_arguments():
         power_to_amplitude(1.0, -1.0)
     with pytest.raises(InvalidParameterError):
         power_to_amplitude(-1.0, OMEGA_1064)
+    with pytest.raises(InvalidParameterError):
+        power_to_amplitude(np.nan, OMEGA_1064)
+    with pytest.raises(InvalidParameterError):
+        power_to_amplitude(1.0, np.inf)
 
 
 @given(st.floats(min_value=1e-9, max_value=1e3))

@@ -25,12 +25,15 @@ from mirrorpair.oracle import (
 
 class TestSdeRunValidation:
     def test_bad_settings_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SdeRun(seed=1, dt=0.0, total_time=1.0, burn_in=0.0, trajectories=1)
-        with pytest.raises(InvalidParameterError):
-            SdeRun(seed=1, dt=1e-6, total_time=-1.0, burn_in=0.0, trajectories=1)
-        with pytest.raises(InvalidParameterError):
-            SdeRun(seed=1, dt=1e-6, total_time=1.0, burn_in=0.0, trajectories=0)
+        good = dict(seed=1, dt=1e-6, total_time=1.0, burn_in=0.0,
+                    trajectories=1)
+        for field, value in [
+            ("dt", 0.0), ("total_time", -1.0), ("trajectories", 0),
+            ("dt", np.nan), ("total_time", np.inf), ("burn_in", np.inf),
+            ("trajectories", 2.5), ("trajectories", True),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                SdeRun(**{**good, field: value})
 
     def test_unstable_system_rejected(self, fig2, fig2_noise):
         _, sys = fig2
@@ -166,6 +169,8 @@ class TestSeparableSampler:
     def test_count_validation(self):
         with pytest.raises(InvalidParameterError):
             sample_separable_covariances(seed=1, count=0)
+        with pytest.raises(InvalidParameterError):
+            sample_separable_covariances(seed=1, count=2.5)
 
     def test_state_wrapper(self):
         states = sample_separable_gaussian(seed=11, count=4)
