@@ -13,6 +13,17 @@ and one that parses but is not allowed an InvalidParameterError.
 The output directory is created only after the sweep has been solved, so a
 failed sweep leaves none behind.
 
+sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
+are not formatted number by number: a numpy kernel (_e12) writes the 13
+digits of every value in [1e-32, 1e56) as 2-byte pieces from a digit-pair
+table, exact wherever its scaled mantissa is clear of a rounding tie, and
+falls back to "%.12e" % v for the rest.  Rows are fixed-width byte rows;
+a row holding a value whose "%.12e" is not 18 characters (a negative, nan,
+inf or a magnitude near or beyond 1e+-100) is formatted by the per-row
+%-template instead.  Columns that do not change between temperatures
+(omega, commutator_sq) are formatted once, and each file is streamed one
+temperature block at a time.
+
 Exit codes: 0 success, 2 config text or value error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
 covariance, 1 any other package error.
@@ -222,18 +233,131 @@ def _fmt(x: float) -> str:
 
 
 #: Flag columns (entangled, epr) by level (degree < 1) + (degree < 1/4).
+_FLAG_COLUMNS = ("entangled", "epr")
 _FLAG_LEVELS = (("false", "false"), ("true", "false"), ("true", "true"))
 
 
 #: Columns of sweep.grid, a gnuplot block file with one block per temperature.
 _GRID_COLUMNS = ("omega", "temperature", "degree_clipped")
 
+#: "%.12e" fields d.dddddddddddde±XX are 18 bytes, nine 2-byte pieces.
+_E12_WIDTH = 18
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16)
+_LEADS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), np.uint16)
+_EXP_SIGNS = np.frombuffer(b"e+e-", np.uint16)
+#: 10**j, exactly, for |j| <= 22.
+_POW10 = np.array([float(10 ** j) for j in range(23)])
+_ONE = np.frombuffer(b"%.12e" % 1.0, np.uint8)
+
+
+def _scale_pow10(x, j):
+    """x * 10**j, correctly rounded, for integer arrays |j| <= 22."""
+    p = _POW10[np.abs(j)]
+    return np.where(j >= 0, x * p, x / p)
+
+
+def _e12(x):
+    """The bytes of "%.12e" % v for each v of the 1-D float array x.
+
+    Returns (fields, form): an (n, 18) uint8 array, and the mask of the v
+    whose "%.12e" is 18 bytes long; the fields of the others are undefined.
+    In [1e-32, 1e56) the 13 digits are rint(m) for the mantissa
+    m = x * 10**(12 - e), e = floor(log10 x), scaled in two correctly rounded
+    steps by exact powers of ten.  Each step errs by at most 2**-53 relative,
+    so m is within 2.3e-3 of its exact value on m < 1e13; m at least 0.005
+    from a rounding tie and in [1e12, 1e13 - 1) therefore rounds as the exact
+    value does, which is what printf does.  Every other value is formatted
+    with "%.12e" % v (Loitsch's fast path with an exact fallback).
+    """
+    x = np.asarray(x, dtype=float)
+    fast = (x >= 1e-32) & (x < 1e56)
+    x_fast = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(x_fast)).astype(np.intp)
+    k = np.clip(12 - e, -44, 44)
+    k_first = np.clip(k, -22, 22)
+    m = _scale_pow10(_scale_pow10(x_fast, k_first), k - k_first)
+    fast &= ((m >= 1e12) & (m < 1e13 - 1)
+             & (np.abs(m - np.floor(m) - 0.5) >= 0.005))
+    digits = np.rint(np.where(fast, m, 1e12)).astype(np.int64)
+    pieces = np.empty((9, x.size), np.uint16)
+    pieces[0] = _LEADS[digits // 10 ** 12]
+    for i in range(6, 0, -1):
+        pieces[i] = _PAIRS[digits % 100]
+        digits //= 100
+    pieces[7] = _EXP_SIGNS[(e < 0).astype(np.intp)]
+    pieces[8] = _PAIRS[np.abs(e)]
+    fields = np.ascontiguousarray(pieces.T).view(np.uint8)
+    form = fast
+    for i in np.flatnonzero(~fast):
+        text = b"%.12e" % x[i]
+        if len(text) == _E12_WIDTH:
+            fields[i] = np.frombuffer(text, np.uint8)
+            form[i] = True
+    return fields, form
+
+
+def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
+    """Write head, then the rows of every temperature of results, as
+    _csv_block formats them; gap goes between two temperature blocks.
+
+    Each row is a fixed-width byte row: 18-byte "%.12e" fields from _e12,
+    then the flag columns (last in every column set) and the newline, padded
+    with NUL bytes to the widest flag level.  The padding comes after the
+    newline, so it is trailing and the row's bytes-string view drops it.  A
+    field repeated from the previous temperature (omega, commutator_sq) is
+    not formatted again.  A row with a value whose "%.12e" is not 18 bytes
+    (0 is; negatives, nan, inf and magnitudes near or beyond 1e+-100 are
+    not) is formatted by _csv_block.
+    """
+    numeric = [c for c in columns if c not in _FLAG_COLUMNS]
+    flags = [_FLAG_COLUMNS.index(c) for c in columns if c in _FLAG_COLUMNS]
+    tails = [
+        "".join(sep + level[j] for j in flags).encode() + b"\n"
+        for level in _FLAG_LEVELS
+    ]
+    start = (_E12_WIDTH + 1) * len(numeric) - 1
+    width = start + max(map(len, tails))
+    tail_bytes = np.frombuffer(
+        b"".join(t.ljust(width - start, b"\0") for t in tails), np.uint8
+    ).reshape(len(tails), -1)
+    rows = np.zeros((omegas.size, width), np.uint8)
+    rows[:, _E12_WIDTH:start:_E12_WIDTH + 1] = ord(sep)
+    done = {}
+    with open(path, "wb") as f:
+        f.write(head)
+        for t, (temp, res) in enumerate(results.items()):
+            arrays = dict(res, omega=omegas, temperature=np.array([temp]))
+            degree = res["degree"]
+            ok = np.ones(omegas.size, bool)
+            for j, c in enumerate(numeric):
+                src = "degree" if c == "degree_clipped" else c
+                x = arrays[src]
+                if src not in done or not np.array_equal(done[src][0], x):
+                    done[src] = (x, *_e12(x))
+                _, fields, form = done[src]
+                if c == "degree_clipped":
+                    fields = np.where((degree >= 1.0)[:, None], _ONE, fields)
+                at = j * (_E12_WIDTH + 1)
+                rows[:, at:at + _E12_WIDTH] = fields
+                ok &= form
+            level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
+            rows[:, start:] = tail_bytes[level]
+            lines = rows.view(f"S{width}").ravel().tolist()
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                slow = _csv_block(columns, temp, omegas[bad],
+                                  {k: v[bad] for k, v in res.items()}, sep)
+                for i, line in zip(bad, slow):
+                    lines[i] = line.encode() + b"\n"
+            f.write((gap if t else b"") + b"".join(lines))
+
 
 def _csv_block(columns, temp, omegas, res, sep=","):
     """Rows of one temperature, formatted straight from the arrays.
 
     The temperature field and the two flags are baked into one %-template
-    per flag level, so each row costs a single % operation.
+    per flag level, so each row costs a single % operation.  _write_blocks
+    calls it for the rows that its fixed-width byte rows cannot hold.
     """
     templates = [
         sep.join({"temperature": _fmt(temp), "entangled": entangled,
@@ -259,13 +383,8 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     """Run the sweep and write sweep.csv, summary.json and optionally
     sweep.grid (gnuplot block format).  Returns the summary dict."""
     omegas, results = _sweep_rows(spec)
-    columns = CSV_COLUMNS if spec.emit_components else CSV_COLUMNS_BARE
-    lines = [",".join(columns)]
     summary = {"temperatures": []}
-    blocks = []
-    for temp in spec.temperatures:
-        res = results[temp]
-        lines.extend(_csv_block(columns, temp, omegas, res))
+    for temp, res in results.items():
         degree = res["degree"]
         imin = int(np.argmin(degree))
         summary["temperatures"].append({
@@ -275,21 +394,18 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
             "entangled_bands": _bands(omegas, degree < 1.0),
             "epr_bands": _bands(omegas, degree < 0.25),
         })
-        if emit_grid:
-            blocks.append("\n".join(
-                _csv_block(_GRID_COLUMNS, temp, omegas, res, sep=" ")
-            ))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = CSV_COLUMNS if spec.emit_components else CSV_COLUMNS_BARE
+    _write_blocks(out / "sweep.csv", columns, omegas, results, ",",
+                  head=",".join(columns).encode() + b"\n")
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if emit_grid:
-        (out / "sweep.grid").write_text(
-            "\n\n".join(blocks) + "\n", encoding="utf-8"
-        )
+        _write_blocks(out / "sweep.grid", _GRID_COLUMNS, omegas, results, " ",
+                      gap=b"\n")
     return summary
 
 

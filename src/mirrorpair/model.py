@@ -12,6 +12,7 @@ the meter detuning is fixed to zero and the meter amplitude alpha is real.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -40,15 +41,22 @@ DEFAULT_OPTICAL_FREQUENCY = 2.0 * np.pi * C_LIGHT / DEFAULT_WAVELENGTH
 MAGNITUDE_RANGE = (1e-30, 1e30)
 
 
-def check_numbers(values, signed=(), positive=(), nonnegative=(), counts=(),
-                  magnitude=MAGNITUDE_RANGE):
+def _is_real(v):
+    """A real number (bools and numpy scalars too) or a real numpy array."""
+    return isinstance(v, numbers.Real) or (
+        isinstance(v, np.ndarray) and v.dtype.kind in "biuf")
+
+
+def check_numbers(values, signed=(), positive=(), nonnegative=(), nonzero=(),
+                  counts=(), magnitude=MAGNITUDE_RANGE):
     """Raise InvalidParameterError unless the named entries of values (a
     dict, such as vars(self)) obey the package's input contract.
 
-    Every signed, positive or nonnegative value (each element, for a tuple)
-    must be finite and either 0 or of a magnitude within magnitude, which is
-    MAGNITUDE_RANGE for SI values; positive values must be > 0 and
-    nonnegative ones >= 0.  counts must be integers >= 1, not bools.
+    Every signed, positive, nonnegative or nonzero value must be a real
+    number (or a tuple of them, checked element by element), finite and
+    either 0 or of a magnitude within magnitude, which is MAGNITUDE_RANGE for
+    SI values; positive values must be > 0, nonnegative ones >= 0 and
+    nonzero ones != 0.  counts must be integers >= 1, not bools.
     """
     for name in counts:
         n = values[name]
@@ -58,10 +66,15 @@ def check_numbers(values, signed=(), positive=(), nonnegative=(), counts=(),
     lo, hi = magnitude
     for names, sign, holds in ((signed, None, None),
                                (positive, "> 0", np.greater),
-                               (nonnegative, ">= 0", np.greater_equal)):
+                               (nonnegative, ">= 0", np.greater_equal),
+                               (nonzero, "!= 0", np.not_equal)):
         for name in names:
-            x = np.asarray(values[name])
-            if not np.isfinite(x).all():
+            v = values[name]
+            real = all(map(_is_real, v if isinstance(v, tuple) else (v,)))
+            x = np.asarray(v, dtype=float) if real else None
+            if not real:
+                rule = "real"
+            elif not np.isfinite(x).all():
                 rule = "finite"
             elif not np.all((x == 0) | ((lo <= abs(x)) & (abs(x) <= hi))):
                 rule = "0 or of magnitude %g to %g" % magnitude
@@ -69,8 +82,7 @@ def check_numbers(values, signed=(), positive=(), nonnegative=(), counts=(),
                 rule = sign
             else:
                 continue
-            raise InvalidParameterError(
-                f"{name} must be {rule}, got {values[name]!r}")
+            raise InvalidParameterError(f"{name} must be {rule}, got {v!r}")
 
 
 @dataclass(frozen=True)

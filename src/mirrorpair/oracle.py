@@ -19,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import N_STATE, LinearSystem, NoiseModel, is_stable
-from .errors import DriftUnstableError
+from .errors import DriftUnstableError, InvalidParameterError
 from .entanglement import GaussianState
 from .model import check_numbers
+
+#: Most integration steps (burn-in and record) one run may take; the record
+#: alone is 8 bytes per step, signal and trajectory.
+_MAX_STEPS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,11 @@ class SdeRun:
     def __post_init__(self):
         check_numbers(vars(self), positive=("dt", "total_time"),
                       nonnegative=("burn_in",), counts=("trajectories",))
+        steps = (self.burn_in + self.total_time) / self.dt
+        if steps > _MAX_STEPS:
+            raise InvalidParameterError(
+                f"(burn_in + total_time) / dt must be at most {_MAX_STEPS:.0e}"
+                f" steps, got {steps:.3g}")
 
 
 def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
@@ -198,11 +207,15 @@ def tmsv_state(r: float, local_scalings=None) -> GaussianState:
     Var(q1 + q2) = Var(p1 - p2) = exp(-2 r).  Optional local_scalings
     (s1, s2) apply the local symplectic q_i -> s_i q_i, p_i -> p_i / s_i.
     """
-    scalings = (1.0, 1.0) if local_scalings is None else tuple(local_scalings)
+    scalings = (1.0, 1.0) if local_scalings is None else local_scalings
+    if not (isinstance(scalings, (tuple, list))
+            or getattr(scalings, "ndim", 0) == 1) or len(scalings) != 2:
+        raise InvalidParameterError(
+            f"local_scalings must be a pair (s1, s2), got {scalings!r}")
     # A negative scaling is a symplectic map too; 0 has no inverse.  Both
     # are dimensionless, and r = 1e-300 is as exact as r = 0.
-    check_numbers({"r": r, "|local_scalings|": tuple(map(abs, scalings))},
-                  nonnegative=("r",), positive=("|local_scalings|",),
+    check_numbers({"r": r, "local_scalings": tuple(scalings)},
+                  nonnegative=("r",), nonzero=("local_scalings",),
                   magnitude=(0.0, np.inf))
     ch, sh = np.cosh(2.0 * r) / 2.0, np.sinh(2.0 * r) / 2.0
     cov = np.diag([ch, ch, ch, ch])

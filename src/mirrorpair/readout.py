@@ -34,7 +34,9 @@ from .dynamics import (
     selected_transfer_rows,
 )
 from .errors import InvalidParameterError
-from .model import PhysicalParams, steady_state
+# steady_state is not called here; the benchmark's trace table patches
+# readout.steady_state by name, so the name stays until that table changes.
+from .model import steady_state  # noqa: F401
 
 _CHANNELS = {1: (IQ1, IYA1, IYIN1, 1.0), 2: (IQ2, IYA2, IYIN2, -1.0)}
 
@@ -74,16 +76,15 @@ class ReadoutChannel:
         return (self.gamma_a / 2.0 + 1j * w) / (self.gamma_a / 2.0 - 1j * w)
 
 
-def gain_condition(params: PhysicalParams, omega: float, threshold: float = 10.0):
-    """Measurement-gain figure of merit g^2 alpha^2 / [(gamma_a^2/4 + w^2)/4].
+def gain_condition(sys: LinearSystem, omega: float, threshold: float = 10.0):
+    """Measurement-gain figure of merit g^2 alpha^2 / [(gamma_a^2/4 + w^2)/4]
+    at the working point already in sys.
 
     Returns (ratio, ratio > threshold).  The readout faithfully tracks the
     mirror position only when the ratio is large.
     """
-    ss = steady_state(params)
-    ratio = (params.g * ss.alpha) ** 2 / (
-        (params.gamma_a ** 2 / 4.0 + omega ** 2) / 4.0
-    )
+    chan = ReadoutChannel.for_system(sys)
+    ratio = chan.g_alpha ** 2 / ((chan.gamma_a ** 2 / 4.0 + omega ** 2) / 4.0)
     return float(ratio), bool(ratio > threshold)
 
 

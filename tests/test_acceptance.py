@@ -199,7 +199,7 @@ def test_criterion_7_readout_consistency(fig2_system):
     by_hand = (params.g * alpha) ** 2 / (
         (params.gamma_a ** 2 / 4.0 + params.big_omega ** 2) / 4.0
     )
-    ratio, _ = gain_condition(params, params.big_omega)
+    ratio, _ = gain_condition(sys, params.big_omega)
     ok = ok and abs(ratio / by_hand - 1.0) <= 1e-12
     _report(7, "readout consistency", ok)
 

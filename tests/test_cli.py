@@ -24,6 +24,7 @@ from mirrorpair.cli import (
     SweepSpec,
     _bands,
     _csv_block,
+    _e12,
     _fmt,
     _sweep_rows,
     check_state,
@@ -435,6 +436,113 @@ class TestRunSweep:
         serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
         parallel = (tmp_path / "parallel" / "sweep.csv").read_bytes()
         assert serial == parallel
+
+
+def _assert_e12_exact(values):
+    x = np.asarray(values, dtype=float)
+    fields, form = _e12(x)
+    assert fields.shape == (x.size, 18)
+    for v, row, ok in zip(x, fields, form):
+        text = ("%.12e" % v).encode()
+        assert ok == (len(text) == 18), (v, text)
+        if ok:
+            assert row.tobytes() == text, (v, text)
+
+
+def _reference_sweep_files(columns, omegas, results):
+    """sweep.csv and sweep.grid as the per-row %-template writer made them."""
+    def block(cols, temp, res, sep):
+        templates = [
+            sep.join({"temperature": "%.12e" % temp, "entangled": entangled,
+                      "epr": epr}.get(c, "%.12e") for c in cols)
+            for entangled, epr in (("false", "false"), ("true", "false"),
+                                   ("true", "true"))
+        ]
+        degree = res["degree"]
+        arrays = dict(res, omega=omegas, degree_clipped=np.minimum(degree, 1.0))
+        numeric = [arrays[c] for c in cols if c in arrays]
+        level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
+        return [templates[k] % row for k, row in zip(level, zip(*numeric))]
+
+    lines = [",".join(columns)]
+    blocks = []
+    for temp, res in results.items():
+        lines.extend(block(columns, temp, res, ","))
+        blocks.append("\n".join(
+            block(("omega", "temperature", "degree_clipped"), temp, res, " ")))
+    return ("\n".join(lines) + "\n").encode(), ("\n\n".join(blocks) + "\n").encode()
+
+
+class TestByteWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_kernel_matches_percent_format(self, values):
+        _assert_e12_exact(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-40, 1e60), min_size=1, max_size=40))
+    def test_kernel_matches_percent_format_in_its_fast_range(self, values):
+        _assert_e12_exact(values)
+
+    def test_kernel_at_powers_of_ten_and_ties(self):
+        powers = np.array([float(f"1e{k}") for k in range(-110, 111)])
+        _assert_e12_exact(powers)
+        _assert_e12_exact(np.nextafter(powers, 0.0))
+        _assert_e12_exact(np.nextafter(powers, np.inf))
+        # Doubles nearest to d.dddddddddddd5e+k, halfway between two
+        # 13-digit decimals, and their neighbours two ulps either side.
+        rng = np.random.default_rng(3)
+        ties = np.array([
+            float(f"{d}5e{k}") for d, k in zip(
+                rng.integers(10 ** 12, 10 ** 13, 2000),
+                rng.integers(-60, 70, 2000))
+        ])
+        for ulps in range(-2, 3):
+            step = np.inf if ulps > 0 else 0.0
+            shifted = ties
+            for _ in range(abs(ulps)):
+                shifted = np.nextafter(shifted, step)
+            _assert_e12_exact(shifted)
+        _assert_e12_exact([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan,
+                           9.9999999999995, 9.999999999999998e99,
+                           9.999999999999998e-99, 1e-32, 1e56,
+                           np.nextafter(1e56, 0.0), -1.5])
+
+    @pytest.mark.parametrize("components", [True, False])
+    def test_off_form_values_match_the_row_templates(self, tmp_path,
+                                                     monkeypatch, components):
+        # Rows holding a value whose %.12e is not 18 characters take the
+        # per-row path; the rest, including 0, are fixed-width byte rows.
+        # commutator_sq changes in one place between the temperatures, so
+        # its reused bytes must be formatted again.
+        rng = np.random.default_rng(5)
+        n = 40
+        omegas = np.linspace(0.5e5, 1.5e5, n)
+        results = {}
+        for temp in (0.0, 0.1, 4.0):
+            res = {k: 10.0 ** rng.uniform(-3, 3, n)
+                   for k in ("var_u", "var_v", "commutator_sq", "degree")}
+            res["commutator_sq"] = np.full(n, 0.7)
+            res["degree"][::3] = rng.uniform(0.0, 0.3, res["degree"][::3].size)
+            results[temp] = res
+        results[4.0]["commutator_sq"][7] = 0.9
+        odd = results[0.1]
+        odd["var_u"][[1, 2]] = (-2.5, 0.0)
+        odd["var_v"][[3, 4, 5]] = (1e-120, 9.999999999999998e99, 1e100)
+        odd["commutator_sq"][6] = np.inf
+        odd["degree"][[8, 9, 10, 11]] = (np.nan, 0.0, -0.5, 1e300)
+        results[4.0]["degree"][12] = 5e-324
+        spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
+                         omega_max=omegas[-1], omega_count=n,
+                         temperatures=tuple(results),
+                         emit_components=components)
+        monkeypatch.setattr("mirrorpair.cli._sweep_rows",
+                            lambda spec: (omegas, results))
+        run_sweep(spec, tmp_path, emit_grid=True)
+        columns = CSV_COLUMNS if components else CSV_COLUMNS_BARE
+        csv, grid = _reference_sweep_files(columns, omegas, results)
+        assert (tmp_path / "sweep.csv").read_bytes() == csv
+        assert (tmp_path / "sweep.grid").read_bytes() == grid
 
 
 class TestCheckState:

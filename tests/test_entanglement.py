@@ -158,6 +158,8 @@ class TestGaussianState:
             tmsv_state(np.nan)
         with pytest.raises(InvalidParameterError):
             tmsv_state(0.5, (0.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="^local_scalings"):
+            tmsv_state(0.5, (1.0,))
 
     def test_unphysical_state_raises(self):
         with pytest.raises(UnphysicalStateError) as excinfo:

@@ -152,9 +152,10 @@ def test_coupling_ordering_warns():
     ("delta_b", -np.inf),
     ("big_gamma", 1e308), ("omega_a0", 5e-324), ("p_in_b", 1e31),
     ("delta_b", -1e-31), ("temperature", 2e30),
+    ("g", "0.5"), ("g", None), ("big_omega", 1e5 + 0j),
 ])
 def test_parameter_validation(field, value):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
         PhysicalParams(**{field: value})
 
 

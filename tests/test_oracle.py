@@ -35,6 +35,16 @@ class TestSdeRunValidation:
             with pytest.raises(InvalidParameterError):
                 SdeRun(**{**good, field: value})
 
+    def test_step_count_bounded(self):
+        with pytest.raises(InvalidParameterError, match="steps"):
+            SdeRun(seed=1, dt=1e-30, total_time=1e30, burn_in=0.0,
+                   trajectories=1)
+        with pytest.raises(InvalidParameterError, match="steps"):
+            SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=60.0,
+                   trajectories=1)
+        SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=40.0,
+               trajectories=1)
+
     def test_unstable_system_rejected(self, fig2, fig2_noise):
         _, sys = fig2
         run = SdeRun(seed=1, dt=1e-7, total_time=1e-4, burn_in=0.0,

@@ -54,7 +54,7 @@ class TestGainCondition:
         by_hand = (params.g * ss.alpha) ** 2 / (
             (params.gamma_a ** 2 / 4.0 + w ** 2) / 4.0
         )
-        ratio, ok = gain_condition(params, w)
+        ratio, ok = gain_condition(build_linear_system(params), w)
         assert ratio == pytest.approx(by_hand, rel=1e-12)
         # at the reference working point the ratio sits below the default
         # threshold of 10
@@ -63,14 +63,28 @@ class TestGainCondition:
 
     def test_threshold_adjustable(self):
         params = fig2_params()
-        _, ok = gain_condition(params, params.big_omega, threshold=5.0)
+        sys = build_linear_system(params)
+        _, ok = gain_condition(sys, params.big_omega, threshold=5.0)
         assert ok
 
     def test_ratio_decreases_with_frequency(self):
-        params = fig2_params()
-        r1, _ = gain_condition(params, 0.5e5)
-        r2, _ = gain_condition(params, 1.5e5)
+        sys = build_linear_system(fig2_params())
+        r1, _ = gain_condition(sys, 0.5e5)
+        r2, _ = gain_condition(sys, 1.5e5)
         assert r1 > r2
+
+    def test_reads_the_working_point_of_the_system(self, monkeypatch):
+        sys = build_linear_system(fig2_params())
+        calls, solve = [], model.steady_state
+
+        def counted(params):
+            calls.append(params)
+            return solve(params)
+
+        for owner in (model, readout, dynamics):
+            monkeypatch.setattr(owner, "steady_state", counted)
+        gain_condition(sys, 1e5)
+        assert calls == []
 
 
 class TestOutputSpectrum:
