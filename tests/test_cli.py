@@ -23,9 +23,7 @@ from mirrorpair.cli import (
     CSV_COLUMNS_BARE,
     SweepSpec,
     _bands,
-    _csv_block,
     _e12,
-    _fmt,
     _sweep_rows,
     check_state,
     main,
@@ -89,6 +87,23 @@ class TestSweepSpec:
         with pytest.raises(InvalidParameterError):
             SweepSpec(params=params, omega_min=1e5, omega_max=2e5,
                       omega_count=10, temperatures=(4.0, 0.1))
+
+    @pytest.mark.parametrize("temps", [[0.1, 4.0], np.array([0.1, 4.0]),
+                                       (np.float64(0.1), 4)],
+                             ids=["list", "array", "tuple"])
+    def test_temperatures_stored_as_a_float_tuple(self, temps):
+        spec = SweepSpec(fig2_params(), 1e5, 2e5, 3, temperatures=temps)
+        assert spec.temperatures == (0.1, 4.0)
+        assert all(type(t) is float for t in spec.temperatures)
+
+    @pytest.mark.parametrize("temps", [
+        0.1, np.float64(0.1), np.array(0.1), None, [[0.1], [4.0]],
+        np.array([[0.1], [4.0]]), [0.1, [4.0, 5.0]],
+    ], ids=["float", "float64", "0-d", "None", "nested", "2-d", "ragged"])
+    def test_scalar_or_nested_temperatures_rejected(self, temps):
+        with pytest.raises(InvalidParameterError,
+                           match="^temperatures must be a flat sequence"):
+            SweepSpec(fig2_params(), 1e5, 2e5, 3, temperatures=temps)
 
     def test_bad_physical_value_is_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):
@@ -277,7 +292,11 @@ class TestConfigFuzz:
 
 
 class TestSweepKernel:
-    def test_one_solve_per_chunk_for_all_temperatures(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_solve_per_chunk_for_all_temperatures(self, tmp_path,
+                                                      monkeypatch, workers):
+        # The sweep solves in this process whatever the worker count, so the
+        # spy sees every chunk.
         calls = []
         solve = entanglement.selected_transfer_rows
 
@@ -289,7 +308,7 @@ class TestSweepKernel:
         params = fig2_params()
         spec = SweepSpec(params=params, omega_min=0.5 * params.big_omega,
                          omega_max=1.5 * params.big_omega, omega_count=600,
-                         temperatures=(0.1, 1.0, 4.0))
+                         temperatures=(0.1, 1.0, 4.0), workers=workers)
         run_sweep(spec, tmp_path)
         assert len(calls) == -(-600 // CHUNK)
         assert all(c.size <= CHUNK and np.all(c > 0) for c in calls)
@@ -404,27 +423,6 @@ class TestRunSweep:
         omegas = np.array([1.0, 2.0, 3.0, 4.0])
         assert _bands(omegas, np.array(mask, dtype=bool)) == want
 
-    @pytest.mark.parametrize("columns", [CSV_COLUMNS, CSV_COLUMNS_BARE])
-    def test_row_templates_match_per_field_formatting(self, columns):
-        omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5])
-        degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
-                           np.nextafter(0.25, 0.0)])
-        res = {"var_u": omegas * 1e-3, "var_v": 1.0 / omegas,
-               "commutator_sq": np.full(7, np.pi), "degree": degree}
-        want = []
-        for i, w in enumerate(omegas):
-            row = {
-                "omega": _fmt(w), "temperature": _fmt(0.1),
-                "var_u": _fmt(res["var_u"][i]), "var_v": _fmt(res["var_v"][i]),
-                "commutator_sq": _fmt(res["commutator_sq"][i]),
-                "degree": _fmt(degree[i]),
-                "degree_clipped": _fmt(min(degree[i], 1.0)),
-                "entangled": "true" if degree[i] < 1.0 else "false",
-                "epr": "true" if degree[i] < 0.25 else "false",
-            }
-            want.append(",".join(row[c] for c in columns))
-        assert _csv_block(columns, 0.1, omegas, res) == want
-
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         params = fig2_params()
         spec = SweepSpec(params=params, omega_min=0.8 * params.big_omega,
@@ -473,6 +471,42 @@ def _reference_sweep_files(columns, omegas, results):
     return ("\n".join(lines) + "\n").encode(), ("\n\n".join(blocks) + "\n").encode()
 
 
+def _random_results():
+    """Random rows with off-form values (negative, 0, tiny, huge, inf, nan)
+    at 0.1 K.  commutator_sq changes in one place between the temperatures,
+    so its reused bytes must be formatted again."""
+    rng = np.random.default_rng(5)
+    n = 40
+    omegas = np.linspace(0.5e5, 1.5e5, n)
+    results = {}
+    for temp in (0.0, 0.1, 4.0):
+        res = {k: 10.0 ** rng.uniform(-3, 3, n)
+               for k in ("var_u", "var_v", "commutator_sq", "degree")}
+        res["commutator_sq"] = np.full(n, 0.7)
+        res["degree"][::3] = rng.uniform(0.0, 0.3, res["degree"][::3].size)
+        results[temp] = res
+    results[4.0]["commutator_sq"][7] = 0.9
+    odd = results[0.1]
+    odd["var_u"][[1, 2]] = (-2.5, 0.0)
+    odd["var_v"][[3, 4, 5]] = (1e-120, 9.999999999999998e99, 1e100)
+    odd["commutator_sq"][6] = np.inf
+    odd["degree"][[8, 9, 10, 11]] = (np.nan, 0.0, -0.5, 1e300)
+    results[4.0]["degree"][12] = 5e-324
+    return omegas, results
+
+
+def _flag_boundary_results():
+    """degree at, and one ulp below, both flag thresholds.  The rows are
+    fixed-width at 0.1 K; at 4 K var_u is negative, and at 1e100 K the
+    temperature field is 19 characters, so there every row is off-form."""
+    omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5])
+    degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
+                       np.nextafter(0.25, 0.0)])
+    res = {"var_u": omegas * 1e-3, "var_v": 1.0 / omegas,
+           "commutator_sq": np.full(7, np.pi), "degree": degree}
+    return omegas, {0.1: res, 4.0: dict(res, var_u=-res["var_u"]), 1e100: res}
+
+
 class TestByteWriter:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
@@ -508,33 +542,20 @@ class TestByteWriter:
                            9.999999999999998e-99, 1e-32, 1e56,
                            np.nextafter(1e56, 0.0), -1.5])
 
-    @pytest.mark.parametrize("components", [True, False])
-    def test_off_form_values_match_the_row_templates(self, tmp_path,
-                                                     monkeypatch, components):
-        # Rows holding a value whose %.12e is not 18 characters take the
-        # per-row path; the rest, including 0, are fixed-width byte rows.
-        # commutator_sq changes in one place between the temperatures, so
-        # its reused bytes must be formatted again.
-        rng = np.random.default_rng(5)
-        n = 40
-        omegas = np.linspace(0.5e5, 1.5e5, n)
-        results = {}
-        for temp in (0.0, 0.1, 4.0):
-            res = {k: 10.0 ** rng.uniform(-3, 3, n)
-                   for k in ("var_u", "var_v", "commutator_sq", "degree")}
-            res["commutator_sq"] = np.full(n, 0.7)
-            res["degree"][::3] = rng.uniform(0.0, 0.3, res["degree"][::3].size)
-            results[temp] = res
-        results[4.0]["commutator_sq"][7] = 0.9
-        odd = results[0.1]
-        odd["var_u"][[1, 2]] = (-2.5, 0.0)
-        odd["var_v"][[3, 4, 5]] = (1e-120, 9.999999999999998e99, 1e100)
-        odd["commutator_sq"][6] = np.inf
-        odd["degree"][[8, 9, 10, 11]] = (np.nan, 0.0, -0.5, 1e300)
-        results[4.0]["degree"][12] = 5e-324
+    @pytest.mark.parametrize("results_of,components", [
+        pytest.param(_random_results, True, id="True"),
+        pytest.param(_random_results, False, id="False"),
+        pytest.param(_flag_boundary_results, True, id="flags-True"),
+        pytest.param(_flag_boundary_results, False, id="flags-False"),
+    ])
+    def test_off_form_values_match_the_row_templates(self, tmp_path, monkeypatch,
+                                                     results_of, components):
+        # Rows holding a value whose %.12e is not 18 characters are joined
+        # value by value; the rest, including 0, are fixed-width byte rows.
+        # Both must match the per-row template, flags included.
+        omegas, results = results_of()
         spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
-                         omega_max=omegas[-1], omega_count=n,
-                         temperatures=tuple(results),
+                         omega_max=omegas[-1], omega_count=omegas.size,
                          emit_components=components)
         monkeypatch.setattr("mirrorpair.cli._sweep_rows",
                             lambda spec: (omegas, results))
