@@ -18,12 +18,11 @@ sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
 are not formatted number by number: a numpy kernel (_e12) writes the 13
 digits of every value in [1e-32, 1e56) as 2-byte pieces from a digit-pair
 table, exact wherever its scaled mantissa is clear of a rounding tie, and
-falls back to "%.12e" % v for the rest.  Rows are fixed-width byte rows;
-a row holding a value whose "%.12e" is not 18 characters (a negative, nan,
-inf or a magnitude near or beyond 1e+-100) is joined from "%.12e" % v per
-value instead.  Columns that do not change between temperatures
-(omega, commutator_sq) are formatted once, and each file is streamed one
-temperature block at a time.
+falls back to "%.12e" % v for the rest.  Each temperature block is one byte
+array of NUL-padded slots, written with its NUL bytes removed, so a text of
+any length (a negative, nan, inf) takes the same path.  Columns that do not
+change between temperatures (omega, commutator_sq) are formatted once, and
+each file is streamed one temperature block at a time.
 
 Exit codes: 0 success, 2 config text or value error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
@@ -115,6 +114,17 @@ def _parse_fields(cls, values: dict, keys) -> dict:
     return parsed
 
 
+#: Most rows (omega_count x temperatures) of one sweep: ~145 MB of sweep.csv.
+MAX_SWEEP_ROWS = 10 ** 6
+
+
+def _hybrid_fields(big_omega):
+    """omega_min, omega_max and omega_count of the fixed hybrid grid."""
+    grid = dynamics.hybrid_grid(big_omega)
+    return {"omega_min": float(grid[0]), "omega_max": float(grid[-1]),
+            "omega_count": grid.size}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and execution settings for one sweep."""
@@ -154,6 +164,11 @@ class SweepSpec:
                 "omega_spacing must be linear, log or hybrid")
         if len(self.temperatures) == 0:
             raise InvalidParameterError("temperature list must be non-empty")
+        rows = self.omega_count * len(self.temperatures)
+        if rows > MAX_SWEEP_ROWS:
+            raise InvalidParameterError(
+                f"omega_count x temperatures is {rows} rows, more than the "
+                f"{MAX_SWEEP_ROWS} a sweep may write")
         if any(t2 <= t1 for t1, t2 in zip(self.temperatures, self.temperatures[1:])):
             raise InvalidParameterError("temperatures must be strictly increasing")
         if self.brownian_kernel not in dynamics.BROWNIAN_KERNELS:
@@ -161,6 +176,11 @@ class SweepSpec:
                 "brownian_kernel must be one of "
                 + ", ".join(dynamics.BROWNIAN_KERNELS)
             )
+        if self.omega_spacing == "hybrid":
+            fixed = _hybrid_fields(self.params.big_omega)
+            if any(getattr(self, k) != v for k, v in fixed.items()):
+                raise InvalidParameterError(
+                    f"omega_spacing = hybrid uses a fixed grid: {fixed}")
 
     @classmethod
     def from_config(cls, values: dict) -> "SweepSpec":
@@ -168,23 +188,13 @@ class SweepSpec:
             **_parse_fields(model.PhysicalParams, values, _PARAM_KEYS)
         )
         kwargs = _parse_fields(cls, values, _SWEEP_KEYS)
+        om = params.big_omega
         if kwargs.get("omega_spacing") == "hybrid":
-            # The hybrid grid is fixed; record the grid actually used.
-            given = [k for k in ("omega_min", "omega_max", "omega_count")
-                     if k in values]
-            if given:
-                raise ConfigError(
-                    "omega_spacing = hybrid uses a fixed grid; remove "
-                    + ", ".join(given)
-                )
-            grid = dynamics.hybrid_grid(params.big_omega)
-            kwargs.update(omega_min=float(grid[0]), omega_max=float(grid[-1]),
-                          omega_count=int(grid.size))
+            grid = _hybrid_fields(om)
         else:
-            kwargs.setdefault("omega_min", 0.5 * params.big_omega)
-            kwargs.setdefault("omega_max", 1.5 * params.big_omega)
-            kwargs.setdefault("omega_count", 2001)
-        return cls(params=params, **kwargs)
+            grid = {"omega_min": 0.5 * om, "omega_max": 1.5 * om,
+                    "omega_count": 2001}
+        return cls(params=params, **{**grid, **kwargs})
 
     def omega_grid(self) -> np.ndarray:
         if self.omega_spacing == "linear":
@@ -252,7 +262,6 @@ _LEADS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), np.uint16)
 _EXP_SIGNS = np.frombuffer(b"e+e-", np.uint16)
 #: 10**j, exactly, for |j| <= 22.
 _POW10 = np.array([float(10 ** j) for j in range(23)])
-_ONE = np.frombuffer(b"%.12e" % 1.0, np.uint8)
 
 
 def _scale_pow10(x, j):
@@ -264,15 +273,16 @@ def _scale_pow10(x, j):
 def _e12(x):
     """The bytes of "%.12e" % v for each v of the 1-D float array x.
 
-    Returns (fields, form): an (n, 18) uint8 array, and the mask of the v
-    whose "%.12e" is 18 bytes long; the fields of the others are undefined.
+    Returns an (n, w) uint8 array: row i is the text of x[i] padded with NUL
+    bytes to w, the length of the widest text in x and at least 18.
     In [1e-32, 1e56) the 13 digits are rint(m) for the mantissa
     m = x * 10**(12 - e), e = floor(log10 x), scaled in two correctly rounded
     steps by exact powers of ten.  Each step errs by at most 2**-53 relative,
     so m is within 2.3e-3 of its exact value on m < 1e13; m at least 0.005
     from a rounding tie and in [1e12, 1e13 - 1) therefore rounds as the exact
-    value does, which is what printf does.  Every other value is formatted
-    with "%.12e" % v (Loitsch's fast path with an exact fallback).
+    value does, which is what printf does.  Every other value (0, negatives,
+    nan, inf, near-ties, magnitudes near or beyond 1e+-100) is formatted with
+    "%.12e" % v: Loitsch's fast path with one exact fallback.
     """
     x = np.asarray(x, dtype=float)
     fast = (x >= 1e-32) & (x < 1e56)
@@ -292,13 +302,11 @@ def _e12(x):
     pieces[7] = _EXP_SIGNS[(e < 0).astype(np.intp)]
     pieces[8] = _PAIRS[np.abs(e)]
     fields = np.ascontiguousarray(pieces.T).view(np.uint8)
-    form = fast
-    for i in np.flatnonzero(~fast):
-        text = b"%.12e" % x[i]
-        if len(text) == _E12_WIDTH:
-            fields[i] = np.frombuffer(text, np.uint8)
-            form[i] = True
-    return fields, form
+    texts = np.array([b"%.12e" % v for v in x[~fast]], dtype=bytes)
+    width = max(_E12_WIDTH, texts.itemsize)
+    fields = np.pad(fields, ((0, 0), (0, width - _E12_WIDTH)))
+    fields[~fast] = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return fields
 
 
 def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
@@ -307,58 +315,48 @@ def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
 
     A row is the "%.12e" text of each numeric column (degree_clipped is
     min(degree, 1)) joined by sep, then the flag columns (last in every
-    column set) and a newline.  Rows are built as fixed-width byte rows:
-    18-byte fields from _e12, then the flags and newline padded with NUL
-    bytes to the widest flag level.  The padding comes after the newline, so
-    it is trailing and the row's bytes-string view drops it.  A field
-    repeated from the previous temperature (omega, commutator_sq) is not
-    formatted again.  A row with a value whose "%.12e" is not 18 bytes (0
-    is; negatives, nan, inf and magnitudes near or beyond 1e+-100 are not)
-    is joined from "%.12e" % v per value instead, with the same flag tail.
+    column set) and a newline.  Each temperature block is one uint8 array of
+    NUL-padded slots side by side (each column's fields from _e12, a
+    separator, the flag tail of the row's level), written with its NUL bytes
+    removed.  The temperature is formatted once per block, degree_clipped is
+    the bytes of degree with those of 1.0 where degree >= 1, and a column
+    equal to its bytes at the previous temperature (omega, commutator_sq) is
+    not formatted again.
     """
     numeric = [c for c in columns if c not in _FLAG_COLUMNS]
     flags = [_FLAG_COLUMNS.index(c) for c in columns if c in _FLAG_COLUMNS]
-    tails = [
+    tails = np.array([
         "".join(sep + level[j] for j in flags).encode() + b"\n"
         for level in _FLAG_LEVELS
-    ]
-    start = (_E12_WIDTH + 1) * len(numeric) - 1
-    width = start + max(map(len, tails))
-    tail_bytes = np.frombuffer(
-        b"".join(t.ljust(width - start, b"\0") for t in tails), np.uint8
-    ).reshape(len(tails), -1)
-    rows = np.zeros((omegas.size, width), np.uint8)
-    rows[:, _E12_WIDTH:start:_E12_WIDTH + 1] = ord(sep)
+    ]).view(np.uint8).reshape(len(_FLAG_LEVELS), -1)
+    seps = np.broadcast_to(np.uint8(ord(sep)), (omegas.size, 1))
     done = {}
     with open(path, "wb") as f:
         f.write(head)
         for t, (temp, res) in enumerate(results.items()):
-            arrays = dict(res, omega=omegas, temperature=np.array([temp]))
             degree = res["degree"]
-            ok = np.ones(omegas.size, bool)
-            for j, c in enumerate(numeric):
+            slots = []
+            for c in numeric:
                 src = "degree" if c == "degree_clipped" else c
-                x = arrays[src]
-                if src not in done or not np.array_equal(done[src][0], x):
-                    done[src] = (x, *_e12(x))
-                _, fields, form = done[src]
+                if c == "temperature":
+                    text = np.frombuffer(b"%.12e" % temp, np.uint8)
+                    fields = np.broadcast_to(text, (omegas.size, text.size))
+                else:
+                    x = omegas if c == "omega" else res[src]
+                    # Compared as bytes: -0.0 == 0.0, but their texts differ.
+                    key = x.tobytes()
+                    if src not in done or done[src][0] != key:
+                        done[src] = (key, _e12(x))
+                    fields = done[src][1]
                 if c == "degree_clipped":
-                    fields = np.where((degree >= 1.0)[:, None], _ONE, fields)
-                at = j * (_E12_WIDTH + 1)
-                rows[:, at:at + _E12_WIDTH] = fields
-                ok &= form
+                    one = (b"%.12e" % 1.0).ljust(fields.shape[1], b"\0")
+                    fields = np.where((degree >= 1.0)[:, None],
+                                      np.frombuffer(one, np.uint8), fields)
+                slots += [fields, seps]
             level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
-            rows[:, start:] = tail_bytes[level]
-            lines = rows.view(f"S{width}").ravel().tolist()
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                arrays["degree_clipped"] = np.minimum(degree, 1.0)
-                values = [np.broadcast_to(arrays[c], omegas.shape)[bad]
-                          for c in numeric]
-                for i, *row in zip(bad, *values):
-                    lines[i] = (sep.encode().join(b"%.12e" % v for v in row)
-                                + tails[level[i]])
-            f.write((gap if t else b"") + b"".join(lines))
+            slots[-1] = tails[level]
+            rows = np.concatenate(slots, axis=1)
+            f.write((gap if t else b"") + rows.tobytes().replace(b"\0", b""))
 
 
 def _bands(omegas, mask):

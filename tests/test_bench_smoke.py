@@ -1,14 +1,16 @@
-"""Smoke runs of the separability and readout benchmark workloads and
-their gates.
+"""Smoke runs of the benchmark workloads and their gates.
 
 Keeps perfbench/ importable and its gates green against the package at a
-twentieth (separability) and a hundredth (readout) of the benchmark's problem
-size; timings are not checked.
+twentieth (separability) and a hundredth (readout, both sweeps) of the
+benchmark's problem size; timings are not checked.  The sweep gate reads
+sweep.csv and summary.json, so a change to those files that the benchmark
+would reject fails here.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("mpmath")
@@ -40,6 +42,21 @@ def test_readout_workload_passes_its_gate(tmp_path, monkeypatch):
     work = workloads.Workload(spec, tmp_path)
     work.run_pass()
     problems, _ = gate.check_readout(work.outputs)
+    assert problems == []
+
+
+@pytest.mark.parametrize("workload", ["sweep-fig2", "sweep-thermal"])
+def test_sweep_workload_passes_its_gate(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import gate
+    import workloads
+
+    spec = workloads.make_spec(workload, seed=7, scale=0.01)
+    work = workloads.Workload(spec, tmp_path)
+    work.run_pass()
+    rng = np.random.default_rng([spec["seed"], 99])
+    problems, _ = gate.check_sweep(spec, work.out_dir, rng)
     assert problems == []
 
 

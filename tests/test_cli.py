@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorpair import (
     NoiseModel, build_linear_system, degree_sweep, dynamics, entanglement,
@@ -117,10 +117,35 @@ class TestSweepSpec:
         log = SweepSpec(params=params, omega_min=1e4, omega_max=1e6,
                         omega_count=11, omega_spacing="log").omega_grid()
         assert np.allclose(np.diff(np.log(log)), np.log(log[1] / log[0]))
-        hyb = SweepSpec(params=params, omega_min=1e4, omega_max=1e6,
-                        omega_count=11, omega_spacing="hybrid").omega_grid()
-        assert hyb.size > 2000  # hybrid ignores the count and uses the
-        assert np.all(np.diff(hyb) > 0)  # standard dense-plus-log grid
+        grid = dynamics.hybrid_grid(params.big_omega)
+        hyb = SweepSpec(params=params, omega_min=grid[0], omega_max=grid[-1],
+                        omega_count=grid.size,
+                        omega_spacing="hybrid").omega_grid()
+        assert np.array_equal(hyb, grid)  # the fixed dense-plus-log grid
+        assert np.all(np.diff(hyb) > 0)
+
+    def test_hybrid_fields_must_match_the_fixed_grid(self):
+        params = fig2_params()
+        with pytest.raises(InvalidParameterError, match="fixed grid"):
+            SweepSpec(params, omega_min=1.0, omega_max=2.0, omega_count=3,
+                      omega_spacing="hybrid")
+        grid = dynamics.hybrid_grid(params.big_omega)
+        fields = {"omega_min": grid[0], "omega_max": grid[-1],
+                  "omega_count": grid.size}
+        for key, off in (("omega_min", grid[1]), ("omega_max", grid[-2]),
+                         ("omega_count", grid.size - 1)):
+            with pytest.raises(InvalidParameterError, match="fixed grid"):
+                SweepSpec(params, **dict(fields, **{key: off}),
+                          omega_spacing="hybrid")
+        spec = SweepSpec(params, **fields, omega_spacing="hybrid")
+        assert spec.omega_grid().size == spec.omega_count
+
+    def test_oversized_sweep_rejected_before_allocating(self):
+        params = fig2_params()
+        SweepSpec(params, 1e5, 2e5, 500_000, temperatures=(0.1, 4.0))
+        for count, temps in ((500_001, (0.1, 4.0)), (10 ** 13, (0.1,))):
+            with pytest.raises(InvalidParameterError, match="rows, more than"):
+                SweepSpec(params, 1e5, 2e5, count, temperatures=temps)
 
 
 class TestConfigValidation:
@@ -132,6 +157,7 @@ class TestConfigValidation:
         "temperatures = nan\n",
         "gamma_b = inf\n",
         "omega_spacing = hybrid\nomega_count = 5\n",
+        "omega_count = 10000000000000\n",
         # big_gamma = 1e308 underflowed the commutator to 0 (exit 1) and a
         # denormal omega_a0 divided by zero (a traceback)
         "big_gamma = 1e308\nbig_g = 0\nomega_count = 1\n",
@@ -144,8 +170,8 @@ class TestConfigValidation:
         "mass = 1\nomega_count = 1\n",
         "omega_a = 7\nomega_count = 1\n",
     ], ids=["count-abc", "workers-0.5", "kernel-bogus", "negative-T",
-            "nan-T", "inf-gamma_b", "hybrid-with-count", "gamma-1e308",
-            "omega_a0-denormal", "omega_max-1e31", "T-1e-31",
+            "nan-T", "inf-gamma_b", "hybrid-with-count", "count-1e13",
+            "gamma-1e308", "omega_a0-denormal", "omega_max-1e31", "T-1e-31",
             "temperature-key", "mass-key", "omega_a-key"])
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, text):
         config = tmp_path / "cfg.txt"
@@ -437,14 +463,14 @@ class TestRunSweep:
 
 
 def _assert_e12_exact(values):
+    # Each row is the exact text, NUL-padded to the widest text (at least 18).
     x = np.asarray(values, dtype=float)
-    fields, form = _e12(x)
-    assert fields.shape == (x.size, 18)
-    for v, row, ok in zip(x, fields, form):
-        text = ("%.12e" % v).encode()
-        assert ok == (len(text) == 18), (v, text)
-        if ok:
-            assert row.tobytes() == text, (v, text)
+    texts = [b"%.12e" % v for v in x]
+    width = max([18, *map(len, texts)])
+    fields = _e12(x)
+    assert fields.shape == (x.size, width)
+    for v, row, text in zip(x, fields, texts):
+        assert row.tobytes() == text.ljust(width, b"\0"), (v, text)
 
 
 def _reference_sweep_files(columns, omegas, results):
@@ -472,8 +498,8 @@ def _reference_sweep_files(columns, omegas, results):
 
 
 def _random_results():
-    """Random rows with off-form values (negative, 0, tiny, huge, inf, nan)
-    at 0.1 K.  commutator_sq changes in one place between the temperatures,
+    """Random rows with values whose %.12e is not 18 characters long
+    (negative, tiny, huge, inf, nan), and 0, at 0.1 K.  commutator_sq changes in one place between the temperatures,
     so its reused bytes must be formatted again."""
     rng = np.random.default_rng(5)
     n = 40
@@ -496,9 +522,9 @@ def _random_results():
 
 
 def _flag_boundary_results():
-    """degree at, and one ulp below, both flag thresholds.  The rows are
-    fixed-width at 0.1 K; at 4 K var_u is negative, and at 1e100 K the
-    temperature field is 19 characters, so there every row is off-form."""
+    """degree at, and one ulp below, both flag thresholds.  Every field is
+    18 characters at 0.1 K; at 4 K var_u is negative, and at 1e100 K the
+    temperature field is 19 characters, so there every row is longer."""
     omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5])
     degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
                        np.nextafter(0.25, 0.0)])
@@ -507,7 +533,58 @@ def _flag_boundary_results():
     return omegas, {0.1: res, 4.0: dict(res, var_u=-res["var_u"]), 1e100: res}
 
 
+# Any float, with the ends of the double range, the flag thresholds and
+# ordinary magnitudes drawn often enough to sit beside them in one row.
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, np.nan, np.inf, -np.inf,
+                     1e100, 9.999999999999998e99, -1e300, 1.0, 0.25,
+                     np.nextafter(1.0, 0.0), np.nextafter(0.25, 0.0)]),
+)
+
+
+@st.composite
+def _any_results(draw):
+    """Results of 2 to 4 temperatures (any floats, NaN included) over a
+    common omega column; commutator_sq is shared between the temperatures
+    in some examples, so that its reused bytes are exercised too."""
+    n = draw(st.integers(1, 12))
+    column = st.lists(_ANY_FLOAT, min_size=n, max_size=n).map(np.array)
+    temps = draw(st.lists(_ANY_FLOAT, min_size=2, max_size=4, unique=True))
+    shared = draw(column) if draw(st.booleans()) else None
+    results = {
+        temp: {"var_u": draw(column), "var_v": draw(column),
+               "commutator_sq": draw(column) if shared is None else shared,
+               "degree": draw(column)}
+        for temp in temps
+    }
+    return draw(column), results
+
+
 class TestByteWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(data=_any_results(), components=st.booleans())
+    @example(data=(np.ones(2), {  # equal as numbers, not as text
+        0.0: {"var_u": np.ones(2), "var_v": np.ones(2),
+              "commutator_sq": np.zeros(2), "degree": np.zeros(2)},
+        1.0: {"var_u": np.ones(2), "var_v": np.ones(2),
+              "commutator_sq": -np.zeros(2), "degree": -np.zeros(2)},
+    }), components=True)
+    def test_whole_files_match_the_row_templates(self, data, components):
+        omegas, results = data
+        spec = SweepSpec(params=fig2_params(), omega_min=1e5, omega_max=2e5,
+                         omega_count=1, emit_components=components)
+        columns = CSV_COLUMNS if components else CSV_COLUMNS_BARE
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr("mirrorpair.cli._sweep_rows",
+                       lambda spec: (omegas, results))
+            run_sweep(spec, tmp, emit_grid=True)
+            csv = (Path(tmp) / "sweep.csv").read_bytes()
+            grid = (Path(tmp) / "sweep.grid").read_bytes()
+        assert (csv, grid) == _reference_sweep_files(columns, omegas, results)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_kernel_matches_percent_format(self, values):
@@ -550,9 +627,8 @@ class TestByteWriter:
     ])
     def test_off_form_values_match_the_row_templates(self, tmp_path, monkeypatch,
                                                      results_of, components):
-        # Rows holding a value whose %.12e is not 18 characters are joined
-        # value by value; the rest, including 0, are fixed-width byte rows.
-        # Both must match the per-row template, flags included.
+        # Texts of every length, beside 18-character ones, must match the
+        # per-row template, flags included.
         omegas, results = results_of()
         spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
                          omega_max=omegas[-1], omega_count=omegas.size,
