@@ -230,7 +230,7 @@ def _sweep_rows(spec: SweepSpec):
     n_chunks = max(1, -(-omegas.size // CHUNK))
     weights = np.concatenate(
         [_eval_chunk(sys_obj, chunk)
-         for chunk in np.array_split(omegas, n_chunks)], axis=1)
+         for chunk in np.array_split(omegas, n_chunks)], axis=-1)
     results = {}
     for temp in spec.temperatures:
         noise = dynamics.NoiseModel(

@@ -17,6 +17,7 @@ S(omega) = M(omega) D(omega) M(-omega)^T with M the transfer matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -224,16 +225,16 @@ class NoiseModel:
         out = 2.0 * self.pref * self._wcoth(w)
         return out if out.shape else float(out)
 
-    def power(self, omega, brownian, vacuum):
-        """[c(w) D(w) c(-w) + c(-w) D(-w) c(w)] / 2 from the weights
-        (brownian, vacuum) of noise_power_weights(c)."""
-        return 0.5 * self.symmetrized_spectrum(omega) * brownian + vacuum
-
-    def commutator(self, omega, xi_imag, pairs):
-        """Imaginary part of the cross form of two rows, from Im xi and pairs
-        of noise_cross_weights; temperature independent, since only the
-        antisymmetric part of D(omega) enters (commutator_spectrum)."""
-        return self.pref * omega * xi_imag + pairs
+    def form(self, omega, xi_real, xi_imag, vacuum, pairs):
+        """[r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2 from the weights of
+        noise_weights(r_i, r_j), against which omega broadcasts.  Only the
+        antisymmetric part of D enters the imaginary part (commutator_spectrum),
+        so it is temperature independent, and exactly 0 when r_i equals r_j."""
+        s = 0.5 * self.symmetrized_spectrum(omega) * xi_real + vacuum
+        out = np.empty(np.shape(s), dtype=complex)
+        out.real = s
+        out.imag = self.pref * omega * xi_imag + pairs
+        return out
 
     def commutator_spectrum(self, omega):
         """Antisymmetric part D(omega) - D(-omega)^T in closed form.
@@ -345,35 +346,33 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
 # blocks, and the rows at -omega are the conjugates of the rows r at +omega
 # (A and B are real).  The hermitian form
 #     [r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2
-# therefore reduces to the weights below, which depend on the rows alone, and
-# a closed form in the noise, written once in NoiseModel: power(w, Re xi, vac)
-# + i commutator(w, Im xi, pairs), and power(w, brownian, vacuum) for i = j,
-# where the +-i vacuum terms cancel.
+# of any two rows therefore reduces to the weights of noise_weights, which
+# depend on the rows alone, and a closed form in the noise, NoiseModel.form.
+# The weights are sums of real products, not of complex ones, because numpy's
+# complex multiply can differ from re*re + im*im in the last bit: so r_i = r_j
+# gives an exactly real form, and the same bits as the sums of |r_k|^2.
 
-def noise_power_weights(rows):
-    """Sums of |r_k|^2 over the Brownian and over the vacuum channels.
+def noise_weights(ri, rj):
+    """Weights of the hermitian form of the rows ri and rj at +omega.
 
-    rows: (..., 8) noise-space rows at +omega.  Returns (brownian, vacuum),
-    each of shape rows.shape[:-1].
+    ri, rj: (..., 8) noise-space rows.  Returns (xi_real, xi_imag, vacuum,
+    pairs), each of shape (...): the real and imaginary parts of the
+    Brownian sum of r_i conj(r_j), the real part of the same sum over the
+    vacuum channels, and Re sum_pairs [r_i,X conj(r_j,Y) - r_i,Y conj(r_j,X)]
+    over the (X, Y) vacuum pairs.  xi_imag and pairs are exactly 0 when ri
+    equals rj.
     """
-    power = rows.real ** 2 + rows.imag ** 2
-    return power[..., IXI1:IXI2 + 1].sum(axis=-1), power[..., IXIN1:].sum(axis=-1)
-
-
-def noise_cross_weights(ri, rj):
-    """Weights of the hermitian cross form of two rows at +omega.
-
-    Returns (xi, vac, pairs): the complex Brownian sum of r_i conj(r_j), the
-    real part of the same sum over the vacuum channels, and the vacuum-pair
-    term Re sum_pairs [r_i,X conj(r_j,Y) - r_i,Y conj(r_j,X)].
-    """
-    xi = (ri[..., IXI1:IXI2 + 1] * rj[..., IXI1:IXI2 + 1].conj()).sum(axis=-1)
-    vac = (ri[..., IXIN1:] * rj[..., IXIN1:].conj()).real.sum(axis=-1)
-    pairs = (
-        ri[..., IXIN1::2] * rj[..., IYIN1::2].conj()
-        - ri[..., IYIN1::2] * rj[..., IXIN1::2].conj()
-    ).real.sum(axis=-1)
-    return xi, vac, pairs
+    a, b = np.moveaxis(ri, -1, 0), np.moveaxis(rj, -1, 0)     # channel planes
+    re = a.real * b.real + a.imag * b.imag
+    ai, bi = a[IXI1:IXI2 + 1], b[IXI1:IXI2 + 1]
+    xa, ya, xb, yb = a[IXIN1::2], a[IYIN1::2], b[IXIN1::2], b[IYIN1::2]
+    pairs = ((xa.real * yb.real + xa.imag * yb.imag)
+             - (ya.real * xb.real + ya.imag * xb.imag))
+    # Sums over the channel planes in order: the bits of numpy's sum over a
+    # short last axis, at a fraction of the cost of that reduction.
+    return (reduce(np.add, re[IXI1:IXI2 + 1]),
+            reduce(np.add, ai.imag * bi.real - ai.real * bi.imag),
+            reduce(np.add, re[IXIN1:]), reduce(np.add, pairs))
 
 
 def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.ndarray:

@@ -19,14 +19,15 @@ bound is 1).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
-    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel,
-    noise_cross_weights, noise_power_weights, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel, noise_weights,
+    selected_transfer_rows,
 )
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
@@ -63,30 +64,18 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
 
     One adjoint solve at +omega gives the rows r = c^T M(omega) for u, v, q1
     and p1 (see selected_transfer_rows); the rows at -omega are their complex
-    conjugates because A and B are real.  The hermitian forms
-    [r(w) D(w) r(-w) + r(-w) D(-w) r(w)] / 4 then reduce to
+    conjugates because A and B are real.  With the hermitian form
+    F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
 
-        Var(u), Var(v)  = NoiseModel.power(omega, brownian, vacuum) / 2
-        <[R_q1, R_p1]>  = i NoiseModel.commutator(omega, comm_brownian,
-                                                  comm_vacuum)
+        Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
+        <[R_q1, R_p1]> = i Im F(q1, p1).
 
-    with brownian and vacuum the sums of |r_k|^2 over the Brownian and the
-    optical channels (dynamics.noise_power_weights), and comm_brownian =
-    Im xi and comm_vacuum = pairs the cross weights of the q1 and p1 rows
-    (dynamics.noise_cross_weights).  Those two NoiseModel methods are the one
-    home of the closed form; the weights here carry no temperature.
-
-    Returns shape (6, n) with rows brownian_u, brownian_v, vacuum_u,
-    vacuum_v, comm_brownian, comm_vacuum.
+    Returns the temperature-independent weights of the pairs (u, u), (v, v)
+    and (q1, p1): shape (4, 3, n), in the order of noise_weights.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rows = selected_transfer_rows(sys, w, SWEEP_SELECTORS)   # (n, 4, 8)
-    brownian, vacuum = noise_power_weights(rows[:, :2])       # (n, 2): u, v
-    comm_brownian, _, comm_vacuum = noise_cross_weights(rows[:, 2], rows[:, 3])
-    return np.stack([
-        brownian[:, 0], brownian[:, 1], vacuum[:, 0], vacuum[:, 1],
-        comm_brownian.imag, comm_vacuum,
-    ])
+    rows = selected_transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+    return np.stack(noise_weights(rows[:3], rows[[0, 1, 3]]))
 
 
 def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
@@ -96,13 +85,11 @@ def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
     calls this once per temperature.  Returns the dict of degree_sweep.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    var_u, var_v = 0.5 * noise.power(w, weights[:2], weights[2:4])
-    # <[R_q1, R_p1]> depends only on the antisymmetric part of the input
-    # spectrum, which is available in closed form.  Using it directly keeps
-    # the denominator exactly temperature independent instead of extracting
-    # it by differencing two nearly equal thermal quadratic forms.
-    comm = noise.commutator(w, weights[4], weights[5])
-    comm_sq = comm * comm
+    forms = noise.form(w, *weights)
+    var_u, var_v = 0.5 * forms[:2].real
+    # <[R_q1, R_p1]>: the closed-form antisymmetric part keeps it exactly
+    # temperature independent, with no difference of two thermal forms.
+    comm_sq = forms[2].imag ** 2
     if np.any(comm_sq == 0.0):
         raise DegenerateCommutatorError(
             "commutator denominator vanished on the grid"
@@ -168,9 +155,13 @@ class GaussianState:
         """Load from whitespace-separated text: 4 covariance rows, then an
         optional fifth row holding the mean vector."""
         try:
-            data = np.loadtxt(Path(path), ndmin=2)
+            with warnings.catch_warnings():     # no data is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(Path(path), ndmin=2)
         except ValueError as exc:
             raise InvalidParameterError(f"{path}: not numeric: {exc}") from exc
+        if data.size == 0:
+            raise InvalidParameterError(f"{path}: no data")
         if data.shape == (4, 4):
             return cls(cov=data)
         if data.shape == (5, 4):

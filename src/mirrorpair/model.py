@@ -48,7 +48,7 @@ def _is_real(v):
 
 
 def check_numbers(values, signed=(), positive=(), nonnegative=(), nonzero=(),
-                  counts=(), magnitude=MAGNITUDE_RANGE):
+                  counts=(), indices=(), magnitude=MAGNITUDE_RANGE):
     """Raise InvalidParameterError unless the named entries of values (a
     dict, such as vars(self)) obey the package's input contract.
 
@@ -56,13 +56,18 @@ def check_numbers(values, signed=(), positive=(), nonnegative=(), nonzero=(),
     number (or a tuple of them, checked element by element), finite and
     either 0 or of a magnitude within magnitude, which is MAGNITUDE_RANGE for
     SI values; positive values must be > 0, nonnegative ones >= 0 and
-    nonzero ones != 0.  counts must be integers >= 1, not bools.
+    nonzero ones != 0.  counts must be integers >= 1 and indices (such as
+    seeds) integers >= 0, not bools; a tuple of indices is checked element
+    by element.
     """
-    for name in counts:
-        n = values[name]
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidParameterError(
-                f"{name} must be an integer >= 1, got {n!r}")
+    for names, least in ((counts, 1), (indices, 0)):
+        for name in names:
+            v = values[name]
+            if not all(isinstance(n, (int, np.integer))
+                       and not isinstance(n, bool) and n >= least
+                       for n in (v if isinstance(v, tuple) else (v,))):
+                raise InvalidParameterError(
+                    f"{name} must be an integer >= {least}, got {v!r}")
     lo, hi = magnitude
     for names, sign, holds in ((signed, None, None),
                                (positive, "> 0", np.greater),

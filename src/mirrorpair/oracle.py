@@ -40,8 +40,18 @@ class SdeRun:
     record: tuple = ((0,),)   # tuples of state indices summed into one signal
 
     def __post_init__(self):
-        check_numbers(vars(self), positive=("dt", "total_time"),
-                      nonnegative=("burn_in",), counts=("trajectories",))
+        record = self.record
+        if not (isinstance(record, tuple)
+                and all(isinstance(r, tuple) for r in record)):
+            raise InvalidParameterError(
+                f"record must be a tuple of tuples of state indices, got {record!r}")
+        flat = sum(record, ())
+        check_numbers({**vars(self), "record": flat},
+                      positive=("dt", "total_time"), nonnegative=("burn_in",),
+                      counts=("trajectories",), indices=("seed", "record"))
+        if any(k >= N_STATE for k in flat):
+            raise InvalidParameterError(
+                f"record indices must be below {N_STATE}, got {record!r}")
         steps = (self.burn_in + self.total_time) / self.dt
         if steps > _MAX_STEPS:
             raise InvalidParameterError(
@@ -118,7 +128,7 @@ def classical_sde_psd(
     sel = np.zeros((len(run.record), N_STATE))
     for i, idxs in enumerate(run.record):
         for j in idxs:
-            sel[i, j] = 1.0
+            sel[i, j] += 1.0
 
     # Trajectories evolve in parallel as columns of a single generator
     # stream, so a given seed fixes every sample path exactly.
@@ -171,7 +181,8 @@ def sample_separable_covariances(seed, count):
     products of displaced, rotated squeezed thermal states; the covariance
     includes the spread of the component means.
     """
-    check_numbers({"count": count}, counts=("count",))
+    check_numbers({"seed": seed, "count": count}, counts=("count",),
+                  indices=("seed",))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_comp = rng.integers(2, 9, size=count)
     covs = np.empty((count, 4, 4))

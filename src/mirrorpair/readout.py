@@ -15,11 +15,10 @@ The oriented rows of the currents are built once, by _currents, for one
 channel or both.  Each spectrum costs one batched adjoint solve at +omega for
 the coefficient rows c(omega) of the output in noise space.  A and B are
 real, and gain and refl at -omega are the conjugates of their values at
-+omega, so the rows at -omega are conj(c(omega)).  The hermitian form
-[c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2 then reduces to the weights
-of dynamics.noise_power_weights and noise_cross_weights, evaluated by
-NoiseModel.power and NoiseModel.commutator, the single home of the closed
-form that the entanglement sweep uses as well.
++omega, so the rows at -omega are conj(c(omega)).  Every spectrum is then
+the hermitian form [c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2, one
+NoiseModel.form call on the weights of dynamics.noise_weights(c_i, c_j):
+the single home of the closed form that the entanglement sweep uses as well.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ import numpy as np
 
 from .dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    LinearSystem, NoiseModel, noise_cross_weights, noise_power_weights,
-    selected_transfer_rows,
+    LinearSystem, NoiseModel, noise_weights, selected_transfer_rows,
 )
 from .errors import InvalidParameterError
 # steady_state is not called here; the benchmark's trace table patches
@@ -92,17 +90,17 @@ def _currents(sys, w, channels):
     """Noise-space rows of the oriented output currents, from one solve.
 
     Row k is gain * q_j + sign_j * refl * Y_in_j for channel j = channels[k],
-    so that every current carries +gain * q_j.  Returns (n, len(channels), 8).
+    so that every current carries +gain * q_j.  Returns (len(channels), n, 8).
     """
     specs = [_channel(j) for j in channels]
     sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
-    rows = selected_transfer_rows(sys, w, sel)
+    rows = selected_transfer_rows(sys, w, sel).transpose(1, 0, 2)
     # gain and refl are the same for both channels; only the sign differs.
     chan = ReadoutChannel.for_system(sys)
     gain, refl = chan.gain(w)[:, None], chan.noise_reflection(w)
     for k, (_, _, iyin, sign) in enumerate(specs):
-        rows[:, k] = gain * rows[:, k]
-        rows[:, k, iyin] += sign * refl
+        rows[k] = gain * rows[k]
+        rows[k, :, iyin] += sign * refl
     return rows
 
 
@@ -111,8 +109,8 @@ def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rows = _currents(sys, w, (channel,))[:, 0]
-    out = noise.power(w, *noise_power_weights(rows))
+    rows = _currents(sys, w, (channel,))[0]
+    out = noise.form(w, *noise_weights(rows, rows)).real
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -126,7 +124,7 @@ def output_spectrum_via_transfer(
     rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])[:, 0]
     rows = np.sqrt(sys.params.gamma_a) * rows
     rows[:, iyin] -= 1.0
-    out = noise.power(w, *noise_power_weights(rows))
+    out = noise.form(w, *noise_weights(rows, rows)).real
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -147,16 +145,11 @@ class TwoChannelSpectra:
 def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rows = _currents(sys, w, (1, 2))
-    c1, c2 = rows[:, 0], rows[:, 1]
-    xi, vac, pairs = noise_cross_weights(c1, c2)
-    return TwoChannelSpectra(
-        omegas=w,
-        s11=noise.power(w, *noise_power_weights(c1)),
-        s22=noise.power(w, *noise_power_weights(c2)),
-        s12=(noise.power(w, xi.real, vac)
-             + 1j * noise.commutator(w, xi.imag, pairs)),
-    )
+    c = _currents(sys, w, (1, 2))
+    # s[j - 1, k - 1] is the form of currents j and k; broadcasting copies no row.
+    s = noise.form(w, *noise_weights(c[:, None], c[None]))
+    return TwoChannelSpectra(omegas=w, s11=s[0, 0].real, s22=s[1, 1].real,
+                             s12=s[0, 1])
 
 
 def combine_currents(spectra: TwoChannelSpectra, mode: str):

@@ -685,6 +685,18 @@ class TestStateFileInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "\n \n", "# no data\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_state_file_without_data_exits_2_quietly(self, tmp_path, capsys,
+                                                      text):
+        path = tmp_path / "state.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--check-state", str(path)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {path}: no data\n"
+
     @settings(max_examples=300, deadline=None)
     @given(text=_state_texts())
     def test_state_file_fuzz_exits_with_a_documented_code(self, text):

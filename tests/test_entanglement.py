@@ -14,9 +14,13 @@ from mirrorpair import (
     separability_product,
     tmsv_state,
 )
-from mirrorpair.dynamics import LinearSystem, N_NOISE, N_STATE
+from mirrorpair.dynamics import (
+    LinearSystem, N_NOISE, N_STATE, hybrid_grid, noise_weights,
+    selected_transfer_rows,
+)
 from mirrorpair.entanglement import (
-    SYMPLECTIC_FORM, separability_optimum, separability_products,
+    SWEEP_SELECTORS, SYMPLECTIC_FORM, separability_optimum,
+    separability_products,
 )
 from mirrorpair.oracle import sample_separable_covariances
 from mirrorpair.errors import (
@@ -106,6 +110,24 @@ class TestDegreeSweep:
                 ref = comm
             else:
                 assert np.array_equal(comm, ref)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
+    def test_sweep_is_the_form_of_its_rows(self, fig2, temperature):
+        # Var(u), Var(v) and the commutator are each one NoiseModel.form of
+        # a pair of rows, bit for bit, and nothing else enters.
+        params, sys = fig2
+        noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
+        w = hybrid_grid(params.big_omega)
+        out = degree_sweep(sys, noise, w)
+        u, v, q1, p1 = selected_transfer_rows(
+            sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+
+        def form(ri, rj):
+            return noise.form(w, *noise_weights(ri, rj))
+
+        assert np.array_equal(out["var_u"], 0.5 * form(u, u).real)
+        assert np.array_equal(out["var_v"], 0.5 * form(v, v).real)
+        assert np.array_equal(out["commutator_sq"], form(q1, p1).imag ** 2)
 
     def test_degenerate_commutator_raises(self, fig2):
         _, sys = fig2

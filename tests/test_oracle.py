@@ -35,6 +35,23 @@ class TestSdeRunValidation:
             with pytest.raises(InvalidParameterError):
                 SdeRun(**{**good, field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            SdeRun(seed=seed, dt=1e-6, total_time=1.0, burn_in=0.0,
+                   trajectories=1)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_separable_covariances(seed=seed, count=4)
+
+    @pytest.mark.parametrize("record", [
+        ((N_STATE,),), ((-1,),), ((IQ1, 1.0),), ((True,),), (IQ1,), [(IQ1,)],
+        ((IQ1,), [IXA1]),
+    ])
+    def test_record_must_hold_state_indices(self, record):
+        with pytest.raises(InvalidParameterError, match="record"):
+            SdeRun(seed=0, dt=1e-6, total_time=1.0, burn_in=0.0,
+                   trajectories=1, record=record)
+
     def test_step_count_bounded(self):
         with pytest.raises(InvalidParameterError, match="steps"):
             SdeRun(seed=1, dt=1e-30, total_time=1e30, burn_in=0.0,
@@ -126,6 +143,14 @@ class TestClassicalSdePsd:
         assert spectra.psd.shape[0] == 2
         assert spectra.psd.shape == spectra.stderr.shape
         assert np.all(spectra.psd >= 0.0)
+
+    def test_repeated_record_index_is_summed(self, decoupled):
+        params, sys = decoupled
+        noise = NoiseModel(300.0, params.big_gamma, params.big_omega)
+        run = SdeRun(seed=9, dt=2e-6, total_time=1e-3, burn_in=0.0,
+                     trajectories=4, record=((IQ1,), (IQ1, IQ1)))
+        psd = classical_sde_psd(sys, noise, run).psd
+        assert np.allclose(psd[1], 4.0 * psd[0], rtol=1e-12, atol=0)
 
     def test_bin_averaging_helper(self):
         spectra = OracleSpectra(

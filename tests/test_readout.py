@@ -250,9 +250,8 @@ class TestReadoutSolveCount:
 
 
 class TestClosedFormContraction:
-    """NoiseModel.power/commutator on the weights of noise_power_weights and
-    noise_cross_weights against the dense 8x8 contraction, on random rows
-    where no term vanishes by symmetry."""
+    """NoiseModel.form on the weights of noise_weights against the dense 8x8
+    contraction, on random rows where no term vanishes by symmetry."""
 
     @pytest.mark.parametrize("kernel", ["corrected", "halved"])
     @pytest.mark.parametrize("temperature", [0.0, 300.0])
@@ -268,10 +267,11 @@ class TestClosedFormContraction:
             return 0.5 * (np.einsum("nk,nkl,nl->n", a, dp, b.conj())
                           + np.einsum("nk,nkl,nl->n", a.conj(), dm, b))
 
+        def form(a, b):
+            return noise.form(w, *dynamics.noise_weights(a, b))
+
         want = dense(ci, cj)
-        xi, vac, pairs = dynamics.noise_cross_weights(ci, cj)
-        got = (noise.power(w, xi.real, vac)
-               + 1j * noise.commutator(w, xi.imag, pairs))
+        got = form(ci, cj)
         # Real and imaginary parts each to 1e-13 of |s|; at 300 K the
         # imaginary part is ~1e-9 of |s|, so it is still checked.
         tol = 1e-13 * np.abs(want)
@@ -279,6 +279,9 @@ class TestClosedFormContraction:
         assert np.all(np.abs(got.imag - want.imag) <= tol)
         assert np.all(np.abs(want.imag) > 100.0 * tol)
         auto = dense(ci, ci)
-        got_auto = noise.power(w, *dynamics.noise_power_weights(ci))
-        assert np.allclose(got_auto, auto.real, rtol=1e-13, atol=0)
+        got_auto = form(ci, ci)
+        assert np.allclose(got_auto.real, auto.real, rtol=1e-13, atol=0)
         assert np.all(np.abs(auto.imag) <= 1e-13 * np.abs(auto))
+        # Real arithmetic makes the form exactly hermitian in its rows.
+        assert np.array_equal(form(cj, ci), got.conj())
+        assert np.all(got_auto.imag == 0.0)
