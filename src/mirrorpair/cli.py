@@ -207,30 +207,23 @@ class SweepSpec:
 #: Config keys of SweepSpec; the physical keys fill its params field.
 _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"params"}
 
-#: Frequencies per solve: a cache choice, since one 40000-omega solve takes
-#: 0.224 s against 0.145 s in chunks of 256.
-CHUNK = 256
-
 
 def _eval_chunk(sys_obj, omegas):
-    """The temperature-independent weights of one omega chunk."""
+    """The weights of the whole grid, one call per sweep (sweep_weights)."""
     return entanglement.sweep_weights(sys_obj, omegas)
 
 
 def _sweep_rows(spec: SweepSpec):
     """Evaluate the sweep grid; returns (omegas, per-T dict of result arrays).
 
-    Each omega chunk is solved once, in order; every temperature is then
+    The grid is solved once, by _eval_chunk; every temperature is then
     evaluated from the same weights in O(n).
     """
     sys_obj = dynamics.build_linear_system(
         spec.params, require_stable=spec.require_stable
     )
     omegas = spec.omega_grid()
-    n_chunks = max(1, -(-omegas.size // CHUNK))
-    weights = np.concatenate(
-        [_eval_chunk(sys_obj, chunk)
-         for chunk in np.array_split(omegas, n_chunks)], axis=-1)
+    weights = _eval_chunk(sys_obj, omegas)
     results = {}
     for temp in spec.temperatures:
         noise = dynamics.NoiseModel(

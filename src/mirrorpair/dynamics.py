@@ -16,6 +16,7 @@ S(omega) = M(omega) D(omega) M(-omega)^T with M the transfer matrix.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -287,6 +288,25 @@ def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
         ) from exc
 
 
+def frequency_grid(omegas) -> np.ndarray:
+    """omegas as a float array of shape (n,), n >= 1.
+
+    Accepts a real number or a non-empty 1-D sequence of real numbers, each
+    finite and 0 or of a magnitude within model.MAGNITUDE_RANGE (the signed
+    rule of check_numbers); anything else raises InvalidParameterError.
+    """
+    try:
+        w = np.asarray(omegas)
+    except ValueError:      # a ragged nesting of sequences
+        w = None
+    if w is None or w.ndim > 1 or w.size == 0:
+        raise InvalidParameterError(
+            "omegas must be a real number or a non-empty 1-D sequence of "
+            f"real numbers, got {reprlib.repr(omegas)}")
+    check_numbers({"omegas": w}, signed=("omegas",))
+    return np.atleast_1d(w.astype(float, copy=False))
+
+
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     """Rows c^T M(omega) of the transfer matrix for selection vectors c.
 
@@ -306,9 +326,10 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     reference, where a dense 10x10 LU is off by up to ~2e-8
     (tests/test_precision.py).
 
-    omegas: shape (n,); selectors: shape (10, k).  Returns (n, k, 8).
+    omegas: shape (n,), see frequency_grid; selectors: shape (10, k).
+    Returns (n, k, 8).
     """
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w = frequency_grid(omegas)
     sel = np.asarray(selectors, dtype=complex).T                 # (k, 10)
     n, k = w.size, sel.shape[0]
     a = sys.drift

@@ -61,12 +61,10 @@ class SdeRun:
 
 def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
     """Per-channel white-noise intensities matching the symmetrized input
-    spectra at the mechanical resonance (vacuum optical channels are flat;
-    the thermal channel is approximated as white at its resonance value)."""
-    d = noise.input_spectrum(noise.big_omega)
-    d_minus = noise.input_spectrum(-noise.big_omega)
-    sym = 0.5 * (d + d_minus.T)
-    return np.real(np.diag(sym)).copy()
+    spectra at the mechanical resonance: S_sym(Omega)/2 on the two Brownian
+    channels (white at its resonance value) and 1 on the vacuum channels."""
+    s = 0.5 * noise.symmetrized_spectrum(noise.big_omega)
+    return np.array([s, s] + [1.0] * 6)
 
 
 def _discretize(sys: LinearSystem, noise: NoiseModel, dt: float):

@@ -29,7 +29,8 @@ import numpy as np
 
 from .dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    LinearSystem, NoiseModel, noise_weights, selected_transfer_rows,
+    LinearSystem, NoiseModel, frequency_grid, noise_weights,
+    selected_transfer_rows,
 )
 from .errors import InvalidParameterError
 # steady_state is not called here; the benchmark's trace table patches
@@ -108,7 +109,7 @@ def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     """Symmetrized spectrum of Y_out_j, assembled directly from the
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w = frequency_grid(omegas)
     rows = _currents(sys, w, (channel,))[0]
     out = noise.form(w, *noise_weights(rows, rows)).real
     return out if np.ndim(omegas) else float(out[0])
@@ -120,7 +121,7 @@ def output_spectrum_via_transfer(
     """Same spectrum assembled from the boundary relation
     Y_out = sqrt(gamma_a) Y_cav - Y_in using the full transfer matrix."""
     _, iya, iyin, _ = _channel(channel)
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w = frequency_grid(omegas)
     rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])[:, 0]
     rows = np.sqrt(sys.params.gamma_a) * rows
     rows[:, iyin] -= 1.0
@@ -144,7 +145,7 @@ class TwoChannelSpectra:
 
 def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w = frequency_grid(omegas)
     c = _currents(sys, w, (1, 2))
     # s[j - 1, k - 1] is the form of currents j and k; broadcasting copies no row.
     s = noise.form(w, *noise_weights(c[:, None], c[None]))

@@ -18,7 +18,6 @@ from mirrorpair import (
 from mirrorpair.cli import (
     _PARAM_KEYS,
     _SWEEP_KEYS,
-    CHUNK,
     CSV_COLUMNS,
     CSV_COLUMNS_BARE,
     SweepSpec,
@@ -31,6 +30,7 @@ from mirrorpair.cli import (
     run_sweep,
 )
 from mirrorpair.dynamics import N_NOISE, N_STATE, LinearSystem
+from mirrorpair.entanglement import CHUNK
 from mirrorpair.errors import (
     ConfigError, DegenerateCommutatorError, InvalidParameterError,
 )
@@ -318,11 +318,12 @@ class TestConfigFuzz:
 
 
 class TestSweepKernel:
-    @pytest.mark.parametrize("workers", [1, 4])
+    # entry: run_sweep's worker count, or degree_sweep called directly
+    @pytest.mark.parametrize("entry", [1, 4, "degree_sweep"])
     def test_one_solve_per_chunk_for_all_temperatures(self, tmp_path,
-                                                      monkeypatch, workers):
+                                                      monkeypatch, entry):
         # The sweep solves in this process whatever the worker count, so the
-        # spy sees every chunk.
+        # spy sees every chunk; degree_sweep shares the sweep's chunk loop.
         calls = []
         solve = entanglement.selected_transfer_rows
 
@@ -334,8 +335,13 @@ class TestSweepKernel:
         params = fig2_params()
         spec = SweepSpec(params=params, omega_min=0.5 * params.big_omega,
                          omega_max=1.5 * params.big_omega, omega_count=600,
-                         temperatures=(0.1, 1.0, 4.0), workers=workers)
-        run_sweep(spec, tmp_path)
+                         temperatures=(0.1, 1.0, 4.0),
+                         workers=1 if entry == "degree_sweep" else entry)
+        if entry == "degree_sweep":
+            noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
+            degree_sweep(build_linear_system(params), noise, spec.omega_grid())
+        else:
+            run_sweep(spec, tmp_path)
         assert len(calls) == -(-600 // CHUNK)
         assert all(c.size <= CHUNK and np.all(c > 0) for c in calls)
         assert np.array_equal(np.concatenate(calls), spec.omega_grid())

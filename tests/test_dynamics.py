@@ -1,16 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR, k as KB
 
 from mirrorpair import (
-    NoiseModel, build_linear_system, fig2_params, hybrid_grid, is_stable,
+    NoiseModel, build_linear_system, degree_sweep, fig2_params, hybrid_grid,
+    is_stable, output_spectrum, output_spectrum_via_transfer,
     spectral_matrix, stability_margin, steady_state, transfer_matrix,
+    two_channel_spectra,
 )
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1,
-    N_NOISE, N_STATE, LinearSystem, selected_transfer_rows,
+    N_NOISE, N_STATE, LinearSystem, frequency_grid, selected_transfer_rows,
 )
-from mirrorpair.entanglement import P1_SELECTOR, Q1_SELECTOR, U_SELECTOR
+from mirrorpair.entanglement import (
+    P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
+)
 from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
@@ -157,6 +163,43 @@ class TestAdjointSolve:
         selected_transfer_rows(singular, [1.0], np.eye(N_STATE))
         with pytest.raises(SingularityError):
             selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
+
+
+#: Every public entry that takes a frequency grid, as f(sys, noise, omegas).
+GRID_ENTRIES = {
+    "selected_transfer_rows":
+        lambda sys, noise, w: selected_transfer_rows(sys, w, SWEEP_SELECTORS),
+    "degree_sweep": degree_sweep,
+    "output_spectrum": lambda sys, noise, w: output_spectrum(sys, noise, w, 1),
+    "output_spectrum_via_transfer":
+        lambda sys, noise, w: output_spectrum_via_transfer(sys, noise, w, 1),
+    "two_channel_spectra": two_channel_spectra,
+}
+BAD_GRIDS = {
+    "nan": np.nan, "inf": [1e5, np.inf], "-inf": [-np.inf], "None": None,
+    "empty": [], "2-D": [[1e5]], "complex": 1e5 + 1j, "text": ["1e5"],
+    "ragged": [[1e5], [1e5, 2e5]],
+}
+
+
+class TestFrequencyGrid:
+    @pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+    @pytest.mark.parametrize("entry", GRID_ENTRIES.values(),
+                             ids=GRID_ENTRIES.keys())
+    def test_bad_grid_is_an_invalid_parameter(self, fig2, fig2_noise, entry,
+                                              grid):
+        _, sys = fig2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="omegas"):
+                entry(sys, fig2_noise, grid)
+
+    @pytest.mark.parametrize("grid", [1e5, 0, [1, 2], (0.5, -3e4),
+                                      np.array([2.0, 1e20], np.float32)])
+    def test_real_grid_becomes_a_float_vector(self, grid):
+        w = frequency_grid(grid)
+        assert w.dtype == float and w.shape == (np.size(grid),)
+        assert np.array_equal(w, np.ravel(np.asarray(grid, dtype=float)))
 
 
 class TestNoiseModel:
