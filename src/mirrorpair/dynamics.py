@@ -42,50 +42,86 @@ IXI1, IXI2, IXIN1, IYIN1, IXIN2, IYIN2, IXINB, IYINB = range(8)
 BROWNIAN_KERNELS = ("corrected", "halved")
 
 
+def _mirror_map(scale):
+    """Identity but for scale * [[I, I], [I, -I]] on (q1, p1, q2, p2)."""
+    t = np.eye(N_STATE)
+    t[:IP2 + 1, :IP2 + 1] = scale * np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+    t.setflags(write=False)
+    return t
+
+
+#: The mirror rotation x' = T x: q+ = q1 + q2, p+ = p1 + p2, q- = q1 - q2
+#: and p- = p1 - p2 in the slots of q1, p1, q2 and p2, every other state kept.
+#: Its inverse is the same map halved, so both have entries 0, +-1 and +-1/2.
+MIRROR_ROTATION, _MIRROR_INVERSE = _mirror_map(1.0), _mirror_map(0.5)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Immutable drift/noise-coupling pair plus the parameters behind it."""
+    """Immutable drift/noise-coupling pair plus the parameters behind it.
+
+    The adjoint solve (selected_transfer_rows) runs in the coordinates
+    x' = T x, with T the identity or MIRROR_ROTATION, whichever gives the
+    drift the finer block plan (_adjoint_blocks).  For the mirror-symmetric
+    drift of build_linear_system the rotation separates the centre-of-mass
+    oscillator {q+, p+} from the relative mode and the entangler
+    {q-, p-, X_b, Y_b}.  There the entries of the two mirrors are equal or
+    opposite, so every rotated entry is exact in binary (the rotation undoes
+    to the same bits).  A drift without that symmetry keeps T = I and its
+    own plan.  The choice, the rotated drift T A T^-1, the rotated coupling
+    T B and the plan are worked out once, here.
+    """
 
     drift: np.ndarray           # (10, 10) real
     noise_coupling: np.ndarray  # (10, 8) real
     params: PhysicalParams
     steady: SteadyState
-    #: Diagonal blocks of the adjoint solve, in solve order (_adjoint_blocks).
+    #: T^-1 of the solve coordinates: a selector c enters as c^T T^-1.
+    basis: np.ndarray = field(init=False, repr=False)
+    #: The drift T A T^-1 and the coupling T B of the solve coordinates.
+    basis_drift: np.ndarray = field(init=False, repr=False)
+    basis_coupling: np.ndarray = field(init=False, repr=False)
+    #: Diagonal blocks of the adjoint solve, in solve order (_adjoint_blocks),
+    #: as indices of the solve coordinates: with the rotation, the slots of
+    #: q1, p1, q2 and p2 hold q+, p+, q- and p-.
     blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.drift.setflags(write=False)
-        self.noise_coupling.setflags(write=False)
-        object.__setattr__(self, "blocks", _adjoint_blocks(self.drift))
+        a, b, basis = self.drift, self.noise_coupling, np.eye(N_STATE)
+        plan = _adjoint_blocks(a)
+        rotated = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
+        finer = _adjoint_blocks(rotated)
+        if len(finer) > len(plan):
+            basis, a, b, plan = (_MIRROR_INVERSE, rotated,
+                                 MIRROR_ROTATION @ b, finer)
+        for array in (self.drift, self.noise_coupling, basis, a, b):
+            array.setflags(write=False)
+        for name, value in (("basis", basis), ("basis_drift", a),
+                            ("basis_coupling", b), ("blocks", plan)):
+            object.__setattr__(self, name, value)
 
 
 def _adjoint_blocks(drift) -> tuple:
     """Block back-substitution order of (-i omega I - A)^T x = c.
 
     Row j of the transposed system couples x_j to x_i for every state i
-    that j drives (drift[i, j] != 0).  A state that drives nothing among the
-    remaining states is solved before them; a state that nothing remaining
-    drives is solved after them.  Peeling both kinds off repeatedly leaves a
-    coupled core, solved as one dense block.  Returns a tuple of index
-    tuples; a drift with no such structure gives the single block of all
-    states.
+    that j drives (drift[i, j] != 0).  The blocks are the strongly connected
+    components of that graph, found from its boolean transitive closure, in
+    topological order: a component is solved after every component it
+    drives.  A state reaches strictly more states than any state of another
+    component that it drives, so sorting the components by the number of
+    states they reach, then by their first index, gives that order.
+    Returns a tuple of sorted index tuples; a drift with no such structure
+    gives the single block of all states.
     """
     n = len(drift)
-    coupled = (np.asarray(drift) != 0) & ~np.eye(n, dtype=bool)
-    rest, first, last = list(range(n)), [], []
-    while rest:
-        sub = coupled[np.ix_(rest, rest)]
-        peel = [s for s, d in zip(rest, sub.any(axis=0)) if not d]
-        if peel:
-            first += peel
-        else:
-            peel = [s for s, d in zip(rest, sub.any(axis=1)) if not d]
-            if not peel:
-                break
-            last = peel + last
-        rest = [s for s in rest if s not in peel]
-    core = [tuple(rest)] if rest else []
-    return tuple([(s,) for s in first] + core + [(s,) for s in last])
+    reach = (np.asarray(drift) != 0) | np.eye(n, dtype=bool)   # [i, j]: j -> i
+    while not np.array_equal(closed := reach @ reach, reach):
+        reach = closed
+    same = reach & reach.T
+    order = np.argsort(reach.sum(axis=0), kind="stable")
+    return tuple(dict.fromkeys(tuple(np.flatnonzero(same[s]).tolist())
+                               for s in order))
 
 
 def build_linear_system(
@@ -278,8 +314,16 @@ class NoiseModel:
 
 
 def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
-    """M(omega) = (-i omega I - A)^{-1} B, mapping noise inputs to the state."""
-    shifted = -1j * omega * np.eye(N_STATE) - sys.drift
+    """M(omega) = (-i omega I - A)^{-1} B, mapping noise inputs to the state.
+
+    omega is one real number under the value rule of frequency_grid;
+    anything else raises InvalidParameterError.
+    """
+    w = frequency_grid(omega)
+    if np.ndim(omega):
+        raise InvalidParameterError(
+            f"omega must be a real number, got {reprlib.repr(omega)}")
+    shifted = -1j * w[0] * np.eye(N_STATE) - sys.drift
     try:
         return np.linalg.solve(shifted, sys.noise_coupling.astype(complex))
     except np.linalg.LinAlgError as exc:
@@ -316,51 +360,92 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     relative-momentum response is ~14 orders of magnitude below individual
     mirror responses at strong entangler drive).
 
-    The adjoint system is block triangular (sys.blocks, see _adjoint_blocks):
-    at the reference point the meter phase quadratures are solved first and
-    the meter amplitude quadratures last, by one complex division each, and
-    only the 6x6 mirror-entangler core goes through an LU factorization.
-    Leaving the meter states out of that factorization also keeps the mirror
-    rows accurate: near the two zero crossings of the commutator at the
-    Fig. 2 point the commutator stays within ~1e-11 of a 30-digit
-    reference, where a dense 10x10 LU is off by up to ~2e-8
-    (tests/test_precision.py).
+    The solve runs in the coordinates of sys.basis (see LinearSystem): the
+    selectors are rotated once per call, c^T T^-1, and the solutions are
+    contracted with the rotated coupling T B.  The adjoint system is block
+    triangular there (sys.blocks, see _adjoint_blocks).  At the reference
+    point the meter phase quadratures are solved first and the meter
+    amplitude quadratures last, by one complex division each; the
+    centre-of-mass block {q+, p+} is a 2x2 solved in closed form; and only
+    the 4x4 block {q-, p-, X_b, Y_b} of the relative mode and the entangler
+    goes through a batched LU factorization.  Leaving the meter states out of
+    that factorization keeps the mirror rows accurate: near the two zero
+    crossings of the commutator at the Fig. 2 point the commutator stays
+    within ~1e-11 of a 30-digit reference, where a dense 10x10 LU is off by
+    up to ~2e-8 (tests/test_precision.py).  The split also keeps the X_b and
+    Y_b rows to rounding at omega = Omega, where the 6x6 mirror-entangler
+    core lost ~1e-9 of them.
+
+    A 2x2 block is solved by its adjugate over det(-i omega - A_b) =
+    (d - omega^2) + i t omega, with d and t the block's determinant and
+    trace.  For d > 0 the real part is formed as (r - omega)(r + omega) with
+    r = sqrt(d); the square root of a rounded square is exact, so the
+    centre-of-mass block gives (Omega - omega)(Omega + omega) - i Gamma
+    omega, with no cancellation of omega^2 against Omega^2 near resonance.
+    A zero determinant or diagonal raises SingularityError before any
+    division.
 
     omegas: shape (n,), see frequency_grid; selectors: shape (10, k).
     Returns (n, k, 8).
     """
     w = frequency_grid(omegas)
-    sel = np.asarray(selectors, dtype=complex).T                 # (k, 10)
+    sel = np.asarray(selectors, dtype=complex).T @ sys.basis     # (k, 10)
     n, k = w.size, sel.shape[0]
-    a = sys.drift
-    # Solutions as rows, x[:, s] = x^T for selector s, so that the couplings
-    # and the final contraction with B are single 2-D matrix products.
-    x = np.empty((n, k, N_STATE), dtype=complex)
+    a = sys.basis_drift
+    # Solutions as planes, x[s] = the (n, k) values of state s, so that a
+    # block reads only the planes of the solved states that feed it, and
+    # the final contraction with B is one matrix product.
+    x = np.empty((N_STATE, n, k), dtype=complex)
     solved = []
     for block in sys.blocks:
         idx, m = list(block), len(block)
-        rhs = np.broadcast_to(sel[:, idx], (n, k, m))
-        if solved:
-            feed = x[:, :, solved].reshape(-1, len(solved)) @ a[np.ix_(solved, idx)]
-            rhs = rhs + feed.reshape(n, k, m)
+        rhs = np.broadcast_to(sel[:, idx].T[:, None, :], (m, n, k))
+        drives = a[:, idx].any(axis=1)
+        feeds = [s for s in solved if drives[s]]
+        if feeds:
+            feed = a[np.ix_(feeds, idx)].T @ x[feeds].reshape(len(feeds), -1)
+            rhs = rhs + feed.reshape(m, n, k)
         if m == 1:
             diag = -1j * w - a[idx[0], idx[0]]
             if not diag.all():
                 raise SingularityError("shifted drift matrix singular on grid")
-            x[:, :, idx] = rhs / diag[:, None, None]
+            x[idx[0]] = rhs[0] / diag[:, None]
+        elif m == 2:
+            x[idx] = _solve_2x2(a[np.ix_(idx, idx)], w, rhs)
         else:
             shifted_t = np.empty((n, m * m), dtype=complex)
             shifted_t[:] = -a[np.ix_(idx, idx)].T.ravel()
             shifted_t[:, ::m + 1] -= 1j * w[:, None]     # the diagonal
             try:
-                x[:, :, idx] = np.linalg.solve(
-                    shifted_t.reshape(n, m, m), rhs.transpose(0, 2, 1)
-                ).transpose(0, 2, 1)
+                x[idx] = np.linalg.solve(
+                    shifted_t.reshape(n, m, m), rhs.transpose(1, 0, 2)
+                ).transpose(1, 0, 2)
             except np.linalg.LinAlgError as exc:
                 raise SingularityError(
                     "shifted drift matrix singular on grid") from exc
         solved += idx
-    return (x.reshape(-1, N_STATE) @ sys.noise_coupling).reshape(n, k, -1)
+    return (x.reshape(N_STATE, -1).T @ sys.basis_coupling).reshape(n, k, -1)
+
+
+def _solve_2x2(block, w, rhs):
+    """x with (-i w - block)^T x = rhs for every omega, by the adjugate.
+
+    block: (2, 2) real; w: (n,); rhs: (2, n, k).  Returns (2, n, k).
+    """
+    (a00, a01), (a10, a11) = block
+    d = a00 * a11 - a01 * a10
+    det = np.empty(w.shape, dtype=complex)
+    if d > 0.0:
+        r = np.sqrt(d)
+        det.real = (r - w) * (r + w)
+    else:
+        det.real = d - w * w
+    det.imag = (a00 + a11) * w
+    if not det.all():
+        raise SingularityError("shifted drift matrix singular on grid")
+    s00, s11, det = (-1j * w - a00)[:, None], (-1j * w - a11)[:, None], det[:, None]
+    r0, r1 = rhs
+    return np.stack([(s11 * r0 + a10 * r1) / det, (s00 * r1 + a01 * r0) / det])
 
 
 # The input spectrum D(omega) is the Brownian diagonal plus constant vacuum
@@ -401,7 +486,8 @@ def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.nd
 
     Entry (i, j) is the stationary limit of <x_i(omega) x_j(-omega)>.  Because
     A and B are real, M(-omega) is the conjugate of M(omega) and S is Hermitian
-    positive semidefinite whenever D is.
+    positive semidefinite whenever D is.  omega has the input contract of
+    transfer_matrix, which checks it before anything else is evaluated.
     """
     m_plus = transfer_matrix(sys, omega)
     m_minus = transfer_matrix(sys, -omega)

@@ -11,8 +11,9 @@ from mirrorpair import (
     two_channel_spectra,
 )
 from mirrorpair.dynamics import (
-    IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1,
-    N_NOISE, N_STATE, LinearSystem, frequency_grid, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
+    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, frequency_grid,
+    selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -87,7 +88,28 @@ class TestDriftStructure:
         assert stability_margin(sys) == pytest.approx(-sys.params.big_gamma / 2)
 
 
+#: Every public entry that takes one frequency, as f(sys, noise, omega).
+FREQUENCY_ENTRIES = {
+    "transfer_matrix": lambda sys, noise, w: transfer_matrix(sys, w),
+    "spectral_matrix": spectral_matrix,
+}
+BAD_FREQUENCIES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "None": None,
+                   "text": "1e5", "list": [1e5]}
+
+
 class TestTransferMatrix:
+    @pytest.mark.parametrize("omega", BAD_FREQUENCIES.values(),
+                             ids=BAD_FREQUENCIES.keys())
+    @pytest.mark.parametrize("entry", FREQUENCY_ENTRIES.values(),
+                             ids=FREQUENCY_ENTRIES.keys())
+    def test_bad_frequency_is_an_invalid_parameter(self, fig2, fig2_noise,
+                                                   entry, omega):
+        _, sys = fig2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="omega"):
+                entry(sys, fig2_noise, omega)
+
     def test_high_frequency_rolloff(self, fig2):
         _, sys = fig2
         norms = [np.linalg.norm(transfer_matrix(sys, w)) for w in (1e9, 1e10)]
@@ -124,10 +146,18 @@ def check_rows_against_transfer_matrix(sys, selectors, omegas):
 
 class TestAdjointSolve:
     def test_block_plan_at_reference_point(self, fig2):
+        # The mirror rotation puts q+, p+, q- and p- in the slots of q1, p1,
+        # q2 and p2: the centre of mass {q+, p+} splits off the relative
+        # mode and the entangler {q-, p-, X_b, Y_b}.
         _, sys = fig2
         assert sys.blocks == (
-            (IYA1,), (IYA2,), (IQ1, IP1, IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
+            (IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
         )
+        # Every rotated entry is exact: the rotation undoes to the same bits.
+        back = np.linalg.inv(MIRROR_ROTATION)
+        assert np.array_equal(sys.basis, back)
+        assert np.array_equal(back @ sys.basis_drift @ MIRROR_ROTATION, sys.drift)
+        assert np.array_equal(back @ sys.basis_coupling, sys.noise_coupling)
 
     def test_dense_drift_is_one_core(self, fig2):
         _, sys = fig2
@@ -148,11 +178,86 @@ class TestAdjointSolve:
         check_rows_against_transfer_matrix(sys, selectors, omegas)
 
     def test_singular_core_raises(self, fig2):
+        # A rank-1 drift whose mirror pairs differ: the rotation does not
+        # split it, and LAPACK finds the one core singular at omega = 0.
         _, sys = fig2
-        singular = with_drift(sys, np.ones((N_STATE, N_STATE)))
+        u = np.ones(N_STATE)
+        u[[IQ2, IP2]] = 2.0
+        singular = with_drift(sys, np.outer(u, u))
         assert len(singular.blocks) == 1
         with pytest.raises(SingularityError):
             selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
+        # The all-ones drift splits off q- and p-, whose zero diagonals raise.
+        ones = with_drift(sys, np.ones((N_STATE, N_STATE)))
+        assert ones.blocks == ((IQ2,), (IP2,), (IQ1, IP1, *range(IXA1, N_STATE)))
+        with pytest.raises(SingularityError):
+            selected_transfer_rows(ones, [1.0, 0.0], np.eye(N_STATE))
+
+    @pytest.mark.parametrize("spring", [-1.0, 1.0], ids=["oscillator", "saddle"])
+    def test_closed_form_block_matches_transfer_matrix(self, fig2, spring):
+        # The 2x2 block [[0, Omega], [spring * Omega, -Gamma]] has determinant
+        # -spring * Omega^2: the oscillator takes the factored real part of
+        # det(-i omega - A_b), the saddle the plain one.
+        params, sys = fig2
+        om = params.big_omega
+        drift = -np.eye(N_STATE)
+        drift[IQ1, IQ1], drift[IQ1, IP1], drift[IP1, IQ1] = 0.0, om, spring * om
+        block = with_drift(sys, drift)
+        assert (IQ1, IP1) in block.blocks
+        omegas = np.array([0.0, 0.5, 0.999, 1.0, 2.0]) * om
+        check_rows_against_transfer_matrix(block, np.eye(N_STATE), omegas)
+
+    def test_singular_closed_form_block_raises(self, fig2):
+        # Two identical undamped mirrors: the centre-of-mass 2x2 block is
+        # exactly singular at omega = Omega, and no division warns first.
+        _, sys = fig2
+        drift = sys.drift.copy()
+        drift[IP1, IP1] = drift[IP2, IP2] = 0.0
+        undamped = with_drift(sys, drift)
+        assert (IQ1, IP1) in undamped.blocks
+        omega = sys.params.big_omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            selected_transfer_rows(undamped, [0.5 * omega], np.eye(N_STATE))
+            with pytest.raises(SingularityError):
+                selected_transfer_rows(undamped, [0.5 * omega, omega],
+                                       np.eye(N_STATE))
+
+    def test_asymmetric_drift_keeps_unrotated_plan(self, fig2):
+        # Mirror 2 a little stiffer: the rotation would couple q+ to p-, so
+        # the plan stays the unrotated one with its 6x6 core.
+        params, sys = fig2
+        drift = sys.drift.copy()
+        drift[IQ2, IP2] *= 1.01
+        drift[IP2, IQ2] *= 1.01
+        asymmetric = with_drift(sys, drift)
+        assert asymmetric.blocks == (
+            (IYA1,), (IYA2,), (IQ1, IP1, IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
+        )
+        assert np.array_equal(asymmetric.basis, np.eye(N_STATE))
+        assert asymmetric.basis_drift is asymmetric.drift
+        assert asymmetric.basis_coupling is asymmetric.noise_coupling
+        omegas = np.array([0.5, 0.9, 1.1, 2.0]) * params.big_omega
+        check_rows_against_transfer_matrix(asymmetric, np.eye(N_STATE), omegas)
+
+    @pytest.mark.parametrize("grid", ["hybrid", "resonance"])
+    def test_centre_of_mass_row_matches_closed_form(self, fig2, grid):
+        # The entangler pushes only on q1 - q2, so u = q1 + q2 is a free
+        # damped oscillator read by the two meters with opposite signs.
+        params, sys = fig2
+        om, gamma_a = params.big_omega, params.gamma_a
+        omegas = (hybrid_grid(om) if grid == "hybrid"
+                  else np.linspace(0.999, 1.001, 2001) * om)
+        chi = 1.0 / ((om - omegas) * (om + omegas) - 1j * params.big_gamma * omegas)
+        meter = (params.g * sys.steady.alpha * np.sqrt(gamma_a)
+                 / (gamma_a / 2.0 - 1j * omegas))
+        want = np.zeros((omegas.size, N_NOISE), dtype=complex)
+        want[:, IXI1] = want[:, IXI2] = om * chi
+        want[:, IXIN1] = om * chi * meter
+        want[:, IXIN2] = -want[:, IXIN1]
+        got = selected_transfer_rows(sys, omegas, U_SELECTOR[:, None])[:, 0]
+        # Relative per channel, so every other channel must be exactly 0.
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_singular_single_state_block_raises(self, fig2):
         _, sys = fig2
