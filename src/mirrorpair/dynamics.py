@@ -70,6 +70,14 @@ class LinearSystem:
     to the same bits).  A drift without that symmetry keeps T = I and its
     own plan.  The choice, the rotated drift T A T^-1, the rotated coupling
     T B and the plan are worked out once, here.
+
+    So is position_rate, the sweep's plan (entanglement.sweep_weights).
+    When the q_j row of the drift is the single entry Omega at p_j, the same
+    Omega for both mirrors, and no noise enters q_j, then
+    -i omega q_j = Omega p_j at every omega: each momentum row is
+    (-i omega / Omega) times its position row, and E(omega) needs position
+    rows only.  position_rate is that Omega, or None for a drift that
+    breaks the pattern.
     """
 
     drift: np.ndarray           # (10, 10) real
@@ -85,9 +93,15 @@ class LinearSystem:
     #: as indices of the solve coordinates: with the rotation, the slots of
     #: q1, p1, q2 and p2 hold q+, p+, q- and p-.
     blocks: tuple = field(init=False, repr=False)
+    #: Omega of p_j = (-i omega / Omega) q_j, or None (see above).
+    position_rate: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b, basis = self.drift, self.noise_coupling, np.eye(N_STATE)
+        rate = float(a[IQ1, IP1])
+        pure = (rate != 0.0 and a[IQ2, IP2] == rate
+                and np.count_nonzero(a[[IQ1, IQ2]]) == 2
+                and not b[[IQ1, IQ2]].any())
         plan = _adjoint_blocks(a)
         rotated = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
         finer = _adjoint_blocks(rotated)
@@ -97,7 +111,8 @@ class LinearSystem:
         for array in (self.drift, self.noise_coupling, basis, a, b):
             array.setflags(write=False)
         for name, value in (("basis", basis), ("basis_drift", a),
-                            ("basis_coupling", b), ("blocks", plan)):
+                            ("basis_coupling", b), ("blocks", plan),
+                            ("position_rate", rate if pure else None)):
             object.__setattr__(self, name, value)
 
 
@@ -385,10 +400,26 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     A zero determinant or diagonal raises SingularityError before any
     division.
 
-    omegas: shape (n,), see frequency_grid; selectors: shape (10, k).
-    Returns (n, k, 8).
+    omegas: shape (n,), see frequency_grid; selectors: a finite numeric
+    array of shape (10, k), k >= 1; anything else raises
+    InvalidParameterError.  Returns (n, k, 8).
     """
     w = frequency_grid(omegas)
+    try:
+        c = np.asarray(selectors)
+    except ValueError:      # a ragged nesting of sequences
+        c = None
+    if (c is None or not np.issubdtype(c.dtype, np.number) or c.ndim != 2
+            or c.shape[0] != N_STATE or c.shape[1] == 0
+            or not np.isfinite(c).all()):
+        raise InvalidParameterError(
+            f"selectors must be a finite numeric ({N_STATE}, k) array with "
+            f"k >= 1, got {reprlib.repr(selectors)}")
+    return _transfer_rows(sys, w, c)
+
+
+def _transfer_rows(sys, w, selectors):
+    """selected_transfer_rows on a checked grid w and checked selectors."""
     sel = np.asarray(selectors, dtype=complex).T @ sys.basis     # (k, 10)
     n, k = w.size, sel.shape[0]
     a = sys.basis_drift
@@ -466,19 +497,23 @@ def noise_weights(ri, rj):
     Brownian sum of r_i conj(r_j), the real part of the same sum over the
     vacuum channels, and Re sum_pairs [r_i,X conj(r_j,Y) - r_i,Y conj(r_j,X)]
     over the (X, Y) vacuum pairs.  xi_imag and pairs are exactly 0 when ri
-    equals rj.
+    equals rj; for an auto form, rj is ri, they are not computed.
     """
     a, b = np.moveaxis(ri, -1, 0), np.moveaxis(rj, -1, 0)     # channel planes
     re = a.real * b.real + a.imag * b.imag
+    # Sums over the channel planes in order: the bits of numpy's sum over a
+    # short last axis, at a fraction of the cost of that reduction.
+    xi_real = reduce(np.add, re[IXI1:IXI2 + 1])
+    vacuum = reduce(np.add, re[IXIN1:])
+    if rj is ri:
+        zero = np.zeros_like(xi_real)
+        return xi_real, zero, vacuum, zero
     ai, bi = a[IXI1:IXI2 + 1], b[IXI1:IXI2 + 1]
     xa, ya, xb, yb = a[IXIN1::2], a[IYIN1::2], b[IXIN1::2], b[IYIN1::2]
     pairs = ((xa.real * yb.real + xa.imag * yb.imag)
              - (ya.real * xb.real + ya.imag * xb.imag))
-    # Sums over the channel planes in order: the bits of numpy's sum over a
-    # short last axis, at a fraction of the cost of that reduction.
-    return (reduce(np.add, re[IXI1:IXI2 + 1]),
-            reduce(np.add, ai.imag * bi.real - ai.real * bi.imag),
-            reduce(np.add, re[IXIN1:]), reduce(np.add, pairs))
+    return (xi_real, reduce(np.add, ai.imag * bi.real - ai.real * bi.imag),
+            vacuum, reduce(np.add, pairs))
 
 
 def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.ndarray:

@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
-    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel, frequency_grid,
-    noise_weights, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
+    NoiseModel, _transfer_rows, frequency_grid, noise_weights,
 )
+# The sweep solves its checked pieces through _transfer_rows; the
+# benchmark's trace table patches entanglement.selected_transfer_rows by
+# name, so the name stays until that table changes.
+from .dynamics import selected_transfer_rows  # noqa: F401
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
 )
@@ -42,16 +47,23 @@ def _selector(*pairs):
 
 
 U_SELECTOR = _selector((IQ1, 1.0), (IQ2, 1.0))
+D_SELECTOR = _selector((IQ1, 1.0), (IQ2, -1.0))
 V_SELECTOR = _selector((IP1, 1.0), (IP2, -1.0))
 Q1_SELECTOR = _selector((IQ1, 1.0))
 P1_SELECTOR = _selector((IP1, 1.0))
-#: The selectors of one sweep solve, as columns: u, v, q1, p1.
-SWEEP_SELECTORS = np.stack(
+#: The selectors of one sweep solve, as columns: u = q1 + q2 and
+#: d = q1 - q2.  The v and p1 rows follow from them (sweep_weights).
+SWEEP_SELECTORS = np.stack([U_SELECTOR, D_SELECTOR], axis=1)
+#: The selectors of a drift without the q-row identity: u, v, q1 and p1.
+_FOUR_ROW_SELECTORS = np.stack(
     [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
 )
-#: Frequencies per solve: it bounds a sweep's memory, and one 40000-omega
-#: solve takes 0.224 s against 0.145 s in chunks of 256 (a cache choice).
-CHUNK = 256
+#: Frequencies per solve.  It bounds a sweep's memory (2e5 omega raise the
+#: peak RSS by about 39 MB), and each solve costs about 0.4 ms besides its
+#: frequencies.  At the Fig. 2 point sweep_weights on 10^4 omega took 25 ms
+#: in 5 chunks of 2048, 28-29 ms in chunks of 1024 or 4096 and 50 ms in 40
+#: chunks of 256 (medians of 40 interleaved calls, 2-core x86-64 VM).
+CHUNK = 2048
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.
 SYMPLECTIC_FORM = np.array([
@@ -65,25 +77,56 @@ SYMPLECTIC_FORM = np.array([
 def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """Temperature-independent reduction of the transfer rows behind E(omega).
 
-    The grid is solved in order, in the ceil(n / CHUNK) pieces of
-    np.array_split: one adjoint solve at +omega per piece gives the rows
-    r = c^T M(omega) for u, v, q1 and p1 (see selected_transfer_rows); the
-    rows at -omega are their conjugates because A and B are real.  With
+    The grid is checked once and solved in order, in the ceil(n / CHUNK)
+    pieces of np.array_split: one adjoint solve at +omega per piece gives
+    the rows r = c^T M(omega) (see selected_transfer_rows); the rows at
+    -omega are their conjugates because A and B are real.  With
     F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
 
         Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
         <[R_q1, R_p1]> = i Im F(q1, p1).
 
+    Where sys.position_rate is Omega, each piece solves u and
+    d = q1 - q2 only (SWEEP_SELECTORS, _position_weights).  Any other drift
+    solves u, v, q1 and p1 and takes the three forms of those rows.
+
     Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
     joined: shape (4, 3, n), in the order of noise_weights.
     """
     w = frequency_grid(omegas)
-    pieces = []
-    for chunk in np.array_split(w, -(-w.size // CHUNK)):
-        rows = selected_transfer_rows(sys, chunk, SWEEP_SELECTORS)
-        rows = rows.transpose(1, 0, 2)
-        pieces.append(np.stack(noise_weights(rows[:3], rows[[0, 1, 3]])))
-    return np.concatenate(pieces, axis=-1)
+    weights = (_four_row_weights if sys.position_rate is None
+               else _position_weights)
+    return np.concatenate([weights(sys, chunk) for chunk in
+                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
+
+
+def _four_row_weights(sys, w):
+    """The sweep weights of the rows of u, v, q1 and p1, for any drift."""
+    rows = _transfer_rows(sys, w, _FOUR_ROW_SELECTORS).transpose(1, 0, 2)
+    return np.stack(noise_weights(rows[:3], rows[[0, 1, 3]]))
+
+
+def _position_weights(sys, w):
+    """The sweep weights from the u and d rows, by the q-row identity.
+
+    With rho = omega / Omega the momentum rows are v = -i rho d and
+    p1 = -i rho q1, q1 = (u + d) / 2 (see LinearSystem).  So the weights of
+    (v, v) are rho^2 times those of (d, d).  Those of (q1, p1) close over q1
+    alone: q1 conj(p1) = i rho |q1|^2 per channel, so xi_real and vacuum
+    are 0, xi_imag is rho times the Brownian sum of |q1|^2, and pairs is
+    -2 rho sum_pairs Im(q1_X conj q1_Y), in real arithmetic.
+    """
+    u, d = _transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+    rho = w / sys.position_rate
+    out = np.zeros((4, 3, w.size))
+    out[:, 0] = noise_weights(u, u)
+    out[:, 1] = noise_weights(d, d)
+    out[:, 1] *= rho * rho
+    q = np.moveaxis(0.5 * (u + d), -1, 0)       # the q1 row's channel planes
+    xi, x, y = q[IXI1:IXI2 + 1], q[IXIN1::2], q[IYIN1::2]
+    out[1, 2] = rho * reduce(np.add, xi.real * xi.real + xi.imag * xi.imag)
+    out[3, 2] = -2.0 * rho * reduce(np.add, x.imag * y.real - x.real * y.imag)
+    return out
 
 
 def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:

@@ -324,17 +324,26 @@ class TestSweepKernel:
                                                       monkeypatch, entry):
         # The sweep solves in this process whatever the worker count, so the
         # spy sees every chunk; degree_sweep shares the sweep's chunk loop.
-        calls = []
-        solve = entanglement.selected_transfer_rows
+        # At the Fig. 2 point each chunk solves the u and d rows only, and
+        # the grid is checked once, not again per chunk.
+        calls, checks = [], []
+        solve, check = entanglement._transfer_rows, dynamics.frequency_grid
 
         def spy(sys, omegas, selectors):
-            calls.append(np.array(omegas))
+            calls.append((np.array(omegas), np.shape(selectors)))
             return solve(sys, omegas, selectors)
 
-        monkeypatch.setattr(entanglement, "selected_transfer_rows", spy)
+        def counted(omegas):
+            checks.append(np.size(omegas))
+            return check(omegas)
+
+        monkeypatch.setattr(entanglement, "_transfer_rows", spy)
+        monkeypatch.setattr(entanglement, "frequency_grid", counted)
+        monkeypatch.setattr(dynamics, "frequency_grid", counted)
         params = fig2_params()
+        n = 2 * CHUNK + 100
         spec = SweepSpec(params=params, omega_min=0.5 * params.big_omega,
-                         omega_max=1.5 * params.big_omega, omega_count=600,
+                         omega_max=1.5 * params.big_omega, omega_count=n,
                          temperatures=(0.1, 1.0, 4.0),
                          workers=1 if entry == "degree_sweep" else entry)
         if entry == "degree_sweep":
@@ -342,9 +351,12 @@ class TestSweepKernel:
             degree_sweep(build_linear_system(params), noise, spec.omega_grid())
         else:
             run_sweep(spec, tmp_path)
-        assert len(calls) == -(-600 // CHUNK)
-        assert all(c.size <= CHUNK and np.all(c > 0) for c in calls)
-        assert np.array_equal(np.concatenate(calls), spec.omega_grid())
+        assert len(calls) == -(-n // CHUNK) == 3
+        assert all(c.size <= CHUNK and np.all(c > 0) and shape == (N_STATE, 2)
+                   for c, shape in calls)
+        assert np.array_equal(np.concatenate([c for c, _ in calls]),
+                              spec.omega_grid())
+        assert checks[0] == n and checks.count(n) == len(checks)
 
     @pytest.mark.parametrize("kernel", ["corrected", "halved"])
     def test_multi_temperature_arrays_equal_degree_sweep(self, kernel):

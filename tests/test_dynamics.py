@@ -286,6 +286,15 @@ BAD_GRIDS = {
     "ragged": [[1e5], [1e5, 2e5]],
 }
 
+#: Selectors that are not a finite numeric (10, k) array with k >= 1.
+BAD_SELECTORS = {
+    "1-D": np.ones(N_STATE), "9 rows": np.ones((N_STATE - 1, 2)),
+    "transposed": [[1.0] * N_STATE], "no column": np.ones((N_STATE, 0)),
+    "nan": np.full((N_STATE, 1), np.nan), "inf": np.full((N_STATE, 1), np.inf),
+    "text": [["1"]] * N_STATE, "None": None,
+    "ragged": [[1.0]] * (N_STATE - 1) + [[1.0, 2.0]],
+}
+
 
 class TestFrequencyGrid:
     @pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
@@ -298,6 +307,15 @@ class TestFrequencyGrid:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="omegas"):
                 entry(sys, fig2_noise, grid)
+
+    @pytest.mark.parametrize("selectors", BAD_SELECTORS.values(),
+                             ids=BAD_SELECTORS.keys())
+    def test_bad_selectors_are_an_invalid_parameter(self, fig2, selectors):
+        _, sys = fig2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="selectors"):
+                selected_transfer_rows(sys, [1e5], selectors)
 
     @pytest.mark.parametrize("grid", [1e5, 0, [1, 2], (0.5, -3e4),
                                       np.array([2.0, 1e20], np.float32)])

@@ -15,12 +15,12 @@ from mirrorpair import (
     tmsv_state,
 )
 from mirrorpair.dynamics import (
-    LinearSystem, N_NOISE, N_STATE, hybrid_grid, noise_weights,
-    selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXI1, IXI2, LinearSystem, N_NOISE, N_STATE,
+    hybrid_grid, noise_weights, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
-    SWEEP_SELECTORS, SYMPLECTIC_FORM, separability_optimum,
-    separability_products,
+    P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, SYMPLECTIC_FORM, U_SELECTOR,
+    V_SELECTOR, separability_optimum, separability_products,
 )
 from mirrorpair.oracle import sample_separable_covariances
 from mirrorpair.errors import (
@@ -33,6 +33,36 @@ from mirrorpair.errors import (
 def chi(omega, params):
     om = params.big_omega
     return om / (om ** 2 - omega ** 2 - 1j * params.big_gamma * omega)
+
+
+def four_row_forms(sys, noise, w):
+    """Var(u), Var(v) and the commutator squared, each the form of two rows
+    of one solve of u, v, q1 and p1."""
+    selectors = np.column_stack([U_SELECTOR, V_SELECTOR, Q1_SELECTOR,
+                                 P1_SELECTOR])
+    u, v, q1, p1 = selected_transfer_rows(sys, w, selectors).transpose(1, 0, 2)
+
+    def form(ri, rj):
+        return noise.form(w, *noise_weights(ri, rj))
+
+    return {"var_u": 0.5 * form(u, u).real, "var_v": 0.5 * form(v, v).real,
+            "commutator_sq": form(q1, p1).imag ** 2}
+
+
+def identity_forms(sys, noise, w):
+    """The same from the u and d rows alone: with rho = omega / Omega,
+    v = -i rho d and p1 = -i rho q1, where q1 = (u + d) / 2."""
+    u, d = selected_transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+    rho = w / sys.drift[IQ1, IP1]
+    q1 = 0.5 * (u + d)
+
+    def form(weights):
+        return noise.form(w, *weights)
+
+    return {"var_u": 0.5 * form(noise_weights(u, u)).real,
+            "var_v": 0.5 * form(rho * rho * np.stack(noise_weights(d, d))).real,
+            "commutator_sq":
+                form(rho * np.stack(noise_weights(q1, -1j * q1))).imag ** 2}
 
 
 class TestDegreeSweep:
@@ -111,23 +141,78 @@ class TestDegreeSweep:
             else:
                 assert np.array_equal(comm, ref)
 
+    def test_reference_point_takes_the_position_rows(self, fig2):
+        params, sys = fig2
+        assert sys.position_rate == params.big_omega
+
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
-    def test_sweep_is_the_form_of_its_rows(self, fig2, temperature):
-        # Var(u), Var(v) and the commutator are each one NoiseModel.form of
-        # a pair of rows, bit for bit, and nothing else enters.
+    def test_sweep_is_the_form_of_its_position_rows(self, fig2, temperature):
+        # Var(u) is the form of the u row, and Var(v) and the commutator are
+        # the q-row identities on the u and d rows, bit for bit.
         params, sys = fig2
         noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
         w = hybrid_grid(params.big_omega)
         out = degree_sweep(sys, noise, w)
-        u, v, q1, p1 = selected_transfer_rows(
-            sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+        for key, want in identity_forms(sys, noise, w).items():
+            assert np.array_equal(out[key], want), key
 
-        def form(ri, rj):
-            return noise.form(w, *noise_weights(ri, rj))
+    @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
+    @pytest.mark.parametrize("grid", ["hybrid", "crossings"])
+    def test_position_rows_agree_with_four_row_forms(self, fig2, temperature,
+                                                     grid):
+        # The commutator vanishes near 0.923917 and 1.070688 Omega.  Within
+        # 2e-4 Omega of each, its Brownian and vacuum terms cancel by up to
+        # 1.8e6 times, and both paths round to a few 1e-16 of those terms:
+        # there the commutator is held to the terms, not to itself.
+        params, sys = fig2
+        om = params.big_omega
+        noise = NoiseModel(temperature, params.big_gamma, om)
+        if grid == "hybrid":
+            w = hybrid_grid(om)
+        else:
+            w = np.concatenate([np.linspace(c - 2e-4, c + 2e-4, 401)
+                                for c in (0.923915, 1.070685)]) * om
+        out = degree_sweep(sys, noise, w)
+        want = four_row_forms(sys, noise, w)
+        for key in ("var_u", "var_v") if grid == "crossings" else want:
+            rel = np.abs(out[key] - want[key]) / want[key]
+            assert rel.max() <= 1e-12, (key, rel.max())
+        if grid == "crossings":
+            q1, p1 = selected_transfer_rows(
+                sys, w, np.column_stack([Q1_SELECTOR, P1_SELECTOR])
+            ).transpose(1, 0, 2)
+            _, xi_imag, _, pairs = noise_weights(q1, p1)
+            terms = noise.pref * w * np.abs(xi_imag) + np.abs(pairs)
+            gap = np.abs(np.sqrt(out["commutator_sq"])
+                         - np.sqrt(want["commutator_sq"]))
+            assert np.all(gap <= 2e-15 * terms), (gap / terms).max()
 
-        assert np.array_equal(out["var_u"], 0.5 * form(u, u).real)
-        assert np.array_equal(out["var_v"], 0.5 * form(v, v).real)
-        assert np.array_equal(out["commutator_sq"], form(q1, p1).imag ** 2)
+    @pytest.mark.parametrize("case", ["q damping", "unequal Omega",
+                                      "noise into q"])
+    def test_drift_without_the_identity_takes_four_rows(self, fig2, case):
+        # Each system breaks p_j = (-i omega / Omega) q_j, so the sweep
+        # solves u, v, q1 and p1 and takes their forms, bit for bit.  The
+        # identity applied to it would put Var(v) off by 1% to 1e4 times.
+        params, sys = fig2
+        om = params.big_omega
+        drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
+        if case == "q damping":
+            drift[IQ1, IQ1] = drift[IQ2, IQ2] = -1e-3 * om
+        elif case == "unequal Omega":
+            drift[IQ2, IP2] *= 1.001
+        else:
+            coupling[IQ1, IXI1] = coupling[IQ2, IXI2] = 1.0
+        broken = LinearSystem(drift=drift, noise_coupling=coupling,
+                              params=params, steady=sys.steady)
+        assert broken.position_rate is None
+        noise = NoiseModel(0.1, params.big_gamma, om)
+        w = hybrid_grid(om)
+        out = degree_sweep(broken, noise, w)
+        want = four_row_forms(broken, noise, w)
+        for key in want:
+            assert np.array_equal(out[key], want[key]), key
+        wrong = identity_forms(broken, noise, w)["var_v"]
+        assert np.max(np.abs(wrong - want["var_v"]) / want["var_v"]) > 1e-3
 
     def test_degenerate_commutator_raises(self, fig2):
         _, sys = fig2
