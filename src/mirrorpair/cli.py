@@ -15,14 +15,18 @@ The output directory is created only after the sweep has been solved, so a
 failed sweep leaves none behind.
 
 sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
-are not formatted number by number: a numpy kernel (_e12) writes the 13
-digits of every value in [1e-32, 1e56) as 2-byte pieces from a digit-pair
-table, exact wherever its scaled mantissa is clear of a rounding tie, and
-falls back to "%.12e" % v for the rest.  Each temperature block is one byte
-array of NUL-padded slots, written with its NUL bytes removed, so a text of
-any length (a negative, nan, inf) takes the same path.  Columns that do not
-change between temperatures (omega, commutator_sq) are formatted once, and
-each file is streamed one temperature block at a time.
+are not formatted number by number: a numpy kernel (_e12) splits the 13
+digits of every value in [1e-32, 1e56) into a lead digit and three 4-digit
+groups, looks each group up in a 10**4-entry table and writes the text as
+one packed 18-byte record; it is exact wherever its scaled mantissa is clear
+of a rounding tie and falls back to "%.12e" % v for the rest.  Each file has
+one row buffer of NUL-padded slots per column layout, with its separators
+written once; a temperature block stores only the columns whose bytes
+changed (not omega or commutator_sq) and is written with its NUL bytes
+removed, so a text of any length (a negative, nan, inf) takes the same path.
+The files are overwritten in place and cut only if they were longer, so an
+interrupted write leaves new rows over old ones rather than a short file;
+only the exit code tells that a file is complete.
 
 Exit codes: 0 success, 2 config text or value error, 3 unstable drift
 (only when require_stable is set), 4 numerical singularity, 5 unphysical
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys as _sys
 # The sweep starts no process; the benchmark's trace table patches this name.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -248,19 +253,31 @@ _FLAG_LEVELS = (("false", "false"), ("true", "false"), ("true", "true"))
 #: Columns of sweep.grid, a gnuplot block file with one block per temperature.
 _GRID_COLUMNS = ("omega", "temperature", "degree_clipped")
 
-#: "%.12e" fields d.dddddddddddde±XX are 18 bytes, nine 2-byte pieces.
+#: "%.12e" fields d.dddddddddddde±XX are 18 bytes.
 _E12_WIDTH = 18
 _PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16)
+#: The texts 0000 to 9999 as 4-byte words: the pairs of k // 100 and k % 100.
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS),
+                  axis=-1).view(np.uint32).ravel()
 _LEADS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), np.uint16)
-_EXP_SIGNS = np.frombuffer(b"e+e-", np.uint16)
-#: 10**j, exactly, for |j| <= 22.
-_POW10 = np.array([float(10 ** j) for j in range(23)])
+#: The texts e-99 to e+99 as 4-byte words, by exponent + 99.
+_EXPONENTS = np.stack(
+    [np.repeat(np.frombuffer(b"e-e+", np.uint16), (99, 100)),
+     _PAIRS[np.abs(np.arange(-99, 100))]], axis=-1).view(np.uint32).ravel()
+#: One text: "d.", three 4-digit groups and "e±XX", packed into 18 bytes.
+_E12_RECORD = np.dtype([("lead", np.uint16), ("g0", np.uint32),
+                        ("g1", np.uint32), ("g2", np.uint32),
+                        ("exponent", np.uint32)])
+#: 10**max(j, 0) and 10**max(-j, 0), exactly, at j + 22 for |j| <= 22.
+_POW10_UP = np.array([1.0] * 22 + [float(10 ** j) for j in range(23)])
+_POW10_DOWN = _POW10_UP[::-1].copy()
 
 
 def _scale_pow10(x, j):
-    """x * 10**j, correctly rounded, for integer arrays |j| <= 22."""
-    p = _POW10[np.abs(j)]
-    return np.where(j >= 0, x * p, x / p)
+    """x * 10**j, correctly rounded, for integer arrays |j| <= 22: one of
+    the two factors is 1, so only one operation rounds."""
+    j = j + 22
+    return x * _POW10_UP[j] / _POW10_DOWN[j]
 
 
 def _e12(x):
@@ -269,37 +286,71 @@ def _e12(x):
     Returns an (n, w) uint8 array: row i is the text of x[i] padded with NUL
     bytes to w, the length of the widest text in x and at least 18.
     In [1e-32, 1e56) the 13 digits are rint(m) for the mantissa
-    m = x * 10**(12 - e), e = floor(log10 x), scaled in two correctly rounded
-    steps by exact powers of ten.  Each step errs by at most 2**-53 relative,
-    so m is within 2.3e-3 of its exact value on m < 1e13; m at least 0.005
-    from a rounding tie and in [1e12, 1e13 - 1) therefore rounds as the exact
-    value does, which is what printf does.  Every other value (0, negatives,
-    nan, inf, near-ties, magnitudes near or beyond 1e+-100) is formatted with
-    "%.12e" % v: Loitsch's fast path with one exact fallback.
+    m = x * 10**(12 - e), e = floor(log10 x), scaled by exact powers of ten
+    in one correctly rounded step when every |12 - e| <= 22 and in two
+    otherwise.  Each step errs by at most 2**-53 relative, so m is within
+    2.3e-3 of its exact value on m < 1e13; m at least 0.005 from a rounding
+    tie and in [1e12, 1e13 - 1) therefore rounds as the exact value does,
+    which is what printf does.  Its digits are split into a lead digit and
+    three groups of four by floor division by 10**4, and each group is one
+    lookup in _QUADS.  Every other value (0, negatives, nan, inf, near-ties,
+    magnitudes near or beyond 1e+-100) is formatted with "%.12e" % v:
+    Loitsch's fast path with one exact fallback.
     """
     x = np.asarray(x, dtype=float)
     fast = (x >= 1e-32) & (x < 1e56)
     x_fast = np.where(fast, x, 1.0)
     e = np.floor(np.log10(x_fast)).astype(np.intp)
-    k = np.clip(12 - e, -44, 44)
-    k_first = np.clip(k, -22, 22)
-    m = _scale_pow10(_scale_pow10(x_fast, k_first), k - k_first)
-    fast &= ((m >= 1e12) & (m < 1e13 - 1)
-             & (np.abs(m - np.floor(m) - 0.5) >= 0.005))
-    digits = np.rint(np.where(fast, m, 1e12)).astype(np.int64)
-    pieces = np.empty((9, x.size), np.uint16)
-    pieces[0] = _LEADS[digits // 10 ** 12]
-    for i in range(6, 0, -1):
-        pieces[i] = _PAIRS[digits % 100]
-        digits //= 100
-    pieces[7] = _EXP_SIGNS[(e < 0).astype(np.intp)]
-    pieces[8] = _PAIRS[np.abs(e)]
-    fields = np.ascontiguousarray(pieces.T).view(np.uint8)
-    texts = np.array([b"%.12e" % v for v in x[~fast]], dtype=bytes)
-    width = max(_E12_WIDTH, texts.itemsize)
-    fields = np.pad(fields, ((0, 0), (0, width - _E12_WIDTH)))
-    fields[~fast] = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    k = 12 - e
+    if x.size and -22 <= k.min() and k.max() <= 22:
+        m = _scale_pow10(x_fast, k)
+    else:
+        k = np.clip(k, -44, 44)
+        k_first = np.clip(k, -22, 22)
+        m = _scale_pow10(_scale_pow10(x_fast, k_first), k - k_first)
+    digits = np.rint(m)
+    fast &= (m >= 1e12) & (m < 1e13 - 1) & (np.abs(m - digits) <= 0.495)
+    digits = np.where(fast, digits, 1e12).astype(np.int64)
+    record = np.empty(x.size, _E12_RECORD)
+    for group in ("g2", "g1", "g0"):
+        high = digits // 10 ** 4
+        record[group] = _QUADS[digits - high * 10 ** 4]
+        digits = high
+    record["lead"] = _LEADS[digits]
+    record["exponent"] = _EXPONENTS[e + 99]
+    fields = record.view(np.uint8).reshape(x.size, _E12_WIDTH)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [b"%.12e" % v for v in x[slow].tolist()]
+        width = max(_E12_WIDTH, *map(len, texts))
+        if width > _E12_WIDTH:
+            fields = np.pad(fields, ((0, 0), (0, width - _E12_WIDTH)))
+        fields[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(
+            slow.size, width)
     return fields
+
+
+#: Most values per _e12 call when a block formats several columns: short
+#: columns share one call, and long ones are not joined to add to the peak
+#: memory.
+_E12_BATCH = 8192
+#: Rows per write: the NUL-free copies of a block are made this many rows
+#: at a time, so they stay small beside the row buffer.
+_WRITE_ROWS = 2048
+
+
+def _column_texts(values, names):
+    """{name: "%.12e" texts of values[name], one void item per value} for
+    the equal-length columns names; short columns share one _e12 call."""
+    texts = {}
+    names = list(names)
+    per_call = max(1, _E12_BATCH // len(values[names[0]])) if names else 1
+    for i in range(0, len(names), per_call):
+        part = names[i:i + per_call]
+        fields = _e12(np.concatenate([values[c] for c in part]))
+        voids = fields.view(f"V{fields.shape[1]}").reshape(len(part), -1)
+        texts.update(zip(part, voids))
+    return texts
 
 
 def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
@@ -308,48 +359,76 @@ def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
 
     A row is the "%.12e" text of each numeric column (degree_clipped is
     min(degree, 1)) joined by sep, then the flag columns (last in every
-    column set) and a newline.  Each temperature block is one uint8 array of
-    NUL-padded slots side by side (each column's fields from _e12, a
-    separator, the flag tail of the row's level), written with its NUL bytes
-    removed.  The temperature is formatted once per block, degree_clipped is
-    the bytes of degree with those of 1.0 where degree >= 1, and a column
-    equal to its bytes at the previous temperature (omega, commutator_sq) is
-    not formatted again.
+    column set) and a newline.  Each temperature block fills one (n, width)
+    uint8 row buffer of NUL-padded slots, viewed as one record per row, and
+    is written with its NUL bytes removed, _WRITE_ROWS rows at a time.  The
+    buffer keeps the texts of the previous block: only the columns whose
+    bytes changed (not omega or commutator_sq) are formatted and stored.
+    degree_clipped is the bytes of degree with those of 1.0 stored over the
+    rows where degree >= 1, and the flag tail of each row's level ends it.
+    The separators are written when the buffer is made, which happens again,
+    with every column stored anew, only when the slot widths change (a
+    negative or a 3-digit exponent).
+
+    The file is overwritten in place: opened without truncation, and cut to
+    the written length only if it was longer.  Rewriting an existing file
+    then reuses its blocks instead of freeing and allocating them again.
     """
     numeric = [c for c in columns if c not in _FLAG_COLUMNS]
     flags = [_FLAG_COLUMNS.index(c) for c in columns if c in _FLAG_COLUMNS]
     tails = np.array([
         "".join(sep + level[j] for j in flags).encode() + b"\n"
         for level in _FLAG_LEVELS
-    ]).view(np.uint8).reshape(len(_FLAG_LEVELS), -1)
-    seps = np.broadcast_to(np.uint8(ord(sep)), (omegas.size, 1))
-    done = {}
-    with open(path, "wb") as f:
+    ])
+    tails = tails.view(f"V{tails.itemsize}")
+    source = {c: "degree" if c == "degree_clipped" else c for c in numeric}
+    held = {}       # source -> bytes of the values whose texts buf holds
+    widths = {}     # column -> slot width of those texts
+    layout = None
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        old_size = os.fstat(f.fileno()).st_size
         f.write(head)
         for t, (temp, res) in enumerate(results.items()):
             degree = res["degree"]
-            slots = []
-            for c in numeric:
-                src = "degree" if c == "degree_clipped" else c
-                if c == "temperature":
-                    text = np.frombuffer(b"%.12e" % temp, np.uint8)
-                    fields = np.broadcast_to(text, (omegas.size, text.size))
-                else:
-                    x = omegas if c == "omega" else res[src]
-                    # Compared as bytes: -0.0 == 0.0, but their texts differ.
-                    key = x.tobytes()
-                    if src not in done or done[src][0] != key:
-                        done[src] = (key, _e12(x))
-                    fields = done[src][1]
-                if c == "degree_clipped":
-                    one = (b"%.12e" % 1.0).ljust(fields.shape[1], b"\0")
-                    fields = np.where((degree >= 1.0)[:, None],
-                                      np.frombuffer(one, np.uint8), fields)
-                slots += [fields, seps]
+            values = {src: omegas if src == "omega" else res[src]
+                      for src in source.values() if src != "temperature"}
+            # Compared as bytes: -0.0 == 0.0, but their texts differ.
+            keys = {src: x.tobytes() for src, x in values.items()}
+            texts = _column_texts(
+                values, [src for src in values if held.get(src) != keys[src]])
+            texts["temperature"] = np.void(b"%.12e" % temp)
+            widths.update((c, texts[src].itemsize)
+                          for c, src in source.items() if src in texts)
+            if [widths[c] for c in numeric] != layout:
+                layout = [widths[c] for c in numeric]
+                # Each slot is followed by sep; the tail replaces the last.
+                ends = np.cumsum(layout) + np.arange(len(layout))
+                row = np.dtype({
+                    "names": [*numeric, "tail"],
+                    "formats": [f"V{w}" for w in layout] + [tails.dtype],
+                    "offsets": [0, *(ends[:-1] + 1), ends[-1]],
+                    "itemsize": ends[-1] + tails.itemsize,
+                })
+                buf = np.full((omegas.size, row.itemsize), ord(sep), np.uint8)
+                rows = buf.view(row)[:, 0]
+                texts.update(_column_texts(
+                    values, [src for src in values if src not in texts]))
+            held.update((src, keys[src]) for src in values if src in texts)
+            for c, src in source.items():
+                if src in texts:
+                    rows[c] = texts[src]
+                    if c == "degree_clipped":
+                        one = (b"%.12e" % 1.0).ljust(widths[c], b"\0")
+                        rows[c][degree >= 1.0] = np.void(one)
+            del texts       # buf holds them now
             level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
-            slots[-1] = tails[level]
-            rows = np.concatenate(slots, axis=1)
-            f.write((gap if t else b"") + rows.tobytes().replace(b"\0", b""))
+            rows["tail"] = tails[level]
+            if t:
+                f.write(gap)
+            for i in range(0, omegas.size, _WRITE_ROWS):
+                f.write(buf[i:i + _WRITE_ROWS].tobytes().replace(b"\0", b""))
+        if f.tell() < old_size:
+            f.truncate()
 
 
 def _bands(omegas, mask):

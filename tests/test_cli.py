@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mirrorpair import (
-    NoiseModel, build_linear_system, degree_sweep, dynamics, entanglement,
-    fig2_params, tmsv_state,
+    NoiseModel, build_linear_system, cli, degree_sweep, dynamics,
+    entanglement, fig2_params, tmsv_state,
 )
 from mirrorpair.cli import (
+    _E12_RECORD,
     _PARAM_KEYS,
     _SWEEP_KEYS,
     CSV_COLUMNS,
@@ -491,6 +494,17 @@ def _assert_e12_exact(values):
         assert row.tobytes() == text.ljust(width, b"\0"), (v, text)
 
 
+def _tie_neighbours(values):
+    """For the positive finite values, the doubles nearest to the rounding
+    tie of each one's 13-digit text, and those 1 and 2 ulps either side."""
+    ties = np.array([float(("%.12e" % v).replace("e", "5e")) for v in values])
+    for ulps in range(-2, 3):
+        shifted = ties
+        for _ in range(abs(ulps)):
+            shifted = np.nextafter(shifted, np.inf if ulps > 0 else 0.0)
+        yield shifted
+
+
 def _reference_sweep_files(columns, omegas, results):
     """sweep.csv and sweep.grid as the per-row %-template writer made them."""
     def block(cols, temp, res, sep):
@@ -637,6 +651,58 @@ class TestByteWriter:
                            9.999999999999998e-99, 1e-32, 1e56,
                            np.nextafter(1e56, 0.0), -1.5])
 
+    def test_kernel_record_is_packed(self):
+        # "d.", three 4-digit groups and "e±XX": 18 bytes, no padding.
+        fields = sorted(_E12_RECORD.fields.values(), key=lambda f: f[1])
+        assert _E12_RECORD.itemsize == 18
+        assert [off for _, off in fields] == list(
+            np.cumsum([0] + [dt.itemsize for dt, _ in fields[:-1]]))
+        assert sum(dt.itemsize for dt, _ in fields) == 18
+
+    @pytest.mark.parametrize("exponents,steps", [
+        ((-10, 34), 1),     # every |12 - e| <= 22: one step
+        ((-32, -11), 2),    # every 12 - e > 22: two steps
+        ((35, 55), 2),      # every 12 - e < -22: two steps
+    ])
+    def test_kernel_scaling_branches(self, monkeypatch, exponents, steps):
+        # Values and the near-ties of their 13-digit texts, two ulps either
+        # side, all inside one branch of the mantissa scaling.
+        rng = np.random.default_rng(11)
+        lo, hi = exponents
+        values = 10.0 ** rng.uniform(lo, hi + 1, 3000)
+        values = values[(values >= float(f"1e{lo}"))
+                        & (values < float(f"1e{hi + 1}"))]
+        calls = []
+        scale = cli._scale_pow10
+        monkeypatch.setattr(cli, "_scale_pow10",
+                            lambda x, j: calls.append(1) or scale(x, j))
+        for shifted in _tie_neighbours(values[:1000]):
+            calls.clear()
+            _assert_e12_exact(shifted)
+            assert len(calls) == steps
+        calls.clear()
+        _assert_e12_exact(values)
+        assert len(calls) == steps
+
+    def test_kernel_at_the_sweeps_magnitudes(self):
+        # Every column of a log sweep over 1e-2..1e2 Omega up to 300 K, as
+        # the benchmark's thermal map writes it (commutator_sq down to about
+        # 2e-31, degree up to about 3e16), and the near-ties of those texts.
+        params = fig2_params()
+        spec = SweepSpec(params=params, omega_min=1e-2 * params.big_omega,
+                         omega_max=1e2 * params.big_omega, omega_count=1000,
+                         omega_spacing="log",
+                         temperatures=(0.01, 0.3, 10.0, 300.0))
+        omegas, results = _sweep_rows(spec)
+        values = np.concatenate([omegas] + [
+            res[c] for res in results.values()
+            for c in ("var_u", "var_v", "commutator_sq", "degree")])
+        assert values.size >= 10 ** 4
+        assert values.min() < 1e-30 and values.max() > 1e16
+        _assert_e12_exact(values)
+        for shifted in _tie_neighbours(values[::4]):
+            _assert_e12_exact(shifted)
+
     @pytest.mark.parametrize("results_of,components", [
         pytest.param(_random_results, True, id="True"),
         pytest.param(_random_results, False, id="False"),
@@ -658,6 +724,97 @@ class TestByteWriter:
         csv, grid = _reference_sweep_files(columns, omegas, results)
         assert (tmp_path / "sweep.csv").read_bytes() == csv
         assert (tmp_path / "sweep.grid").read_bytes() == grid
+
+
+def _rewrite_spec():
+    params = fig2_params()
+    return SweepSpec(params=params, omega_min=0.8 * params.big_omega,
+                     omega_max=1.2 * params.big_omega, omega_count=120,
+                     temperatures=(0.1, 4.0))
+
+
+class TestWriterPieces:
+    @pytest.mark.parametrize("rows,batch", [(7, 50), (1, 1), (40, 10 ** 6)])
+    def test_pieces_do_not_change_the_bytes(self, tmp_path, monkeypatch,
+                                            rows, batch):
+        # Writes of a few rows and _e12 calls of one or many columns give
+        # the bytes of the per-row templates.
+        omegas, results = _random_results()
+        monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+        monkeypatch.setattr(cli, "_E12_BATCH", batch)
+        monkeypatch.setattr(cli, "_sweep_rows", lambda spec: (omegas, results))
+        spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
+                         omega_max=omegas[-1], omega_count=omegas.size)
+        run_sweep(spec, tmp_path, emit_grid=True)
+        csv, grid = _reference_sweep_files(CSV_COLUMNS, omegas, results)
+        assert (tmp_path / "sweep.csv").read_bytes() == csv
+        assert (tmp_path / "sweep.grid").read_bytes() == grid
+
+
+class TestRewriteInPlace:
+    # The output files are overwritten in place and cut only if they were
+    # longer, so whatever was there must not show in the result.
+    @pytest.mark.parametrize("before", ["longer", "shorter", "identical",
+                                        "absent"])
+    def test_existing_files_end_as_fresh_ones(self, tmp_path, before):
+        spec = _rewrite_spec()
+        run_sweep(spec, tmp_path / "fresh", emit_grid=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        rng = np.random.default_rng(2)
+        for name in ("sweep.csv", "sweep.grid", "summary.json"):
+            want = (tmp_path / "fresh" / name).read_bytes()
+            old = {"longer": rng.bytes(3 * len(want) + 7),
+                   "shorter": rng.bytes(len(want) // 3),
+                   "identical": want}.get(before)
+            if old is not None:
+                (out / name).write_bytes(old)
+        run_sweep(spec, out, emit_grid=True)
+        for name in ("sweep.csv", "sweep.grid", "summary.json"):
+            assert ((out / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_files_get_the_mode_of_open_wb(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "probe", "wb"):
+                pass
+            run_sweep(_rewrite_spec(), tmp_path / "out", emit_grid=True)
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "probe").stat().st_mode)
+        assert want == 0o666 & ~umask
+        for name in ("sweep.csv", "sweep.grid"):
+            mode = (tmp_path / "out" / name).stat().st_mode
+            assert stat.S_IMODE(mode) == want, name
+
+    def _sweep_exit(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("omega_count = 5\ntemperatures = 0.1\n",
+                          encoding="utf-8")
+        code = main(["--sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        return code, err
+
+    def test_directory_in_place_of_the_csv_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
+        code, err = self._sweep_exit(tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_read_only_csv_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "out" / "sweep.csv"
+        csv.parent.mkdir()
+        csv.write_bytes(b"old rows\n")
+        csv.chmod(0o444)
+        if os.access(csv, os.W_OK):
+            pytest.skip("this user may write a read-only file (root)")
+        code, err = self._sweep_exit(tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert csv.read_bytes() == b"old rows\n"
 
 
 class TestCheckState:
