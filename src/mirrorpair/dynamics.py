@@ -381,24 +381,38 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     triangular there (sys.blocks, see _adjoint_blocks).  At the reference
     point the meter phase quadratures are solved first and the meter
     amplitude quadratures last, by one complex division each; the
-    centre-of-mass block {q+, p+} is a 2x2 solved in closed form; and only
-    the 4x4 block {q-, p-, X_b, Y_b} of the relative mode and the entangler
-    goes through a batched LU factorization.  Leaving the meter states out of
-    that factorization keeps the mirror rows accurate: near the two zero
-    crossings of the commutator at the Fig. 2 point the commutator stays
-    within ~1e-11 of a 30-digit reference, where a dense 10x10 LU is off by
-    up to ~2e-8 (tests/test_precision.py).  The split also keeps the X_b and
-    Y_b rows to rounding at omega = Omega, where the 6x6 mirror-entangler
-    core lost ~1e-9 of them.
+    centre-of-mass block {q+, p+} is a 2x2 solved in closed form; and so is
+    the 4x4 block {q-, p-, X_b, Y_b} of the relative mode and the entangler,
+    by 2x2-block elimination.  No block goes through LAPACK there.  Leaving
+    the meter states out of the relative block keeps the mirror rows
+    accurate: near the two zero crossings of the commutator at the Fig. 2
+    point the commutator stays within ~3e-12 of a 30-digit reference, where
+    a dense 10x10 LU is off by up to ~2e-8 (tests/test_precision.py).  The
+    split also keeps the X_b and Y_b rows to rounding at omega = Omega,
+    where the 6x6 mirror-entangler core lost ~1e-9 of them.
 
     A 2x2 block is solved by its adjugate over det(-i omega - A_b) =
     (d - omega^2) + i t omega, with d and t the block's determinant and
-    trace.  For d > 0 the real part is formed as (r - omega)(r + omega) with
-    r = sqrt(d); the square root of a rounded square is exact, so the
-    centre-of-mass block gives (Omega - omega)(Omega + omega) - i Gamma
-    omega, with no cancellation of omega^2 against Omega^2 near resonance.
-    A zero determinant or diagonal raises SingularityError before any
-    division.
+    trace (_shifted_det).  For d > 0 the real part is formed as
+    (r - omega)(r + omega) with r = sqrt(d); the square root of a rounded
+    square is exact, so the centre-of-mass block gives
+    (Omega - omega)(Omega + omega) - i Gamma omega, with no cancellation of
+    omega^2 against Omega^2 near resonance.
+
+    A 4x4 block whose trailing pair has nonzero trace and determinant, so
+    that no real omega zeroes that pair's shifted determinant, is
+    eliminated onto its leading pair (_solve_4x4).  Its shifted transpose
+    is [[P, Q], [R, T]] with T the trailing pair; with K = Q T^-1 R and
+    C = P - K, x_m = adj(C) (r_m - Q T^-1 r_o) / det C and
+    x_o = T^-1 (r_o - R x_m).  det C is formed as
+    det P - tr(adj(P) K) + det Q det R / det T, det P and det T by the 2x2
+    recipe above: at the pole of a weakly driven relative mode C's own
+    products cancel to ~1e-5, and this keeps the q1 - q2 row to ~4e-16 of a
+    40-digit reference where LAPACK is off by ~2e-12.  The per-omega
+    coefficients T^-1 and C^-1 are built once per call for all k columns.
+    Every other block of 3 or more states goes through a batched LU
+    factorization.  A zero determinant, diagonal or det C raises
+    SingularityError before any division.
 
     omegas: shape (n,), see frequency_grid; selectors: a finite numeric
     array of shape (10, k), k >= 1; anything else raises
@@ -443,6 +457,8 @@ def _transfer_rows(sys, w, selectors):
             x[idx[0]] = rhs[0] / diag[:, None]
         elif m == 2:
             x[idx] = _solve_2x2(a[np.ix_(idx, idx)], w, rhs)
+        elif m == 4 and _closed_form_pair(a[np.ix_(idx[2:], idx[2:])]):
+            x[idx] = _solve_4x4(a[np.ix_(idx, idx)], w, rhs)
         else:
             shifted_t = np.empty((n, m * m), dtype=complex)
             shifted_t[:] = -a[np.ix_(idx, idx)].T.ravel()
@@ -458,10 +474,12 @@ def _transfer_rows(sys, w, selectors):
     return (x.reshape(N_STATE, -1).T @ sys.basis_coupling).reshape(n, k, -1)
 
 
-def _solve_2x2(block, w, rhs):
-    """x with (-i w - block)^T x = rhs for every omega, by the adjugate.
+def _shifted_det(block, w):
+    """det(-i w - block) = (d - w^2) + i t w of a real (2, 2) block, with d
+    and t its determinant and trace, for every omega of w.
 
-    block: (2, 2) real; w: (n,); rhs: (2, n, k).  Returns (2, n, k).
+    For d > 0 the real part is formed as (r - w)(r + w), r = sqrt(d), with
+    no cancellation of w^2 against d near w = r.
     """
     (a00, a01), (a10, a11) = block
     d = a00 * a11 - a01 * a10
@@ -472,11 +490,82 @@ def _solve_2x2(block, w, rhs):
     else:
         det.real = d - w * w
     det.imag = (a00 + a11) * w
+    return det
+
+
+def _solve_2x2(block, w, rhs):
+    """x with (-i w - block)^T x = rhs for every omega, by the adjugate.
+
+    block: (2, 2) real; w: (n,); rhs: (2, n, k).  Returns (2, n, k).
+    """
+    (a00, a01), (a10, a11) = block
+    det = _shifted_det(block, w)
     if not det.all():
         raise SingularityError("shifted drift matrix singular on grid")
     s00, s11, det = (-1j * w - a00)[:, None], (-1j * w - a11)[:, None], det[:, None]
     r0, r1 = rhs
     return np.stack([(s11 * r0 + a10 * r1) / det, (s00 * r1 + a01 * r0) / det])
+
+
+def _closed_form_pair(block):
+    """Whether det(-i w - block) of a real (2, 2) block is nonzero for every
+    real omega: its trace and its determinant are both nonzero."""
+    (a00, a01), (a10, a11) = block
+    return a00 + a11 != 0.0 and a00 * a11 - a01 * a10 != 0.0
+
+
+def _solve_4x4(block, w, rhs):
+    """x with (-i w - block)^T x = rhs for every omega, by 2x2-block
+    elimination on the trailing pair (see selected_transfer_rows).
+
+    block: (4, 4) real, its trailing pair with nonzero trace and
+    determinant (_closed_form_pair); w: (n,); rhs: (4, n, k).  Returns
+    (4, n, k).
+    """
+    s = -1j * w
+    # The shifted transpose is [[P, Q], [R, T]], P = s - m and T = s - o per
+    # omega, Q and R constant.
+    bt = block.T
+    (m00, m01), (m10, m11) = bt[:2, :2]
+    (o00, o01), (o10, o11) = bt[2:, 2:]
+    q, r = -bt[:2, 2:], -bt[2:, :2]
+    det_t = _shifted_det(block[2:, 2:], w)
+    if not det_t.all():
+        raise SingularityError("shifted drift matrix singular on grid")
+    inv_t = 1.0 / det_t
+    # T^-1 = (s I + adj(-o)) / det T, so K = Q T^-1 R = (k0 + s k1) / det T
+    # with the constants k0 = Q adj(-o) R and k1 = Q R.
+    k0, k1 = q @ np.array([[-o11, o01], [o10, -o00]]) @ r, q @ r
+    (k00, k01), (k10, k11) = [[(k0[i, j] + s * k1[i, j]) * inv_t
+                               for j in (0, 1)] for i in (0, 1)]
+    p00, p11 = s - m00, s - m11
+    # det C = det P - tr(adj(P) K) + det K, with det P of the real-part
+    # recipe and det K = det Q det R / det T: near a pole of P no term
+    # cancels against another, where c00 c11 - c01 c10 loses ~2e-12.
+    det_c = (_shifted_det(block[:2, :2], w)
+             - (p11 * k00 + p00 * k11 + m01 * k10 + m10 * k01)
+             + (q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
+             * (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]) * inv_t)
+    if not det_c.all():
+        raise SingularityError("shifted drift matrix singular on grid")
+    inv_c = 1.0 / det_c
+    # C^-1 = adj(C) / det C, C = [[p00 - k00, -m01 - k01], [-m10 - k10, p11 - k11]],
+    # and T^-1, each as four (n, 1) coefficients for the k columns.
+    c_inv = [c[:, None] for c in ((p11 - k11) * inv_c, (m01 + k01) * inv_c,
+                                  (m10 + k10) * inv_c, (p00 - k00) * inv_c)]
+    t_inv = [c[:, None] for c in ((s - o11) * inv_t, o01 * inv_t,
+                                  o10 * inv_t, (s - o00) * inv_t)]
+
+    def times(inv, x0, x1):
+        return inv[0] * x0 + inv[1] * x1, inv[2] * x0 + inv[3] * x1
+
+    rm0, rm1, ro0, ro1 = rhs
+    y0, y1 = times(t_inv, ro0, ro1)
+    xm0, xm1 = times(c_inv, rm0 - (q[0, 0] * y0 + q[0, 1] * y1),
+                     rm1 - (q[1, 0] * y0 + q[1, 1] * y1))
+    xo0, xo1 = times(t_inv, ro0 - (r[0, 0] * xm0 + r[0, 1] * xm1),
+                     ro1 - (r[1, 0] * xm0 + r[1, 1] * xm1))
+    return np.stack([xm0, xm1, xo0, xo1])
 
 
 # The input spectrum D(omega) is the Brownian diagonal plus constant vacuum

@@ -59,10 +59,11 @@ _FOUR_ROW_SELECTORS = np.stack(
     [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
 )
 #: Frequencies per solve.  It bounds a sweep's memory (2e5 omega raise the
-#: peak RSS by about 39 MB), and each solve costs about 0.4 ms besides its
-#: frequencies.  At the Fig. 2 point sweep_weights on 10^4 omega took 25 ms
-#: in 5 chunks of 2048, 28-29 ms in chunks of 1024 or 4096 and 50 ms in 40
-#: chunks of 256 (medians of 40 interleaved calls, 2-core x86-64 VM).
+#: peak RSS by about 38 MB), and each solve costs about 0.3 ms besides its
+#: frequencies.  At the Fig. 2 point sweep_weights on 10^4 omega took
+#: 12-16 ms in 5 chunks of 2048 and 14-19 ms in chunks of 1024, 4096 or
+#: 8192, 2048 the fastest in each of three runs (medians of 40 interleaved
+#: calls per run, 2-core x86-64 VM).
 CHUNK = 2048
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.constants import hbar as HBAR, k as KB
 
 from mirrorpair import (
@@ -12,8 +13,8 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
-    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, frequency_grid,
-    selected_transfer_rows,
+    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, _solve_4x4,
+    frequency_grid, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -22,7 +23,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import make_params
+from conftest import make_params, working_points
 
 
 def chi(omega, params):
@@ -133,6 +134,17 @@ def with_drift(sys, drift):
     return LinearSystem(drift=np.array(drift, dtype=float),
                         noise_coupling=sys.noise_coupling,
                         params=sys.params, steady=sys.steady)
+
+
+def with_4x4_block(sys, block):
+    """A hand-built LinearSystem: drift -I but for block on
+    {X_a1, Y_a1, X_b, Y_b}, which the plan keeps as one 4x4 block."""
+    drift = -np.eye(N_STATE)
+    idx = [IXA1, IYA1, IXB, IYB]
+    drift[np.ix_(idx, idx)] = block
+    hand_built = with_drift(sys, drift)
+    assert tuple(idx) in hand_built.blocks
+    return hand_built
 
 
 def check_rows_against_transfer_matrix(sys, selectors, omegas):
@@ -258,6 +270,93 @@ class TestAdjointSolve:
         got = selected_transfer_rows(sys, omegas, U_SELECTOR[:, None])[:, 0]
         # Relative per channel, so every other channel must be exactly 0.
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_closed_form_4x4_matches_lapack(self, point):
+        # The relative block {q-, p-, X_b, Y_b} by 2x2-block elimination
+        # against LAPACK on the same block, on a grid across the poles of
+        # the relative mode.  Every selector the package solves gives the
+        # block a right-hand side in {q-, p-} only (nothing feeds X_b or
+        # Y_b), so the two unit vectors there span them.  LAPACK itself is
+        # off by up to ~cond * eps near a pole (2e-7 at one drawn point, where
+        # the closed form held 2e-13 of a 50-digit solve), hence that
+        # allowance above 1e-12.
+        params, _ = point
+        sys = build_linear_system(params)
+        idx = [IQ2, IP2, IXB, IYB]
+        assert tuple(idx) in sys.blocks
+        block = sys.basis_drift[np.ix_(idx, idx)]
+        poles = np.abs(np.linalg.eigvals(block).imag)
+        omegas = np.concatenate(
+            [np.geomspace(0.1, 10.0, 129) * params.big_omega, poles])
+        rhs = np.broadcast_to(np.eye(4)[:, None, :2], (4, omegas.size, 2))
+        got = _solve_4x4(block, omegas, rhs)
+        shifted_t = -1j * omegas[:, None, None] * np.eye(4) - block.T
+        want = np.linalg.solve(shifted_t, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        err = np.linalg.norm(got - want, axis=0)
+        tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(shifted_t)
+        assert np.all(err <= tol[:, None] * np.linalg.norm(want, axis=0))
+
+    def test_dense_closed_form_4x4_matches_transfer_matrix(self, fig2):
+        # Every entry nonzero, so det Q det R / det T, which the drift of
+        # build_linear_system leaves 0, enters det C.
+        _, sys = fig2
+        block = np.random.default_rng(5).normal(size=(4, 4))
+        block[2:, 2:] = [[-1.0, 2.0], [-2.0, -1.0]]
+        dense = with_4x4_block(sys, block)
+        check_rows_against_transfer_matrix(dense, np.eye(N_STATE),
+                                           [0.0, 0.5, 1.0, 2.0, 10.0])
+
+    def test_4x4_block_with_undamped_trailing_pair_takes_lapack(
+            self, fig2, monkeypatch):
+        # The trailing pair is an undamped oscillator (trace 0), whose
+        # shifted determinant vanishes at omega = 1: no elimination on it.
+        _, sys = fig2
+        block = with_4x4_block(sys, [[-1.0, 0.0, 1.0, 0.0],
+                                     [1.0, -1.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0, 1.0],
+                                     [0.0, 0.0, -1.0, 0.0]])
+        omegas = [0.0, 0.5, 1.0, 2.0]
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        selected_transfer_rows(block, omegas, np.eye(N_STATE))
+        assert calls == [(len(omegas), 4, 4)]
+        monkeypatch.undo()
+        check_rows_against_transfer_matrix(block, np.eye(N_STATE), omegas)
+
+    def test_singular_closed_form_4x4_raises(self, fig2):
+        # Two equal rows make the block singular, so at omega = 0 det C is
+        # exactly 0 while det T is 1; no division warns first.
+        _, sys = fig2
+        singular = with_4x4_block(sys, [[-1.0, 0.0, 1.0, 0.0],
+                                        [-1.0, 0.0, 1.0, 0.0],
+                                        [0.0, 0.0, -1.0, 1.0],
+                                        [0.0, 1.0, 0.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            selected_transfer_rows(singular, [0.5], np.eye(N_STATE))
+            with pytest.raises(SingularityError):
+                selected_transfer_rows(singular, [0.5, 0.0], np.eye(N_STATE))
+
+    def test_reference_point_needs_no_lapack(self, fig2, monkeypatch):
+        # Every block of the Fig. 2 plan is solved in closed form.
+        params, sys = fig2
+
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        omegas = np.array([1e-2, 0.5, 1.0, 2.0, 1e2]) * params.big_omega
+        rows = selected_transfer_rows(sys, omegas, np.eye(N_STATE))
+        assert np.isfinite(rows).all()
 
     def test_singular_single_state_block_raises(self, fig2):
         _, sys = fig2

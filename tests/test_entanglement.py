@@ -12,14 +12,13 @@ from mirrorpair import (
     NoiseModel,
     build_linear_system,
     degree_sweep,
-    fig2_params,
     optimize_separability,
     separability_product,
     tmsv_state,
 )
 from mirrorpair.dynamics import (
-    BROWNIAN_KERNELS, IP1, IP2, IQ1, IQ2, IXI1, IXI2, LinearSystem, N_NOISE,
-    N_STATE, hybrid_grid, noise_weights, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXI1, IXI2, LinearSystem, N_NOISE, N_STATE,
+    hybrid_grid, noise_weights, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, SYMPLECTIC_FORM, U_SELECTOR,
@@ -31,6 +30,8 @@ from mirrorpair.errors import (
     InvalidParameterError,
     UnphysicalStateError,
 )
+
+from conftest import RATE_FIELDS, working_points
 
 
 def chi(omega, params):
@@ -230,26 +231,6 @@ class TestDegreeSweep:
             degree_sweep(silent, noise, [sys.params.big_omega])
 
 
-#: Fields that carry a rate (1/s), a power or the temperature: scaling all
-#: of them and the frequency by one factor is a change of time unit.
-_RATE_FIELDS = ("gamma_a", "gamma_b", "big_omega", "big_gamma", "g", "big_g",
-                "delta_b", "p_in_a", "p_in_b", "temperature")
-
-
-@st.composite
-def _working_points(draw):
-    """The reference point with each rate and power scaled by its own
-    factor 10**[-3, 3], either sign of delta_b, a temperature of 0 or
-    0.1 K or 300 K times such a factor, and either Brownian kernel."""
-    base = fig2_params()
-    factor = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
-    values = {f: getattr(base, f) * draw(factor) for f in _RATE_FIELDS}
-    values["delta_b"] *= draw(st.sampled_from([-1.0, 1.0]))
-    values["temperature"] = (draw(st.sampled_from([0.0, 0.1, 300.0]))
-                             * draw(factor))
-    return fig2_params(**values), draw(st.sampled_from(BROWNIAN_KERNELS))
-
-
 def _sweep_at(params, kernel, omegas):
     noise = NoiseModel.from_params(params, kernel)
     return degree_sweep(build_linear_system(params), noise, omegas)
@@ -272,12 +253,12 @@ class TestExactInvariances:
     GRID = np.geomspace(0.1, 10.0, 129)
 
     @settings(max_examples=30, deadline=None)
-    @given(point=_working_points(), k=st.integers(-2, 2))
+    @given(point=working_points(), k=st.integers(-2, 2))
     def test_rates_powers_and_temperature_scale_out(self, point, k):
         params, kernel = point
         lam = 4.0 ** k
         scaled = _mapped(params, **{f: getattr(params, f) * lam
-                                    for f in _RATE_FIELDS})
+                                    for f in RATE_FIELDS})
         omegas = self.GRID * params.big_omega
         want = _sweep_at(params, kernel, omegas)
         got = _sweep_at(scaled, kernel, lam * omegas)
@@ -285,7 +266,7 @@ class TestExactInvariances:
         assert np.array_equal(got["var_u"], want["var_u"] / lam)
 
     @settings(max_examples=30, deadline=None)
-    @given(point=_working_points(),
+    @given(point=working_points(),
            pair=st.sampled_from([("g", "p_in_a"), ("big_g", "p_in_b")]))
     def test_coupling_doubled_with_power_quartered(self, point, pair):
         params, kernel = point
@@ -297,7 +278,7 @@ class TestExactInvariances:
                               _sweep_at(params, kernel, omegas)["degree"])
 
     @settings(max_examples=30, deadline=None)
-    @given(point=_working_points())
+    @given(point=working_points())
     def test_meter_carrier_and_power_quadrupled(self, point):
         params, kernel = point
         mapped = _mapped(params, omega_a0=4.0 * params.omega_a0,

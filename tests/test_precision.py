@@ -21,7 +21,7 @@ from mirrorpair.dynamics import (
     selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
-    P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
+    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -141,6 +141,25 @@ def test_unit_rows_at_resonance_match_extended_precision():
         want = np.array([complex(x) for x in row])
         rel = np.linalg.norm(got[i] - want) / np.linalg.norm(want)
         assert rel <= 1e-14, (i, rel)
+
+
+def test_weak_entangler_relative_row_at_its_pole():
+    # At a weak entangler drive the relative mode is a lightly damped
+    # oscillator a little stiffer than Omega.  At its pole the determinant
+    # of the {q-, p-} Schur complement C is ~1e-5 of c00 c11: a batched LU
+    # solve of the 4x4 block is off by 2.2e-12 here, det C taken as
+    # c00 c11 - c01 c10 by 2.1e-12, and det P taken as d - omega^2 instead
+    # of (r - omega)(r + omega) by 1.3e-12.
+    params = fig2_params(p_in_b=5e-11)
+    sys = build_linear_system(params)
+    relative = next(b for b in sys.blocks if IQ2 in b)
+    poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
+    w = abs(poles[np.argmin(np.abs(poles.real))].imag)
+    assert w / params.big_omega == pytest.approx(1.0000025, abs=1e-7)
+    got = selected_transfer_rows(sys, [w], D_SELECTOR[:, None])[0, 0]
+    want = np.array([complex(x) for x in Reference(params, dps=40)
+                     .selected_rows(w, [D_SELECTOR])[0]])
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 READOUT_OMEGA_FACTORS = (1e-2, 0.9, 1.0, 1.1, 1e2)
