@@ -391,28 +391,29 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     split also keeps the X_b and Y_b rows to rounding at omega = Omega,
     where the 6x6 mirror-entangler core lost ~1e-9 of them.
 
-    A 2x2 block is solved by its adjugate over det(-i omega - A_b) =
-    (d - omega^2) + i t omega, with d and t the block's determinant and
-    trace (_shifted_det).  For d > 0 the real part is formed as
-    (r - omega)(r + omega) with r = sqrt(d); the square root of a rounded
-    square is exact, so the centre-of-mass block gives
-    (Omega - omega)(Omega + omega) - i Gamma omega, with no cancellation of
-    omega^2 against Omega^2 near resonance.
-
-    A 4x4 block whose trailing pair has nonzero trace and determinant, so
-    that no real omega zeroes that pair's shifted determinant, is
-    eliminated onto its leading pair (_solve_4x4).  Its shifted transpose
-    is [[P, Q], [R, T]] with T the trailing pair; with K = Q T^-1 R and
-    C = P - K, x_m = adj(C) (r_m - Q T^-1 r_o) / det C and
-    x_o = T^-1 (r_o - R x_m).  det C is formed as
-    det P - tr(adj(P) K) + det Q det R / det T, det P and det T by the 2x2
-    recipe above: at the pole of a weakly driven relative mode C's own
-    products cancel to ~1e-5, and this keeps the q1 - q2 row to ~4e-16 of a
-    40-digit reference where LAPACK is off by ~2e-12.  The per-omega
-    coefficients T^-1 and C^-1 are built once per call for all k columns.
-    Every other block of 3 or more states goes through a batched LU
-    factorization.  A zero determinant, diagonal or det C raises
-    SingularityError before any division.
+    One routine, _solve_closed_form, solves every 2x2 block and every 4x4
+    block whose trailing pair has nonzero trace and determinant
+    (_closed_form_pair), so that no real omega zeroes that pair's shifted
+    determinant.  The block's shifted transpose is [[P, Q], [R, T]], T the
+    trailing pair, or the whole block of a 2x2, which is adj(T) / det T.
+    For a 4x4, with K = Q T^-1 R and C = P - K,
+    x_m = adj(C) (r_m - Q T^-1 r_o) / det C and x_o = T^-1 (r_o - R x_m),
+    from per-omega coefficients T^-1 and C^-1 built once per call for all k
+    columns.  Every 2x2 determinant det(-i omega - A_b) = (d - omega^2)
+    + i t omega, d and t the block's determinant and trace (_shifted_det),
+    has its real part formed as (r - omega)(r + omega), r = sqrt(d), when
+    d > 0; the square root of a rounded square is exact, so the
+    centre-of-mass block gives (Omega - omega)(Omega + omega) - i Gamma
+    omega, with no cancellation of omega^2 against Omega^2 near resonance.
+    det C is formed as det P - tr(adj(P) K) + det Q det R / det T: at the
+    pole of a weakly driven relative mode C's own products cancel to ~1e-5,
+    and this keeps the q1 - q2 row to ~4e-16 of a 40-digit reference where
+    LAPACK is off by ~2e-12.  The known limit: the X_b and Y_b unit rows
+    lose ~2e-12 at a narrow entangler resonance, where LAPACK keeps 3e-16,
+    because x_o cancels when T^-1 is large; no package selector reaches
+    them (nothing feeds X_b or Y_b).  Every other block of 3 or more states
+    goes through a batched LU factorization.  A zero diagonal, det T or
+    det C raises SingularityError before any division (_nonzero).
 
     omegas: shape (n,), see frequency_grid; selectors: a finite numeric
     array of shape (10, k), k >= 1; anything else raises
@@ -451,14 +452,10 @@ def _transfer_rows(sys, w, selectors):
             feed = a[np.ix_(feeds, idx)].T @ x[feeds].reshape(len(feeds), -1)
             rhs = rhs + feed.reshape(m, n, k)
         if m == 1:
-            diag = -1j * w - a[idx[0], idx[0]]
-            if not diag.all():
-                raise SingularityError("shifted drift matrix singular on grid")
-            x[idx[0]] = rhs[0] / diag[:, None]
-        elif m == 2:
-            x[idx] = _solve_2x2(a[np.ix_(idx, idx)], w, rhs)
-        elif m == 4 and _closed_form_pair(a[np.ix_(idx[2:], idx[2:])]):
-            x[idx] = _solve_4x4(a[np.ix_(idx, idx)], w, rhs)
+            x[idx[0]] = rhs[0] / _nonzero(-1j * w - a[idx[0], idx[0]])[:, None]
+        elif m == 2 or (m == 4 and
+                        _closed_form_pair(a[np.ix_(idx[2:], idx[2:])])):
+            x[idx] = _solve_closed_form(a[np.ix_(idx, idx)], w, rhs)
         else:
             shifted_t = np.empty((n, m * m), dtype=complex)
             shifted_t[:] = -a[np.ix_(idx, idx)].T.ravel()
@@ -493,20 +490,6 @@ def _shifted_det(block, w):
     return det
 
 
-def _solve_2x2(block, w, rhs):
-    """x with (-i w - block)^T x = rhs for every omega, by the adjugate.
-
-    block: (2, 2) real; w: (n,); rhs: (2, n, k).  Returns (2, n, k).
-    """
-    (a00, a01), (a10, a11) = block
-    det = _shifted_det(block, w)
-    if not det.all():
-        raise SingularityError("shifted drift matrix singular on grid")
-    s00, s11, det = (-1j * w - a00)[:, None], (-1j * w - a11)[:, None], det[:, None]
-    r0, r1 = rhs
-    return np.stack([(s11 * r0 + a10 * r1) / det, (s00 * r1 + a01 * r0) / det])
-
-
 def _closed_form_pair(block):
     """Whether det(-i w - block) of a real (2, 2) block is nonzero for every
     real omega: its trace and its determinant are both nonzero."""
@@ -514,24 +497,40 @@ def _closed_form_pair(block):
     return a00 + a11 != 0.0 and a00 * a11 - a01 * a10 != 0.0
 
 
-def _solve_4x4(block, w, rhs):
-    """x with (-i w - block)^T x = rhs for every omega, by 2x2-block
-    elimination on the trailing pair (see selected_transfer_rows).
+def _nonzero(det):
+    """det itself, after raising SingularityError if any entry is 0, so
+    that nothing divides by it."""
+    if not det.all():
+        raise SingularityError("shifted drift matrix singular on grid")
+    return det
 
-    block: (4, 4) real, its trailing pair with nonzero trace and
-    determinant (_closed_form_pair); w: (n,); rhs: (4, n, k).  Returns
-    (4, n, k).
+
+def _apply(inv, x0, x1):
+    """A 2x2 matrix, given as its entries (i00, i01, i10, i11), times the
+    pair of planes (x0, x1)."""
+    return inv[0] * x0 + inv[1] * x1, inv[2] * x0 + inv[3] * x1
+
+
+def _solve_closed_form(block, w, rhs):
+    """x with (-i w - block)^T x = rhs for every omega, in closed form (see
+    selected_transfer_rows).
+
+    block: (2, 2) real, or (4, 4) real with its trailing pair of nonzero
+    trace and determinant (_closed_form_pair); w: (n,); rhs: (m, n, k) for
+    an (m, m) block.  Returns (m, n, k).
     """
     s = -1j * w
-    # The shifted transpose is [[P, Q], [R, T]], P = s - m and T = s - o per
-    # omega, Q and R constant.
+    # The shifted transpose is [[P, Q], [R, T]] per omega, T = s - o its
+    # trailing pair (the whole block for m = 2) and, for m = 4, P = s - m
+    # with Q and R constant.
     bt = block.T
+    (o00, o01), (o10, o11) = bt[-2:, -2:]
+    det_t = _nonzero(_shifted_det(block[-2:, -2:], w))
+    adj_t = ((s - o11)[:, None], o01, o10, (s - o00)[:, None])
+    if len(block) == 2:
+        return np.stack(_apply(adj_t, *rhs)) / det_t[:, None]
     (m00, m01), (m10, m11) = bt[:2, :2]
-    (o00, o01), (o10, o11) = bt[2:, 2:]
     q, r = -bt[:2, 2:], -bt[2:, :2]
-    det_t = _shifted_det(block[2:, 2:], w)
-    if not det_t.all():
-        raise SingularityError("shifted drift matrix singular on grid")
     inv_t = 1.0 / det_t
     # T^-1 = (s I + adj(-o)) / det T, so K = Q T^-1 R = (k0 + s k1) / det T
     # with the constants k0 = Q adj(-o) R and k1 = Q R.
@@ -542,29 +541,22 @@ def _solve_4x4(block, w, rhs):
     # det C = det P - tr(adj(P) K) + det K, with det P of the real-part
     # recipe and det K = det Q det R / det T: near a pole of P no term
     # cancels against another, where c00 c11 - c01 c10 loses ~2e-12.
-    det_c = (_shifted_det(block[:2, :2], w)
-             - (p11 * k00 + p00 * k11 + m01 * k10 + m10 * k01)
-             + (q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
-             * (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]) * inv_t)
-    if not det_c.all():
-        raise SingularityError("shifted drift matrix singular on grid")
-    inv_c = 1.0 / det_c
+    inv_c = 1.0 / _nonzero(
+        _shifted_det(block[:2, :2], w)
+        - (p11 * k00 + p00 * k11 + m01 * k10 + m10 * k01)
+        + (q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
+        * (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]) * inv_t)
     # C^-1 = adj(C) / det C, C = [[p00 - k00, -m01 - k01], [-m10 - k10, p11 - k11]],
     # and T^-1, each as four (n, 1) coefficients for the k columns.
     c_inv = [c[:, None] for c in ((p11 - k11) * inv_c, (m01 + k01) * inv_c,
                                   (m10 + k10) * inv_c, (p00 - k00) * inv_c)]
-    t_inv = [c[:, None] for c in ((s - o11) * inv_t, o01 * inv_t,
-                                  o10 * inv_t, (s - o00) * inv_t)]
-
-    def times(inv, x0, x1):
-        return inv[0] * x0 + inv[1] * x1, inv[2] * x0 + inv[3] * x1
-
+    t_inv = [c * inv_t[:, None] for c in adj_t]
     rm0, rm1, ro0, ro1 = rhs
-    y0, y1 = times(t_inv, ro0, ro1)
-    xm0, xm1 = times(c_inv, rm0 - (q[0, 0] * y0 + q[0, 1] * y1),
-                     rm1 - (q[1, 0] * y0 + q[1, 1] * y1))
-    xo0, xo1 = times(t_inv, ro0 - (r[0, 0] * xm0 + r[0, 1] * xm1),
-                     ro1 - (r[1, 0] * xm0 + r[1, 1] * xm1))
+    y0, y1 = _apply(t_inv, ro0, ro1)
+    xm0, xm1 = _apply(c_inv, rm0 - (q[0, 0] * y0 + q[0, 1] * y1),
+                      rm1 - (q[1, 0] * y0 + q[1, 1] * y1))
+    xo0, xo1 = _apply(t_inv, ro0 - (r[0, 0] * xm0 + r[0, 1] * xm1),
+                      ro1 - (r[1, 0] * xm0 + r[1, 1] * xm1))
     return np.stack([xm0, xm1, xo0, xo1])
 
 

@@ -140,12 +140,10 @@ def fig2_params(**overrides) -> PhysicalParams:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Classical amplitudes and static displacements of the working point."""
+    """Classical intracavity amplitudes of the working point."""
 
     alpha: float            # meter intracavity amplitude, real by convention
     beta: complex           # entangler intracavity amplitude
-    q1_ss: float
-    q2_ss: float
 
 
 def power_to_amplitude(power: float, drive_frequency: float) -> float:
@@ -156,12 +154,12 @@ def power_to_amplitude(power: float, drive_frequency: float) -> float:
 
 
 def steady_state(params: PhysicalParams) -> SteadyState:
-    """Classical steady state of the driven cavities and the mirrors.
+    """Classical steady state of the driven cavities.
 
     With the meter on resonance, alpha = sqrt(gamma_a) * alpha_in / (gamma_a/2)
     is real; the entangler amplitude picks up the detuning phase.  The static
-    mirror displacements are opposite for the two mirrors: the entangler pushes
-    them apart while the meters push them back.
+    mirror displacements enter no equation of the linearized model, so they
+    are not computed.
     """
     alpha_in = power_to_amplitude(params.p_in_a, params.omega_a0)
     beta_in = power_to_amplitude(params.p_in_b, params.omega_b0)
@@ -171,8 +169,4 @@ def steady_state(params: PhysicalParams) -> SteadyState:
         np.sqrt(params.gamma_b) * beta_in
         / (params.gamma_b / 2.0 - 1j * params.delta_b)
     )
-    push = (
-        params.big_g * abs(beta) ** 2 - params.g * alpha ** 2
-    ) / params.big_omega
-    return SteadyState(alpha=float(alpha), beta=complex(beta),
-                       q1_ss=-push, q2_ss=push)
+    return SteadyState(alpha=float(alpha), beta=complex(beta))

@@ -147,10 +147,10 @@ def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
     w = frequency_grid(omegas)
     c = _currents(sys, w, (1, 2))
-    # s[j - 1, k - 1] is the form of currents j and k; broadcasting copies no row.
-    s = noise.form(w, *noise_weights(c[:, None], c[None]))
-    return TwoChannelSpectra(omegas=w, s11=s[0, 0].real, s22=s[1, 1].real,
-                             s12=s[0, 1])
+    # The auto forms on the path of output_spectrum, then the one cross form.
+    s11, s22 = noise.form(w, *noise_weights(c, c)).real
+    s12 = noise.form(w, *noise_weights(c[0], c[1]))
+    return TwoChannelSpectra(omegas=w, s11=s11, s22=s22, s12=s12)
 
 
 def combine_currents(spectra: TwoChannelSpectra, mode: str):

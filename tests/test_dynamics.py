@@ -13,7 +13,7 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
-    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, _solve_4x4,
+    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, _solve_closed_form,
     frequency_grid, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
@@ -272,28 +272,31 @@ class TestAdjointSolve:
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @pytest.mark.parametrize("idx", [[IQ1, IP1], [IQ2, IP2, IXB, IYB]],
+                             ids=["centre_of_mass", "relative"])
     @settings(max_examples=40, deadline=None)
     @given(point=working_points())
-    def test_closed_form_4x4_matches_lapack(self, point):
-        # The relative block {q-, p-, X_b, Y_b} by 2x2-block elimination
-        # against LAPACK on the same block, on a grid across the poles of
-        # the relative mode.  Every selector the package solves gives the
+    def test_closed_form_4x4_matches_lapack(self, idx, point):
+        # The closed-form solve of the centre-of-mass block {q+, p+} and of
+        # the relative block {q-, p-, X_b, Y_b} (by 2x2-block elimination)
+        # against LAPACK on the same block, on a grid across the block's
+        # poles.  Every selector the package solves gives the relative
         # block a right-hand side in {q-, p-} only (nothing feeds X_b or
-        # Y_b), so the two unit vectors there span them.  LAPACK itself is
+        # Y_b), so the two leading unit vectors span them.  LAPACK itself is
         # off by up to ~cond * eps near a pole (2e-7 at one drawn point, where
         # the closed form held 2e-13 of a 50-digit solve), hence that
         # allowance above 1e-12.
         params, _ = point
         sys = build_linear_system(params)
-        idx = [IQ2, IP2, IXB, IYB]
         assert tuple(idx) in sys.blocks
+        m = len(idx)
         block = sys.basis_drift[np.ix_(idx, idx)]
         poles = np.abs(np.linalg.eigvals(block).imag)
         omegas = np.concatenate(
             [np.geomspace(0.1, 10.0, 129) * params.big_omega, poles])
-        rhs = np.broadcast_to(np.eye(4)[:, None, :2], (4, omegas.size, 2))
-        got = _solve_4x4(block, omegas, rhs)
-        shifted_t = -1j * omegas[:, None, None] * np.eye(4) - block.T
+        rhs = np.broadcast_to(np.eye(m)[:, None, :2], (m, omegas.size, 2))
+        got = _solve_closed_form(block, omegas, rhs)
+        shifted_t = -1j * omegas[:, None, None] * np.eye(m) - block.T
         want = np.linalg.solve(shifted_t, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
         err = np.linalg.norm(got - want, axis=0)
         tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(shifted_t)
