@@ -221,8 +221,9 @@ def _eval_chunk(sys_obj, omegas):
 def _sweep_rows(spec: SweepSpec):
     """Evaluate the sweep grid; returns (omegas, per-T dict of result arrays).
 
-    The grid is solved once, by _eval_chunk; every temperature is then
-    evaluated from the same weights in O(n).
+    The grid is checked and solved once, by _eval_chunk; every temperature
+    is then evaluated from the same weights on the same checked grid in
+    O(n).
     """
     sys_obj = dynamics.build_linear_system(
         spec.params, require_stable=spec.require_stable
@@ -237,7 +238,7 @@ def _sweep_rows(spec: SweepSpec):
             big_omega=spec.params.big_omega,
             kernel=spec.brownian_kernel,
         )
-        results[temp] = entanglement.degree_from_weights(weights, noise, omegas)
+        results[temp] = entanglement._degree(weights, noise, omegas)
     return omegas, results
 
 
@@ -431,12 +432,21 @@ def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
             f.truncate()
 
 
-def _bands(omegas, mask):
-    """Contiguous omega intervals where mask holds."""
-    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1) - 1
-    return [[float(omegas[a]), float(omegas[b])] for a, b in zip(starts, stops)]
+def _bands(omegas, degree):
+    """Contiguous omega intervals where degree < 1 and where degree < 1/4,
+    as two lists, from one scan of degree."""
+    level = np.zeros(degree.size + 2, np.int8)
+    level[1:-1] = degree < 1.0
+    level[1:-1] += degree < 0.25
+    steps = np.flatnonzero(np.diff(level))      # level[i] != level[i + 1]
+    before, after = level[steps], level[steps + 1]
+    out = []
+    for k in (1, 2):
+        starts = steps[(before < k) & (after >= k)]
+        stops = steps[(before >= k) & (after < k)] - 1
+        out.append([[float(omegas[a]), float(omegas[b])]
+                    for a, b in zip(starts, stops)])
+    return out
 
 
 def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
@@ -447,12 +457,13 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     for temp, res in results.items():
         degree = res["degree"]
         imin = int(np.argmin(degree))
+        entangled, epr = _bands(omegas, degree)
         summary["temperatures"].append({
             "temperature": temp,
             "min_degree": float(degree[imin]),
             "argmin_omega": float(omegas[imin]),
-            "entangled_bands": _bands(omegas, degree < 1.0),
-            "epr_bands": _bands(omegas, degree < 0.25),
+            "entangled_bands": entangled,
+            "epr_bands": epr,
         })
 
     out = Path(out_dir)

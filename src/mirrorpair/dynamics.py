@@ -60,24 +60,26 @@ MIRROR_ROTATION, _MIRROR_INVERSE = _mirror_map(1.0), _mirror_map(0.5)
 class LinearSystem:
     """Immutable drift/noise-coupling pair plus the parameters behind it.
 
-    The adjoint solve (selected_transfer_rows) runs in the coordinates
-    x' = T x, with T the identity or MIRROR_ROTATION, whichever gives the
-    drift the finer block plan (_adjoint_blocks).  For the mirror-symmetric
-    drift of build_linear_system the rotation separates the centre-of-mass
+    Two paths give its transfer rows.  A system whose drift and
+    noise_coupling equal, entry for entry, what build_linear_system
+    assembles from its params and steady state is the paper's model: its
+    u = q1 + q2 and d = q1 - q2 rows, the only rows a sweep or a readout
+    spectrum needs, have the closed form of susceptibility_rows.  That
+    comparison is made once, here, and recorded as _assembled.  Any other
+    (hand-built) system takes the generic path, the adjoint solve of
+    selected_transfer_rows, which also serves every row the closed form
+    does not give and is the independent check of it.
+
+    The adjoint solve runs in the coordinates x' = T x, with T the identity
+    or MIRROR_ROTATION, whichever gives the drift the finer block plan
+    (_adjoint_blocks).  For the mirror-symmetric drift of
+    build_linear_system the rotation separates the centre-of-mass
     oscillator {q+, p+} from the relative mode and the entangler
     {q-, p-, X_b, Y_b}.  There the entries of the two mirrors are equal or
     opposite, so every rotated entry is exact in binary (the rotation undoes
     to the same bits).  A drift without that symmetry keeps T = I and its
     own plan.  The choice, the rotated drift T A T^-1, the rotated coupling
     T B and the plan are worked out once, here.
-
-    So is position_rate, the sweep's plan (entanglement.sweep_weights).
-    When the q_j row of the drift is the single entry Omega at p_j, the same
-    Omega for both mirrors, and no noise enters q_j, then
-    -i omega q_j = Omega p_j at every omega: each momentum row is
-    (-i omega / Omega) times its position row, and E(omega) needs position
-    rows only.  position_rate is that Omega, or None for a drift that
-    breaks the pattern.
     """
 
     drift: np.ndarray           # (10, 10) real
@@ -93,15 +95,15 @@ class LinearSystem:
     #: as indices of the solve coordinates: with the rotation, the slots of
     #: q1, p1, q2 and p2 hold q+, p+, q- and p-.
     blocks: tuple = field(init=False, repr=False)
-    #: Omega of p_j = (-i omega / Omega) q_j, or None (see above).
-    position_rate: float | None = field(init=False, repr=False)
+    #: Whether drift and noise_coupling are build_linear_system's assembly
+    #: of params and steady, so that susceptibility_rows gives the rows.
+    _assembled: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b, basis = self.drift, self.noise_coupling, np.eye(N_STATE)
-        rate = float(a[IQ1, IP1])
-        pure = (rate != 0.0 and a[IQ2, IP2] == rate
-                and np.count_nonzero(a[[IQ1, IQ2]]) == 2
-                and not b[[IQ1, IQ2]].any())
+        model_a, model_b = _assemble(self.params, self.steady)
+        assembled = (np.array_equal(a, model_a)
+                     and np.array_equal(b, model_b))
         plan = _adjoint_blocks(a)
         rotated = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
         finer = _adjoint_blocks(rotated)
@@ -112,7 +114,7 @@ class LinearSystem:
             array.setflags(write=False)
         for name, value in (("basis", basis), ("basis_drift", a),
                             ("basis_coupling", b), ("blocks", plan),
-                            ("position_rate", rate if pure else None)):
+                            ("_assembled", assembled)):
             object.__setattr__(self, name, value)
 
 
@@ -157,6 +159,16 @@ def build_linear_system(
     frequency-domain spectra are still evaluated (see README).
     """
     ss = steady_state(params)
+    a, b = _assemble(params, ss)
+    sys = LinearSystem(drift=a, noise_coupling=b, params=params, steady=ss)
+    if require_stable and not is_stable(sys):
+        raise DriftUnstableError(np.linalg.eigvals(a))
+    return sys
+
+
+def _assemble(params: PhysicalParams, ss: SteadyState):
+    """The drift (10, 10) and noise coupling (10, 8) of build_linear_system
+    at params and the steady state ss."""
     galpha = params.g * ss.alpha
     gbeta_r = params.big_g * ss.beta.real
     gbeta_i = params.big_g * ss.beta.imag
@@ -194,11 +206,7 @@ def build_linear_system(
         b[ix, k] = np.sqrt(params.gamma_a)
     b[IXB, IXINB] = np.sqrt(params.gamma_b)
     b[IYB, IYINB] = np.sqrt(params.gamma_b)
-
-    sys = LinearSystem(drift=a, noise_coupling=b, params=params, steady=ss)
-    if require_stable and not is_stable(sys):
-        raise DriftUnstableError(np.linalg.eigvals(a))
-    return sys
+    return a, b
 
 
 def stability_margin(sys: LinearSystem) -> float:
@@ -366,8 +374,77 @@ def frequency_grid(omegas) -> np.ndarray:
     return np.atleast_1d(w.astype(float, copy=False))
 
 
+def susceptibility_rows(sys: LinearSystem, w):
+    """The u = q1 + q2 and d = q1 - q2 rows of the transfer matrix in the
+    closed form of the model: the mechanical susceptibility and the optical
+    spring of the entangler.
+
+    With mech = (Omega - w)(Omega + w) - i Gamma w, c_a = g alpha
+    sqrt(gamma_a) / (gamma_a/2 - i w), kappa = gamma_b/2 - i w,
+    D = kappa^2 + Delta_b^2 and den = mech D + 4 Omega G^2 |beta|^2 Delta_b,
+    on the noise channels (xi_1, xi_2, X_in1, Y_in1, X_in2, Y_in2, X_inb,
+    Y_inb):
+
+        u = (Omega / mech) [1, 1, c_a, 0, -c_a, 0, 0, 0]
+        d = (Omega / den) [D, -D, D c_a, 0, D c_a, 0,
+                           sqrt(gamma_b) (-2 G beta_r kappa - 2 G beta_i Delta_b),
+                           sqrt(gamma_b) (2 G beta_r Delta_b - 2 G beta_i kappa)]
+
+    The entangler does not reach the centre of mass u.  D is formed as
+    (kappa - i Delta_b)(kappa + i Delta_b), so nothing cancels near
+    w = |Delta_b|, and the real part of mech as in _shifted_det.  Near a
+    lightly damped pole of the relative mode mech D and the spring term
+    cancel in den, as they do in the adjoint solve's relative block: at the
+    stable point P* (tests/test_precision.py), whose relative mechanical
+    pole at 0.92496 Omega has a damping of 8e-7 Omega, both paths are about
+    1e-11 off a 40-digit reference there.
+
+    The rows are those of build_linear_system's model at sys.params and
+    sys.steady, so they are sys's own rows only where sys._assembled holds;
+    callers take selected_transfer_rows for any other system.  A zero mech
+    or den raises SingularityError before any division (_nonzero).
+
+    w: a float array of shape (n,) as frequency_grid returns it; it is not
+    checked again.  Returns shape (2, n, 8): the u row, then the d row.
+    """
+    p, ss = sys.params, sys.steady
+    om, g_b = p.big_omega, p.gamma_b
+    gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
+    mech = np.empty(w.shape, dtype=complex)
+    mech.real = (om - w) * (om + w)
+    mech.imag = -p.big_gamma * w
+    kappa = np.empty(w.shape, dtype=complex)
+    kappa.real = 0.5 * g_b
+    kappa.imag = -w
+    spring = (kappa - 1j * p.delta_b) * (kappa + 1j * p.delta_b)
+    den = (mech * spring
+           + 4.0 * om * (gbeta_r * gbeta_r + gbeta_i * gbeta_i) * p.delta_b)
+    c_a = p.g * ss.alpha * np.sqrt(p.gamma_a) / (0.5 * p.gamma_a - 1j * w)
+    rows = np.zeros((2, w.size, N_NOISE), dtype=complex)
+    u, d = rows
+    u[:, IXI1] = u[:, IXI2] = om / _nonzero(mech)
+    u[:, IXIN1] = u[:, IXI1] * c_a
+    u[:, IXIN2] = -u[:, IXIN1]
+    scale = om / _nonzero(den)
+    d[:, IXI1] = scale * spring
+    d[:, IXI2] = -d[:, IXI1]
+    d[:, IXIN1] = d[:, IXIN2] = d[:, IXI1] * c_a
+    scale *= np.sqrt(g_b)
+    d[:, IXINB] = scale * (-2.0 * gbeta_r * kappa - 2.0 * gbeta_i * p.delta_b)
+    d[:, IYINB] = scale * (2.0 * gbeta_r * p.delta_b - 2.0 * gbeta_i * kappa)
+    return rows
+
+
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     """Rows c^T M(omega) of the transfer matrix for selection vectors c.
+
+    This is the generic row path.  The model's sweep and readout take their
+    u and d rows from susceptibility_rows instead; this solve gives the rows
+    of a hand-built LinearSystem, every selector the closed form does not
+    cover, and output_spectrum_via_transfer, and it is the independent check
+    of the closed form.  Near an ill-conditioned relative block it is the
+    less accurate of the two (the d row at P*'s optical pole,
+    tests/test_precision.py).
 
     Solving the adjoint system per selector avoids forming the full transfer
     matrix and, crucially, avoids the catastrophic cancellation that appears

@@ -29,10 +29,13 @@ import numpy as np
 from .dynamics import (
     IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
     NoiseModel, _transfer_rows, frequency_grid, noise_weights,
+    susceptibility_rows,
 )
-# The sweep solves its checked pieces through _transfer_rows; the
-# benchmark's trace table patches entanglement.selected_transfer_rows by
-# name, so the name stays until that table changes.
+# The sweep takes the model's rows from susceptibility_rows, and those of a
+# hand-built system from _transfer_rows on its checked pieces; neither
+# calls selected_transfer_rows.  The benchmark's trace table patches
+# entanglement.selected_transfer_rows by name, so the name stays until
+# that table changes.
 from .dynamics import selected_transfer_rows  # noqa: F401
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
@@ -51,20 +54,33 @@ D_SELECTOR = _selector((IQ1, 1.0), (IQ2, -1.0))
 V_SELECTOR = _selector((IP1, 1.0), (IP2, -1.0))
 Q1_SELECTOR = _selector((IQ1, 1.0))
 P1_SELECTOR = _selector((IP1, 1.0))
-#: The selectors of one sweep solve, as columns: u = q1 + q2 and
-#: d = q1 - q2.  The v and p1 rows follow from them (sweep_weights).
+#: The u = q1 + q2 and d = q1 - q2 selectors, as columns: the rows of
+#: dynamics.susceptibility_rows.
 SWEEP_SELECTORS = np.stack([U_SELECTOR, D_SELECTOR], axis=1)
-#: The selectors of a drift without the q-row identity: u, v, q1 and p1.
+#: The selectors of a hand-built system's sweep solve: u, v, q1 and p1.
 _FOUR_ROW_SELECTORS = np.stack(
     [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
 )
-#: Frequencies per solve.  It bounds a sweep's memory (2e5 omega raise the
-#: peak RSS by about 38 MB), and each solve costs about 0.3 ms besides its
-#: frequencies.  At the Fig. 2 point sweep_weights on 10^4 omega took
-#: 12-16 ms in 5 chunks of 2048 and 14-19 ms in chunks of 1024, 4096 or
-#: 8192, 2048 the fastest in each of three runs (medians of 40 interleaved
-#: calls per run, 2-core x86-64 VM).
+#: Frequencies per piece of a sweep (sweep_weights) and of a readout
+#: spectrum.  It bounds a sweep's memory (2e5 omega raise the peak RSS by
+#: about 37 MB), and the elementwise work of a small piece stays in cache.
+#: At the Fig. 2 point sweep_weights on 10^4 omega took 4.0-4.1 ms in 5
+#: pieces of 2048, 4.7-4.9 ms in pieces of 1024, 3.9-4.0 ms in pieces of
+#: 4096 and 5.8-5.9 ms in one piece; the three direct readout spectra on
+#: 8000 omega took 7.6-11 ms in pieces of 2048 and 13-17 ms in one piece
+#: (medians of 30-40 interleaved calls per run, three runs, 2-core x86-64
+#: VM).
 CHUNK = 2048
+
+
+def _by_piece(evaluate, w):
+    """evaluate(piece) on the ceil(n / CHUNK) pieces of np.array_split of
+    the checked grid w, in order, joined on the last axis.  Every step of a
+    sweep or a spectrum is elementwise in omega, so the pieces give the
+    bits of one call on w."""
+    return np.concatenate([evaluate(piece) for piece in
+                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
+
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.
 SYMPLECTIC_FORM = np.array([
@@ -78,27 +94,30 @@ SYMPLECTIC_FORM = np.array([
 def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """Temperature-independent reduction of the transfer rows behind E(omega).
 
-    The grid is checked once and solved in order, in the ceil(n / CHUNK)
-    pieces of np.array_split: one adjoint solve at +omega per piece gives
-    the rows r = c^T M(omega) (see selected_transfer_rows); the rows at
-    -omega are their conjugates because A and B are real.  With
+    The grid is checked once and evaluated in order, in the ceil(n / CHUNK)
+    pieces of np.array_split, which bound a sweep's memory: the rows
+    r = c^T M(omega) at +omega per piece; the rows at -omega are their
+    conjugates because A and B are real.  With
     F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
 
         Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
         <[R_q1, R_p1]> = i Im F(q1, p1).
 
-    Where sys.position_rate is Omega, each piece solves u and
-    d = q1 - q2 only (SWEEP_SELECTORS, _position_weights).  Any other drift
-    solves u, v, q1 and p1 and takes the three forms of those rows.
+    The model's system (sys._assembled) takes its u and d = q1 - q2 rows
+    in closed form (dynamics.susceptibility_rows, _position_weights).  A
+    hand-built system solves u, v, q1 and p1 (selected_transfer_rows) and
+    takes the three forms of those rows.
 
     Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
     joined: shape (4, 3, n), in the order of noise_weights.
     """
-    w = frequency_grid(omegas)
-    weights = (_four_row_weights if sys.position_rate is None
-               else _position_weights)
-    return np.concatenate([weights(sys, chunk) for chunk in
-                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
+    return _sweep_weights(sys, frequency_grid(omegas))
+
+
+def _sweep_weights(sys, w):
+    """sweep_weights on a checked grid w."""
+    weights = _position_weights if sys._assembled else _four_row_weights
+    return _by_piece(lambda piece: weights(sys, piece), w)
 
 
 def _four_row_weights(sys, w):
@@ -108,17 +127,20 @@ def _four_row_weights(sys, w):
 
 
 def _position_weights(sys, w):
-    """The sweep weights from the u and d rows, by the q-row identity.
+    """The sweep weights of the model from its u and d rows, by the q-row
+    identity.
 
-    With rho = omega / Omega the momentum rows are v = -i rho d and
-    p1 = -i rho q1, q1 = (u + d) / 2 (see LinearSystem).  So the weights of
-    (v, v) are rho^2 times those of (d, d).  Those of (q1, p1) close over q1
-    alone: q1 conj(p1) = i rho |q1|^2 per channel, so xi_real and vacuum
-    are 0, xi_imag is rho times the Brownian sum of |q1|^2, and pairs is
+    Row q_j of the model's drift is Omega at p_j and nothing else, and no
+    noise enters q_j, so p_j = (-i omega / Omega) q_j at every omega.  With
+    rho = omega / Omega the momentum rows are v = -i rho d and
+    p1 = -i rho q1, q1 = (u + d) / 2.  So the weights of (v, v) are rho^2
+    times those of (d, d).  Those of (q1, p1) close over q1 alone:
+    q1 conj(p1) = i rho |q1|^2 per channel, so xi_real and vacuum are 0,
+    xi_imag is rho times the Brownian sum of |q1|^2, and pairs is
     -2 rho sum_pairs Im(q1_X conj q1_Y), in real arithmetic.
     """
-    u, d = _transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
-    rho = w / sys.position_rate
+    u, d = susceptibility_rows(sys, w)
+    rho = w / sys.params.big_omega
     out = np.zeros((4, 3, w.size))
     out[:, 0] = noise_weights(u, u)
     out[:, 1] = noise_weights(d, d)
@@ -136,7 +158,11 @@ def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
     O(n) per noise model: a sweep over several temperatures solves once and
     calls this once per temperature.  Returns the dict of degree_sweep.
     """
-    w = frequency_grid(omegas)
+    return _degree(weights, noise, frequency_grid(omegas))
+
+
+def _degree(weights, noise, w):
+    """degree_from_weights on a checked grid w."""
     forms = noise.form(w, *weights)
     var_u, var_v = 0.5 * forms[:2].real
     # <[R_q1, R_p1]>: the closed-form antisymmetric part keeps it exactly
@@ -158,12 +184,14 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     """E(omega) over a frequency grid, solved as mirrorpair --sweep solves it.
 
     Returns a dict of arrays: var_u, var_v, commutator_sq, degree.  The
-    quadratic forms are evaluated through adjoint solves on the selection
-    vectors (see selected_transfer_rows) so that the strongly suppressed
-    relative-momentum variance is computed without catastrophic cancellation.
-    The solves go through sweep_weights in CHUNK pieces, in bounded memory.
+    quadratic forms are built from transfer rows, never from the full
+    transfer matrix, so that the strongly suppressed relative-momentum
+    variance is computed without catastrophic cancellation.  The grid is
+    checked once and evaluated as sweep_weights evaluates it, in CHUNK
+    pieces, in bounded memory.
     """
-    return degree_from_weights(sweep_weights(sys, omegas), noise, omegas)
+    w = frequency_grid(omegas)
+    return _degree(_sweep_weights(sys, w), noise, w)
 
 
 @dataclass(frozen=True)

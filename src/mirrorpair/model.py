@@ -13,6 +13,7 @@ the meter detuning is fixed to zero and the meter amplitude alpha is real.
 from __future__ import annotations
 
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -70,11 +71,14 @@ def check_numbers(values, signed=(), positive=(), nonnegative=(), nonzero=(),
                     f"{name} must be an integer >= {least}, got {v!r}")
     lo, hi = magnitude
     for names, sign, holds in ((signed, None, None),
-                               (positive, "> 0", np.greater),
-                               (nonnegative, ">= 0", np.greater_equal),
-                               (nonzero, "!= 0", np.not_equal)):
+                               (positive, "> 0", operator.gt),
+                               (nonnegative, ">= 0", operator.ge),
+                               (nonzero, "!= 0", operator.ne)):
         for name in names:
             v = values[name]
+            if (isinstance(v, float) and (v == 0.0 or lo <= abs(v) <= hi)
+                    and (sign is None or holds(v, 0.0))):
+                continue        # one valid number: no array round trip
             real = all(map(_is_real, v if isinstance(v, tuple) else (v,)))
             x = np.asarray(v, dtype=float) if real else None
             if not real:

@@ -12,13 +12,20 @@ so its channel carries gain with an extra factor -1; the combiner removes the
 orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
 
 The oriented rows of the currents are built once, by _currents, for one
-channel or both.  Each spectrum costs one batched adjoint solve at +omega for
-the coefficient rows c(omega) of the output in noise space.  A and B are
+channel or both, from the q_j rows at +omega.  For the model's system those
+are q1 = (u + d) / 2 and q2 = (u - d) / 2, from the closed-form rows of
+dynamics.susceptibility_rows; a hand-built system solves them by one
+batched adjoint solve (dynamics.selected_transfer_rows).  A and B are
 real, and gain and refl at -omega are the conjugates of their values at
 +omega, so the rows at -omega are conj(c(omega)).  Every spectrum is then
 the hermitian form [c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2, one
 NoiseModel.form call on the weights of dynamics.noise_weights(c_i, c_j):
 the single home of the closed form that the entanglement sweep uses as well.
+output_spectrum_via_transfer builds the same spectrum from the Y_a rows of
+the adjoint solve instead, as an independent check.  Each spectrum is
+evaluated in the sweep's CHUNK pieces (entanglement._by_piece), with the
+bits of one call: at 8000 omega the direct spectra took about two thirds of
+the time of one call.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ import numpy as np
 from .dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
     LinearSystem, NoiseModel, frequency_grid, noise_weights,
-    selected_transfer_rows,
+    selected_transfer_rows, susceptibility_rows,
 )
+from .entanglement import _by_piece
 from .errors import InvalidParameterError
 # steady_state is not called here; the benchmark's trace table patches
 # readout.steady_state by name, so the name stays until that table changes.
@@ -88,14 +96,20 @@ def gain_condition(sys: LinearSystem, omega: float, threshold: float = 10.0):
 
 
 def _currents(sys, w, channels):
-    """Noise-space rows of the oriented output currents, from one solve.
+    """Noise-space rows of the oriented output currents.
 
     Row k is gain * q_j + sign_j * refl * Y_in_j for channel j = channels[k],
-    so that every current carries +gain * q_j.  Returns (len(channels), n, 8).
+    so that every current carries +gain * q_j.  The q_j rows come from
+    susceptibility_rows where sys._assembled holds, else from one adjoint
+    solve.  Returns (len(channels), n, 8).
     """
     specs = [_channel(j) for j in channels]
-    sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
-    rows = selected_transfer_rows(sys, w, sel).transpose(1, 0, 2)
+    if sys._assembled:
+        u, d = susceptibility_rows(sys, w)
+        rows = np.stack([0.5 * (u + sign * d) for _, _, _, sign in specs])
+    else:
+        sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
+        rows = selected_transfer_rows(sys, w, sel).transpose(1, 0, 2)
     # gain and refl are the same for both channels; only the sign differs.
     chan = ReadoutChannel.for_system(sys)
     gain, refl = chan.gain(w)[:, None], chan.noise_reflection(w)
@@ -110,8 +124,12 @@ def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
     w = frequency_grid(omegas)
-    rows = _currents(sys, w, (channel,))[0]
-    out = noise.form(w, *noise_weights(rows, rows)).real
+
+    def spectrum(piece):
+        rows = _currents(sys, piece, (channel,))[0]
+        return noise.form(piece, *noise_weights(rows, rows)).real
+
+    out = _by_piece(spectrum, w)
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -119,13 +137,19 @@ def output_spectrum_via_transfer(
     sys: LinearSystem, noise: NoiseModel, omegas, channel: int
 ):
     """Same spectrum assembled from the boundary relation
-    Y_out = sqrt(gamma_a) Y_cav - Y_in using the full transfer matrix."""
+    Y_out = sqrt(gamma_a) Y_cav - Y_in, from the Y_a rows of the adjoint
+    solve (selected_transfer_rows): an independent check of
+    output_spectrum, which shares no rows with it."""
     _, iya, iyin, _ = _channel(channel)
     w = frequency_grid(omegas)
-    rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])[:, 0]
-    rows = np.sqrt(sys.params.gamma_a) * rows
-    rows[:, iyin] -= 1.0
-    out = noise.form(w, *noise_weights(rows, rows)).real
+
+    def spectrum(piece):
+        rows = selected_transfer_rows(sys, piece, np.eye(N_STATE)[:, [iya]])
+        rows = np.sqrt(sys.params.gamma_a) * rows[:, 0]
+        rows[:, iyin] -= 1.0
+        return noise.form(piece, *noise_weights(rows, rows)).real
+
+    out = _by_piece(spectrum, w)
     return out if np.ndim(omegas) else float(out[0])
 
 
@@ -146,11 +170,18 @@ class TwoChannelSpectra:
 def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
     """Evaluate both oriented output currents and their cross-spectrum."""
     w = frequency_grid(omegas)
-    c = _currents(sys, w, (1, 2))
-    # The auto forms on the path of output_spectrum, then the one cross form.
-    s11, s22 = noise.form(w, *noise_weights(c, c)).real
-    s12 = noise.form(w, *noise_weights(c[0], c[1]))
-    return TwoChannelSpectra(omegas=w, s11=s11, s22=s22, s12=s12)
+
+    def spectra(piece):
+        c = _currents(sys, piece, (1, 2))
+        out = np.empty((3, piece.size), dtype=complex)
+        # The auto forms on the path of output_spectrum, then the one cross
+        # form.
+        out[:2] = noise.form(piece, *noise_weights(c, c))
+        out[2] = noise.form(piece, *noise_weights(c[0], c[1]))
+        return out
+
+    s11, s22, s12 = _by_piece(spectra, w)
+    return TwoChannelSpectra(omegas=w, s11=s11.real, s22=s22.real, s12=s12)
 
 
 def combine_currents(spectra: TwoChannelSpectra, mode: str):

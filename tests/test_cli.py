@@ -327,20 +327,26 @@ class TestSweepKernel:
                                                       monkeypatch, entry):
         # The sweep solves in this process whatever the worker count, so the
         # spy sees every chunk; degree_sweep shares the sweep's chunk loop.
-        # At the Fig. 2 point each chunk solves the u and d rows only, and
-        # the grid is checked once, not again per chunk.
+        # At the Fig. 2 point each chunk takes the closed-form u and d rows
+        # only, nothing goes through the adjoint solve, and the grid is
+        # checked once per sweep, not again per chunk or per temperature.
         calls, checks = [], []
-        solve, check = entanglement._transfer_rows, dynamics.frequency_grid
+        rows, check = entanglement.susceptibility_rows, dynamics.frequency_grid
 
-        def spy(sys, omegas, selectors):
-            calls.append((np.array(omegas), np.shape(selectors)))
-            return solve(sys, omegas, selectors)
+        def spy(sys, omegas):
+            out = rows(sys, omegas)
+            calls.append((np.array(omegas), np.shape(out)))
+            return out
 
         def counted(omegas):
             checks.append(np.size(omegas))
             return check(omegas)
 
-        monkeypatch.setattr(entanglement, "_transfer_rows", spy)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the model's sweep must not solve")
+
+        monkeypatch.setattr(entanglement, "susceptibility_rows", spy)
+        monkeypatch.setattr(entanglement, "_transfer_rows", forbidden)
         monkeypatch.setattr(entanglement, "frequency_grid", counted)
         monkeypatch.setattr(dynamics, "frequency_grid", counted)
         params = fig2_params()
@@ -355,11 +361,11 @@ class TestSweepKernel:
         else:
             run_sweep(spec, tmp_path)
         assert len(calls) == -(-n // CHUNK) == 3
-        assert all(c.size <= CHUNK and np.all(c > 0) and shape == (N_STATE, 2)
-                   for c, shape in calls)
+        assert all(c.size <= CHUNK and np.all(c > 0)
+                   and shape == (2, c.size, N_NOISE) for c, shape in calls)
         assert np.array_equal(np.concatenate([c for c, _ in calls]),
                               spec.omega_grid())
-        assert checks[0] == n and checks.count(n) == len(checks)
+        assert checks == [n]
 
     @pytest.mark.parametrize("kernel", ["corrected", "halved"])
     def test_multi_temperature_arrays_equal_degree_sweep(self, kernel):
@@ -460,15 +466,20 @@ class TestRunSweep:
                 for w, e in zip(omegas, degree)
             ]
 
-    @pytest.mark.parametrize("mask,want", [
-        ([0, 0, 0, 0], []),
-        ([1, 1, 1, 1], [[1.0, 4.0]]),
-        ([1, 0, 0, 1], [[1.0, 1.0], [4.0, 4.0]]),
-        ([0, 1, 1, 0], [[2.0, 3.0]]),
+    @pytest.mark.parametrize("degree,entangled,epr", [
+        ([2, 2, 2, 2], [], []),
+        ([0.5, 0.5, 0.5, 0.5], [[1.0, 4.0]], []),
+        ([0.1, 2, 2, 0.5], [[1.0, 1.0], [4.0, 4.0]], [[1.0, 1.0]]),
+        ([2, 0.1, 0.1, 2], [[2.0, 3.0]], [[2.0, 3.0]]),
+        ([0.5, 0.1, 0.5, 0.1], [[1.0, 4.0]], [[2.0, 2.0], [4.0, 4.0]]),
+        ([0.1, 0.5, 2, np.nan], [[1.0, 2.0]], [[1.0, 1.0]]),
     ])
-    def test_bands_are_contiguous_runs(self, mask, want):
+    def test_bands_are_contiguous_runs(self, degree, entangled, epr):
+        # One scan gives the runs below both levels; a run below 1/4 lies
+        # inside a run below 1, and NaN lies in neither.
         omegas = np.array([1.0, 2.0, 3.0, 4.0])
-        assert _bands(omegas, np.array(mask, dtype=bool)) == want
+        assert _bands(omegas, np.array(degree, dtype=float)) == [entangled,
+                                                                 epr]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         params = fig2_params()

@@ -12,16 +12,20 @@ from mirrorpair import (
     NoiseModel,
     build_linear_system,
     degree_sweep,
+    entanglement,
     optimize_separability,
+    output_spectrum,
+    readout,
     separability_product,
     tmsv_state,
+    two_channel_spectra,
 )
 from mirrorpair.dynamics import (
-    IP1, IP2, IQ1, IQ2, IXI1, IXI2, LinearSystem, N_NOISE, N_STATE,
-    hybrid_grid, noise_weights, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXB, IXI1, IXI2, IYB, LinearSystem, N_NOISE, N_STATE,
+    hybrid_grid, noise_weights, selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
-    P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, SYMPLECTIC_FORM, U_SELECTOR,
+    P1_SELECTOR, Q1_SELECTOR, SYMPLECTIC_FORM, U_SELECTOR,
     V_SELECTOR, separability_optimum, separability_products,
 )
 from mirrorpair.oracle import sample_separable_covariances
@@ -54,9 +58,10 @@ def four_row_forms(sys, noise, w):
 
 
 def identity_forms(sys, noise, w):
-    """The same from the u and d rows alone: with rho = omega / Omega,
-    v = -i rho d and p1 = -i rho q1, where q1 = (u + d) / 2."""
-    u, d = selected_transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+    """The same from the closed-form u and d rows alone: with
+    rho = omega / Omega, v = -i rho d and p1 = -i rho q1, where
+    q1 = (u + d) / 2."""
+    u, d = susceptibility_rows(sys, w)
     rho = w / sys.drift[IQ1, IP1]
     q1 = 0.5 * (u + d)
 
@@ -145,9 +150,12 @@ class TestDegreeSweep:
             else:
                 assert np.array_equal(comm, ref)
 
-    def test_reference_point_takes_the_position_rows(self, fig2):
-        params, sys = fig2
-        assert sys.position_rate == params.big_omega
+    def test_reference_point_takes_the_position_rows(self, fig2, decoupled,
+                                                      meters_only):
+        # Every system of build_linear_system is the model, whose u and d
+        # rows the sweep and the readout take in closed form.
+        for _, sys in (fig2, decoupled, meters_only):
+            assert sys._assembled
 
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     def test_sweep_is_the_form_of_its_position_rows(self, fig2, temperature):
@@ -196,7 +204,8 @@ class TestDegreeSweep:
     def test_drift_without_the_identity_takes_four_rows(self, fig2, case):
         # Each system breaks p_j = (-i omega / Omega) q_j, so the sweep
         # solves u, v, q1 and p1 and takes their forms, bit for bit.  The
-        # identity applied to it would put Var(v) off by 1% to 1e4 times.
+        # model's closed-form rows with the identity would put Var(v) off
+        # by up to 1% (q damping) or 100% (the other two).
         params, sys = fig2
         om = params.big_omega
         drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
@@ -208,7 +217,7 @@ class TestDegreeSweep:
             coupling[IQ1, IXI1] = coupling[IQ2, IXI2] = 1.0
         broken = LinearSystem(drift=drift, noise_coupling=coupling,
                               params=params, steady=sys.steady)
-        assert broken.position_rate is None
+        assert not broken._assembled
         noise = NoiseModel(0.1, params.big_gamma, om)
         w = hybrid_grid(om)
         out = degree_sweep(broken, noise, w)
@@ -217,6 +226,52 @@ class TestDegreeSweep:
             assert np.array_equal(out[key], want[key]), key
         wrong = identity_forms(broken, noise, w)["var_v"]
         assert np.max(np.abs(wrong - want["var_v"]) / want["var_v"]) > 1e-3
+
+    @pytest.mark.parametrize("case", ["q damping", "unequal Omega",
+                                      "noise into q", "silent", "X_b ulp",
+                                      "Y_b ulp"])
+    def test_hand_built_system_never_takes_the_closed_form(
+            self, fig2, monkeypatch, case):
+        # Only a drift and coupling equal to build_linear_system's take the
+        # closed form.  The last two differ from the model in one entangler
+        # entry by one ulp, where the closed form's rows would still pass
+        # any value check, so the path itself is checked.
+        params, sys = fig2
+        om = params.big_omega
+        drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
+        if case == "q damping":
+            drift[IQ1, IQ1] = drift[IQ2, IQ2] = -1e-3 * om
+        elif case == "unequal Omega":
+            drift[IQ2, IP2] *= 1.001
+        elif case == "noise into q":
+            coupling[IQ1, IXI1] = coupling[IQ2, IXI2] = 1.0
+        elif case == "silent":
+            coupling[:] = 0.0
+        else:
+            entry = (IXB, IQ1) if case == "X_b ulp" else (IYB, IXB)
+            drift[entry] = np.nextafter(drift[entry], np.inf)
+        hand_built = LinearSystem(drift=drift, noise_coupling=coupling,
+                                  params=params, steady=sys.steady)
+        assert not hand_built._assembled
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a hand-built system took the closed form")
+
+        monkeypatch.setattr(entanglement, "susceptibility_rows", forbidden)
+        monkeypatch.setattr(readout, "susceptibility_rows", forbidden)
+        noise = NoiseModel(0.1, params.big_gamma, om)
+        w = np.linspace(0.5, 1.5, 101) * om
+        if case == "silent":
+            with pytest.raises(DegenerateCommutatorError):
+                degree_sweep(hand_built, noise, w)
+        else:
+            out = degree_sweep(hand_built, noise, w)
+            want = four_row_forms(hand_built, noise, w)
+            for key in want:
+                assert np.array_equal(out[key], want[key]), key
+        spectra = two_channel_spectra(hand_built, noise, w)
+        assert np.array_equal(output_spectrum(hand_built, noise, w, 1),
+                              spectra.s11)
 
     def test_degenerate_commutator_raises(self, fig2):
         _, sys = fig2

@@ -8,8 +8,11 @@ temperature-factored evaluation, nor with the closed-form readout
 contraction.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.constants import hbar as HBAR, k as KB
 
 from mirrorpair import (
@@ -18,11 +21,14 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    selected_transfer_rows,
+    _transfer_rows, selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
-    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
+    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
+    V_SELECTOR,
 )
+
+from conftest import working_points
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -150,16 +156,110 @@ def test_weak_entangler_relative_row_at_its_pole():
     # solve of the 4x4 block is off by 2.2e-12 here, det C taken as
     # c00 c11 - c01 c10 by 2.1e-12, and det P taken as d - omega^2 instead
     # of (r - omega)(r + omega) by 1.3e-12.
-    params = fig2_params(p_in_b=5e-11)
-    sys = build_linear_system(params)
-    relative = next(b for b in sys.blocks if IQ2 in b)
-    poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
-    w = abs(poles[np.argmin(np.abs(poles.real))].imag)
+    params, w = weak_entangler_pole()
     assert w / params.big_omega == pytest.approx(1.0000025, abs=1e-7)
+    sys = build_linear_system(params)
     got = selected_transfer_rows(sys, [w], D_SELECTOR[:, None])[0, 0]
     want = np.array([complex(x) for x in Reference(params, dps=40)
                      .selected_rows(w, [D_SELECTOR])[0]])
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+#: P*, a stable working point with a second entangled band at the damped
+#: optical pole pair (-0.0243 +- 69.101 i) Omega, close to |delta_b|.
+P_STAR = dict(delta_b=-6.91e6, p_in_b=7.03e-3, gamma_b=4.87e3, big_g=80.6,
+              g=1.28e-3, big_gamma=1.1e-2, p_in_a=8.7e-7)
+
+
+def weak_entangler_pole():
+    """A weak entangler drive and the frequency of its relative-mode pole,
+    a little stiffer than Omega, where the relative block is nearly
+    singular."""
+    params = fig2_params(p_in_b=5e-11)
+    sys = build_linear_system(params)
+    relative = next(b for b in sys.blocks if IQ2 in b)
+    poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
+    return params, abs(poles[np.argmin(np.abs(poles.real))].imag)
+
+
+def closed_form_row_errors(params, omegas):
+    """Relative errors of the closed-form u and d rows against the 40-digit
+    Reference, shape (n, 2)."""
+    got = susceptibility_rows(build_linear_system(params), np.array(omegas))
+    ref = Reference(params, dps=40)
+    err = np.empty((len(omegas), 2))
+    for i, w in enumerate(omegas):
+        for k, row in enumerate(ref.selected_rows(w, (U_SELECTOR,
+                                                      D_SELECTOR))):
+            want = np.array([complex(x) for x in row])
+            err[i, k] = (np.linalg.norm(got[k, i] - want)
+                         / np.linalg.norm(want))
+    return err
+
+
+class TestClosedFormRows:
+    """dynamics.susceptibility_rows, the production rows of the sweep and
+    the readout, against the 40-digit resolvent at 1e-14."""
+
+    def test_fig2_frequencies(self):
+        params = fig2_params()
+        err = closed_form_row_errors(
+            params, [f * params.big_omega for f in OMEGA_FACTORS])
+        assert err.max() <= 1e-14, err
+
+    def test_weak_entangler_pole(self):
+        params, w = weak_entangler_pole()
+        assert closed_form_row_errors(params, [w]).max() <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 68.5, 69.101, 69.7,
+                                        "optical pole"])
+    def test_stable_point(self, factor):
+        # Near the optical pole pair the block solver's d row is off by
+        # 1.4e-13 (69.101 Omega) and 5.5e-15 (69.7 Omega), because it
+        # solves the relative block's 4x4 system, which is ill-conditioned
+        # there; the closed form never forms that system.  The grid points
+        # are whole numbers of s^-1, whose squares are exact; at the pole
+        # itself (69.1010452 Omega) D taken as kappa^2 + Delta_b^2 instead
+        # of its factors would be 8.8e-14 off.
+        params = fig2_params(**P_STAR)
+        if factor == "optical pole":
+            sys = build_linear_system(params)
+            relative = next(b for b in sys.blocks if IQ2 in b)
+            w = np.abs(np.linalg.eigvals(
+                sys.basis_drift[np.ix_(relative, relative)]).imag).max()
+        else:
+            w = factor * params.big_omega
+        err = closed_form_row_errors(params, [w])
+        assert err.max() <= 1e-14, err
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_block_solver_agrees_at_random_working_points(self, point):
+        # The generic path on the same (model) system, across the poles of
+        # the centre of mass and the relative mode.  The block solver is off
+        # by up to ~cond * eps near a pole (the closed form is not: see
+        # test_stable_point), so the rows are held to 1e-12 plus 4 eps times
+        # the larger condition number of the two shifted mirror blocks,
+        # {q+, p+} and {q-, p-, X_b, Y_b}, which the u and d rows solve.
+        params, _ = point
+        sys = build_linear_system(params)
+        blocks = [b for b in sys.blocks if IQ1 in b or IQ2 in b]
+        poles = np.concatenate([np.abs(np.linalg.eigvals(
+            sys.basis_drift[np.ix_(b, b)]).imag) for b in blocks])
+        w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
+                            poles[poles > 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = susceptibility_rows(sys, w)
+            want = _transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+        cond = np.max([np.linalg.cond(
+            -1j * w[:, None, None] * np.eye(len(b))
+            - sys.basis_drift[np.ix_(b, b)].T) for b in blocks], axis=0)
+        tol = 1e-12 + 4.0 * np.finfo(float).eps * cond
+        err = np.linalg.norm(got - want, axis=-1)
+        assert np.all(err <= tol * np.linalg.norm(want, axis=-1))
 
 
 READOUT_OMEGA_FACTORS = (1e-2, 0.9, 1.0, 1.1, 1e2)

@@ -211,29 +211,37 @@ class TestTwoChannelCombination:
 
 
 class TestReadoutSolveCount:
-    @pytest.mark.parametrize("call", [
-        lambda sys, noise, w: readout.two_channel_spectra(sys, noise, w),
-        lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 1),
-        lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 2),
-        lambda sys, noise, w: readout.output_spectrum_via_transfer(
-            sys, noise, w, 1),
-        lambda sys, noise, w: readout.output_spectrum_via_transfer(
-            sys, noise, w, 2),
+    # The direct spectra take the q rows from one closed-form call
+    # (susceptibility_rows) and never solve; the via-transfer spectra take
+    # the Y_a rows from one adjoint solve.
+    @pytest.mark.parametrize("call,rows", [
+        (lambda sys, noise, w: readout.two_channel_spectra(sys, noise, w),
+         "susceptibility_rows"),
+        (lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 1),
+         "susceptibility_rows"),
+        (lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 2),
+         "susceptibility_rows"),
+        (lambda sys, noise, w: readout.output_spectrum_via_transfer(
+            sys, noise, w, 1), "selected_transfer_rows"),
+        (lambda sys, noise, w: readout.output_spectrum_via_transfer(
+            sys, noise, w, 2), "selected_transfer_rows"),
     ], ids=["two_channel", "direct1", "direct2", "transfer1", "transfer2"])
     def test_one_positive_frequency_solve(self, fig2, fig2_noise,
-                                          monkeypatch, call):
+                                          monkeypatch, call, rows):
         _, sys = fig2
         calls = []
-        solve = readout.selected_transfer_rows
+        solve = getattr(readout, rows)
 
-        def spy(sys, omegas, selectors):
+        def spy(sys, omegas, *selectors):
             calls.append(np.array(omegas))
-            return solve(sys, omegas, selectors)
+            return solve(sys, omegas, *selectors)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("readout must not call this")
 
-        monkeypatch.setattr(readout, "selected_transfer_rows", spy)
+        for name in ("susceptibility_rows", "selected_transfer_rows"):
+            monkeypatch.setattr(readout, name,
+                                spy if name == rows else forbidden)
         monkeypatch.setattr(NoiseModel, "input_spectrum", forbidden)
         for module in (readout, dynamics, model):
             monkeypatch.setattr(module, "steady_state", forbidden)
