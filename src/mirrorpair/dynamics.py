@@ -60,15 +60,17 @@ MIRROR_ROTATION, _MIRROR_INVERSE = _mirror_map(1.0), _mirror_map(0.5)
 class LinearSystem:
     """Immutable drift/noise-coupling pair plus the parameters behind it.
 
-    Two paths give its transfer rows.  A system whose drift and
-    noise_coupling equal, entry for entry, what build_linear_system
-    assembles from its params and steady state is the paper's model: its
-    u = q1 + q2 and d = q1 - q2 rows, the only rows a sweep or a readout
-    spectrum needs, have the closed form of susceptibility_rows.  That
-    comparison is made once, here, and recorded as _assembled.  Any other
-    (hand-built) system takes the generic path, the adjoint solve of
-    selected_transfer_rows, which also serves every row the closed form
-    does not give and is the independent check of it.
+    A system whose drift and noise_coupling equal, entry for entry, what
+    build_linear_system assembles from its params and steady state is the
+    paper's model: its u = q1 + q2 and d = q1 - q2 rows, the only rows a
+    sweep or a readout spectrum needs, have the closed form of
+    susceptibility_rows.  That comparison is made once, here, and recorded
+    as _assembled.  For any other (hand-built) system susceptibility_rows
+    raises InvalidParameterError, and so do degree_sweep, sweep_weights,
+    output_spectrum and two_channel_spectra.  Its spectra are the forms
+    (noise_weights, NoiseModel.form) of its selected_transfer_rows rows, as
+    four_row_forms in tests/test_entanglement.py builds them, and
+    output_spectrum_via_transfer takes it as it is.
 
     The adjoint solve runs in the coordinates x' = T x, with T the identity
     or MIRROR_ROTATION, whichever gives the drift the finer block plan
@@ -396,17 +398,20 @@ def susceptibility_rows(sys: LinearSystem, w):
     lightly damped pole of the relative mode mech D and the spring term
     cancel in den, as they do in the adjoint solve's relative block: at the
     stable point P* (tests/test_precision.py), whose relative mechanical
-    pole at 0.92496 Omega has a damping of 8e-7 Omega, both paths are about
-    1e-11 off a 40-digit reference there.
+    pole at 0.92496 Omega has a damping of 7.9e-7 Omega, the d row holds
+    only ~eps |mech D| / |den|, 2.4e-11 there, and the block solver no better.
 
-    The rows are those of build_linear_system's model at sys.params and
-    sys.steady, so they are sys's own rows only where sys._assembled holds;
-    callers take selected_transfer_rows for any other system.  A zero mech
-    or den raises SingularityError before any division (_nonzero).
+    The rows are the model's: a hand-built system (see LinearSystem) raises
+    InvalidParameterError before any row is formed, and a zero mech or den
+    raises SingularityError before any division (_nonzero).
 
     w: a float array of shape (n,) as frequency_grid returns it; it is not
     checked again.  Returns shape (2, n, 8): the u row, then the d row.
     """
+    if not sys._assembled:
+        raise InvalidParameterError(
+            "a hand-built LinearSystem has no closed-form rows; take its rows "
+            "from selected_transfer_rows")
     p, ss = sys.params, sys.steady
     om, g_b = p.big_omega, p.gamma_b
     gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
@@ -438,12 +443,13 @@ def susceptibility_rows(sys: LinearSystem, w):
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     """Rows c^T M(omega) of the transfer matrix for selection vectors c.
 
-    This is the generic row path.  The model's sweep and readout take their
-    u and d rows from susceptibility_rows instead; this solve gives the rows
-    of a hand-built LinearSystem, every selector the closed form does not
-    cover, and output_spectrum_via_transfer, and it is the independent check
-    of the closed form.  Near an ill-conditioned relative block it is the
-    less accurate of the two (the d row at P*'s optical pole,
+    This is the generic row path, for any system.  The model's sweep and
+    readout take their u and d rows from susceptibility_rows instead; this
+    solve gives the rows of a hand-built LinearSystem (which those refuse),
+    every selector the closed form does not cover, and
+    output_spectrum_via_transfer, and it is the independent check of the
+    closed form.  Near an ill-conditioned relative block it is the less
+    accurate of the two (the d row at P*'s optical pole,
     tests/test_precision.py).
 
     Solving the adjoint system per selector avoids forming the full transfer

@@ -28,14 +28,10 @@ import numpy as np
 
 from .dynamics import (
     IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
-    NoiseModel, _transfer_rows, frequency_grid, noise_weights,
-    susceptibility_rows,
+    NoiseModel, frequency_grid, noise_weights, susceptibility_rows,
 )
-# The sweep takes the model's rows from susceptibility_rows, and those of a
-# hand-built system from _transfer_rows on its checked pieces; neither
-# calls selected_transfer_rows.  The benchmark's trace table patches
-# entanglement.selected_transfer_rows by name, so the name stays until
-# that table changes.
+# The sweep never calls selected_transfer_rows; the benchmark's trace table
+# patches entanglement.selected_transfer_rows by name, so the name stays.
 from .dynamics import selected_transfer_rows  # noqa: F401
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
@@ -57,10 +53,6 @@ P1_SELECTOR = _selector((IP1, 1.0))
 #: The u = q1 + q2 and d = q1 - q2 selectors, as columns: the rows of
 #: dynamics.susceptibility_rows.
 SWEEP_SELECTORS = np.stack([U_SELECTOR, D_SELECTOR], axis=1)
-#: The selectors of a hand-built system's sweep solve: u, v, q1 and p1.
-_FOUR_ROW_SELECTORS = np.stack(
-    [U_SELECTOR, V_SELECTOR, Q1_SELECTOR, P1_SELECTOR], axis=1
-)
 #: Frequencies per piece of a sweep (sweep_weights) and of a readout
 #: spectrum.  It bounds a sweep's memory (2e5 omega raise the peak RSS by
 #: about 37 MB), and the elementwise work of a small piece stays in cache.
@@ -103,10 +95,9 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
         Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
         <[R_q1, R_p1]> = i Im F(q1, p1).
 
-    The model's system (sys._assembled) takes its u and d = q1 - q2 rows
-    in closed form (dynamics.susceptibility_rows, _position_weights).  A
-    hand-built system solves u, v, q1 and p1 (selected_transfer_rows) and
-    takes the three forms of those rows.
+    The u and d = q1 - q2 rows are the model's closed form
+    (dynamics.susceptibility_rows, _position_weights), so a hand-built
+    LinearSystem raises InvalidParameterError (see LinearSystem).
 
     Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
     joined: shape (4, 3, n), in the order of noise_weights.
@@ -116,14 +107,7 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
 
 def _sweep_weights(sys, w):
     """sweep_weights on a checked grid w."""
-    weights = _position_weights if sys._assembled else _four_row_weights
-    return _by_piece(lambda piece: weights(sys, piece), w)
-
-
-def _four_row_weights(sys, w):
-    """The sweep weights of the rows of u, v, q1 and p1, for any drift."""
-    rows = _transfer_rows(sys, w, _FOUR_ROW_SELECTORS).transpose(1, 0, 2)
-    return np.stack(noise_weights(rows[:3], rows[[0, 1, 3]]))
+    return _by_piece(lambda piece: _position_weights(sys, piece), w)
 
 
 def _position_weights(sys, w):

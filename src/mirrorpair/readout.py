@@ -12,10 +12,11 @@ so its channel carries gain with an extra factor -1; the combiner removes the
 orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
 
 The oriented rows of the currents are built once, by _currents, for one
-channel or both, from the q_j rows at +omega.  For the model's system those
-are q1 = (u + d) / 2 and q2 = (u - d) / 2, from the closed-form rows of
-dynamics.susceptibility_rows; a hand-built system solves them by one
-batched adjoint solve (dynamics.selected_transfer_rows).  A and B are
+channel or both, from q1 = (u + d) / 2 and q2 = (u - d) / 2 at +omega, the
+model's closed-form rows (dynamics.susceptibility_rows).  A hand-built
+LinearSystem has none, so output_spectrum and two_channel_spectra raise
+InvalidParameterError for it; output_spectrum_via_transfer takes any
+system (see dynamics.LinearSystem).  A and B are
 real, and gain and refl at -omega are the conjugates of their values at
 +omega, so the rows at -omega are conj(c(omega)).  Every spectrum is then
 the hermitian form [c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2, one
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
+    IYA1, IYA2, IYIN1, IYIN2, N_STATE,
     LinearSystem, NoiseModel, frequency_grid, noise_weights,
     selected_transfer_rows, susceptibility_rows,
 )
@@ -45,11 +46,11 @@ from .errors import InvalidParameterError
 # readout.steady_state by name, so the name stays until that table changes.
 from .model import steady_state  # noqa: F401
 
-_CHANNELS = {1: (IQ1, IYA1, IYIN1, 1.0), 2: (IQ2, IYA2, IYIN2, -1.0)}
+_CHANNELS = {1: (IYA1, IYIN1, 1.0), 2: (IYA2, IYIN2, -1.0)}
 
 
 def _channel(channel):
-    """(q index, Y_a index, Y_in index, sign) of meter channel 1 or 2."""
+    """(Y_a index, Y_in index, sign) of meter channel 1 or 2."""
     if channel not in _CHANNELS:
         raise InvalidParameterError("channel must be 1 or 2")
     return _CHANNELS[channel]
@@ -99,21 +100,16 @@ def _currents(sys, w, channels):
     """Noise-space rows of the oriented output currents.
 
     Row k is gain * q_j + sign_j * refl * Y_in_j for channel j = channels[k],
-    so that every current carries +gain * q_j.  The q_j rows come from
-    susceptibility_rows where sys._assembled holds, else from one adjoint
-    solve.  Returns (len(channels), n, 8).
+    so that every current carries +gain * q_j, with q_j = (u +- d) / 2 from
+    susceptibility_rows.  Returns (len(channels), n, 8).
     """
     specs = [_channel(j) for j in channels]
-    if sys._assembled:
-        u, d = susceptibility_rows(sys, w)
-        rows = np.stack([0.5 * (u + sign * d) for _, _, _, sign in specs])
-    else:
-        sel = np.eye(N_STATE)[:, [iq for iq, _, _, _ in specs]]
-        rows = selected_transfer_rows(sys, w, sel).transpose(1, 0, 2)
+    u, d = susceptibility_rows(sys, w)
+    rows = np.stack([0.5 * (u + sign * d) for _, _, sign in specs])
     # gain and refl are the same for both channels; only the sign differs.
     chan = ReadoutChannel.for_system(sys)
     gain, refl = chan.gain(w)[:, None], chan.noise_reflection(w)
-    for k, (_, _, iyin, sign) in enumerate(specs):
+    for k, (_, iyin, sign) in enumerate(specs):
         rows[k] = gain * rows[k]
         rows[k, :, iyin] += sign * refl
     return rows
@@ -140,7 +136,7 @@ def output_spectrum_via_transfer(
     Y_out = sqrt(gamma_a) Y_cav - Y_in, from the Y_a rows of the adjoint
     solve (selected_transfer_rows): an independent check of
     output_spectrum, which shares no rows with it."""
-    _, iya, iyin, _ = _channel(channel)
+    iya, iyin, _ = _channel(channel)
     w = frequency_grid(omegas)
 
     def spectrum(piece):
@@ -190,6 +186,13 @@ def combine_currents(spectra: TwoChannelSpectra, mode: str):
     mode="sum" estimates the center-of-mass coordinate (q1 + q2) and
     "difference" the relative coordinate: s11 + s22 +- 2 Re s12.  The cross
     term s12 is required, because the entangler correlates the channels.
+
+    Known limit: near the mechanical resonance the difference cancels
+    mirror signals 1e11 (0.1 K) to 1e14 (300 K) times the shot-noise floor
+    down to about that floor.  At the Fig. 2 point at omega = Omega it is
+    off a 30-digit contraction of the difference current by 2.3e-5 at
+    0.1 K (a figure that moves with the rows' last bits) and by 2.0e-2 at
+    300 K, where it returns the bare floor 2.0.
     """
     if mode not in ("sum", "difference"):
         raise InvalidParameterError("mode must be 'sum' or 'difference'")

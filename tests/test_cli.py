@@ -32,10 +32,11 @@ from mirrorpair.cli import (
     parse_config_text,
     run_sweep,
 )
-from mirrorpair.dynamics import N_NOISE, N_STATE, LinearSystem
+from mirrorpair.dynamics import N_NOISE
 from mirrorpair.entanglement import CHUNK
 from mirrorpair.errors import (
     ConfigError, DegenerateCommutatorError, InvalidParameterError,
+    SingularityError,
 )
 
 
@@ -346,7 +347,7 @@ class TestSweepKernel:
             raise AssertionError("the model's sweep must not solve")
 
         monkeypatch.setattr(entanglement, "susceptibility_rows", spy)
-        monkeypatch.setattr(entanglement, "_transfer_rows", forbidden)
+        monkeypatch.setattr(dynamics, "_transfer_rows", forbidden)
         monkeypatch.setattr(entanglement, "frequency_grid", counted)
         monkeypatch.setattr(dynamics, "frequency_grid", counted)
         params = fig2_params()
@@ -383,15 +384,11 @@ class TestSweepKernel:
                 assert np.array_equal(results[temp][key], values), (temp, key)
 
     def test_degenerate_commutator_reaches_cli(self, tmp_path, monkeypatch, capsys):
-        build = dynamics.build_linear_system
+        # Weights of a system with no noise input: every form is 0.
+        def silent(sys, omegas):
+            return np.zeros((4, 3, np.size(omegas)))
 
-        def silent(params, require_stable=False):
-            sys = build(params, require_stable=require_stable)
-            return LinearSystem(drift=sys.drift,
-                                noise_coupling=np.zeros((N_STATE, N_NOISE)),
-                                params=sys.params, steady=sys.steady)
-
-        monkeypatch.setattr(dynamics, "build_linear_system", silent)
+        monkeypatch.setattr(entanglement, "sweep_weights", silent)
         params = fig2_params()
         spec = SweepSpec(params=params, omega_min=params.big_omega,
                          omega_max=params.big_omega, omega_count=1)
@@ -940,23 +937,13 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_singular_resolvent_exit_4(self, tmp_path, monkeypatch, capsys):
-        # An undamped mirror driven at its own frequency: the 2x2 core of
-        # the adjoint solve is exactly singular on the one-point grid.
-        build = dynamics.build_linear_system
-        w0 = 1e5
+        # The sweep's rows meet a zero of mech or den on the grid.
+        def singular(sys, w):
+            raise SingularityError("shifted drift matrix singular on grid")
 
-        def undamped(params, require_stable=False):
-            sys = build(params, require_stable=require_stable)
-            drift = -np.eye(N_STATE)
-            drift[0, 0] = drift[1, 1] = 0.0
-            drift[0, 1], drift[1, 0] = w0, -w0
-            return LinearSystem(drift=drift, noise_coupling=sys.noise_coupling,
-                                params=sys.params, steady=sys.steady)
-
-        monkeypatch.setattr(dynamics, "build_linear_system", undamped)
+        monkeypatch.setattr(entanglement, "susceptibility_rows", singular)
         config = tmp_path / "cfg.txt"
-        config.write_text(f"omega_min = {w0!r}\nomega_max = {w0!r}\n"
-                          "omega_count = 1\n", encoding="utf-8")
+        config.write_text("omega_count = 3\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["--sweep", "--config", str(config),
                      "--out", str(out)]) == 4

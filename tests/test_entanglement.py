@@ -38,6 +38,10 @@ from mirrorpair.errors import (
 from conftest import RATE_FIELDS, working_points
 
 
+#: The Fig. 2 point's commutator changes sign near these omega / Omega.
+COMMUTATOR_CROSSINGS = (0.923915, 1.070685)
+
+
 def chi(omega, params):
     om = params.big_omega
     return om / (om ** 2 - omega ** 2 - 1j * params.big_gamma * omega)
@@ -175,67 +179,49 @@ class TestDegreeSweep:
         # The commutator vanishes near 0.923917 and 1.070688 Omega.  Within
         # 2e-4 Omega of each, its Brownian and vacuum terms cancel by up to
         # 1.8e6 times, and both paths round to a few 1e-16 of those terms:
-        # there the commutator is held to the terms, not to itself.
+        # there the commutator is held to the terms, not to itself.  The
+        # hybrid grid has one point there at each crossing (0.924 and
+        # 1.0705 Omega); at 0.924 Omega the two paths are ~5e-13 off the
+        # reference in opposite directions.  tests/test_precision.py holds
+        # the sweep to the reference at both points.
         params, sys = fig2
         om = params.big_omega
         noise = NoiseModel(temperature, params.big_gamma, om)
         if grid == "hybrid":
             w = hybrid_grid(om)
+            near = np.any([np.abs(w / om - c) <= 2e-4
+                           for c in COMMUTATOR_CROSSINGS], axis=0)
+            assert near.sum() == 2
         else:
             w = np.concatenate([np.linspace(c - 2e-4, c + 2e-4, 401)
-                                for c in (0.923915, 1.070685)]) * om
+                                for c in COMMUTATOR_CROSSINGS]) * om
+            near = np.ones(w.size, dtype=bool)
         out = degree_sweep(sys, noise, w)
         want = four_row_forms(sys, noise, w)
-        for key in ("var_u", "var_v") if grid == "crossings" else want:
-            rel = np.abs(out[key] - want[key]) / want[key]
-            assert rel.max() <= 1e-12, (key, rel.max())
-        if grid == "crossings":
-            q1, p1 = selected_transfer_rows(
-                sys, w, np.column_stack([Q1_SELECTOR, P1_SELECTOR])
-            ).transpose(1, 0, 2)
-            _, xi_imag, _, pairs = noise_weights(q1, p1)
-            terms = noise.pref * w * np.abs(xi_imag) + np.abs(pairs)
-            gap = np.abs(np.sqrt(out["commutator_sq"])
-                         - np.sqrt(want["commutator_sq"]))
-            assert np.all(gap <= 2e-15 * terms), (gap / terms).max()
-
-    @pytest.mark.parametrize("case", ["q damping", "unequal Omega",
-                                      "noise into q"])
-    def test_drift_without_the_identity_takes_four_rows(self, fig2, case):
-        # Each system breaks p_j = (-i omega / Omega) q_j, so the sweep
-        # solves u, v, q1 and p1 and takes their forms, bit for bit.  The
-        # model's closed-form rows with the identity would put Var(v) off
-        # by up to 1% (q damping) or 100% (the other two).
-        params, sys = fig2
-        om = params.big_omega
-        drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
-        if case == "q damping":
-            drift[IQ1, IQ1] = drift[IQ2, IQ2] = -1e-3 * om
-        elif case == "unequal Omega":
-            drift[IQ2, IP2] *= 1.001
-        else:
-            coupling[IQ1, IXI1] = coupling[IQ2, IXI2] = 1.0
-        broken = LinearSystem(drift=drift, noise_coupling=coupling,
-                              params=params, steady=sys.steady)
-        assert not broken._assembled
-        noise = NoiseModel(0.1, params.big_gamma, om)
-        w = hybrid_grid(om)
-        out = degree_sweep(broken, noise, w)
-        want = four_row_forms(broken, noise, w)
         for key in want:
-            assert np.array_equal(out[key], want[key]), key
-        wrong = identity_forms(broken, noise, w)["var_v"]
-        assert np.max(np.abs(wrong - want["var_v"]) / want["var_v"]) > 1e-3
+            far = ~near if key == "commutator_sq" else slice(None)
+            rel = np.abs(out[key] - want[key])[far] / want[key][far]
+            assert rel.max(initial=0.0) <= 1e-12, (key, rel.max())
+        q1, p1 = selected_transfer_rows(
+            sys, w[near], np.column_stack([Q1_SELECTOR, P1_SELECTOR])
+        ).transpose(1, 0, 2)
+        _, xi_imag, _, pairs = noise_weights(q1, p1)
+        terms = noise.pref * w[near] * np.abs(xi_imag) + np.abs(pairs)
+        gap = np.abs(np.sqrt(out["commutator_sq"][near])
+                     - np.sqrt(want["commutator_sq"][near]))
+        assert np.all(gap <= 2e-15 * terms), (gap / terms).max()
 
     @pytest.mark.parametrize("case", ["q damping", "unequal Omega",
                                       "noise into q", "silent", "X_b ulp",
                                       "Y_b ulp"])
-    def test_hand_built_system_never_takes_the_closed_form(
-            self, fig2, monkeypatch, case):
-        # Only a drift and coupling equal to build_linear_system's take the
-        # closed form.  The last two differ from the model in one entangler
-        # entry by one ulp, where the closed form's rows would still pass
-        # any value check, so the path itself is checked.
+    def test_hand_built_system_is_refused(self, fig2, case):
+        # Only a drift and coupling equal to build_linear_system's have the
+        # closed-form rows.  The first three break p_j = (-i omega / Omega)
+        # q_j, with which the model's rows would put Var(v) off by up to 1%
+        # (q damping) or 100%; the last two differ from the model in one
+        # entangler entry by one ulp, where those rows would still pass any
+        # value check.  The sweep and the direct readout spectra refuse
+        # every one; the generic adjoint solve still serves them.
         params, sys = fig2
         om = params.big_omega
         drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
@@ -252,38 +238,28 @@ class TestDegreeSweep:
             drift[entry] = np.nextafter(drift[entry], np.inf)
         hand_built = LinearSystem(drift=drift, noise_coupling=coupling,
                                   params=params, steady=sys.steady)
-        assert not hand_built._assembled
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a hand-built system took the closed form")
-
-        monkeypatch.setattr(entanglement, "susceptibility_rows", forbidden)
-        monkeypatch.setattr(readout, "susceptibility_rows", forbidden)
         noise = NoiseModel(0.1, params.big_gamma, om)
         w = np.linspace(0.5, 1.5, 101) * om
-        if case == "silent":
-            with pytest.raises(DegenerateCommutatorError):
-                degree_sweep(hand_built, noise, w)
-        else:
-            out = degree_sweep(hand_built, noise, w)
-            want = four_row_forms(hand_built, noise, w)
-            for key in want:
-                assert np.array_equal(out[key], want[key]), key
-        spectra = two_channel_spectra(hand_built, noise, w)
-        assert np.array_equal(output_spectrum(hand_built, noise, w, 1),
-                              spectra.s11)
+        for refused in (lambda: degree_sweep(hand_built, noise, w),
+                        lambda: entanglement.sweep_weights(hand_built, w),
+                        lambda: output_spectrum(hand_built, noise, w, 1),
+                        lambda: two_channel_spectra(hand_built, noise, w)):
+            with pytest.raises(InvalidParameterError,
+                               match="selected_transfer_rows"):
+                refused()
+        rows = selected_transfer_rows(hand_built, w, np.eye(N_STATE))
+        assert rows.shape == (w.size, N_STATE, N_NOISE)
+        assert np.isfinite(rows).all()
+        for channel in (1, 2):
+            assert np.isfinite(readout.output_spectrum_via_transfer(
+                hand_built, noise, w, channel)).all()
 
     def test_degenerate_commutator_raises(self, fig2):
-        _, sys = fig2
-        silent = LinearSystem(
-            drift=sys.drift,
-            noise_coupling=np.zeros((N_STATE, N_NOISE)),
-            params=sys.params,
-            steady=sys.steady,
-        )
-        noise = NoiseModel.from_params(sys.params)
+        params, _ = fig2
+        noise = NoiseModel.from_params(params)
         with pytest.raises(DegenerateCommutatorError):
-            degree_sweep(silent, noise, [sys.params.big_omega])
+            entanglement.degree_from_weights(np.zeros((4, 3, 1)), noise,
+                                             [params.big_omega])
 
 
 def _sweep_at(params, kernel, omegas):

@@ -21,7 +21,7 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    _transfer_rows, selected_transfer_rows, susceptibility_rows,
+    _transfer_rows, hybrid_grid, selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -132,6 +132,26 @@ def test_degree_sweep_matches_extended_precision(reference, temperature):
             assert rel <= 1e-9, (w, key, rel)
 
 
+@pytest.mark.parametrize("temperature", TEMPERATURES)
+def test_sweep_commutator_at_the_hybrid_grid_crossings(reference,
+                                                       temperature):
+    # The hybrid grid's one point within 2e-4 Omega of each zero crossing
+    # of the commutator (0.924 and 1.0705 Omega).  There the sweep and the
+    # four-row forms of tests/test_entanglement.py are held to each other
+    # only on the scale of the cancelling terms; the sweep itself is held to
+    # the reference (measured: -4.7e-13 and -6.1e-14).
+    params = fig2_params()
+    w = hybrid_grid(params.big_omega)
+    near = np.any([np.abs(w / params.big_omega - c) <= 2e-4
+                   for c in (0.923915, 1.070685)], axis=0)
+    assert near.sum() == 2
+    noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
+    got = degree_sweep(build_linear_system(params), noise, w)["commutator_sq"]
+    for w_k, have in zip(w[near], got[near]):
+        want = float(reference.point(float(w_k), temperature)["commutator_sq"])
+        assert abs(have - want) <= 1e-12 * want, (w_k, have / want - 1.0)
+
+
 def test_unit_rows_at_resonance_match_extended_precision():
     # At omega = Omega the shifted drift has condition ~4e7.  The adjoint
     # solve keeps every row to rounding, where rows of the dense
@@ -171,15 +191,35 @@ P_STAR = dict(delta_b=-6.91e6, p_in_b=7.03e-3, gamma_b=4.87e3, big_g=80.6,
               g=1.28e-3, big_gamma=1.1e-2, p_in_a=8.7e-7)
 
 
-def weak_entangler_pole():
-    """A weak entangler drive and the frequency of its relative-mode pole,
-    a little stiffer than Omega, where the relative block is nearly
-    singular."""
-    params = fig2_params(p_in_b=5e-11)
+def relative_mechanical_pole(params):
+    """Frequency and damping of the least damped pole of the relative
+    block {q-, p-, X_b, Y_b}, where that block is nearly singular."""
     sys = build_linear_system(params)
     relative = next(b for b in sys.blocks if IQ2 in b)
     poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
-    return params, abs(poles[np.argmin(np.abs(poles.real))].imag)
+    pole = poles[np.argmin(np.abs(poles.real))]
+    return abs(pole.imag), -pole.real
+
+
+def weak_entangler_pole():
+    """A weak entangler drive and the frequency of its relative-mode pole,
+    a little stiffer than Omega."""
+    params = fig2_params(p_in_b=5e-11)
+    return params, relative_mechanical_pole(params)[0]
+
+
+def den_cancellation(params, w):
+    """|mech D| / |den| of dynamics.susceptibility_rows at w: how far
+    mech D and the spring term cancel in den = mech D + 4 Omega G^2 |beta|^2
+    Delta_b.  A scale for a bound, so double precision suffices."""
+    om = params.big_omega
+    beta = steady_state(params).beta
+    mech = (om - w) * (om + w) - 1j * params.big_gamma * w
+    kappa = 0.5 * params.gamma_b - 1j * w
+    spring = (kappa - 1j * params.delta_b) * (kappa + 1j * params.delta_b)
+    mech_d = mech * spring
+    den = mech_d + 4.0 * om * params.big_g ** 2 * abs(beta) ** 2 * params.delta_b
+    return np.abs(mech_d) / np.abs(den)
 
 
 def closed_form_row_errors(params, omegas):
@@ -232,6 +272,26 @@ class TestClosedFormRows:
             w = factor * params.big_omega
         err = closed_form_row_errors(params, [w])
         assert err.max() <= 1e-14, err
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    def test_stable_point_relative_mechanical_pole(self):
+        # The known limit of the closed form.  At P*'s relative mechanical
+        # pole mech D and the spring term cancel in den to ~1e-5, so the d
+        # row holds only ~eps |mech D| / |den| (measured <= 1.08 of that,
+        # 2.4e-11 at the pole itself); the u row never meets den.  The
+        # block solver is no better there.
+        params = fig2_params(**P_STAR)
+        om = params.big_omega
+        pole, damping = relative_mechanical_pole(params)
+        assert pole / om == pytest.approx(0.924958508, abs=1e-9)
+        assert damping / om == pytest.approx(7.9e-7, rel=0.01)
+        offsets = [0.0] + [sign * 10.0 ** k for k in range(-8, -3)
+                           for sign in (-1.0, 1.0)]
+        w = np.array([pole + offset * om for offset in offsets])
+        err = closed_form_row_errors(params, w)
+        assert err[:, 0].max() <= 1e-14, err[:, 0]
+        tol = 1e-14 + 4.0 * np.finfo(float).eps * den_cancellation(params, w)
+        assert np.all(err[:, 1] <= tol), err[:, 1] / tol
 
     @pytest.mark.filterwarnings("ignore:expected entangler coupling")
     @settings(max_examples=40, deadline=None)
