@@ -19,11 +19,9 @@ are not formatted number by number: a numpy kernel (_e12) splits the 13
 digits of every value in [1e-32, 1e56) into a lead digit and three 4-digit
 groups, looks each group up in a 10**4-entry table and writes the text as
 one packed 18-byte record; it is exact wherever its scaled mantissa is clear
-of a rounding tie and falls back to "%.12e" % v for the rest.  Each file has
-one row buffer of NUL-padded slots per column layout, with its separators
-written once; a temperature block stores only the columns whose bytes
-changed (not omega or commutator_sq) and is written with its NUL bytes
-removed, so a text of any length (a negative, nan, inf) takes the same path.
+of a rounding tie and falls back to "%.12e" % v for the rest.
+_write_blocks formats the temperature blocks in groups, each column of a
+group in one _e12 call, and writes every row of a group from one buffer.
 The files are overwritten in place and cut only if they were longer, so an
 interrupted write leaves new rows over old ones rather than a short file;
 only the exit code tells that a file is complete.
@@ -42,7 +40,7 @@ import os
 import sys as _sys
 # The sweep starts no process; the benchmark's trace table patches this name.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -331,49 +329,28 @@ def _e12(x):
     return fields
 
 
-#: Most values per _e12 call when a block formats several columns: short
-#: columns share one call, and long ones are not joined to add to the peak
-#: memory.
-_E12_BATCH = 8192
+#: Most rows of temperature blocks formatted at a time (a longer block is
+#: formatted alone); the texts of these rows, ~18 bytes per value and
+#: column, bound the writer's memory.  2**15 keeps the 3 x 10**4-row Fig. 2
+#: map in one group, so its omega and commutator_sq are formatted once; at
+#: 2**14 they are formatted per block and that sweep wrote ~20% fewer rows/s,
+#: and 2**16 doubled the bound for no measured gain (2-core x86-64 VM).
+_FORMAT_ROWS = 2 ** 15
 #: Rows per write: the NUL-free copies of a block are made this many rows
 #: at a time, so they stay small beside the row buffer.
 _WRITE_ROWS = 2048
 
 
-def _column_texts(values, names):
-    """{name: "%.12e" texts of values[name], one void item per value} for
-    the equal-length columns names; short columns share one _e12 call."""
-    texts = {}
-    names = list(names)
-    per_call = max(1, _E12_BATCH // len(values[names[0]])) if names else 1
-    for i in range(0, len(names), per_call):
-        part = names[i:i + per_call]
-        fields = _e12(np.concatenate([values[c] for c in part]))
-        voids = fields.view(f"V{fields.shape[1]}").reshape(len(part), -1)
-        texts.update(zip(part, voids))
-    return texts
+def _group_rows(columns, sep, omegas, group):
+    """Yield each temperature block of group, a {temperature: results}
+    dict, as the rows of one (n, width) uint8 buffer, refilled per block.
 
-
-def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
-    """Write head, then the rows of every temperature of results; gap goes
-    between two temperature blocks.
-
-    A row is the "%.12e" text of each numeric column (degree_clipped is
-    min(degree, 1)) joined by sep, then the flag columns (last in every
-    column set) and a newline.  Each temperature block fills one (n, width)
-    uint8 row buffer of NUL-padded slots, viewed as one record per row, and
-    is written with its NUL bytes removed, _WRITE_ROWS rows at a time.  The
-    buffer keeps the texts of the previous block: only the columns whose
-    bytes changed (not omega or commutator_sq) are formatted and stored.
-    degree_clipped is the bytes of degree with those of 1.0 stored over the
-    rows where degree >= 1, and the flag tail of each row's level ends it.
-    The separators are written when the buffer is made, which happens again,
-    with every column stored anew, only when the slot widths change (a
-    negative or a 3-digit exponent).
-
-    The file is overwritten in place: opened without truncation, and cut to
-    the written length only if it was longer.  Rewriting an existing file
-    then reuses its blocks instead of freeing and allocating them again.
+    Each column is formatted by one _e12 call: once if its values have the
+    same bytes at every temperature of the group (omega, commutator_sq),
+    else for all the blocks at once.  Their widths give the row layout: a
+    NUL-padded slot per numeric column, each followed by sep (written once
+    per group), and the flag tail in place of the last sep.  degree_clipped
+    is the bytes of degree with those of 1.0 over the rows where degree >= 1.
     """
     numeric = [c for c in columns if c not in _FLAG_COLUMNS]
     flags = [_FLAG_COLUMNS.index(c) for c in columns if c in _FLAG_COLUMNS]
@@ -383,51 +360,72 @@ def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
     ])
     tails = tails.view(f"V{tails.itemsize}")
     source = {c: "degree" if c == "degree_clipped" else c for c in numeric}
-    held = {}       # source -> bytes of the values whose texts buf holds
-    widths = {}     # column -> slot width of those texts
-    layout = None
+    k, n = len(group), omegas.size
+    texts = {}
+    for src in dict.fromkeys(source.values()):
+        if src == "temperature":
+            x, shape = np.array(list(group), dtype=float), (k, 1)
+        else:
+            x = np.concatenate([omegas] if src == "omega" else
+                               [res[src] for res in group.values()], dtype=float)
+            bits = x.view(np.int64).reshape(-1, n)
+            # Compared as bits: -0.0 == 0.0, but their texts differ.
+            if (bits == bits[0]).all():
+                x = x[:n]
+            shape = (x.size // n, n)
+        fields = _e12(x)
+        texts[src] = np.broadcast_to(
+            fields.view(f"V{fields.shape[1]}").reshape(shape), (k, n))
+    layout = [texts[src].itemsize for src in source.values()]
+    ends = np.cumsum(layout) + np.arange(len(layout))
+    row = np.dtype({
+        "names": [*numeric, "tail"],
+        "formats": [f"V{w}" for w in layout] + [tails.dtype],
+        "offsets": [0, *(ends[:-1] + 1), ends[-1]],
+        "itemsize": ends[-1] + tails.itemsize,
+    })
+    buf = np.full((n, row.itemsize), ord(sep), np.uint8)
+    rows = buf.view(row)[:, 0]
+    for j, res in enumerate(group.values()):
+        degree = res["degree"]
+        for c, src in source.items():
+            if j and not texts[src].strides[0]:
+                continue        # buf holds these texts already
+            rows[c] = texts[src][j]
+            if c == "degree_clipped":
+                one = (b"%.12e" % 1.0).ljust(texts[src].itemsize, b"\0")
+                rows[c][degree >= 1.0] = np.void(one)
+        level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
+        rows["tail"] = tails[level]
+        yield buf
+
+
+def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
+    """Write head, then the rows of every temperature of results; gap goes
+    between two temperature blocks.
+
+    A row is the "%.12e" text of each numeric column (degree_clipped is
+    min(degree, 1)) joined by sep, then the flag columns and a newline.
+    Groups of whole blocks of at most _FORMAT_ROWS rows (a longer block
+    alone) are formatted one after another (_group_rows), and each block is
+    written with its NUL bytes removed, _WRITE_ROWS rows at a time.
+
+    The file is overwritten in place: opened without truncation, and cut to
+    the written length only if it was longer.  Rewriting an existing file
+    then reuses its blocks instead of freeing and allocating them again.
+    """
+    temps = list(results)
+    per_group = max(1, _FORMAT_ROWS // omegas.size)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         old_size = os.fstat(f.fileno()).st_size
         f.write(head)
-        for t, (temp, res) in enumerate(results.items()):
-            degree = res["degree"]
-            values = {src: omegas if src == "omega" else res[src]
-                      for src in source.values() if src != "temperature"}
-            # Compared as bytes: -0.0 == 0.0, but their texts differ.
-            keys = {src: x.tobytes() for src, x in values.items()}
-            texts = _column_texts(
-                values, [src for src in values if held.get(src) != keys[src]])
-            texts["temperature"] = np.void(b"%.12e" % temp)
-            widths.update((c, texts[src].itemsize)
-                          for c, src in source.items() if src in texts)
-            if [widths[c] for c in numeric] != layout:
-                layout = [widths[c] for c in numeric]
-                # Each slot is followed by sep; the tail replaces the last.
-                ends = np.cumsum(layout) + np.arange(len(layout))
-                row = np.dtype({
-                    "names": [*numeric, "tail"],
-                    "formats": [f"V{w}" for w in layout] + [tails.dtype],
-                    "offsets": [0, *(ends[:-1] + 1), ends[-1]],
-                    "itemsize": ends[-1] + tails.itemsize,
-                })
-                buf = np.full((omegas.size, row.itemsize), ord(sep), np.uint8)
-                rows = buf.view(row)[:, 0]
-                texts.update(_column_texts(
-                    values, [src for src in values if src not in texts]))
-            held.update((src, keys[src]) for src in values if src in texts)
-            for c, src in source.items():
-                if src in texts:
-                    rows[c] = texts[src]
-                    if c == "degree_clipped":
-                        one = (b"%.12e" % 1.0).ljust(widths[c], b"\0")
-                        rows[c][degree >= 1.0] = np.void(one)
-            del texts       # buf holds them now
-            level = (degree < 1.0).astype(np.intp) + (degree < 0.25)
-            rows["tail"] = tails[level]
-            if t:
-                f.write(gap)
-            for i in range(0, omegas.size, _WRITE_ROWS):
-                f.write(buf[i:i + _WRITE_ROWS].tobytes().replace(b"\0", b""))
+        for g in range(0, len(temps), per_group):
+            group = {temp: results[temp] for temp in temps[g:g + per_group]}
+            for j, buf in enumerate(_group_rows(columns, sep, omegas, group)):
+                if g or j:
+                    f.write(gap)
+                for i in range(0, omegas.size, _WRITE_ROWS):
+                    f.write(buf[i:i + _WRITE_ROWS].tobytes().replace(b"\0", b""))
         if f.tell() < old_size:
             f.truncate()
 

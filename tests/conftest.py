@@ -1,12 +1,9 @@
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mirrorpair import (
-    NoiseModel, build_linear_system, fig2_params, steady_state,
-)
+from mirrorpair import NoiseModel, build_linear_system, fig2_params
 from mirrorpair.dynamics import BROWNIAN_KERNELS
 
 
@@ -22,6 +19,12 @@ def make_params(**overrides):
 #: of them and the frequency by one factor is a change of time unit.
 RATE_FIELDS = ("gamma_a", "gamma_b", "big_omega", "big_gamma", "g", "big_g",
                "delta_b", "p_in_a", "p_in_b", "temperature")
+
+
+#: P*, a stable working point with a second entangled band at the damped
+#: optical pole pair (-0.0243 +- 69.101 i) Omega, close to |delta_b|.
+P_STAR = dict(delta_b=-6.91e6, p_in_b=7.03e-3, gamma_b=4.87e3, big_g=80.6,
+              g=1.28e-3, big_gamma=1.1e-2, p_in_a=8.7e-7)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -183,6 +184,16 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_empty_temperature_list_exits_2_without_output(self, tmp_path,
+                                                           capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("temperatures = ,\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: temperature list must be non-empty\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,kind", [
@@ -749,7 +760,7 @@ class TestWriterPieces:
         # the bytes of the per-row templates.
         omegas, results = _random_results()
         monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
-        monkeypatch.setattr(cli, "_E12_BATCH", batch)
+        monkeypatch.setattr(cli, "_FORMAT_ROWS", batch)
         monkeypatch.setattr(cli, "_sweep_rows", lambda spec: (omegas, results))
         spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
                          omega_max=omegas[-1], omega_count=omegas.size)
@@ -757,6 +768,29 @@ class TestWriterPieces:
         csv, grid = _reference_sweep_files(CSV_COLUMNS, omegas, results)
         assert (tmp_path / "sweep.csv").read_bytes() == csv
         assert (tmp_path / "sweep.grid").read_bytes() == grid
+
+    def test_peak_memory_does_not_grow_with_the_groups(self, tmp_path,
+                                                       monkeypatch):
+        # Nothing of one group is kept for the next: in groups of two
+        # blocks, 8 and 40 blocks of 2000 rows peak alike.
+        n = 2000
+        monkeypatch.setattr(cli, "_FORMAT_ROWS", 2 * n)
+        rng = np.random.default_rng(3)
+        omegas = np.linspace(0.5e5, 1.5e5, n)
+        peaks = []
+        for blocks in (8, 40):
+            results = {
+                float(t): {k: 10.0 ** rng.uniform(-3, 3, n) for k in
+                           ("var_u", "var_v", "commutator_sq", "degree")}
+                for t in range(1, blocks + 1)}
+            tracemalloc.start()
+            try:
+                cli._write_blocks(tmp_path / "sweep.csv", CSV_COLUMNS,
+                                  omegas, results, ",")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
 
 
 class TestRewriteInPlace:

@@ -8,7 +8,7 @@ from scipy.constants import hbar as HBAR, k as KB
 from mirrorpair import (
     NoiseModel, build_linear_system, degree_sweep, fig2_params, hybrid_grid,
     is_stable, output_spectrum, output_spectrum_via_transfer,
-    spectral_matrix, stability_margin, steady_state, transfer_matrix,
+    spectral_matrix, stability_margin, transfer_matrix,
     two_channel_spectra,
 )
 from mirrorpair.dynamics import (
@@ -23,7 +23,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import make_params, working_points
+from conftest import working_points
 
 
 def chi(omega, params):
@@ -121,6 +121,18 @@ class TestTransferMatrix:
         m = transfer_matrix(sys, 0.7e5)
         m_neg = transfer_matrix(sys, -0.7e5)
         assert np.allclose(m_neg, m.conj(), rtol=1e-12, atol=1e-300)
+
+    def test_singular_shifted_drift_raises(self, fig2):
+        # A drift of -I but for a zero at X_b leaves -i omega I - A with a
+        # zero pivot at omega = 0 only.
+        _, sys = fig2
+        drift = -np.eye(N_STATE)
+        drift[IXB, IXB] = 0.0
+        hand_built = with_drift(sys, drift)
+        with pytest.raises(SingularityError, match="singular at omega=0"):
+            transfer_matrix(hand_built, 0.0)
+        m = transfer_matrix(hand_built, 1.0)
+        assert m.shape == (N_STATE, N_NOISE) and np.isfinite(m).all()
 
     def test_decoupled_mirror_matches_closed_form(self, decoupled):
         params, sys = decoupled

@@ -35,7 +35,7 @@ from mirrorpair.errors import (
     UnphysicalStateError,
 )
 
-from conftest import RATE_FIELDS, working_points
+from conftest import P_STAR, RATE_FIELDS, make_params, working_points
 
 
 #: The Fig. 2 point's commutator changes sign near these omega / Omega.
@@ -317,6 +317,55 @@ class TestExactInvariances:
         omegas = self.GRID * params.big_omega
         assert np.array_equal(_sweep_at(mapped, kernel, omegas)["degree"],
                               _sweep_at(params, kernel, omegas)["degree"])
+
+
+def commutator_sum(params, kernel):
+    """(1/pi) int_0^inf Im F(q1, p1) d omega, with F the form of the sweep's
+    (q1, p1) weights: 1/2 in a stationary state, where it is [q1, p1] = i.
+
+    Trapezoid rule over [1e-3, 1e14] s^-1 on geometric points merged with
+    sinh-clustered points around each |Im lambda| of the drift, of
+    half-width |Re lambda|, at 1500 and at 2999 points per part (nested
+    grids), and Richardson extrapolation of the two sums."""
+    sys = build_linear_system(params)
+    noise = NoiseModel.from_params(params, kernel)
+    lo, hi = 1e-3, 1e14
+    poles = np.linalg.eigvals(sys.drift)
+    centres = set(zip(np.abs(poles.imag), np.abs(poles.real)))
+    sums = []
+    for m in (1500, 2999):
+        parts = [np.geomspace(lo, hi, m)]
+        for c, h in centres:
+            t = np.linspace(-np.arcsinh(c / h), np.arcsinh((hi - c) / h), m)
+            parts.append(c + h * np.sinh(t))
+        w = np.unique(np.concatenate(parts))
+        w = w[(w >= lo) & (w <= hi)]
+        f = noise.form(w, *entanglement.sweep_weights(sys, w)[:, 2]).imag
+        sums.append(np.sum(np.diff(w) * (f[1:] + f[:-1])) / (2.0 * np.pi))
+    return (4.0 * sums[1] - sums[0]) / 3.0
+
+
+class TestCommutatorSumRule:
+    # The equal-time commutator is the integral of its spectrum, which E's
+    # denominator reads per frequency.  This oracle needs no reference
+    # value and shares no code with the 30-digit one.
+    FREE_MIRROR = dict(g=0.0, big_g=0.0, big_gamma=1e3)
+
+    @pytest.mark.parametrize("point", [FREE_MIRROR, dict(big_g=0.0), P_STAR],
+                             ids=["free-mirror", "meters-only", "P*"])
+    def test_corrected_kernel_keeps_the_canonical_commutator(self, point):
+        total = commutator_sum(make_params(**point), "corrected")
+        assert abs(total - 0.5) <= 1e-6, total
+
+    def test_halved_kernel_halves_the_free_mirror_commutator(self):
+        total = commutator_sum(make_params(**self.FREE_MIRROR), "halved")
+        assert abs(total - 0.25) <= 1e-6, total
+
+    def test_unstable_point_breaks_the_rule(self):
+        # The Fig. 2 point's drift has an eigenvalue with real part
+        # +4.5e5 s^-1: its resolvent spectra describe no stationary state.
+        total = commutator_sum(make_params(), "corrected")
+        assert total == pytest.approx(0.24329, abs=1e-4)
 
 
 class TestGaussianState:

@@ -6,9 +6,7 @@ import pytest
 from mirrorpair import (
     NoiseModel,
     SdeRun,
-    build_linear_system,
     classical_sde_psd,
-    fig2_params,
     sample_separable_gaussian,
     tmsv_state,
 )

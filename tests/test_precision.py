@@ -28,7 +28,7 @@ from mirrorpair.entanglement import (
     V_SELECTOR,
 )
 
-from conftest import working_points
+from conftest import P_STAR, working_points
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -183,12 +183,6 @@ def test_weak_entangler_relative_row_at_its_pole():
     want = np.array([complex(x) for x in Reference(params, dps=40)
                      .selected_rows(w, [D_SELECTOR])[0]])
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-
-
-#: P*, a stable working point with a second entangled band at the damped
-#: optical pole pair (-0.0243 +- 69.101 i) Omega, close to |delta_b|.
-P_STAR = dict(delta_b=-6.91e6, p_in_b=7.03e-3, gamma_b=4.87e3, big_g=80.6,
-              g=1.28e-3, big_gamma=1.1e-2, p_in_a=8.7e-7)
 
 
 def relative_mechanical_pole(params):
