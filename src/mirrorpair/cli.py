@@ -38,8 +38,6 @@ import dataclasses
 import json
 import os
 import sys as _sys
-# The sweep starts no process; the benchmark's trace table patches this name.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +48,9 @@ from .errors import (
     ConfigError, DriftUnstableError, InvalidParameterError, MirrorPairError,
     SingularityError, UnphysicalStateError,
 )
+
+# The sweep starts no process; the benchmark's trace table patches this name.
+ProcessPoolExecutor = None
 
 CSV_COLUMNS = (
     "omega", "temperature", "var_u", "var_v", "commutator_sq",
@@ -238,10 +239,6 @@ def _sweep_rows(spec: SweepSpec):
         )
         results[temp] = entanglement._degree(weights, noise, omegas)
     return omegas, results
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12e")
 
 
 #: Flag columns (entangled, epr) by level (degree < 1) + (degree < 1/4).
@@ -497,10 +494,10 @@ def check_state(path, out=None) -> dict:
         "entangled": best_product < bound,
         "epr": best_product < bound / 4.0,
     }
-    print(f"product (a=1):    {_fmt(product)}", file=out)
-    print(f"bound:            {_fmt(bound)}", file=out)
-    print(f"optimal a:        {_fmt(best_a)}", file=out)
-    print(f"optimal product:  {_fmt(best_product)}", file=out)
+    print(f"product (a=1):    {product:.12e}", file=out)
+    print(f"bound:            {bound:.12e}", file=out)
+    print(f"optimal a:        {best_a:.12e}", file=out)
+    print(f"optimal product:  {best_product:.12e}", file=out)
     print(f"entangled:        {'yes' if report['entangled'] else 'no'}", file=out)
     print(f"EPR correlations: {'yes' if report['epr'] else 'no'}", file=out)
     return report
@@ -539,6 +536,8 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers is not None:    # checked in every mode
+            model.check_numbers(vars(args), counts=("workers",))
         if args.check_state is not None:
             check_state(args.check_state)
             return 0

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DriftUnstableError, InvalidParameterError, SingularityError
 from .model import (
-    HBAR, KB, PhysicalParams, SteadyState, check_numbers, steady_state,
+    HBAR, KB, PhysicalParams, SteadyState, _is_real, check_numbers,
+    steady_state,
 )
 
 N_STATE = 10
@@ -70,7 +71,9 @@ class LinearSystem:
     output_spectrum and two_channel_spectra.  Its spectra are the forms
     (noise_weights, NoiseModel.form) of its selected_transfer_rows rows, as
     four_row_forms in tests/test_entanglement.py builds them, and
-    output_spectrum_via_transfer takes it as it is.
+    output_spectrum_via_transfer takes it as it is.  drift and
+    noise_coupling must be real, finite arrays of shape (10, 10) and
+    (10, 8); anything else raises InvalidParameterError.
 
     The adjoint solve runs in the coordinates x' = T x, with T the identity
     or MIRROR_ROTATION, whichever gives the drift the finer block plan
@@ -102,6 +105,14 @@ class LinearSystem:
     _assembled: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, shape in (("drift", (N_STATE, N_STATE)),
+                            ("noise_coupling", (N_STATE, N_NOISE))):
+            v = getattr(self, name)
+            if not (isinstance(v, np.ndarray) and v.dtype.kind in "biuf"
+                    and v.shape == shape and np.isfinite(v).all()):
+                raise InvalidParameterError(
+                    f"{name} must be a real, finite {shape} array, got "
+                    f"{_shown(v)}")
         a, b, basis = self.drift, self.noise_coupling, np.eye(N_STATE)
         model_a, model_b = _assemble(self.params, self.steady)
         assembled = (np.array_equal(a, model_a)
@@ -341,20 +352,33 @@ class NoiseModel:
 def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
     """M(omega) = (-i omega I - A)^{-1} B, mapping noise inputs to the state.
 
-    omega is one real number under the value rule of frequency_grid;
-    anything else raises InvalidParameterError.
+    omega is one real number under the value rule of frequency_grid
+    (_frequency); anything else raises InvalidParameterError.
     """
-    w = frequency_grid(omega)
-    if np.ndim(omega):
-        raise InvalidParameterError(
-            f"omega must be a real number, got {reprlib.repr(omega)}")
-    shifted = -1j * w[0] * np.eye(N_STATE) - sys.drift
+    shifted = -1j * _frequency(omega) * np.eye(N_STATE) - sys.drift
     try:
         return np.linalg.solve(shifted, sys.noise_coupling.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             f"shifted drift matrix singular at omega={omega!r}"
         ) from exc
+
+
+def _shown(value) -> str:
+    """reprlib.repr(value) on one line, for an error message."""
+    return " ".join(reprlib.repr(value).split())
+
+
+def _frequency(omega) -> float:
+    """omega as a float: one real number (a numpy scalar or 0-d array too),
+    finite and 0 or of a magnitude within model.MAGNITUDE_RANGE, the rule of
+    frequency_grid for one value; anything else raises
+    InvalidParameterError naming omega."""
+    if not _is_real(omega) or np.ndim(omega):
+        raise InvalidParameterError(
+            f"omega must be a real number, got {_shown(omega)}")
+    check_numbers({"omega": omega}, signed=("omega",))
+    return float(omega)
 
 
 def frequency_grid(omegas) -> np.ndarray:
@@ -374,6 +398,26 @@ def frequency_grid(omegas) -> np.ndarray:
             f"real numbers, got {reprlib.repr(omegas)}")
     check_numbers({"omegas": w}, signed=("omegas",))
     return np.atleast_1d(w.astype(float, copy=False))
+
+
+#: Frequencies per piece of a sweep (entanglement.sweep_weights) and of a
+#: readout spectrum.  It bounds a sweep's memory (2e5 omega raise the peak
+#: RSS by about 37 MB), and the elementwise work of a small piece stays in
+#: cache.  At the Fig. 2 point sweep_weights on 10^4 omega took 2.7-3.4 ms
+#: in 5 pieces of 2048, 3.3-4.1 ms in pieces of 1024, 2.5-3.1 ms in pieces
+#: of 4096 and 3.6-4.5 ms in one piece; the three direct readout spectra on
+#: 8000 omega took 7.4-9.2 ms in pieces of 2048 and 9.4-11 ms in one piece
+#: (medians of 40 interleaved calls per run, three runs, 2-core x86-64 VM).
+CHUNK = 2048
+
+
+def _by_piece(evaluate, w):
+    """evaluate(piece) on the ceil(n / CHUNK) pieces of np.array_split of
+    the checked grid w, in order, joined on the last axis.  Every step of a
+    sweep or a spectrum is elementwise in omega, so the pieces give the
+    bits of one call on w."""
+    return np.concatenate([evaluate(piece) for piece in
+                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
 
 
 def susceptibility_rows(sys: LinearSystem, w):
@@ -469,8 +513,9 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     by 2x2-block elimination.  No block goes through LAPACK there.  Leaving
     the meter states out of the relative block keeps the mirror rows
     accurate: near the two zero crossings of the commutator at the Fig. 2
-    point the commutator stays within ~3e-12 of a 30-digit reference, where
-    a dense 10x10 LU is off by up to ~2e-8 (tests/test_precision.py).  The
+    point the commutator of its q1 and p1 rows stays within ~3e-12 of a
+    30-digit reference (tests/test_precision.py holds it to 5e-12), where
+    the rows of a dense 10x10 LU were off by up to ~5e-8.  The
     split also keeps the X_b and Y_b rows to rounding at omega = Omega,
     where the 6x6 mirror-entangler core lost ~1e-9 of them.
 
@@ -698,7 +743,9 @@ def hybrid_grid(big_omega: float) -> np.ndarray:
 
     2001 linear points over [0.5, 1.5] Omega (where the mechanical response
     peaks) merged with 512 log-spaced points over [1e-2, 1e2] Omega.
+    big_omega must be > 0 and within model.MAGNITUDE_RANGE.
     """
+    check_numbers({"big_omega": big_omega}, positive=("big_omega",))
     lin = np.linspace(0.5 * big_omega, 1.5 * big_omega, 2001)
     log = np.geomspace(1e-2 * big_omega, 1e2 * big_omega, 512)
     return np.unique(np.concatenate([lin, log]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import (
     IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
-    NoiseModel, frequency_grid, noise_weights, susceptibility_rows,
+    NoiseModel, _by_piece, frequency_grid, noise_weights, susceptibility_rows,
 )
 # The sweep never calls selected_transfer_rows; the benchmark's trace table
 # patches entanglement.selected_transfer_rows by name, so the name stays.
@@ -53,26 +53,6 @@ P1_SELECTOR = _selector((IP1, 1.0))
 #: The u = q1 + q2 and d = q1 - q2 selectors, as columns: the rows of
 #: dynamics.susceptibility_rows.
 SWEEP_SELECTORS = np.stack([U_SELECTOR, D_SELECTOR], axis=1)
-#: Frequencies per piece of a sweep (sweep_weights) and of a readout
-#: spectrum.  It bounds a sweep's memory (2e5 omega raise the peak RSS by
-#: about 37 MB), and the elementwise work of a small piece stays in cache.
-#: At the Fig. 2 point sweep_weights on 10^4 omega took 4.0-4.1 ms in 5
-#: pieces of 2048, 4.7-4.9 ms in pieces of 1024, 3.9-4.0 ms in pieces of
-#: 4096 and 5.8-5.9 ms in one piece; the three direct readout spectra on
-#: 8000 omega took 7.6-11 ms in pieces of 2048 and 13-17 ms in one piece
-#: (medians of 30-40 interleaved calls per run, three runs, 2-core x86-64
-#: VM).
-CHUNK = 2048
-
-
-def _by_piece(evaluate, w):
-    """evaluate(piece) on the ceil(n / CHUNK) pieces of np.array_split of
-    the checked grid w, in order, joined on the last axis.  Every step of a
-    sweep or a spectrum is elementwise in omega, so the pieces give the
-    bits of one call on w."""
-    return np.concatenate([evaluate(piece) for piece in
-                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
-
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.
 SYMPLECTIC_FORM = np.array([
@@ -87,9 +67,9 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """Temperature-independent reduction of the transfer rows behind E(omega).
 
     The grid is checked once and evaluated in order, in the ceil(n / CHUNK)
-    pieces of np.array_split, which bound a sweep's memory: the rows
-    r = c^T M(omega) at +omega per piece; the rows at -omega are their
-    conjugates because A and B are real.  With
+    pieces of np.array_split (dynamics._by_piece), which bound a sweep's
+    memory: the rows r = c^T M(omega) at +omega per piece; the rows at
+    -omega are their conjugates because A and B are real.  With
     F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
 
         Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,

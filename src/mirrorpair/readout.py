@@ -24,9 +24,9 @@ NoiseModel.form call on the weights of dynamics.noise_weights(c_i, c_j):
 the single home of the closed form that the entanglement sweep uses as well.
 output_spectrum_via_transfer builds the same spectrum from the Y_a rows of
 the adjoint solve instead, as an independent check.  Each spectrum is
-evaluated in the sweep's CHUNK pieces (entanglement._by_piece), with the
-bits of one call: at 8000 omega the direct spectra took about two thirds of
-the time of one call.
+evaluated in the sweep's CHUNK pieces (dynamics._by_piece), with the
+bits of one call: at 8000 omega the three direct spectra took about four
+fifths of the time of one call (see dynamics.CHUNK).
 """
 
 from __future__ import annotations
@@ -37,16 +37,18 @@ import numpy as np
 
 from .dynamics import (
     IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    LinearSystem, NoiseModel, frequency_grid, noise_weights,
-    selected_transfer_rows, susceptibility_rows,
+    LinearSystem, NoiseModel, _by_piece, _frequency, frequency_grid,
+    noise_weights, selected_transfer_rows, susceptibility_rows,
 )
-from .entanglement import _by_piece
 from .errors import InvalidParameterError
+from .model import check_numbers
 # steady_state is not called here; the benchmark's trace table patches
 # readout.steady_state by name, so the name stays until that table changes.
 from .model import steady_state  # noqa: F401
 
 _CHANNELS = {1: (IYA1, IYIN1, 1.0), 2: (IYA2, IYIN2, -1.0)}
+#: check_numbers' magnitude range for a value with no range but finiteness.
+_ANY_FINITE = (0.0, np.finfo(float).max)
 
 
 def _channel(channel):
@@ -65,6 +67,12 @@ class ReadoutChannel:
 
     g_alpha: float
     gamma_a: float
+
+    def __post_init__(self):
+        # g alpha comes from any valid working point, so only its sign and
+        # finiteness are checked, not its magnitude.
+        check_numbers(vars(self), positive=("gamma_a",),
+                      nonnegative=("g_alpha",), magnitude=_ANY_FINITE)
 
     @classmethod
     def for_system(cls, sys: LinearSystem):
@@ -89,8 +97,13 @@ def gain_condition(sys: LinearSystem, omega: float, threshold: float = 10.0):
     at the working point already in sys.
 
     Returns (ratio, ratio > threshold).  The readout faithfully tracks the
-    mirror position only when the ratio is large.
+    mirror position only when the ratio is large.  omega is one real number
+    under the rule of transfer_matrix, and threshold a finite real number;
+    anything else raises InvalidParameterError.
     """
+    omega = _frequency(omega)
+    check_numbers({"threshold": threshold}, signed=("threshold",),
+                  magnitude=_ANY_FINITE)
     chan = ReadoutChannel.for_system(sys)
     ratio = chan.g_alpha ** 2 / ((chan.gamma_a ** 2 / 4.0 + omega ** 2) / 4.0)
     return float(ratio), bool(ratio > threshold)
@@ -115,18 +128,24 @@ def _currents(sys, w, channels):
     return rows
 
 
+def _auto_spectrum(noise, omegas, current):
+    """Symmetrized spectrum of one current, from current(piece), its
+    noise-space rows on each CHUNK piece of the checked grid of omegas: the
+    auto form, a float for a scalar omega."""
+    def spectrum(piece):
+        rows = current(piece)
+        return noise.form(piece, *noise_weights(rows, rows)).real
+
+    out = _by_piece(spectrum, frequency_grid(omegas))
+    return out if np.ndim(omegas) else float(out[0])
+
+
 def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     """Symmetrized spectrum of Y_out_j, assembled directly from the
     input-output relation: gain * q_j response + reflected vacuum, including
     the interference term carried by the correlated intracavity solution."""
-    w = frequency_grid(omegas)
-
-    def spectrum(piece):
-        rows = _currents(sys, piece, (channel,))[0]
-        return noise.form(piece, *noise_weights(rows, rows)).real
-
-    out = _by_piece(spectrum, w)
-    return out if np.ndim(omegas) else float(out[0])
+    return _auto_spectrum(noise, omegas,
+                          lambda w: _currents(sys, w, (channel,))[0])
 
 
 def output_spectrum_via_transfer(
@@ -137,16 +156,14 @@ def output_spectrum_via_transfer(
     solve (selected_transfer_rows): an independent check of
     output_spectrum, which shares no rows with it."""
     iya, iyin, _ = _channel(channel)
-    w = frequency_grid(omegas)
 
-    def spectrum(piece):
-        rows = selected_transfer_rows(sys, piece, np.eye(N_STATE)[:, [iya]])
+    def current(w):
+        rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])
         rows = np.sqrt(sys.params.gamma_a) * rows[:, 0]
         rows[:, iyin] -= 1.0
-        return noise.form(piece, *noise_weights(rows, rows)).real
+        return rows
 
-    out = _by_piece(spectrum, w)
-    return out if np.ndim(omegas) else float(out[0])
+    return _auto_spectrum(noise, omegas, current)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mirrorpair import NoiseModel, build_linear_system, fig2_params
 from mirrorpair.dynamics import BROWNIAN_KERNELS
+from mirrorpair.errors import InvalidParameterError
 
 
 def make_params(**overrides):
@@ -13,6 +14,16 @@ def make_params(**overrides):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return fig2_params(**overrides)
+
+
+def raises_one_line(call, name):
+    """Assert that call raises an InvalidParameterError whose message names
+    the argument name and fits on one line, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=name) as info:
+            call()
+    assert "\n" not in str(info.value)
 
 
 #: Fields that carry a rate (1/s), a power or the temperature: scaling all

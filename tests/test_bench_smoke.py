@@ -66,12 +66,19 @@ def test_every_traced_name_exists(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     import tracing
-    from mirrorpair import readout
+    from mirrorpair import cli, readout
 
     solve = readout.selected_transfer_rows
+    before = [(owner, attr, owner.__dict__[attr])
+              for owner, attr, _ in tracing._patch_table()]
     try:
         tracing.install()
         assert readout.selected_transfer_rows is not solve
     finally:
         tracing.uninstall()
     assert readout.selected_transfer_rows is solve
+    # Every patched attribute is put back as the very object it was; the
+    # CLI's process pool name is bound to None.
+    for owner, attr, original in before:
+        assert owner.__dict__[attr] is original, (owner, attr)
+    assert cli.ProcessPoolExecutor is None

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -33,12 +35,13 @@ from mirrorpair.cli import (
     parse_config_text,
     run_sweep,
 )
-from mirrorpair.dynamics import N_NOISE
-from mirrorpair.entanglement import CHUNK
+from mirrorpair.dynamics import CHUNK, N_NOISE
 from mirrorpair.errors import (
     ConfigError, DegenerateCommutatorError, InvalidParameterError,
     SingularityError,
 )
+
+from conftest import P_STAR
 
 
 class TestConfigParsing:
@@ -244,6 +247,9 @@ class TestConfigValidation:
         config.write_text("omega_count = 3\n", encoding="utf-8")
         assert main(["--sweep", "--config", str(config), "--workers", "0",
                      "--out", str(tmp_path / "out")]) == 2
+        state = tmp_path / "vacuum.txt"
+        np.savetxt(state, 0.5 * np.eye(4))
+        assert main(["--check-state", str(state), "--workers", "0"]) == 2
 
     def test_hybrid_spec_records_the_grid_used(self):
         spec = SweepSpec.from_config({"omega_spacing": "hybrid"})
@@ -877,6 +883,19 @@ class TestCheckState:
         assert not report["entangled"]
         assert "entangled:        no" in sink.getvalue()
 
+    def test_report_text(self, tmp_path):
+        path = tmp_path / "vac.txt"
+        np.savetxt(path, 0.5 * np.eye(4))
+        sink = io.StringIO()
+        check_state(path, out=sink)
+        assert sink.getvalue() == (
+            "product (a=1):    1.000000000000e+00\n"
+            "bound:            1.000000000000e+00\n"
+            "optimal a:        1.000000000000e+00\n"
+            "optimal product:  1.000000000000e+00\n"
+            "entangled:        no\n"
+            "EPR correlations: no\n")
+
     def test_report_follows_redirected_stdout(self, tmp_path):
         path = tmp_path / "vac.txt"
         np.savetxt(path, 0.5 * np.eye(4))
@@ -998,3 +1017,62 @@ class TestMainExitCodes:
         code = main(["--sweep", "--config", str(config), "--workers", "2",
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+def test_import_loads_no_process_pool():
+    # The sweep runs in one process, so the command line imports neither
+    # concurrent.futures nor multiprocessing.
+    code = ("import mirrorpair.cli, sys; print([m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestClaimSweeps:
+    def test_stable_point_entangles_up_to_100_kelvin(self, tmp_path):
+        # The paper's thermal-robustness claim at the stable point P*: a
+        # band at the optical pole pair (69.101 Omega) at 0.1, 10 and 100 K
+        # that narrows as T rises, and none at 300 K.
+        spec = SweepSpec(params=fig2_params(**P_STAR), omega_min=6.85e6,
+                         omega_max=6.97e6, omega_count=2001,
+                         temperatures=(0.1, 10.0, 100.0, 300.0),
+                         require_stable=True)
+        by_t = {e["temperature"]: e
+                for e in run_sweep(spec, tmp_path)["temperatures"]}
+        assert sorted(by_t) == [0.1, 10.0, 100.0, 300.0]
+        bands = [by_t[t]["entangled_bands"] for t in (0.1, 10.0, 100.0)]
+        assert all(len(b) == 1 for b in bands), bands
+        assert bands[0] == [[6.85e6, 6.97e6]]
+        for (wide,), (narrow,) in zip(bands, bands[1:]):
+            assert wide[0] < narrow[0] and narrow[1] < wide[1], bands
+        assert by_t[100.0]["min_degree"] < 1.0
+        assert by_t[300.0]["entangled_bands"] == []
+
+    def test_weak_entangler_sweep_is_finite(self):
+        # A weak entangler drive puts the relative mode's pole, where the
+        # denominator of the closed-form q1 - q2 row is smallest, inside the
+        # grid; any RuntimeWarning fails the suite.
+        spec = SweepSpec(params=fig2_params(p_in_b=5e-11), omega_min=99000.0,
+                         omega_max=101000.0, omega_count=600)
+        _, results = _sweep_rows(spec)
+        for res in results.values():
+            assert all(np.isfinite(v).all() for v in res.values())
+
+    def test_degree_sweep_memory_is_bounded_by_the_piece(self):
+        # In CHUNK pieces 2e5 frequencies peaked at ~40 MB traced; as one
+        # batch they peaked at ~109 MB.
+        params = fig2_params()
+        sys_obj = build_linear_system(params)
+        noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
+        omegas = np.linspace(0.5, 1.5, 200_000) * params.big_omega
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            degree_sweep(sys_obj, noise, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, peak

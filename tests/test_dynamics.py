@@ -23,7 +23,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import working_points
+from conftest import raises_one_line, working_points
 
 
 def chi(omega, params):
@@ -631,3 +631,40 @@ def test_hybrid_grid_shape_and_refinement():
     near = grid[(grid >= 0.5e5) & (grid <= 1.5e5)]
     assert near.size >= 2001
     assert 1e5 in grid
+
+
+BAD_DRIFTS = {
+    "3x3": np.zeros((3, 3)), "list": np.zeros((N_STATE, N_STATE)).tolist(),
+    "nan": np.full((N_STATE, N_STATE), np.nan),
+    "inf": np.full((N_STATE, N_STATE), np.inf),
+    "complex": np.zeros((N_STATE, N_STATE), dtype=complex),
+    "text": np.full((N_STATE, N_STATE), "1"), "None": None,
+}
+
+
+class TestLinearSystemInput:
+    @pytest.mark.parametrize("drift", BAD_DRIFTS.values(),
+                             ids=BAD_DRIFTS.keys())
+    def test_bad_drift_is_an_invalid_parameter(self, fig2, drift):
+        _, sys = fig2
+        raises_one_line(lambda: LinearSystem(
+            drift=drift, noise_coupling=sys.noise_coupling.copy(),
+            params=sys.params, steady=sys.steady), "drift")
+
+    @pytest.mark.parametrize("coupling", [
+        np.zeros((N_STATE, N_STATE)), np.zeros((N_STATE, N_NOISE)).tolist(),
+        np.full((N_STATE, N_NOISE), np.nan),
+        np.zeros((N_STATE, N_NOISE), dtype=complex),
+    ], ids=["10x10", "list", "nan", "complex"])
+    def test_bad_noise_coupling_is_an_invalid_parameter(self, fig2, coupling):
+        _, sys = fig2
+        raises_one_line(lambda: LinearSystem(
+            drift=sys.drift.copy(), noise_coupling=coupling,
+            params=sys.params, steady=sys.steady), "noise_coupling")
+
+
+class TestHybridGridInput:
+    @pytest.mark.parametrize("big_omega", [np.nan, np.inf, -1.0, 0.0, 1e31,
+                                           "1e5", None, [1e5]])
+    def test_bad_big_omega_is_an_invalid_parameter(self, big_omega):
+        raises_one_line(lambda: hybrid_grid(big_omega), "big_omega")

@@ -21,7 +21,8 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    _transfer_rows, hybrid_grid, selected_transfer_rows, susceptibility_rows,
+    _transfer_rows, hybrid_grid, noise_weights, selected_transfer_rows,
+    susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -150,6 +151,24 @@ def test_sweep_commutator_at_the_hybrid_grid_crossings(reference,
     for w_k, have in zip(w[near], got[near]):
         want = float(reference.point(float(w_k), temperature)["commutator_sq"])
         assert abs(have - want) <= 1e-12 * want, (w_k, have / want - 1.0)
+
+
+def test_block_solver_commutator_at_the_crossings(reference):
+    # The generic path's commutator, the form of its q1 and p1 rows, at the
+    # four points that straddle the zero crossings of the commutator
+    # (measured: within 2.7e-12; the rows of a dense 10x10 LU, as
+    # transfer_matrix forms them, were off by up to 4.6e-8 there).  The
+    # commutator does not depend on temperature.
+    params = fig2_params()
+    w = np.array(OMEGA_FACTORS[-4:]) * params.big_omega
+    q1, p1 = selected_transfer_rows(
+        build_linear_system(params), w,
+        np.column_stack([Q1_SELECTOR, P1_SELECTOR])).transpose(1, 0, 2)
+    noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
+    got = noise.form(w, *noise_weights(q1, p1)).imag ** 2
+    for w_k, have in zip(w, got):
+        want = float(reference.point(float(w_k), 0.1)["commutator_sq"])
+        assert abs(have - want) <= 5e-12 * want, (w_k, have / want - 1.0)
 
 
 def test_unit_rows_at_resonance_match_extended_precision():

@@ -21,6 +21,8 @@ from mirrorpair import (
 from mirrorpair.dynamics import selected_transfer_rows, IYIN1, IYIN2, IQ1, IQ2, N_STATE
 from mirrorpair.errors import InvalidParameterError
 
+from conftest import raises_one_line
+
 
 class TestReadoutChannel:
     def test_reflection_is_pure_phase(self):
@@ -293,3 +295,33 @@ class TestClosedFormContraction:
         # Real arithmetic makes the form exactly hermitian in its rows.
         assert np.array_equal(form(cj, ci), got.conj())
         assert np.all(got_auto.imag == 0.0)
+
+
+class TestReadoutInput:
+    @pytest.mark.parametrize("omega", [[1.0, 2.0], np.array([1e5]), np.nan,
+                                       np.inf, None, "1e5", 1j, 1e31])
+    def test_bad_gain_condition_omega(self, fig2, omega):
+        _, sys = fig2
+        raises_one_line(lambda: gain_condition(sys, omega), "omega")
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, None,
+                                           "10"])
+    def test_bad_gain_condition_threshold(self, fig2, threshold):
+        _, sys = fig2
+        raises_one_line(lambda: gain_condition(sys, 1e5, threshold),
+                        "threshold")
+
+    def test_gain_condition_takes_numpy_scalars(self, fig2):
+        _, sys = fig2
+        want = gain_condition(sys, 1e5)
+        assert gain_condition(sys, np.float64(1e5)) == want
+        assert gain_condition(sys, np.array(1e5)) == want
+        assert gain_condition(sys, 0.0, threshold=-1e40)[1]
+
+    @pytest.mark.parametrize("g_alpha, gamma_a, name", [
+        (1.0, -1.0, "gamma_a"), (1.0, 0.0, "gamma_a"),
+        (1.0, np.nan, "gamma_a"), (-1.0, 1.0, "g_alpha"),
+        (np.inf, 1.0, "g_alpha"), ("1", 1.0, "g_alpha"),
+    ])
+    def test_bad_channel_constants(self, g_alpha, gamma_a, name):
+        raises_one_line(lambda: ReadoutChannel(g_alpha, gamma_a), name)
