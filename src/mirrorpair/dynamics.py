@@ -113,19 +113,24 @@ class LinearSystem:
                 raise InvalidParameterError(
                     f"{name} must be a real, finite {shape} array, got "
                     f"{_shown(v)}")
-        a, b, basis = self.drift, self.noise_coupling, np.eye(N_STATE)
+        # The system keeps read-only copies: the caller's arrays stay
+        # writable, and editing them changes neither the system nor
+        # _assembled.
+        drift, coupling = np.array(self.drift), np.array(self.noise_coupling)
         model_a, model_b = _assemble(self.params, self.steady)
-        assembled = (np.array_equal(a, model_a)
-                     and np.array_equal(b, model_b))
+        assembled = (np.array_equal(drift, model_a)
+                     and np.array_equal(coupling, model_b))
+        a, b, basis = drift, coupling, np.eye(N_STATE)
         plan = _adjoint_blocks(a)
         rotated = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
         finer = _adjoint_blocks(rotated)
         if len(finer) > len(plan):
             basis, a, b, plan = (_MIRROR_INVERSE, rotated,
                                  MIRROR_ROTATION @ b, finer)
-        for array in (self.drift, self.noise_coupling, basis, a, b):
+        for array in (drift, coupling, basis, a, b):
             array.setflags(write=False)
-        for name, value in (("basis", basis), ("basis_drift", a),
+        for name, value in (("drift", drift), ("noise_coupling", coupling),
+                            ("basis", basis), ("basis_drift", a),
                             ("basis_coupling", b), ("blocks", plan),
                             ("_assembled", assembled)):
             object.__setattr__(self, name, value)
@@ -401,13 +406,19 @@ def frequency_grid(omegas) -> np.ndarray:
 
 
 #: Frequencies per piece of a sweep (entanglement.sweep_weights) and of a
-#: readout spectrum.  It bounds a sweep's memory (2e5 omega raise the peak
-#: RSS by about 37 MB), and the elementwise work of a small piece stays in
-#: cache.  At the Fig. 2 point sweep_weights on 10^4 omega took 2.7-3.4 ms
-#: in 5 pieces of 2048, 3.3-4.1 ms in pieces of 1024, 2.5-3.1 ms in pieces
-#: of 4096 and 3.6-4.5 ms in one piece; the three direct readout spectra on
-#: 8000 omega took 7.4-9.2 ms in pieces of 2048 and 9.4-11 ms in one piece
-#: (medians of 40 interleaved calls per run, three runs, 2-core x86-64 VM).
+#: readout spectrum.  The pieces bound the memory of the adjoint solve of
+#: readout.output_spectrum_via_transfer: on 2e5 omega it peaked at 4.8 MB
+#: traced in pieces and 154 MB in one piece.  The sweep and the direct
+#: readout spectra hold a few real arrays per omega, so their memory does
+#: not depend on the piece.  At the Fig. 2 point (medians of 35 interleaved
+#: calls per size, three runs, 2-core x86-64 VM) the two via-transfer
+#: spectra on 8000 omega took 8.4-11.8 ms in pieces of 2048, 10.4-14.5 ms
+#: in pieces of 4096 and 10.2-14.0 ms in one piece, and the three direct
+#: spectra 2.4-3.4 ms and 1.9-2.8 ms in pieces of 2048 and 4096;
+#: sweep_weights on 10^4 omega took 1.1-1.6 ms in pieces of 2048,
+#: 0.8-1.1 ms in pieces of 4096 and 1.3-1.8 ms in one piece.  The solve
+#: is most of a readout pass, and a sweep's weights little of a sweep, so
+#: the piece stays at 2048.
 CHUNK = 2048
 
 
@@ -418,6 +429,34 @@ def _by_piece(evaluate, w):
     bits of one call on w."""
     return np.concatenate([evaluate(piece) for piece in
                            np.array_split(w, -(-w.size // CHUNK))], axis=-1)
+
+
+def _closed_form(sys, w):
+    """mech, kappa, D, den and c_a of susceptibility_rows on the checked grid
+    w, each of shape (n,), for the model's system only.
+
+    A hand-built system (see LinearSystem) raises InvalidParameterError
+    before anything is formed, and a zero mech or den raises
+    SingularityError (_nonzero), so that no caller divides by it.
+    """
+    if not sys._assembled:
+        raise InvalidParameterError(
+            "a hand-built LinearSystem has no closed-form rows; take its rows "
+            "from selected_transfer_rows")
+    p, ss = sys.params, sys.steady
+    om = p.big_omega
+    gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
+    mech = np.empty(w.shape, dtype=complex)
+    mech.real = (om - w) * (om + w)
+    mech.imag = -p.big_gamma * w
+    kappa = np.empty(w.shape, dtype=complex)
+    kappa.real = 0.5 * p.gamma_b
+    kappa.imag = -w
+    spring = (kappa - 1j * p.delta_b) * (kappa + 1j * p.delta_b)
+    den = (mech * spring
+           + 4.0 * om * (gbeta_r * gbeta_r + gbeta_i * gbeta_i) * p.delta_b)
+    c_a = p.g * ss.alpha * np.sqrt(p.gamma_a) / (0.5 * p.gamma_a - 1j * w)
+    return _nonzero(mech), kappa, spring, _nonzero(den), c_a
 
 
 def susceptibility_rows(sys: LinearSystem, w):
@@ -445,36 +484,25 @@ def susceptibility_rows(sys: LinearSystem, w):
     pole at 0.92496 Omega has a damping of 7.9e-7 Omega, the d row holds
     only ~eps |mech D| / |den|, 2.4e-11 there, and the block solver no better.
 
-    The rows are the model's: a hand-built system (see LinearSystem) raises
-    InvalidParameterError before any row is formed, and a zero mech or den
-    raises SingularityError before any division (_nonzero).
+    The sweep and the readout need only the real factors of these rows
+    (_row_factors); the rows themselves are the reference those factors are
+    tested against.  A hand-built system (see LinearSystem) raises
+    InvalidParameterError, and a zero mech or den SingularityError
+    (_closed_form).
 
     w: a float array of shape (n,) as frequency_grid returns it; it is not
     checked again.  Returns shape (2, n, 8): the u row, then the d row.
     """
-    if not sys._assembled:
-        raise InvalidParameterError(
-            "a hand-built LinearSystem has no closed-form rows; take its rows "
-            "from selected_transfer_rows")
+    mech, kappa, spring, den, c_a = _closed_form(sys, w)
     p, ss = sys.params, sys.steady
     om, g_b = p.big_omega, p.gamma_b
     gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
-    mech = np.empty(w.shape, dtype=complex)
-    mech.real = (om - w) * (om + w)
-    mech.imag = -p.big_gamma * w
-    kappa = np.empty(w.shape, dtype=complex)
-    kappa.real = 0.5 * g_b
-    kappa.imag = -w
-    spring = (kappa - 1j * p.delta_b) * (kappa + 1j * p.delta_b)
-    den = (mech * spring
-           + 4.0 * om * (gbeta_r * gbeta_r + gbeta_i * gbeta_i) * p.delta_b)
-    c_a = p.g * ss.alpha * np.sqrt(p.gamma_a) / (0.5 * p.gamma_a - 1j * w)
     rows = np.zeros((2, w.size, N_NOISE), dtype=complex)
     u, d = rows
-    u[:, IXI1] = u[:, IXI2] = om / _nonzero(mech)
+    u[:, IXI1] = u[:, IXI2] = om / mech
     u[:, IXIN1] = u[:, IXI1] * c_a
     u[:, IXIN2] = -u[:, IXIN1]
-    scale = om / _nonzero(den)
+    scale = om / den
     d[:, IXI1] = scale * spring
     d[:, IXI2] = -d[:, IXI1]
     d[:, IXIN1] = d[:, IXIN2] = d[:, IXI1] * c_a
@@ -482,6 +510,44 @@ def susceptibility_rows(sys: LinearSystem, w):
     d[:, IXINB] = scale * (-2.0 * gbeta_r * kappa - 2.0 * gbeta_i * p.delta_b)
     d[:, IYINB] = scale * (2.0 * gbeta_r * p.delta_b - 2.0 * gbeta_i * kappa)
     return rows
+
+
+def _row_factors(sys, w):
+    """The real factors of the model's u and d rows (susceptibility_rows)
+    that every sweep weight and readout spectrum is made of, per omega.
+
+    Returns (u2, v2, ent, meter, twist), each of shape (n,):
+
+        u2 = |Omega / mech|^2,  v2 = |Omega D / den|^2,
+        ent = |d_Xb|^2 + |d_Yb|^2
+            = |Omega / den|^2 4 gamma_b G^2 |beta|^2 (|kappa|^2 + Delta_b^2),
+        meter = |c_a|^2,
+        twist = Im(d_Xb conj(d_Yb)) = |Omega / den|^2 4 gamma_b G^2 |beta|^2 w Delta_b.
+
+    The Brownian channels of u and d carry u2 and v2 each, their meter
+    channels u2 meter and v2 meter each, and the entangler inputs reach d
+    alone.  u2 and v2 are the squared moduli of the rows' own first
+    entries, so they have the rows' bits.  ent and twist are products of
+    |Omega / den|^2 with sums of positive terms, so nothing cancels in
+    them, where Im(d_Xb conj d_Yb) formed from the rows' entries cancels
+    far from omega = |Delta_b|.  The refusals are those of
+    susceptibility_rows (_closed_form).
+
+    w: a float array of shape (n,) as frequency_grid returns it.
+    """
+    mech, kappa, spring, den, c_a = _closed_form(sys, w)
+    p = sys.params
+    scale = p.big_omega / den
+    u, d = p.big_omega / mech, scale * spring
+    # Omega / den times the modulus 2 G |beta| sqrt(gamma_b) of the
+    # entangler's coupling to d.
+    e = scale * (2.0 * p.big_g * abs(sys.steady.beta) * np.sqrt(p.gamma_b))
+    e2 = e.real * e.real + e.imag * e.imag
+    return (u.real * u.real + u.imag * u.imag,
+            d.real * d.real + d.imag * d.imag,
+            e2 * (kappa.real * kappa.real + w * w + p.delta_b * p.delta_b),
+            c_a.real * c_a.real + c_a.imag * c_a.imag,
+            e2 * (w * p.delta_b))
 
 
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
-    IP1, IP2, IQ1, IQ2, IXI1, IXI2, IXIN1, IYIN1, N_STATE, LinearSystem,
-    NoiseModel, _by_piece, frequency_grid, noise_weights, susceptibility_rows,
+    IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel, _by_piece,
+    _row_factors, frequency_grid,
 )
 # The sweep never calls selected_transfer_rows; the benchmark's trace table
 # patches entanglement.selected_transfer_rows by name, so the name stays.
@@ -67,17 +66,19 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     """Temperature-independent reduction of the transfer rows behind E(omega).
 
     The grid is checked once and evaluated in order, in the ceil(n / CHUNK)
-    pieces of np.array_split (dynamics._by_piece), which bound a sweep's
-    memory: the rows r = c^T M(omega) at +omega per piece; the rows at
-    -omega are their conjugates because A and B are real.  With
+    pieces of np.array_split (dynamics._by_piece).  For rows
+    r = c^T M(omega) at +omega (the rows at -omega are their conjugates
+    because A and B are real) and
     F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
 
         Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
         <[R_q1, R_p1]> = i Im F(q1, p1).
 
-    The u and d = q1 - q2 rows are the model's closed form
-    (dynamics.susceptibility_rows, _position_weights), so a hand-built
-    LinearSystem raises InvalidParameterError (see LinearSystem).
+    The weights are formed in closed form from the real factors of the
+    model's u and d = q1 - q2 rows (_position_weights), with no row and no
+    sum over channels; noise_weights of dynamics.susceptibility_rows gives
+    the same to rounding.  A hand-built LinearSystem raises
+    InvalidParameterError (see LinearSystem).
 
     Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
     joined: shape (4, 3, n), in the order of noise_weights.
@@ -91,8 +92,8 @@ def _sweep_weights(sys, w):
 
 
 def _position_weights(sys, w):
-    """The sweep weights of the model from its u and d rows, by the q-row
-    identity.
+    """The sweep weights of the model from the real factors of its u and d
+    rows (dynamics._row_factors), by the q-row identity.
 
     Row q_j of the model's drift is Omega at p_j and nothing else, and no
     noise enters q_j, so p_j = (-i omega / Omega) q_j at every omega.  With
@@ -101,18 +102,25 @@ def _position_weights(sys, w):
     times those of (d, d).  Those of (q1, p1) close over q1 alone:
     q1 conj(p1) = i rho |q1|^2 per channel, so xi_real and vacuum are 0,
     xi_imag is rho times the Brownian sum of |q1|^2, and pairs is
-    -2 rho sum_pairs Im(q1_X conj q1_Y), in real arithmetic.
+    -2 rho sum_pairs Im(q1_X conj q1_Y).  In the factors u2, v2, ent, meter
+    and twist of _row_factors:
+
+        (u, u):   xi_real = 2 u2,  vacuum = 2 u2 meter
+        (d, d):   xi_real = 2 v2,  vacuum = 2 v2 meter + ent
+        (q1, p1): xi_imag = rho (u2 + v2) / 2,  pairs = -rho twist / 2
+
+    The Brownian entries of q1 are (u + d)/2 and (u - d)/2 of the common
+    entries of u and d, whose cross terms cancel in the sum, and its meter
+    pairs have no Y entry, so only the entangler pair is left in pairs.
     """
-    u, d = susceptibility_rows(sys, w)
+    u2, v2, ent, meter, twist = _row_factors(sys, w)
     rho = w / sys.params.big_omega
     out = np.zeros((4, 3, w.size))
-    out[:, 0] = noise_weights(u, u)
-    out[:, 1] = noise_weights(d, d)
+    out[0, 0], out[0, 1] = 2.0 * u2, 2.0 * v2
+    out[2, 0], out[2, 1] = out[0, 0] * meter, out[0, 1] * meter + ent
     out[:, 1] *= rho * rho
-    q = np.moveaxis(0.5 * (u + d), -1, 0)       # the q1 row's channel planes
-    xi, x, y = q[IXI1:IXI2 + 1], q[IXIN1::2], q[IYIN1::2]
-    out[1, 2] = rho * reduce(np.add, xi.real * xi.real + xi.imag * xi.imag)
-    out[3, 2] = -2.0 * rho * reduce(np.add, x.imag * y.real - x.real * y.imag)
+    out[1, 2] = 0.5 * rho * (u2 + v2)
+    out[3, 2] = -0.5 * rho * twist
     return out
 
 

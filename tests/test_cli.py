@@ -35,7 +35,7 @@ from mirrorpair.cli import (
     parse_config_text,
     run_sweep,
 )
-from mirrorpair.dynamics import CHUNK, N_NOISE
+from mirrorpair.dynamics import CHUNK
 from mirrorpair.errors import (
     ConfigError, DegenerateCommutatorError, InvalidParameterError,
     SingularityError,
@@ -345,14 +345,15 @@ class TestSweepKernel:
                                                       monkeypatch, entry):
         # The sweep solves in this process whatever the worker count, so the
         # spy sees every chunk; degree_sweep shares the sweep's chunk loop.
-        # At the Fig. 2 point each chunk takes the closed-form u and d rows
-        # only, nothing goes through the adjoint solve, and the grid is
-        # checked once per sweep, not again per chunk or per temperature.
+        # At the Fig. 2 point each chunk takes the five real factors of the
+        # closed-form u and d rows only, nothing goes through the adjoint
+        # solve, and the grid is checked once per sweep, not again per chunk
+        # or per temperature.
         calls, checks = [], []
-        rows, check = entanglement.susceptibility_rows, dynamics.frequency_grid
+        factors, check = entanglement._row_factors, dynamics.frequency_grid
 
         def spy(sys, omegas):
-            out = rows(sys, omegas)
+            out = factors(sys, omegas)
             calls.append((np.array(omegas), np.shape(out)))
             return out
 
@@ -363,7 +364,7 @@ class TestSweepKernel:
         def forbidden(*args, **kwargs):
             raise AssertionError("the model's sweep must not solve")
 
-        monkeypatch.setattr(entanglement, "susceptibility_rows", spy)
+        monkeypatch.setattr(entanglement, "_row_factors", spy)
         monkeypatch.setattr(dynamics, "_transfer_rows", forbidden)
         monkeypatch.setattr(entanglement, "frequency_grid", counted)
         monkeypatch.setattr(dynamics, "frequency_grid", counted)
@@ -380,7 +381,7 @@ class TestSweepKernel:
             run_sweep(spec, tmp_path)
         assert len(calls) == -(-n // CHUNK) == 3
         assert all(c.size <= CHUNK and np.all(c > 0)
-                   and shape == (2, c.size, N_NOISE) for c, shape in calls)
+                   and shape == (5, c.size) for c, shape in calls)
         assert np.array_equal(np.concatenate([c for c, _ in calls]),
                               spec.omega_grid())
         assert checks == [n]
@@ -990,11 +991,11 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_singular_resolvent_exit_4(self, tmp_path, monkeypatch, capsys):
-        # The sweep's rows meet a zero of mech or den on the grid.
+        # The sweep's row factors meet a zero of mech or den on the grid.
         def singular(sys, w):
             raise SingularityError("shifted drift matrix singular on grid")
 
-        monkeypatch.setattr(entanglement, "susceptibility_rows", singular)
+        monkeypatch.setattr(entanglement, "_row_factors", singular)
         config = tmp_path / "cfg.txt"
         config.write_text("omega_count = 3\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -1061,9 +1062,14 @@ class TestClaimSweeps:
         for res in results.values():
             assert all(np.isfinite(v).all() for v in res.values())
 
-    def test_degree_sweep_memory_is_bounded_by_the_piece(self):
-        # In CHUNK pieces 2e5 frequencies peaked at ~40 MB traced; as one
-        # batch they peaked at ~109 MB.
+    def test_degree_sweep_memory_is_bounded(self):
+        # A sweep's memory is its (4, 3, n) weights and their forms: 2e5
+        # frequencies peaked at 40.0 MB traced, in CHUNK pieces and in one
+        # batch alike, since the weights are formed from five real factors
+        # per omega, not from (2, n, 8) complex rows (one batch of rows
+        # peaked at 109 MB).  This guards against a sweep that holds more
+        # per omega; the pieces themselves are guarded by
+        # test_readout.py::test_transfer_spectrum_memory_is_bounded_by_the_piece.
         params = fig2_params()
         sys_obj = build_linear_system(params)
         noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
@@ -1075,4 +1081,4 @@ class TestClaimSweeps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60e6, peak
+        assert peak < 45e6, peak

@@ -662,6 +662,25 @@ class TestLinearSystemInput:
             drift=sys.drift.copy(), noise_coupling=coupling,
             params=sys.params, steady=sys.steady), "noise_coupling")
 
+    def test_the_callers_arrays_stay_its_own(self, fig2):
+        # The system keeps read-only copies of drift and noise_coupling: the
+        # caller may edit its arrays afterwards, and that edit reaches
+        # neither the system nor its record of being the model's assembly.
+        _, sys = fig2
+        drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
+        copied = LinearSystem(drift=drift, noise_coupling=coupling,
+                              params=sys.params, steady=sys.steady)
+        assert copied._assembled
+        drift[IQ1, IP1] = coupling[IP1, IXI1] = 1.0
+        assert drift.flags.writeable and coupling.flags.writeable
+        assert np.array_equal(copied.drift, sys.drift)
+        assert np.array_equal(copied.noise_coupling, sys.noise_coupling)
+        assert copied._assembled
+        for array in (copied.drift, copied.noise_coupling):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
 
 class TestHybridGridInput:
     @pytest.mark.parametrize("big_omega", [np.nan, np.inf, -1.0, 0.0, 1e31,

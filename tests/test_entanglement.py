@@ -1,6 +1,7 @@
 """Tests for the entanglement degree and the Gaussian separability checker."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from mirrorpair import (
     two_channel_spectra,
 )
 from mirrorpair.dynamics import (
-    IP1, IP2, IQ1, IQ2, IXB, IXI1, IXI2, IYB, LinearSystem, N_NOISE, N_STATE,
-    hybrid_grid, noise_weights, selected_transfer_rows, susceptibility_rows,
+    IP2, IQ1, IQ2, IXB, IXI1, IXI2, IXINB, IYB, IYIN1, IYIN2, IYINB,
+    LinearSystem, N_NOISE, N_STATE, frequency_grid, hybrid_grid,
+    noise_weights, selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SYMPLECTIC_FORM, U_SELECTOR,
@@ -32,6 +34,7 @@ from mirrorpair.oracle import sample_separable_covariances
 from mirrorpair.errors import (
     DegenerateCommutatorError,
     InvalidParameterError,
+    SingularityError,
     UnphysicalStateError,
 )
 
@@ -61,21 +64,27 @@ def four_row_forms(sys, noise, w):
             "commutator_sq": form(q1, p1).imag ** 2}
 
 
-def identity_forms(sys, noise, w):
-    """The same from the closed-form u and d rows alone: with
-    rho = omega / Omega, v = -i rho d and p1 = -i rho q1, where
-    q1 = (u + d) / 2."""
+def row_forms(sys, noise, w):
+    """The sweep weights (4, 3, n), the auto forms of the two oriented
+    currents and their cross form as the forms (noise_weights,
+    NoiseModel.form) of the closed-form rows themselves: u and d of
+    susceptibility_rows, q1 = (u + d) / 2 with p1 = -i rho q1, and the
+    currents gain q_j +- refl Y_in_j.  Also returns |d_Xb|^2 + |d_Yb|^2."""
     u, d = susceptibility_rows(sys, w)
-    rho = w / sys.drift[IQ1, IP1]
-    q1 = 0.5 * (u + d)
-
-    def form(weights):
-        return noise.form(w, *weights)
-
-    return {"var_u": 0.5 * form(noise_weights(u, u)).real,
-            "var_v": 0.5 * form(rho * rho * np.stack(noise_weights(d, d))).real,
-            "commutator_sq":
-                form(rho * np.stack(noise_weights(q1, -1j * q1))).imag ** 2}
+    rho = w / sys.params.big_omega
+    q1, q2 = 0.5 * (u + d), 0.5 * (u - d)
+    weights = np.stack([np.stack(noise_weights(u, u)),
+                        rho * rho * np.stack(noise_weights(d, d)),
+                        rho * np.stack(noise_weights(q1, -1j * q1))], axis=1)
+    chan = readout.ReadoutChannel.for_system(sys)
+    gain = chan.gain(w)[:, None]
+    c1, c2 = gain * q1, gain * q2
+    c1[:, IYIN1] += chan.noise_reflection(w)
+    c2[:, IYIN2] -= chan.noise_reflection(w)
+    forms = np.stack([noise.form(w, *noise_weights(a, b))
+                      for a, b in ((c1, c1), (c2, c2), (c1, c2))])
+    entangler = np.abs(d[:, IXINB]) ** 2 + np.abs(d[:, IYINB]) ** 2
+    return weights, forms, entangler
 
 
 class TestDegreeSweep:
@@ -163,14 +172,34 @@ class TestDegreeSweep:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     def test_sweep_is_the_form_of_its_position_rows(self, fig2, temperature):
-        # Var(u) is the form of the u row, and Var(v) and the commutator are
-        # the q-row identities on the u and d rows, bit for bit.
+        # The sweep forms its weights from the real factors of the u and d
+        # rows, not from the rows.  Bit for bit: the Brownian weights of
+        # (u, u) and (v, v) are those of the rows (u2 and v2 are the squared
+        # moduli of the rows' own entries), and every weight that the q-row
+        # identity zeroes is 0.  The forms agree with those of the rows to
+        # 8 eps: Var(u) and Var(v) relative to themselves, and the
+        # commutator relative to its Brownian and vacuum terms, which cancel
+        # near its zero crossings (measured: 3.8 eps and 3.3 eps).
         params, sys = fig2
         noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
         w = hybrid_grid(params.big_omega)
+        weights = entanglement.sweep_weights(sys, w)
+        rows, _, _ = row_forms(sys, noise, w)
+        assert np.array_equal(weights[0, :2], rows[0, :2])
+        assert not weights[[1, 3], :2].any() and not weights[[0, 2], 2].any()
         out = degree_sweep(sys, noise, w)
-        for key, want in identity_forms(sys, noise, w).items():
-            assert np.array_equal(out[key], want), key
+        forms = noise.form(w, *rows)
+        want = {"var_u": 0.5 * forms[0].real, "var_v": 0.5 * forms[1].real,
+                "commutator_sq": forms[2].imag ** 2}
+        eps = np.finfo(float).eps
+        for key in ("var_u", "var_v"):
+            rel = np.abs(out[key] - want[key]) / want[key]
+            assert rel.max() <= 8.0 * eps, (key, rel.max() / eps)
+        terms = (noise.pref * w * np.abs(weights[1, 2])
+                 + np.abs(weights[3, 2]))
+        gap = np.abs(np.sqrt(out["commutator_sq"])
+                     - np.sqrt(want["commutator_sq"]))
+        assert np.all(gap <= 8.0 * eps * terms), (gap / terms).max() / eps
 
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     @pytest.mark.parametrize("grid", ["hybrid", "crossings"])
@@ -260,6 +289,92 @@ class TestDegreeSweep:
         with pytest.raises(DegenerateCommutatorError):
             entanglement.degree_from_weights(np.zeros((4, 3, 1)), noise,
                                              [params.big_omega])
+
+
+@pytest.mark.filterwarnings("ignore:expected entangler coupling")
+class TestRowFactorForms:
+    # The sweep weights and the direct readout spectra are formed from the
+    # five real factors of dynamics._row_factors, never from rows; here
+    # they are held to the forms of the rows themselves (row_forms).
+    SUMS = ((0, 0), (2, 0), (0, 1), (2, 1), (1, 2))   # sums of squares
+    ZEROS = ((1, 0), (3, 0), (1, 1), (3, 1), (0, 2), (2, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_weights_and_spectra_are_the_forms_of_the_rows(self, point):
+        # Over the mirror blocks' poles too.  Bounds: 16 eps relative for
+        # every weight that is a sum of squares and for the auto spectra
+        # (measured over 300 draws: 5.4 eps and 4.0 eps); the (q1, p1)
+        # pairs weight to 4 eps of rho (|d_Xb|^2 + |d_Yb|^2), because the
+        # rows' Im(d_Xb conj d_Yb) cancels and the factor does not (0.92
+        # eps); the cross spectrum, a difference of the two mirrors' terms,
+        # to 16 eps of the auto spectrum that bounds it (3.8 eps; up to
+        # 47% of itself).  Im s12 is 0.
+        params, kernel = point
+        sys = build_linear_system(params)
+        noise = NoiseModel.from_params(params, kernel)
+        blocks = [b for b in sys.blocks if IQ1 in b or IQ2 in b]
+        poles = np.concatenate([np.abs(np.linalg.eigvals(
+            sys.basis_drift[np.ix_(b, b)]).imag) for b in blocks])
+        w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
+                            poles[poles > 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entanglement.sweep_weights(sys, w)
+            spectra = two_channel_spectra(sys, noise, w)
+            direct = [output_spectrum(sys, noise, w, j) for j in (1, 2)]
+            want, forms, entangler = row_forms(sys, noise, w)
+        eps = np.finfo(float).eps
+        for k, j in self.SUMS:
+            rel = np.abs(got[k, j] - want[k, j]) / want[k, j]
+            assert rel.max() <= 16.0 * eps, ((k, j), rel.max() / eps)
+        for k, j in self.ZEROS:
+            assert not got[k, j].any(), (k, j)
+        rho = w / params.big_omega
+        assert np.all(np.abs(got[3, 2] - want[3, 2])
+                      <= 4.0 * eps * rho * entangler)
+        auto = forms[:2].real
+        for have in (spectra.s11, spectra.s22, *direct):
+            assert np.all(np.abs(have - auto) <= 16.0 * eps * auto)
+        assert np.all(np.abs(spectra.s12 - forms[2])
+                      <= 16.0 * eps * auto[0])
+        assert not spectra.s12.imag.any()
+
+    def test_extreme_working_points_stay_finite(self):
+        # Each rate and power of the reference point scaled by its own
+        # factor 10**[-30, 30] (seeded; draws outside MAGNITUDE_RANGE are
+        # refused and skipped), over [1e-3, 1e3] Omega: wherever the forms
+        # of the rows are finite and raise no warning, the sweep weights
+        # and the readout spectra are finite and raise none either.
+        rng = np.random.default_rng(2002)
+        base = make_params()
+        evaluated = 0
+        for _ in range(600):
+            values = {f: getattr(base, f) * 10.0 ** rng.uniform(-30.0, 30.0)
+                      for f in RATE_FIELDS}
+            values["delta_b"] *= rng.choice([-1.0, 1.0])
+            try:
+                params = make_params(**values)
+                sys = build_linear_system(params)
+                w = np.geomspace(1e-3, 1e3, 61) * params.big_omega
+                frequency_grid(w)
+            except InvalidParameterError:
+                continue
+            noise = NoiseModel.from_params(params)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    want = row_forms(sys, noise, w)
+                except (RuntimeWarning, SingularityError):
+                    continue
+                if not all(np.isfinite(x).all() for x in want):
+                    continue
+                spectra = two_channel_spectra(sys, noise, w)
+                got = (entanglement.sweep_weights(sys, w), spectra.s11,
+                       spectra.s12, output_spectrum(sys, noise, w, 1))
+            assert all(np.isfinite(x).all() for x in got), values
+            evaluated += 1
+        assert evaluated >= 300, evaluated
 
 
 def _sweep_at(params, kernel, omegas):

@@ -21,8 +21,8 @@ from mirrorpair import (
 )
 from mirrorpair.dynamics import (
     IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    _transfer_rows, hybrid_grid, noise_weights, selected_transfer_rows,
-    susceptibility_rows,
+    _row_factors, _transfer_rows, hybrid_grid, noise_weights,
+    selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -333,6 +333,78 @@ class TestClosedFormRows:
         tol = 1e-12 + 4.0 * np.finfo(float).eps * cond
         err = np.linalg.norm(got - want, axis=-1)
         assert np.all(err <= tol * np.linalg.norm(want, axis=-1))
+
+
+def reference_factors(params, omegas):
+    """The five factors of dynamics._row_factors from the 40-digit u and d
+    rows, shape (5, n): |u_xi|^2, |d_xi|^2, |d_Xb|^2 + |d_Yb|^2,
+    |u_Xin1|^2 / |u_xi|^2 and Im(d_Xb conj(d_Yb))."""
+    ref = Reference(params, dps=40)
+    out = np.empty((5, len(omegas)))
+    for i, w in enumerate(omegas):
+        u, d = ref.selected_rows(w, (U_SELECTOR, D_SELECTOR))
+        u2, v2 = abs(u[0]) ** 2, abs(d[0]) ** 2
+        out[:, i] = [float(x) for x in (
+            u2, v2, abs(d[6]) ** 2 + abs(d[7]) ** 2, abs(u[2]) ** 2 / u2,
+            (d[6] * ref.mp.conj(d[7])).imag)]
+    return out
+
+
+def factor_errors(params, omegas):
+    """Relative errors of dynamics._row_factors against reference_factors,
+    shape (5, n)."""
+    w = np.array(omegas, dtype=float)
+    got = np.array(_row_factors(build_linear_system(params), w))
+    want = reference_factors(params, w)
+    return np.abs(got - want) / np.abs(want)
+
+
+class TestRowFactors:
+    """dynamics._row_factors, from which every sweep weight and direct
+    readout spectrum is formed, against the 40-digit rows at 1e-14; the
+    factors are exact sums of products of the closed form, so where the
+    rows hold, they hold."""
+
+    def test_fig2_frequencies(self):
+        params = fig2_params()
+        err = factor_errors(params, [f * params.big_omega
+                                     for f in OMEGA_FACTORS])
+        assert err.max() <= 1e-14, err
+
+    def test_weak_entangler_pole(self):
+        params, w = weak_entangler_pole()
+        assert factor_errors(params, [w]).max() <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    def test_stable_point_optical_pole(self):
+        # P*'s entangled band at its optical pole pair: the pole itself and
+        # the grid point 69.101 Omega (measured: 1.8e-16).
+        params = fig2_params(**P_STAR)
+        sys = build_linear_system(params)
+        relative = next(b for b in sys.blocks if IQ2 in b)
+        pole = np.abs(np.linalg.eigvals(
+            sys.basis_drift[np.ix_(relative, relative)]).imag).max()
+        assert pole / params.big_omega == pytest.approx(69.101, abs=1e-3)
+        err = factor_errors(params, [pole, 69.101 * params.big_omega])
+        assert err.max() <= 1e-14, err
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    def test_stable_point_relative_mechanical_pole(self):
+        # The rows' known limit carries over: v2, ent and twist are squared
+        # moduli or products of the d row's entries over den, so they hold
+        # twice its bound, 1e-14 + 8 eps |mech D| / |den| (measured <= 1.73
+        # eps |mech D| / |den|, 1.7e-11 at the pole); u2 and meter never
+        # meet den and hold 1e-14.
+        params = fig2_params(**P_STAR)
+        om = params.big_omega
+        pole, _ = relative_mechanical_pole(params)
+        offsets = [0.0] + [sign * 10.0 ** k for k in range(-8, -3)
+                           for sign in (-1.0, 1.0)]
+        w = np.array([pole + offset * om for offset in offsets])
+        err = factor_errors(params, w)
+        assert err[[0, 3]].max() <= 1e-14, err[[0, 3]]
+        tol = 1e-14 + 8.0 * np.finfo(float).eps * den_cancellation(params, w)
+        assert np.all(err[[1, 2, 4]] <= tol), (err[[1, 2, 4]] / tol).max()
 
 
 READOUT_OMEGA_FACTORS = (1e-2, 0.9, 1.0, 1.1, 1e2)

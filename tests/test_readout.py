@@ -1,5 +1,7 @@
 """Tests for the homodyne readout channels and current combination."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,10 @@ class TestTwoChannelCombination:
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     def test_auto_spectra_are_the_single_channel_spectra(self, fig2,
                                                          temperature):
-        # Both paths build their currents in one place, so they agree bitwise.
+        # Both paths form their spectra in one place (readout._spectra), so
+        # they agree bitwise.  The two oriented currents have one auto
+        # spectrum, s11 = s22 bit for bit, and a real cross spectrum: in the
+        # factors of the u and d rows the meter pair terms cancel exactly.
         params, sys = fig2
         noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
         w = np.concatenate([np.geomspace(1e-2, 1e2, 37),
@@ -184,6 +189,9 @@ class TestTwoChannelCombination:
         spectra = two_channel_spectra(sys, noise, w)
         assert np.array_equal(output_spectrum(sys, noise, w, 1), spectra.s11)
         assert np.array_equal(output_spectrum(sys, noise, w, 2), spectra.s22)
+        assert np.array_equal(spectra.s11, spectra.s22)
+        assert spectra.s11 is not spectra.s22
+        assert np.all(spectra.s12.imag == 0.0)
 
     def test_difference_differs_from_sum(self, fig2, fig2_noise):
         _, sys = fig2
@@ -213,16 +221,16 @@ class TestTwoChannelCombination:
 
 
 class TestReadoutSolveCount:
-    # The direct spectra take the q rows from one closed-form call
-    # (susceptibility_rows) and never solve; the via-transfer spectra take
-    # the Y_a rows from one adjoint solve.
+    # The direct spectra take the real factors of the u and d rows from one
+    # closed-form call (_row_factors) and never solve; the via-transfer
+    # spectra take the Y_a rows from one adjoint solve.
     @pytest.mark.parametrize("call,rows", [
         (lambda sys, noise, w: readout.two_channel_spectra(sys, noise, w),
-         "susceptibility_rows"),
+         "_row_factors"),
         (lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 1),
-         "susceptibility_rows"),
+         "_row_factors"),
         (lambda sys, noise, w: readout.output_spectrum(sys, noise, w, 2),
-         "susceptibility_rows"),
+         "_row_factors"),
         (lambda sys, noise, w: readout.output_spectrum_via_transfer(
             sys, noise, w, 1), "selected_transfer_rows"),
         (lambda sys, noise, w: readout.output_spectrum_via_transfer(
@@ -241,7 +249,7 @@ class TestReadoutSolveCount:
         def forbidden(*args, **kwargs):
             raise AssertionError("readout must not call this")
 
-        for name in ("susceptibility_rows", "selected_transfer_rows"):
+        for name in ("_row_factors", "selected_transfer_rows"):
             monkeypatch.setattr(readout, name,
                                 spy if name == rows else forbidden)
         monkeypatch.setattr(NoiseModel, "input_spectrum", forbidden)
@@ -257,6 +265,24 @@ class TestReadoutSolveCount:
         for fn in (output_spectrum, output_spectrum_via_transfer):
             with pytest.raises(InvalidParameterError):
                 fn(sys, fig2_noise, [1e5], 3)
+
+
+def test_transfer_spectrum_memory_is_bounded_by_the_piece():
+    # output_spectrum_via_transfer solves the adjoint system in CHUNK
+    # pieces: on 2e5 frequencies it peaked at 4.8 MB traced, where one
+    # batch (CHUNK = 10**6) peaked at 154 MB.  This guards the pieces.
+    params = fig2_params()
+    sys = build_linear_system(params)
+    noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
+    omegas = np.linspace(0.5, 1.5, 200_000) * params.big_omega
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        output_spectrum_via_transfer(sys, noise, omegas, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 class TestClosedFormContraction:
