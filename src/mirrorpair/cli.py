@@ -14,12 +14,19 @@ and one that parses but is not allowed an InvalidParameterError.
 The output directory is created only after the sweep has been solved, so a
 failed sweep leaves none behind.
 
+Temperature is an array axis of one computation, not a loop: the grid is
+solved once, E(omega, T) of every temperature is one broadcast over a
+(temperatures, omegas) array (_sweep_rows), and the bands and the argmin of
+every temperature come from one scan of that array (_bands).  Each
+temperature's block has the bits of a sweep at that temperature alone.
+
 sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
 are not formatted number by number: a numpy kernel (_e12) splits the 13
 digits of every value in [1e-32, 1e56) into a lead digit and three 4-digit
 groups, looks each group up in a 10**4-entry table and writes the text as
 one packed 18-byte record; it is exact wherever its scaled mantissa is clear
-of a rounding tie and falls back to "%.12e" % v for the rest.
+of a rounding tie (0.001 after one rounding step, 0.005 after two) and falls
+back to "%.12e" % v for the rest.
 _write_blocks formats the temperature blocks in groups, each column of a
 group in one _e12 call, and writes every row of a group from one buffer.
 The files are overwritten in place and cut only if they were longer, so an
@@ -220,25 +227,32 @@ def _eval_chunk(sys_obj, omegas):
 def _sweep_rows(spec: SweepSpec):
     """Evaluate the sweep grid; returns (omegas, per-T dict of result arrays).
 
-    The grid is checked and solved once, by _eval_chunk; every temperature
-    is then evaluated from the same weights on the same checked grid in
-    O(n).
+    The grid is checked and solved once, by _eval_chunk.  Every temperature
+    is then evaluated from the same weights in one broadcast over the
+    (temperatures, omegas) array (entanglement._degree): the temperatures
+    were checked by SweepSpec, the commutator, which has no temperature in
+    it, is formed and checked once and shared by every block, and each
+    block has the bits of a sweep at its temperature alone.
     """
     sys_obj = dynamics.build_linear_system(
         spec.params, require_stable=spec.require_stable
     )
     omegas = spec.omega_grid()
     weights = _eval_chunk(sys_obj, omegas)
-    results = {}
-    for temp in spec.temperatures:
-        noise = dynamics.NoiseModel(
-            temperature=temp,
-            big_gamma=spec.params.big_gamma,
-            big_omega=spec.params.big_omega,
-            kernel=spec.brownian_kernel,
-        )
-        results[temp] = entanglement._degree(weights, noise, omegas)
-    return omegas, results
+    noise = dynamics.NoiseModel(
+        temperature=spec.temperatures[0],
+        big_gamma=spec.params.big_gamma,
+        big_omega=spec.params.big_omega,
+        kernel=spec.brownian_kernel,
+    )
+    out = entanglement._degree(weights, noise, omegas,
+                               np.array(spec.temperatures))
+    return omegas, {
+        temp: {"var_u": out["var_u"][j], "var_v": out["var_v"][j],
+               "commutator_sq": out["commutator_sq"],
+               "degree": out["degree"][j]}
+        for j, temp in enumerate(spec.temperatures)
+    }
 
 
 #: Flag columns (entangled, epr) by level (degree < 1) + (degree < 1/4).
@@ -276,6 +290,16 @@ def _scale_pow10(x, j):
     return x * _POW10_UP[j] / _POW10_DOWN[j]
 
 
+#: Largest distance |m - rint(m)| of a scaled mantissa that _e12 formats
+#: itself, after one rounding step and after two (see _e12).
+_TIE_ONE, _TIE_TWO = 0.499, 0.495
+
+
+def _printf(values):
+    """The texts "%.12e" % v of the float array values: _e12's fallback."""
+    return [b"%.12e" % v for v in values.tolist()]
+
+
 def _e12(x):
     """The bytes of "%.12e" % v for each v of the 1-D float array x.
 
@@ -284,14 +308,16 @@ def _e12(x):
     In [1e-32, 1e56) the 13 digits are rint(m) for the mantissa
     m = x * 10**(12 - e), e = floor(log10 x), scaled by exact powers of ten
     in one correctly rounded step when every |12 - e| <= 22 and in two
-    otherwise.  Each step errs by at most 2**-53 relative, so m is within
-    2.3e-3 of its exact value on m < 1e13; m at least 0.005 from a rounding
-    tie and in [1e12, 1e13 - 1) therefore rounds as the exact value does,
-    which is what printf does.  Its digits are split into a lead digit and
-    three groups of four by floor division by 10**4, and each group is one
-    lookup in _QUADS.  Every other value (0, negatives, nan, inf, near-ties,
-    magnitudes near or beyond 1e+-100) is formatted with "%.12e" % v:
-    Loitsch's fast path with one exact fallback.
+    otherwise.  One step leaves m within half an ulp, at most 2**-10, of its
+    exact value on m < 1e13, and two steps, each off by at most 2**-53
+    relative, within 2.3e-3.  m in [1e12, 1e13 - 1) and at most _TIE_ONE =
+    0.499 (one step) or _TIE_TWO = 0.495 (two steps) from its nearest
+    integer therefore rounds as the exact value does, which is what printf
+    does.  Its digits are split into a lead digit and three groups of four
+    by floor division by 10**4, and each group is one lookup in _QUADS.
+    Every other value (0, negatives, nan, inf, near-ties, magnitudes near or
+    beyond 1e+-100) is formatted by _printf: Loitsch's fast path with one
+    exact fallback.
     """
     x = np.asarray(x, dtype=float)
     fast = (x >= 1e-32) & (x < 1e56)
@@ -299,13 +325,14 @@ def _e12(x):
     e = np.floor(np.log10(x_fast)).astype(np.intp)
     k = 12 - e
     if x.size and -22 <= k.min() and k.max() <= 22:
-        m = _scale_pow10(x_fast, k)
+        m, tie = _scale_pow10(x_fast, k), _TIE_ONE
     else:
         k = np.clip(k, -44, 44)
         k_first = np.clip(k, -22, 22)
         m = _scale_pow10(_scale_pow10(x_fast, k_first), k - k_first)
+        tie = _TIE_TWO
     digits = np.rint(m)
-    fast &= (m >= 1e12) & (m < 1e13 - 1) & (np.abs(m - digits) <= 0.495)
+    fast &= (m >= 1e12) & (m < 1e13 - 1) & (np.abs(m - digits) <= tie)
     digits = np.where(fast, digits, 1e12).astype(np.int64)
     record = np.empty(x.size, _E12_RECORD)
     for group in ("g2", "g1", "g0"):
@@ -317,7 +344,7 @@ def _e12(x):
     fields = record.view(np.uint8).reshape(x.size, _E12_WIDTH)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        texts = [b"%.12e" % v for v in x[slow].tolist()]
+        texts = _printf(x[slow])
         width = max(_E12_WIDTH, *map(len, texts))
         if width > _E12_WIDTH:
             fields = np.pad(fields, ((0, 0), (0, width - _E12_WIDTH)))
@@ -428,19 +455,27 @@ def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
 
 
 def _bands(omegas, degree):
-    """Contiguous omega intervals where degree < 1 and where degree < 1/4,
-    as two lists, from one scan of degree."""
-    level = np.zeros(degree.size + 2, np.int8)
-    level[1:-1] = degree < 1.0
-    level[1:-1] += degree < 0.25
-    steps = np.flatnonzero(np.diff(level))      # level[i] != level[i + 1]
-    before, after = level[steps], level[steps + 1]
-    out = []
-    for k in (1, 2):
-        starts = steps[(before < k) & (after >= k)]
-        stops = steps[(before >= k) & (after < k)] - 1
-        out.append([[float(omegas[a]), float(omegas[b])]
-                    for a, b in zip(starts, stops)])
+    """Contiguous omega intervals where degree < 1 and where degree < 1/4.
+
+    degree has shape (k, n), one row per temperature; returns k pairs of
+    lists [entangled, epr], from one scan of every row at once.
+    """
+    k, n = degree.shape
+    level = np.zeros((k, n + 2), np.int8)
+    level[:, 1:-1] = degree < 1.0
+    level[:, 1:-1] += degree < 0.25
+    # level[r, i] != level[r, i + 1], as flat indices of the (k, n + 1) diff.
+    row, steps = np.divmod(np.flatnonzero(np.diff(level)), n + 1)
+    before, after = level[row, steps], level[row, steps + 1]
+    out = [[] for _ in range(k)]
+    for lv in (1, 2):
+        starts = (before < lv) & (after >= lv)
+        stops = steps[(before >= lv) & (after < lv)] - 1
+        runs = [[lo, hi] for lo, hi in zip(omegas[steps[starts]].tolist(),
+                                           omegas[stops].tolist())]
+        ends = np.cumsum(np.bincount(row[starts], minlength=k)).tolist()
+        for r, (a, b) in enumerate(zip([0] + ends, ends)):
+            out[r].append(runs[a:b])
     return out
 
 
@@ -448,18 +483,20 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     """Run the sweep and write sweep.csv, summary.json and optionally
     sweep.grid (gnuplot block format).  Returns the summary dict."""
     omegas, results = _sweep_rows(spec)
-    summary = {"temperatures": []}
-    for temp, res in results.items():
-        degree = res["degree"]
-        imin = int(np.argmin(degree))
-        entangled, epr = _bands(omegas, degree)
-        summary["temperatures"].append({
+    degree = np.array([res["degree"] for res in results.values()])
+    imin = np.argmin(degree, axis=1)
+    summary = {"temperatures": [
+        {
             "temperature": temp,
-            "min_degree": float(degree[imin]),
-            "argmin_omega": float(omegas[imin]),
+            "min_degree": min_degree,
+            "argmin_omega": argmin_omega,
             "entangled_bands": entangled,
             "epr_bands": epr,
-        })
+        }
+        for temp, min_degree, argmin_omega, (entangled, epr) in zip(
+            results, degree[np.arange(imin.size), imin].tolist(),
+            omegas[imin].tolist(), _bands(omegas, degree))
+    ]}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -236,6 +236,27 @@ def is_stable(sys: LinearSystem) -> bool:
     return stability_margin(sys) < 0.0
 
 
+def _wcoth(w, temperature):
+    """omega * coth(hbar omega / 2 kB T), even in omega; |omega| at T = 0.
+
+    Elementwise in temperature: a float, or an array of temperatures that
+    broadcasts against w, so that one call covers every temperature of a
+    sweep ((k, 1) against (n,) gives (k, n)).  Each element has the bits of
+    a call at its temperature alone.
+    """
+    t = np.asarray(temperature, dtype=float)
+    cold = t == 0.0
+    x = HBAR * w / (2.0 * KB * np.where(cold, 1.0, t))
+    zero = x == 0.0
+    if zero.any():
+        # omega -> 0 limit of w*coth(hbar w / 2 kB T) is 2 kB T / hbar.
+        out = np.where(zero, 2.0 * KB * t / HBAR,
+                       w / np.tanh(np.where(zero, 1.0, x)))
+    else:
+        out = w / np.tanh(x)
+    return np.where(cold, np.abs(w), out) if cold.any() else out
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Input noise spectra: vacuum optical channels plus mirror Brownian force.
@@ -275,21 +296,10 @@ class NoiseModel:
             pref /= 2.0
         return pref
 
-    def _wcoth(self, w):
-        """omega * coth(hbar omega / 2 kB T), even in omega; |omega| at T = 0."""
-        if self.temperature == 0.0:
-            return np.abs(w)
-        x = HBAR * w / (2.0 * KB * self.temperature)
-        safe = np.where(x == 0.0, 1.0, x)
-        # omega -> 0 limit of w*coth(hbar w / 2 kB T) is 2 kB T / hbar.
-        return np.where(
-            x == 0.0, 2.0 * KB * self.temperature / HBAR, w / np.tanh(safe)
-        )
-
     def brownian_spectrum(self, omega):
         """Non-symmetrized thermal-force spectrum, elementwise over omega."""
         w = np.asarray(omega, dtype=float)
-        out = self.pref * (self._wcoth(w) + w)
+        out = self.pref * (_wcoth(w, self.temperature) + w)
         return out if out.shape else float(out)
 
     def symmetrized_spectrum(self, omega):
@@ -299,20 +309,34 @@ class NoiseModel:
         2 * pref * |omega| at T = 0.  This is the only temperature-dependent
         input of Var(u) and Var(v) (see entanglement.sweep_weights).
         """
-        w = np.asarray(omega, dtype=float)
-        out = 2.0 * self.pref * self._wcoth(w)
+        out = self._symmetrized(omega, self.temperature)
         return out if out.shape else float(out)
+
+    def _symmetrized(self, omega, temperature):
+        """symmetrized_spectrum at temperature, elementwise (_wcoth)."""
+        return 2.0 * self.pref * _wcoth(np.asarray(omega, dtype=float),
+                                        temperature)
 
     def form(self, omega, xi_real, xi_imag, vacuum, pairs):
         """[r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2 from the weights of
         noise_weights(r_i, r_j), against which omega broadcasts.  Only the
         antisymmetric part of D enters the imaginary part (commutator_spectrum),
         so it is temperature independent, and exactly 0 when r_i equals r_j."""
-        s = 0.5 * self.symmetrized_spectrum(omega) * xi_real + vacuum
+        s = self._form_real(omega, xi_real, vacuum, self.temperature)
         out = np.empty(np.shape(s), dtype=complex)
         out.real = s
-        out.imag = self.pref * omega * xi_imag + pairs
+        out.imag = self._form_imag(omega, xi_imag, pairs)
         return out
+
+    def _form_real(self, omega, xi_real, vacuum, temperature):
+        """The real part of form, S_sym/2 xi_real + vacuum, at temperature in
+        place of the model's own, elementwise (_wcoth): temperatures of
+        shape (k, 1, 1) against weights of shape (m, n) give (k, m, n)."""
+        return 0.5 * self._symmetrized(omega, temperature) * xi_real + vacuum
+
+    def _form_imag(self, omega, xi_imag, pairs):
+        """The imaginary part of form, which has no temperature in it."""
+        return self.pref * omega * xi_imag + pairs
 
     def commutator_spectrum(self, omega):
         """Antisymmetric part D(omega) - D(-omega)^T in closed form.
@@ -426,9 +450,17 @@ def _by_piece(evaluate, w):
     """evaluate(piece) on the ceil(n / CHUNK) pieces of np.array_split of
     the checked grid w, in order, joined on the last axis.  Every step of a
     sweep or a spectrum is elementwise in omega, so the pieces give the
-    bits of one call on w."""
-    return np.concatenate([evaluate(piece) for piece in
-                           np.array_split(w, -(-w.size // CHUNK))], axis=-1)
+    bits of one call on w.  Each piece is stored into one output as it is
+    made, so the result is held once, not once in pieces and once joined."""
+    pieces = np.array_split(w, -(-w.size // CHUNK))
+    first = np.asarray(evaluate(pieces[0]))
+    out = np.empty(first.shape[:-1] + w.shape, first.dtype)
+    out[..., :first.shape[-1]] = first
+    stop = first.shape[-1]
+    for piece in pieces[1:]:
+        start, stop = stop, stop + piece.size
+        out[..., start:stop] = evaluate(piece)
+    return out
 
 
 def _closed_form(sys, w):

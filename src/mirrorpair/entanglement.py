@@ -127,23 +127,34 @@ def _position_weights(sys, w):
 def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
     """E(omega) and its ingredients from sweep_weights(sys, omegas).
 
-    O(n) per noise model: a sweep over several temperatures solves once and
-    calls this once per temperature.  Returns the dict of degree_sweep.
+    O(n) per noise model: a sweep solves once and evaluates its
+    temperatures from the same weights.  Returns the dict of degree_sweep.
     """
     return _degree(weights, noise, frequency_grid(omegas))
 
 
-def _degree(weights, noise, w):
-    """degree_from_weights on a checked grid w."""
-    forms = noise.form(w, *weights)
-    var_u, var_v = 0.5 * forms[:2].real
+def _degree(weights, noise, w, temperatures=None):
+    """degree_from_weights on a checked grid w, at noise.temperature or, in
+    its place, at each of a (k,) array of temperatures in one broadcast.
+
+    The commutator has no temperature in it, so it is formed and checked
+    once: commutator_sq has shape (n,) either way, and var_u, var_v and
+    degree have shape (n,) at one temperature and (k, n) at k, one row per
+    temperature with the bits of a call at that temperature alone.
+    """
+    xi_real, xi_imag, vacuum, pairs = weights
     # <[R_q1, R_p1]>: the closed-form antisymmetric part keeps it exactly
     # temperature independent, with no difference of two thermal forms.
-    comm_sq = forms[2].imag ** 2
+    comm_sq = noise._form_imag(w, xi_imag[2], pairs[2]) ** 2
     if np.any(comm_sq == 0.0):
         raise DegenerateCommutatorError(
             "commutator denominator vanished on the grid"
         )
+    if temperatures is None:
+        temperatures = noise.temperature
+    t = np.asarray(temperatures, dtype=float)[..., None, None]
+    var = 0.5 * noise._form_real(w, xi_real[:2], vacuum[:2], t)
+    var_u, var_v = var[..., 0, :], var[..., 1, :]
     return {
         "var_u": var_u,
         "var_v": var_v,

@@ -537,6 +537,26 @@ class TestNoiseModel:
             assert np.array_equal(s_sym, 2.0 * noise.pref * ws)
         assert noise.symmetrized_spectrum(1e5) == s_sym[2]
 
+    @pytest.mark.parametrize("kernel", ["corrected", "halved"])
+    def test_form_is_elementwise_in_temperature(self, kernel):
+        # One broadcast over a (k, 1, 1) temperature axis gives, row by
+        # row, the bits of form at each temperature alone, 0 K and
+        # omega = 0 included.
+        params = fig2_params()
+        temps = np.array([0.0, 1e-3, 0.1, 4.0, 300.0])
+        ws = np.array([0.0, 1e3, 0.5e5, 1e5, 1.7e5, 1e7, 1e9])
+        rng = np.random.default_rng(2)
+        xi_real, xi_imag, vacuum, pairs = rng.uniform(-1.0, 1.0, (4, 3, ws.size))
+        noise = NoiseModel(1.0, params.big_gamma, params.big_omega, kernel)
+        real = noise._form_real(ws, xi_real, vacuum, temps[:, None, None])
+        assert real.shape == (temps.size, 3, ws.size)
+        imag = noise._form_imag(ws, xi_imag, pairs)
+        for temp, row in zip(temps, real):
+            alone = NoiseModel(temp, params.big_gamma, params.big_omega, kernel)
+            form = alone.form(ws, xi_real, xi_imag, vacuum, pairs)
+            assert np.array_equal(row, form.real), temp
+            assert np.array_equal(imag, form.imag), temp
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(InvalidParameterError):
             NoiseModel(1.0, 1.0, 1.0, kernel="bogus")
