@@ -57,112 +57,60 @@ def _mirror_map(scale):
 MIRROR_ROTATION, _MIRROR_INVERSE = _mirror_map(1.0), _mirror_map(0.5)
 
 
+#: Diagonal blocks of the adjoint solve in the rotated coordinates, in
+#: solve order: the meter phase quadratures, the centre of mass {q+, p+},
+#: the relative mode with the entangler {q-, p-, X_b, Y_b} and the meter
+#: amplitude quadratures.  The slots of q1, p1, q2 and p2 hold q+, p+, q-
+#: and p-.  A block is solved after every block that it drives, for every
+#: model system (tests/test_dynamics.py).
+ADJOINT_PLAN = ((IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB),
+                (IXA1,), (IXA2,))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Immutable drift/noise-coupling pair plus the parameters behind it.
+    """The linearized model at params: drift, noise coupling and the steady
+    state they are assembled at, as read-only arrays.
 
-    A system whose drift and noise_coupling equal, entry for entry, what
-    build_linear_system assembles from its params and steady state is the
-    paper's model: its u = q1 + q2 and d = q1 - q2 rows, the only rows a
-    sweep or a readout spectrum needs, have the closed form of
-    susceptibility_rows.  That comparison is made once, here, and recorded
-    as _assembled.  For any other (hand-built) system susceptibility_rows
-    raises InvalidParameterError, and so do degree_sweep, sweep_weights,
-    output_spectrum and two_channel_spectra.  Its spectra are the forms
-    (noise_weights, NoiseModel.form) of its selected_transfer_rows rows, as
-    four_row_forms in tests/test_entanglement.py builds them, and
-    output_spectrum_via_transfer takes it as it is.  drift and
-    noise_coupling must be real, finite arrays of shape (10, 10) and
-    (10, 8); anything else raises InvalidParameterError.
+    params is the only argument; build_linear_system is the documented
+    maker and adds the optional stability check.  The model's u = q1 + q2
+    and d = q1 - q2 rows, the only rows a sweep or a readout spectrum
+    needs, have the closed form of susceptibility_rows.
 
-    The adjoint solve runs in the coordinates x' = T x, with T the identity
-    or MIRROR_ROTATION, whichever gives the drift the finer block plan
-    (_adjoint_blocks).  For the mirror-symmetric drift of
-    build_linear_system the rotation separates the centre-of-mass
+    The adjoint solve (selected_transfer_rows) runs in the coordinates
+    x' = T x with T = MIRROR_ROTATION, which separates the centre-of-mass
     oscillator {q+, p+} from the relative mode and the entangler
-    {q-, p-, X_b, Y_b}.  There the entries of the two mirrors are equal or
-    opposite, so every rotated entry is exact in binary (the rotation undoes
-    to the same bits).  A drift without that symmetry keeps T = I and its
-    own plan.  The choice, the rotated drift T A T^-1, the rotated coupling
-    T B and the plan are worked out once, here.
+    {q-, p-, X_b, Y_b} (ADJOINT_PLAN).  The two mirrors are identical, so
+    their entries are equal or opposite and every rotated entry is exact in
+    binary: the rotation undoes to the same bits.  The rotated drift
+    T A T^-1 and coupling T B are worked out once, here.
     """
 
-    drift: np.ndarray           # (10, 10) real
-    noise_coupling: np.ndarray  # (10, 8) real
     params: PhysicalParams
-    steady: SteadyState
-    #: T^-1 of the solve coordinates: a selector c enters as c^T T^-1.
-    basis: np.ndarray = field(init=False, repr=False)
+    steady: SteadyState = field(init=False)
+    drift: np.ndarray = field(init=False)           # (10, 10) real
+    noise_coupling: np.ndarray = field(init=False)  # (10, 8) real
     #: The drift T A T^-1 and the coupling T B of the solve coordinates.
     basis_drift: np.ndarray = field(init=False, repr=False)
     basis_coupling: np.ndarray = field(init=False, repr=False)
-    #: Diagonal blocks of the adjoint solve, in solve order (_adjoint_blocks),
-    #: as indices of the solve coordinates: with the rotation, the slots of
-    #: q1, p1, q2 and p2 hold q+, p+, q- and p-.
-    blocks: tuple = field(init=False, repr=False)
-    #: Whether drift and noise_coupling are build_linear_system's assembly
-    #: of params and steady, so that susceptibility_rows gives the rows.
-    _assembled: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, shape in (("drift", (N_STATE, N_STATE)),
-                            ("noise_coupling", (N_STATE, N_NOISE))):
-            v = getattr(self, name)
-            if not (isinstance(v, np.ndarray) and v.dtype.kind in "biuf"
-                    and v.shape == shape and np.isfinite(v).all()):
-                raise InvalidParameterError(
-                    f"{name} must be a real, finite {shape} array, got "
-                    f"{_shown(v)}")
-        # The system keeps read-only copies: the caller's arrays stay
-        # writable, and editing them changes neither the system nor
-        # _assembled.
-        drift, coupling = np.array(self.drift), np.array(self.noise_coupling)
-        model_a, model_b = _assemble(self.params, self.steady)
-        assembled = (np.array_equal(drift, model_a)
-                     and np.array_equal(coupling, model_b))
-        a, b, basis = drift, coupling, np.eye(N_STATE)
-        plan = _adjoint_blocks(a)
-        rotated = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
-        finer = _adjoint_blocks(rotated)
-        if len(finer) > len(plan):
-            basis, a, b, plan = (_MIRROR_INVERSE, rotated,
-                                 MIRROR_ROTATION @ b, finer)
-        for array in (drift, coupling, basis, a, b):
+        ss = steady_state(self.params)
+        a, b = _assemble(self.params, ss)
+        rotated_a = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
+        rotated_b = MIRROR_ROTATION @ b
+        for array in (a, b, rotated_a, rotated_b):
             array.setflags(write=False)
-        for name, value in (("drift", drift), ("noise_coupling", coupling),
-                            ("basis", basis), ("basis_drift", a),
-                            ("basis_coupling", b), ("blocks", plan),
-                            ("_assembled", assembled)):
+        for name, value in (("steady", ss), ("drift", a),
+                            ("noise_coupling", b), ("basis_drift", rotated_a),
+                            ("basis_coupling", rotated_b)):
             object.__setattr__(self, name, value)
-
-
-def _adjoint_blocks(drift) -> tuple:
-    """Block back-substitution order of (-i omega I - A)^T x = c.
-
-    Row j of the transposed system couples x_j to x_i for every state i
-    that j drives (drift[i, j] != 0).  The blocks are the strongly connected
-    components of that graph, found from its boolean transitive closure, in
-    topological order: a component is solved after every component it
-    drives.  A state reaches strictly more states than any state of another
-    component that it drives, so sorting the components by the number of
-    states they reach, then by their first index, gives that order.
-    Returns a tuple of sorted index tuples; a drift with no such structure
-    gives the single block of all states.
-    """
-    n = len(drift)
-    reach = (np.asarray(drift) != 0) | np.eye(n, dtype=bool)   # [i, j]: j -> i
-    while not np.array_equal(closed := reach @ reach, reach):
-        reach = closed
-    same = reach & reach.T
-    order = np.argsort(reach.sum(axis=0), kind="stable")
-    return tuple(dict.fromkeys(tuple(np.flatnonzero(same[s]).tolist())
-                               for s in order))
 
 
 def build_linear_system(
     params: PhysicalParams, require_stable: bool = False
 ) -> LinearSystem:
-    """Assemble the linearized quadrature dynamics.
+    """Assemble the linearized quadrature dynamics: LinearSystem(params).
 
     Each mirror: dq/dt = Omega p; dp/dt = -Omega q - Gamma p, plus radiation
     pressure (-1)^{j+1} g alpha X_aj from its meter and (-1)^j G (Re(beta) X_b
@@ -176,11 +124,11 @@ def build_linear_system(
     driven working points of interest are formally unstable, and their
     frequency-domain spectra are still evaluated (see README).
     """
-    ss = steady_state(params)
-    a, b = _assemble(params, ss)
-    sys = LinearSystem(drift=a, noise_coupling=b, params=params, steady=ss)
-    if require_stable and not is_stable(sys):
-        raise DriftUnstableError(np.linalg.eigvals(a))
+    sys = LinearSystem(params)
+    if require_stable:
+        eigenvalues = np.linalg.eigvals(sys.drift)
+        if not eigenvalues.real.max() < 0.0:
+            raise DriftUnstableError(eigenvalues)
     return sys
 
 
@@ -431,18 +379,18 @@ def frequency_grid(omegas) -> np.ndarray:
 
 #: Frequencies per piece of a sweep (entanglement.sweep_weights) and of a
 #: readout spectrum.  The pieces bound the memory of the adjoint solve of
-#: readout.output_spectrum_via_transfer: on 2e5 omega it peaked at 4.8 MB
-#: traced in pieces and 154 MB in one piece.  The sweep and the direct
-#: readout spectra hold a few real arrays per omega, so their memory does
-#: not depend on the piece.  At the Fig. 2 point (medians of 35 interleaved
-#: calls per size, three runs, 2-core x86-64 VM) the two via-transfer
-#: spectra on 8000 omega took 8.4-11.8 ms in pieces of 2048, 10.4-14.5 ms
-#: in pieces of 4096 and 10.2-14.0 ms in one piece, and the three direct
-#: spectra 2.4-3.4 ms and 1.9-2.8 ms in pieces of 2048 and 4096;
-#: sweep_weights on 10^4 omega took 1.1-1.6 ms in pieces of 2048,
-#: 0.8-1.1 ms in pieces of 4096 and 1.3-1.8 ms in one piece.  The solve
-#: is most of a readout pass, and a sweep's weights little of a sweep, so
-#: the piece stays at 2048.
+#: readout.output_spectrum_via_transfer: on 2e5 omega its tracemalloc peak
+#: was 3.2 MB in pieces and 154 MB in one piece.  At the Fig. 2 point
+#: (medians of 35 interleaved calls, two runs, 2-core x86-64 VM) the two
+#: via-transfer spectra on 8000 omega took 10.5-12.6 ms in pieces of 2048
+#: and 12.4-14.2 ms in pieces of 4096 or in one piece.  The sweep holds a
+#: few real arrays per omega.  On 10^4 omega one batch of
+#: entanglement._position_weights took 0.7 ms against 1.1 ms in pieces;
+#: on 2e5 omega the pieces took 25-26 ms against 31-34 ms for one batch,
+#: with a tracemalloc peak of 20 MB against 38 MB (medians of 60 and 15
+#: interleaved calls, three runs).  A sweep may ask for cli.MAX_SWEEP_ROWS
+#: = 10^6 frequencies, so the pieces stay, for the large grids, and the
+#: piece stays at 2048.
 CHUNK = 2048
 
 
@@ -465,16 +413,11 @@ def _by_piece(evaluate, w):
 
 def _closed_form(sys, w):
     """mech, kappa, D, den and c_a of susceptibility_rows on the checked grid
-    w, each of shape (n,), for the model's system only.
+    w, each of shape (n,).
 
-    A hand-built system (see LinearSystem) raises InvalidParameterError
-    before anything is formed, and a zero mech or den raises
-    SingularityError (_nonzero), so that no caller divides by it.
+    A zero mech or den raises SingularityError (_nonzero), so that no
+    caller divides by it.
     """
-    if not sys._assembled:
-        raise InvalidParameterError(
-            "a hand-built LinearSystem has no closed-form rows; take its rows "
-            "from selected_transfer_rows")
     p, ss = sys.params, sys.steady
     om = p.big_omega
     gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
@@ -518,8 +461,7 @@ def susceptibility_rows(sys: LinearSystem, w):
 
     The sweep and the readout need only the real factors of these rows
     (_row_factors); the rows themselves are the reference those factors are
-    tested against.  A hand-built system (see LinearSystem) raises
-    InvalidParameterError, and a zero mech or den SingularityError
+    tested against.  A zero mech or den raises SingularityError
     (_closed_form).
 
     w: a float array of shape (n,) as frequency_grid returns it; it is not
@@ -562,8 +504,8 @@ def _row_factors(sys, w):
     entries, so they have the rows' bits.  ent and twist are products of
     |Omega / den|^2 with sums of positive terms, so nothing cancels in
     them, where Im(d_Xb conj d_Yb) formed from the rows' entries cancels
-    far from omega = |Delta_b|.  The refusals are those of
-    susceptibility_rows (_closed_form).
+    far from omega = |Delta_b|.  A zero mech or den raises
+    SingularityError, as in susceptibility_rows (_closed_form).
 
     w: a float array of shape (n,) as frequency_grid returns it.
     """
@@ -585,14 +527,12 @@ def _row_factors(sys, w):
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     """Rows c^T M(omega) of the transfer matrix for selection vectors c.
 
-    This is the generic row path, for any system.  The model's sweep and
-    readout take their u and d rows from susceptibility_rows instead; this
-    solve gives the rows of a hand-built LinearSystem (which those refuse),
-    every selector the closed form does not cover, and
-    output_spectrum_via_transfer, and it is the independent check of the
-    closed form.  Near an ill-conditioned relative block it is the less
-    accurate of the two (the d row at P*'s optical pole,
-    tests/test_precision.py).
+    The model's sweep and readout take their u and d rows from
+    susceptibility_rows instead.  This solve gives every selector the
+    closed form does not cover and output_spectrum_via_transfer, and it is
+    the independent check of the closed form.  Near an ill-conditioned
+    relative block it is the less accurate of the two (the d row at P*'s
+    optical pole, tests/test_precision.py).
 
     Solving the adjoint system per selector avoids forming the full transfer
     matrix and, crucially, avoids the catastrophic cancellation that appears
@@ -600,29 +540,29 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     relative-momentum response is ~14 orders of magnitude below individual
     mirror responses at strong entangler drive).
 
-    The solve runs in the coordinates of sys.basis (see LinearSystem): the
+    The solve runs in the rotated coordinates of LinearSystem: the
     selectors are rotated once per call, c^T T^-1, and the solutions are
     contracted with the rotated coupling T B.  The adjoint system is block
-    triangular there (sys.blocks, see _adjoint_blocks).  At the reference
-    point the meter phase quadratures are solved first and the meter
-    amplitude quadratures last, by one complex division each; the
-    centre-of-mass block {q+, p+} is a 2x2 solved in closed form; and so is
-    the 4x4 block {q-, p-, X_b, Y_b} of the relative mode and the entangler,
-    by 2x2-block elimination.  No block goes through LAPACK there.  Leaving
-    the meter states out of the relative block keeps the mirror rows
-    accurate: near the two zero crossings of the commutator at the Fig. 2
-    point the commutator of its q1 and p1 rows stays within ~3e-12 of a
-    30-digit reference (tests/test_precision.py holds it to 5e-12), where
-    the rows of a dense 10x10 LU were off by up to ~5e-8.  The
-    split also keeps the X_b and Y_b rows to rounding at omega = Omega,
-    where the 6x6 mirror-entangler core lost ~1e-9 of them.
+    triangular there, with the blocks of ADJOINT_PLAN.  The meter phase
+    quadratures are solved first and the meter amplitude quadratures last,
+    by one complex division each; the centre-of-mass block {q+, p+} is a
+    2x2 solved in closed form; and so is the 4x4 block {q-, p-, X_b, Y_b}
+    of the relative mode and the entangler, by 2x2-block elimination.  No
+    block goes through LAPACK.  Leaving the meter states out of the
+    relative block keeps the mirror rows accurate: near the two zero
+    crossings of the commutator at the Fig. 2 point the commutator of its
+    q1 and p1 rows stays within ~3e-12 of a 30-digit reference
+    (tests/test_precision.py holds it to 5e-12), where the rows of a dense
+    10x10 LU were off by up to ~5e-8.  The split also keeps the X_b and Y_b
+    rows to rounding at omega = Omega, where the 6x6 mirror-entangler core
+    lost ~1e-9 of them.
 
-    One routine, _solve_closed_form, solves every 2x2 block and every 4x4
-    block whose trailing pair has nonzero trace and determinant
-    (_closed_form_pair), so that no real omega zeroes that pair's shifted
-    determinant.  The block's shifted transpose is [[P, Q], [R, T]], T the
-    trailing pair, or the whole block of a 2x2, which is adj(T) / det T.
-    For a 4x4, with K = Q T^-1 R and C = P - K,
+    One routine, _solve_closed_form, solves both blocks.  The block's
+    shifted transpose is [[P, Q], [R, T]], T the trailing pair, or the whole
+    block of a 2x2, which is adj(T) / det T.  The trailing pair of the 4x4
+    is the damped entangler {X_b, Y_b}, whose shifted determinant
+    (gamma_b/2 - i omega)^2 + Delta_b^2 no real omega zeroes.  For a 4x4,
+    with K = Q T^-1 R and C = P - K,
     x_m = adj(C) (r_m - Q T^-1 r_o) / det C and x_o = T^-1 (r_o - R x_m),
     from per-omega coefficients T^-1 and C^-1 built once per call for all k
     columns.  Every 2x2 determinant det(-i omega - A_b) = (d - omega^2)
@@ -637,9 +577,8 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     LAPACK is off by ~2e-12.  The known limit: the X_b and Y_b unit rows
     lose ~2e-12 at a narrow entangler resonance, where LAPACK keeps 3e-16,
     because x_o cancels when T^-1 is large; no package selector reaches
-    them (nothing feeds X_b or Y_b).  Every other block of 3 or more states
-    goes through a batched LU factorization.  A zero diagonal, det T or
-    det C raises SingularityError before any division (_nonzero).
+    them (nothing feeds X_b or Y_b).  A zero diagonal, det T or det C
+    raises SingularityError before any division (_nonzero).
 
     omegas: shape (n,), see frequency_grid; selectors: a finite numeric
     array of shape (10, k), k >= 1; anything else raises
@@ -661,7 +600,7 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
 
 def _transfer_rows(sys, w, selectors):
     """selected_transfer_rows on a checked grid w and checked selectors."""
-    sel = np.asarray(selectors, dtype=complex).T @ sys.basis     # (k, 10)
+    sel = np.asarray(selectors, dtype=complex).T @ _MIRROR_INVERSE   # (k, 10)
     n, k = w.size, sel.shape[0]
     a = sys.basis_drift
     # Solutions as planes, x[s] = the (n, k) values of state s, so that a
@@ -669,7 +608,7 @@ def _transfer_rows(sys, w, selectors):
     # the final contraction with B is one matrix product.
     x = np.empty((N_STATE, n, k), dtype=complex)
     solved = []
-    for block in sys.blocks:
+    for block in ADJOINT_PLAN:
         idx, m = list(block), len(block)
         rhs = np.broadcast_to(sel[:, idx].T[:, None, :], (m, n, k))
         drives = a[:, idx].any(axis=1)
@@ -679,20 +618,8 @@ def _transfer_rows(sys, w, selectors):
             rhs = rhs + feed.reshape(m, n, k)
         if m == 1:
             x[idx[0]] = rhs[0] / _nonzero(-1j * w - a[idx[0], idx[0]])[:, None]
-        elif m == 2 or (m == 4 and
-                        _closed_form_pair(a[np.ix_(idx[2:], idx[2:])])):
-            x[idx] = _solve_closed_form(a[np.ix_(idx, idx)], w, rhs)
         else:
-            shifted_t = np.empty((n, m * m), dtype=complex)
-            shifted_t[:] = -a[np.ix_(idx, idx)].T.ravel()
-            shifted_t[:, ::m + 1] -= 1j * w[:, None]     # the diagonal
-            try:
-                x[idx] = np.linalg.solve(
-                    shifted_t.reshape(n, m, m), rhs.transpose(1, 0, 2)
-                ).transpose(1, 0, 2)
-            except np.linalg.LinAlgError as exc:
-                raise SingularityError(
-                    "shifted drift matrix singular on grid") from exc
+            x[idx] = _solve_closed_form(a[np.ix_(idx, idx)], w, rhs)
         solved += idx
     return (x.reshape(N_STATE, -1).T @ sys.basis_coupling).reshape(n, k, -1)
 
@@ -716,13 +643,6 @@ def _shifted_det(block, w):
     return det
 
 
-def _closed_form_pair(block):
-    """Whether det(-i w - block) of a real (2, 2) block is nonzero for every
-    real omega: its trace and its determinant are both nonzero."""
-    (a00, a01), (a10, a11) = block
-    return a00 + a11 != 0.0 and a00 * a11 - a01 * a10 != 0.0
-
-
 def _nonzero(det):
     """det itself, after raising SingularityError if any entry is 0, so
     that nothing divides by it."""
@@ -742,8 +662,8 @@ def _solve_closed_form(block, w, rhs):
     selected_transfer_rows).
 
     block: (2, 2) real, or (4, 4) real with its trailing pair of nonzero
-    trace and determinant (_closed_form_pair); w: (n,); rhs: (m, n, k) for
-    an (m, m) block.  Returns (m, n, k).
+    trace and determinant, such as the damped entangler pair; w: (n,);
+    rhs: (m, n, k) for an (m, m) block.  Returns (m, n, k).
     """
     s = -1j * w
     # The shifted transpose is [[P, Q], [R, T]] per omega, T = s - o its

@@ -77,8 +77,7 @@ def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
     The weights are formed in closed form from the real factors of the
     model's u and d = q1 - q2 rows (_position_weights), with no row and no
     sum over channels; noise_weights of dynamics.susceptibility_rows gives
-    the same to rounding.  A hand-built LinearSystem raises
-    InvalidParameterError (see LinearSystem).
+    the same to rounding.
 
     Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
     joined: shape (4, 3, n), in the order of noise_weights.

@@ -21,12 +21,10 @@ on four weights, the single home of the closed form that the entanglement
 sweep uses as well.  The direct spectra never build the rows: _spectra
 forms the weights of the auto and the cross form of the two currents from
 the real factors of u and d (dynamics._row_factors), in which the two
-auto spectra are one and the cross spectrum is real.  A hand-built
-LinearSystem has no closed-form rows, so output_spectrum and
-two_channel_spectra raise InvalidParameterError for it;
-output_spectrum_via_transfer takes any system (see dynamics.LinearSystem).
-It builds the same spectrum from the Y_a rows of the adjoint solve and
-their weights (dynamics.noise_weights) instead, as an independent check.
+auto spectra are one and the cross spectrum is real.
+output_spectrum_via_transfer builds the same spectrum from the Y_a rows of
+the adjoint solve and their weights (dynamics.noise_weights) instead, as an
+independent check.
 Each spectrum is evaluated in the sweep's CHUNK pieces
 (dynamics._by_piece), with the bits of one call; the pieces bound the
 memory of the adjoint solve of output_spectrum_via_transfer.

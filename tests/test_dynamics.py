@@ -1,4 +1,6 @@
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from mirrorpair import (
     spectral_matrix, stability_margin, transfer_matrix,
     two_channel_spectra,
 )
+from mirrorpair import dynamics
 from mirrorpair.dynamics import (
-    IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
-    IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem, _solve_closed_form,
-    frequency_grid, selected_transfer_rows,
+    ADJOINT_PLAN, IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1,
+    IXI2, IXIN1, IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem,
+    _nonzero, _solve_closed_form, frequency_grid, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -23,7 +26,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import raises_one_line, working_points
+from conftest import make_params, raises_one_line, working_points
 
 
 def chi(omega, params):
@@ -72,10 +75,23 @@ class TestDriftStructure:
         assert a[IYB, IQ1] == -a[IYB, IQ2]
 
     def test_require_stable_raises_at_strong_drive(self):
+        # The drift's eigenvalues are computed once, for the check and for
+        # the error alike.
         params = fig2_params()
-        with pytest.raises(DriftUnstableError) as err:
-            build_linear_system(params, require_stable=True)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(matrix):
+            calls.append(matrix.shape)
+            return eigvals(matrix)
+
+        with mock.patch.object(np.linalg, "eigvals", spy):
+            with pytest.raises(DriftUnstableError) as err:
+                build_linear_system(params, require_stable=True)
+        assert calls == [(N_STATE, N_STATE)]
         assert max(z.real for z in err.value.eigenvalues) > 0
+        assert np.array_equal(err.value.eigenvalues,
+                              eigvals(build_linear_system(params).drift))
 
     def test_unstable_message_lists_plain_eigenvalues(self):
         eigenvalues = np.array([-1.0 + 2.0j, 451245.77 + 485988.97j, 0.0 - 3.0j])
@@ -122,17 +138,19 @@ class TestTransferMatrix:
         m_neg = transfer_matrix(sys, -0.7e5)
         assert np.allclose(m_neg, m.conj(), rtol=1e-12, atol=1e-300)
 
-    def test_singular_shifted_drift_raises(self, fig2):
-        # A drift of -I but for a zero at X_b leaves -i omega I - A with a
-        # zero pivot at omega = 0 only.
+    def test_singular_shifted_drift_raises(self, fig2, monkeypatch):
+        # LAPACK's LinAlgError on a singular shifted drift becomes a
+        # SingularityError that names omega.
         _, sys = fig2
-        drift = -np.eye(N_STATE)
-        drift[IXB, IXB] = 0.0
-        hand_built = with_drift(sys, drift)
-        with pytest.raises(SingularityError, match="singular at omega=0"):
-            transfer_matrix(hand_built, 0.0)
-        m = transfer_matrix(hand_built, 1.0)
-        assert m.shape == (N_STATE, N_NOISE) and np.isfinite(m).all()
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularityError,
+                           match="singular at omega=0") as err:
+            transfer_matrix(sys, 0.0)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_decoupled_mirror_matches_closed_form(self, decoupled):
         params, sys = decoupled
@@ -141,54 +159,90 @@ class TestTransferMatrix:
             assert m[IQ1, IXI1] == pytest.approx(chi(w, params), rel=1e-12)
 
 
-def with_drift(sys, drift):
-    """A hand-built LinearSystem: sys with its drift matrix replaced."""
-    return LinearSystem(drift=np.array(drift, dtype=float),
-                        noise_coupling=sys.noise_coupling,
-                        params=sys.params, steady=sys.steady)
-
-
-def with_4x4_block(sys, block):
-    """A hand-built LinearSystem: drift -I but for block on
-    {X_a1, Y_a1, X_b, Y_b}, which the plan keeps as one 4x4 block."""
-    drift = -np.eye(N_STATE)
-    idx = [IXA1, IYA1, IXB, IYB]
-    drift[np.ix_(idx, idx)] = block
-    hand_built = with_drift(sys, drift)
-    assert tuple(idx) in hand_built.blocks
-    return hand_built
-
-
-def check_rows_against_transfer_matrix(sys, selectors, omegas):
-    """selected_transfer_rows against c^T M(omega) from the dense path."""
+def check_rows_against_transfer_matrix(sys, selectors, omegas,
+                                       lu_allowance=False):
+    """selected_transfer_rows against c^T M(omega) from the dense path, each
+    row to 1e-12 of its norm.  With lu_allowance, plus 8 eps cond ||M||, the
+    normwise error of the dense LU itself, for unit selectors."""
     rows = selected_transfer_rows(sys, omegas, selectors)
     for i, w in enumerate(omegas):
-        want = selectors.T @ transfer_matrix(sys, w)
+        m = transfer_matrix(sys, w)
+        want = selectors.T @ m
         err = np.linalg.norm(rows[i] - want, axis=-1)
-        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=-1)), (w, err)
+        tol = 1e-12 * np.linalg.norm(want, axis=-1)
+        if lu_allowance:
+            cond = np.linalg.cond(-1j * w * np.eye(N_STATE) - sys.drift)
+            tol += 8.0 * np.finfo(float).eps * cond * np.linalg.norm(m, 2)
+        assert np.all(err <= tol), (w, err / tol)
+
+
+def check_plan(sys):
+    """ADJOINT_PLAN is a back-substitution order of the rotated adjoint
+    system of sys, and the rotation undoes to the bits of sys."""
+    assert sorted(sum(ADJOINT_PLAN, ())) == list(range(N_STATE))
+    a = sys.basis_drift
+    for k, block in enumerate(ADJOINT_PLAN):
+        # Row j of the transposed system couples x_j to every x_i with
+        # a[i, j] != 0: none of those may be solved after j's block.
+        later = list(sum(ADJOINT_PLAN[k + 1:], ()))
+        assert not a[np.ix_(later, block)].any(), block
+    back = np.linalg.inv(MIRROR_ROTATION)
+    assert np.array_equal(back @ a @ MIRROR_ROTATION, sys.drift)
+    assert np.array_equal(back @ sys.basis_coupling, sys.noise_coupling)
+
+
+def dense_block_solve(block, w, rhs):
+    """x with (-i w - block)^T x = rhs by batched LAPACK, in the layout of
+    _solve_closed_form: rhs and x of shape (m, n, k)."""
+    shifted_t = -1j * w[:, None, None] * np.eye(len(block)) - block.T
+    return np.linalg.solve(shifted_t,
+                           rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def check_block_against_dense_solve(block, omegas):
+    """_solve_closed_form against dense_block_solve on the unit right-hand
+    sides, each solution to 1e-12 of its norm."""
+    block, w = np.array(block, dtype=float), np.array(omegas, dtype=float)
+    m = len(block)
+    rhs = np.broadcast_to(np.eye(m)[:, None, :], (m, w.size, m))
+    got = _solve_closed_form(block, w, rhs)
+    want = dense_block_solve(block, w, rhs)
+    err = np.linalg.norm(got - want, axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0)), err
 
 
 class TestAdjointSolve:
-    def test_block_plan_at_reference_point(self, fig2):
-        # The mirror rotation puts q+, p+, q- and p- in the slots of q1, p1,
-        # q2 and p2: the centre of mass {q+, p+} splits off the relative
-        # mode and the entangler {q-, p-, X_b, Y_b}.
-        _, sys = fig2
-        assert sys.blocks == (
-            (IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
-        )
-        # Every rotated entry is exact: the rotation undoes to the same bits.
-        back = np.linalg.inv(MIRROR_ROTATION)
-        assert np.array_equal(sys.basis, back)
-        assert np.array_equal(back @ sys.basis_drift @ MIRROR_ROTATION, sys.drift)
-        assert np.array_equal(back @ sys.basis_coupling, sys.noise_coupling)
+    @pytest.mark.parametrize("point", ["fig2", "decoupled", "meters_only",
+                                       "p_in_a", "p_in_b"])
+    def test_plan_holds_at_model_points(self, request, point):
+        # The reference point, the decoupled mirrors, the meters alone, and
+        # either drive off (p_in_a = 0, p_in_b = 0).  Omega is left out:
+        # the shifted drift has condition ~4e7 there at the Fig. 2 point,
+        # and neither solve holds 1e-12 on every row.
+        if point.startswith("p_in"):
+            sys = build_linear_system(make_params(**{point: 0.0}))
+        else:
+            _, sys = request.getfixturevalue(point)
+        check_plan(sys)
+        omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * sys.params.big_omega
+        check_rows_against_transfer_matrix(sys, np.eye(N_STATE), omegas)
 
-    def test_dense_drift_is_one_core(self, fig2):
-        _, sys = fig2
-        rng = np.random.default_rng(3)
-        dense = with_drift(sys, rng.normal(size=(N_STATE, N_STATE)))
-        assert dense.blocks == (tuple(range(N_STATE)),)
-        check_rows_against_transfer_matrix(dense, np.eye(N_STATE), [0.0, 0.5, 3.0])
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_plan_holds_at_random_working_points(self, point):
+        # Here the dense path is the less accurate one: at drawn points its
+        # rows were off by up to 2e-4 (at cond 2e17), and at eleven points
+        # where they were more than 3e-12 off, the block solve held 4e-15
+        # of a 40-digit solve.  So the dense LU is allowed its own normwise
+        # error on top of 1e-12 (measured: at most 1.4 eps cond ||M|| over
+        # 3000 draws; check_rows_against_transfer_matrix allows 8).
+        params, _ = point
+        sys = build_linear_system(params)
+        check_plan(sys)
+        omegas = np.array([1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2]) * params.big_omega
+        check_rows_against_transfer_matrix(sys, np.eye(N_STATE), omegas,
+                                           lu_allowance=True)
 
     def test_rows_match_transfer_matrix(self, fig2):
         # Unit selectors and the sweep selectors other than v, whose rows
@@ -201,68 +255,26 @@ class TestAdjointSolve:
         omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * params.big_omega
         check_rows_against_transfer_matrix(sys, selectors, omegas)
 
-    def test_singular_core_raises(self, fig2):
-        # A rank-1 drift whose mirror pairs differ: the rotation does not
-        # split it, and LAPACK finds the one core singular at omega = 0.
-        _, sys = fig2
-        u = np.ones(N_STATE)
-        u[[IQ2, IP2]] = 2.0
-        singular = with_drift(sys, np.outer(u, u))
-        assert len(singular.blocks) == 1
-        with pytest.raises(SingularityError):
-            selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
-        # The all-ones drift splits off q- and p-, whose zero diagonals raise.
-        ones = with_drift(sys, np.ones((N_STATE, N_STATE)))
-        assert ones.blocks == ((IQ2,), (IP2,), (IQ1, IP1, *range(IXA1, N_STATE)))
-        with pytest.raises(SingularityError):
-            selected_transfer_rows(ones, [1.0, 0.0], np.eye(N_STATE))
-
     @pytest.mark.parametrize("spring", [-1.0, 1.0], ids=["oscillator", "saddle"])
-    def test_closed_form_block_matches_transfer_matrix(self, fig2, spring):
-        # The 2x2 block [[0, Omega], [spring * Omega, -Gamma]] has determinant
+    def test_closed_form_2x2_matches_dense_solve(self, fig2, spring):
+        # The 2x2 block [[0, Omega], [spring * Omega, -1]] has determinant
         # -spring * Omega^2: the oscillator takes the factored real part of
         # det(-i omega - A_b), the saddle the plain one.
-        params, sys = fig2
-        om = params.big_omega
-        drift = -np.eye(N_STATE)
-        drift[IQ1, IQ1], drift[IQ1, IP1], drift[IP1, IQ1] = 0.0, om, spring * om
-        block = with_drift(sys, drift)
-        assert (IQ1, IP1) in block.blocks
-        omegas = np.array([0.0, 0.5, 0.999, 1.0, 2.0]) * om
-        check_rows_against_transfer_matrix(block, np.eye(N_STATE), omegas)
+        om = fig2[0].big_omega
+        check_block_against_dense_solve([[0.0, om], [spring * om, -1.0]],
+                                        np.array([0.0, 0.5, 0.999, 1.0, 2.0]) * om)
 
-    def test_singular_closed_form_block_raises(self, fig2):
-        # Two identical undamped mirrors: the centre-of-mass 2x2 block is
-        # exactly singular at omega = Omega, and no division warns first.
-        _, sys = fig2
-        drift = sys.drift.copy()
-        drift[IP1, IP1] = drift[IP2, IP2] = 0.0
-        undamped = with_drift(sys, drift)
-        assert (IQ1, IP1) in undamped.blocks
-        omega = sys.params.big_omega
+    def test_singular_closed_form_2x2_raises(self, fig2):
+        # The centre of mass of two identical undamped mirrors is exactly
+        # singular at omega = Omega, and no division warns first.
+        om = fig2[0].big_omega
+        block = np.array([[0.0, om], [-om, 0.0]])
+        rhs = np.ones((2, 2, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            selected_transfer_rows(undamped, [0.5 * omega], np.eye(N_STATE))
+            _solve_closed_form(block, np.array([0.5 * om]), rhs[:, :1])
             with pytest.raises(SingularityError):
-                selected_transfer_rows(undamped, [0.5 * omega, omega],
-                                       np.eye(N_STATE))
-
-    def test_asymmetric_drift_keeps_unrotated_plan(self, fig2):
-        # Mirror 2 a little stiffer: the rotation would couple q+ to p-, so
-        # the plan stays the unrotated one with its 6x6 core.
-        params, sys = fig2
-        drift = sys.drift.copy()
-        drift[IQ2, IP2] *= 1.01
-        drift[IP2, IQ2] *= 1.01
-        asymmetric = with_drift(sys, drift)
-        assert asymmetric.blocks == (
-            (IYA1,), (IYA2,), (IQ1, IP1, IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
-        )
-        assert np.array_equal(asymmetric.basis, np.eye(N_STATE))
-        assert asymmetric.basis_drift is asymmetric.drift
-        assert asymmetric.basis_coupling is asymmetric.noise_coupling
-        omegas = np.array([0.5, 0.9, 1.1, 2.0]) * params.big_omega
-        check_rows_against_transfer_matrix(asymmetric, np.eye(N_STATE), omegas)
+                _solve_closed_form(block, np.array([0.5 * om, om]), rhs)
 
     @pytest.mark.parametrize("grid", ["hybrid", "resonance"])
     def test_centre_of_mass_row_matches_closed_form(self, fig2, grid):
@@ -300,7 +312,7 @@ class TestAdjointSolve:
         # allowance above 1e-12.
         params, _ = point
         sys = build_linear_system(params)
-        assert tuple(idx) in sys.blocks
+        assert tuple(idx) in ADJOINT_PLAN
         m = len(idx)
         block = sys.basis_drift[np.ix_(idx, idx)]
         poles = np.abs(np.linalg.eigvals(block).imag)
@@ -308,32 +320,41 @@ class TestAdjointSolve:
             [np.geomspace(0.1, 10.0, 129) * params.big_omega, poles])
         rhs = np.broadcast_to(np.eye(m)[:, None, :2], (m, omegas.size, 2))
         got = _solve_closed_form(block, omegas, rhs)
-        shifted_t = -1j * omegas[:, None, None] * np.eye(m) - block.T
-        want = np.linalg.solve(shifted_t, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        want = dense_block_solve(block, omegas, rhs)
         err = np.linalg.norm(got - want, axis=0)
+        shifted_t = -1j * omegas[:, None, None] * np.eye(m) - block.T
         tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(shifted_t)
         assert np.all(err <= tol[:, None] * np.linalg.norm(want, axis=0))
 
-    def test_dense_closed_form_4x4_matches_transfer_matrix(self, fig2):
+    def test_dense_closed_form_4x4_matches_dense_solve(self):
         # Every entry nonzero, so det Q det R / det T, which the drift of
         # build_linear_system leaves 0, enters det C.
-        _, sys = fig2
         block = np.random.default_rng(5).normal(size=(4, 4))
         block[2:, 2:] = [[-1.0, 2.0], [-2.0, -1.0]]
-        dense = with_4x4_block(sys, block)
-        check_rows_against_transfer_matrix(dense, np.eye(N_STATE),
-                                           [0.0, 0.5, 1.0, 2.0, 10.0])
+        check_block_against_dense_solve(block, [0.0, 0.5, 1.0, 2.0, 10.0])
 
-    def test_4x4_block_with_undamped_trailing_pair_takes_lapack(
-            self, fig2, monkeypatch):
-        # The trailing pair is an undamped oscillator (trace 0), whose
-        # shifted determinant vanishes at omega = 1: no elimination on it.
-        _, sys = fig2
-        block = with_4x4_block(sys, [[-1.0, 0.0, 1.0, 0.0],
-                                     [1.0, -1.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0, 1.0],
-                                     [0.0, 0.0, -1.0, 0.0]])
-        omegas = [0.0, 0.5, 1.0, 2.0]
+    def test_singular_closed_form_4x4_raises(self):
+        # Two equal rows make the block singular, so at omega = 0 det C is
+        # exactly 0 while det T is 1; no division warns first.
+        block = np.array([[-1.0, 0.0, 1.0, 0.0],
+                          [-1.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, -1.0, 1.0],
+                          [0.0, 1.0, 0.0, -1.0]])
+        rhs = np.ones((4, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _solve_closed_form(block, np.array([0.5]), rhs[:, :1])
+            with pytest.raises(SingularityError):
+                _solve_closed_form(block, np.array([0.5, 0.0]), rhs)
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_no_working_point_needs_lapack(self, point):
+        # Every block of ADJOINT_PLAN is one division or a closed form, at
+        # every model system.
+        params, _ = point
+        sys = build_linear_system(params)
         calls = []
         solve = np.linalg.solve
 
@@ -341,47 +362,19 @@ class TestAdjointSolve:
             calls.append(args[0].shape)
             return solve(*args)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        selected_transfer_rows(block, omegas, np.eye(N_STATE))
-        assert calls == [(len(omegas), 4, 4)]
-        monkeypatch.undo()
-        check_rows_against_transfer_matrix(block, np.eye(N_STATE), omegas)
-
-    def test_singular_closed_form_4x4_raises(self, fig2):
-        # Two equal rows make the block singular, so at omega = 0 det C is
-        # exactly 0 while det T is 1; no division warns first.
-        _, sys = fig2
-        singular = with_4x4_block(sys, [[-1.0, 0.0, 1.0, 0.0],
-                                        [-1.0, 0.0, 1.0, 0.0],
-                                        [0.0, 0.0, -1.0, 1.0],
-                                        [0.0, 1.0, 0.0, -1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            selected_transfer_rows(singular, [0.5], np.eye(N_STATE))
-            with pytest.raises(SingularityError):
-                selected_transfer_rows(singular, [0.5, 0.0], np.eye(N_STATE))
-
-    def test_reference_point_needs_no_lapack(self, fig2, monkeypatch):
-        # Every block of the Fig. 2 plan is solved in closed form.
-        params, sys = fig2
-
-        def refuse(*args):
-            raise AssertionError("np.linalg.solve called")
-
-        monkeypatch.setattr(np.linalg, "solve", refuse)
         omegas = np.array([1e-2, 0.5, 1.0, 2.0, 1e2]) * params.big_omega
-        rows = selected_transfer_rows(sys, omegas, np.eye(N_STATE))
+        with mock.patch.object(np.linalg, "solve", spy):
+            rows = selected_transfer_rows(sys, omegas, np.eye(N_STATE))
+        assert calls == []
         assert np.isfinite(rows).all()
 
-    def test_singular_single_state_block_raises(self, fig2):
-        _, sys = fig2
-        drift = -np.eye(N_STATE)
-        drift[IXB, IXB] = 0.0
-        singular = with_drift(sys, drift)
-        assert (IXB,) in singular.blocks
-        selected_transfer_rows(singular, [1.0], np.eye(N_STATE))
+    def test_singular_single_state_block_raises(self):
+        # A zero diagonal entry: -i omega - 0 vanishes at omega = 0 only.
+        shifted = -1j * np.array([1.0, 0.0]) - 0.0
+        first = shifted[:1]
+        assert _nonzero(first) is first
         with pytest.raises(SingularityError):
-            selected_transfer_rows(singular, [1.0, 0.0], np.eye(N_STATE))
+            _nonzero(shifted)
 
 
 #: Every public entry that takes a frequency grid, as f(sys, noise, omegas).
@@ -653,53 +646,40 @@ def test_hybrid_grid_shape_and_refinement():
     assert 1e5 in grid
 
 
-BAD_DRIFTS = {
-    "3x3": np.zeros((3, 3)), "list": np.zeros((N_STATE, N_STATE)).tolist(),
-    "nan": np.full((N_STATE, N_STATE), np.nan),
-    "inf": np.full((N_STATE, N_STATE), np.inf),
-    "complex": np.zeros((N_STATE, N_STATE), dtype=complex),
-    "text": np.full((N_STATE, N_STATE), "1"), "None": None,
-}
-
-
-class TestLinearSystemInput:
-    @pytest.mark.parametrize("drift", BAD_DRIFTS.values(),
-                             ids=BAD_DRIFTS.keys())
-    def test_bad_drift_is_an_invalid_parameter(self, fig2, drift):
-        _, sys = fig2
-        raises_one_line(lambda: LinearSystem(
-            drift=drift, noise_coupling=sys.noise_coupling.copy(),
-            params=sys.params, steady=sys.steady), "drift")
-
-    @pytest.mark.parametrize("coupling", [
-        np.zeros((N_STATE, N_STATE)), np.zeros((N_STATE, N_NOISE)).tolist(),
-        np.full((N_STATE, N_NOISE), np.nan),
-        np.zeros((N_STATE, N_NOISE), dtype=complex),
-    ], ids=["10x10", "list", "nan", "complex"])
-    def test_bad_noise_coupling_is_an_invalid_parameter(self, fig2, coupling):
-        _, sys = fig2
-        raises_one_line(lambda: LinearSystem(
-            drift=sys.drift.copy(), noise_coupling=coupling,
-            params=sys.params, steady=sys.steady), "noise_coupling")
-
-    def test_the_callers_arrays_stay_its_own(self, fig2):
-        # The system keeps read-only copies of drift and noise_coupling: the
-        # caller may edit its arrays afterwards, and that edit reaches
-        # neither the system nor its record of being the model's assembly.
-        _, sys = fig2
-        drift, coupling = sys.drift.copy(), sys.noise_coupling.copy()
-        copied = LinearSystem(drift=drift, noise_coupling=coupling,
-                              params=sys.params, steady=sys.steady)
-        assert copied._assembled
-        drift[IQ1, IP1] = coupling[IP1, IXI1] = 1.0
-        assert drift.flags.writeable and coupling.flags.writeable
-        assert np.array_equal(copied.drift, sys.drift)
-        assert np.array_equal(copied.noise_coupling, sys.noise_coupling)
-        assert copied._assembled
-        for array in (copied.drift, copied.noise_coupling):
+class TestLinearSystem:
+    def test_params_is_the_only_argument(self, fig2):
+        # The system is the model at its params: everything else is derived,
+        # read-only, with the bits of build_linear_system's.
+        params, sys = fig2
+        init = [f.name for f in dataclasses.fields(LinearSystem) if f.init]
+        assert init == ["params"]
+        with pytest.raises(TypeError):
+            LinearSystem(params, sys.drift)
+        model = LinearSystem(params)
+        assert model.params is params and model.steady == sys.steady
+        for name in ("drift", "noise_coupling", "basis_drift",
+                     "basis_coupling"):
+            array = getattr(model, name)
+            assert np.array_equal(array, getattr(sys, name)), name
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+    def test_steady_state_is_looked_up_once_per_system(self, fig2,
+                                                       monkeypatch):
+        # perfbench/tracing.py counts dynamics.steady_state by its name in
+        # the module: one call per system.
+        params, _ = fig2
+        calls = []
+        steady_state = dynamics.steady_state
+
+        def spy(p):
+            calls.append(p)
+            return steady_state(p)
+
+        monkeypatch.setattr(dynamics, "steady_state", spy)
+        build_linear_system(params)
+        assert calls == [params]
 
 
 class TestHybridGridInput:

@@ -20,7 +20,7 @@ from mirrorpair import (
     output_spectrum_via_transfer, steady_state, two_channel_spectra,
 )
 from mirrorpair.dynamics import (
-    IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
+    ADJOINT_PLAN, IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
     _row_factors, _transfer_rows, hybrid_grid, noise_weights,
     selected_transfer_rows, susceptibility_rows,
 )
@@ -208,7 +208,7 @@ def relative_mechanical_pole(params):
     """Frequency and damping of the least damped pole of the relative
     block {q-, p-, X_b, Y_b}, where that block is nearly singular."""
     sys = build_linear_system(params)
-    relative = next(b for b in sys.blocks if IQ2 in b)
+    relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
     poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
     pole = poles[np.argmin(np.abs(poles.real))]
     return abs(pole.imag), -pole.real
@@ -278,7 +278,7 @@ class TestClosedFormRows:
         params = fig2_params(**P_STAR)
         if factor == "optical pole":
             sys = build_linear_system(params)
-            relative = next(b for b in sys.blocks if IQ2 in b)
+            relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
             w = np.abs(np.linalg.eigvals(
                 sys.basis_drift[np.ix_(relative, relative)]).imag).max()
         else:
@@ -318,7 +318,7 @@ class TestClosedFormRows:
         # {q+, p+} and {q-, p-, X_b, Y_b}, which the u and d rows solve.
         params, _ = point
         sys = build_linear_system(params)
-        blocks = [b for b in sys.blocks if IQ1 in b or IQ2 in b]
+        blocks = [b for b in ADJOINT_PLAN if IQ1 in b or IQ2 in b]
         poles = np.concatenate([np.abs(np.linalg.eigvals(
             sys.basis_drift[np.ix_(b, b)]).imag) for b in blocks])
         w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
@@ -381,7 +381,7 @@ class TestRowFactors:
         # the grid point 69.101 Omega (measured: 1.8e-16).
         params = fig2_params(**P_STAR)
         sys = build_linear_system(params)
-        relative = next(b for b in sys.blocks if IQ2 in b)
+        relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
         pole = np.abs(np.linalg.eigvals(
             sys.basis_drift[np.ix_(relative, relative)]).imag).max()
         assert pole / params.big_omega == pytest.approx(69.101, abs=1e-3)
