@@ -26,7 +26,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import make_params, raises_one_line, working_points
+from conftest import P_STAR, make_params, raises_one_line, working_points
 
 
 def chi(omega, params):
@@ -211,16 +211,28 @@ def check_block_against_dense_solve(block, omegas):
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0)), err
 
 
+#: Model points away from the fixtures, as overrides of the Fig. 2 point.
+PLAN_POINTS = {
+    "p_in_a": dict(p_in_a=0.0), "p_in_b": dict(p_in_b=0.0),
+    "no_meters": dict(g=0.0), "p_star": P_STAR,
+    "weak_entangler": dict(p_in_b=5e-11),
+    "opposite_detuning": dict(delta_b=-fig2_params().delta_b),
+    "wide_cavities": dict(gamma_a=1e7, gamma_b=1e7),
+}
+
+
 class TestAdjointSolve:
     @pytest.mark.parametrize("point", ["fig2", "decoupled", "meters_only",
-                                       "p_in_a", "p_in_b"])
+                                       *PLAN_POINTS])
     def test_plan_holds_at_model_points(self, request, point):
-        # The reference point, the decoupled mirrors, the meters alone, and
-        # either drive off (p_in_a = 0, p_in_b = 0).  Omega is left out:
-        # the shifted drift has condition ~4e7 there at the Fig. 2 point,
-        # and neither solve holds 1e-12 on every row.
-        if point.startswith("p_in"):
-            sys = build_linear_system(make_params(**{point: 0.0}))
+        # The reference point, the decoupled mirrors, the meters alone,
+        # either drive off (p_in_a = 0, p_in_b = 0) or the meters' coupling
+        # (g = 0), P*, a vanishing entangler drive, the entangler detuned to
+        # the other side, and cavities 100 times wider than Omega.  Omega is
+        # left out: the shifted drift has condition ~4e7 there at the Fig. 2
+        # point, and neither solve holds 1e-12 on every row.
+        if point in PLAN_POINTS:
+            sys = build_linear_system(make_params(**PLAN_POINTS[point]))
         else:
             _, sys = request.getfixturevalue(point)
         check_plan(sys)
@@ -243,6 +255,27 @@ class TestAdjointSolve:
         omegas = np.array([1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2]) * params.big_omega
         check_rows_against_transfer_matrix(sys, np.eye(N_STATE), omegas,
                                            lu_allowance=True)
+
+    def test_block_plan_at_reference_point(self, fig2):
+        # The mirror rotation puts q+, p+, q- and p- in the slots of q1, p1,
+        # q2 and p2: the centre of mass {q+, p+} splits off the relative
+        # mode and the entangler {q-, p-, X_b, Y_b}.  At the reference point
+        # no block splits further: each is strongly connected in the rotated
+        # drift, so the fixed plan is the finest order there.
+        _, sys = fig2
+        assert ADJOINT_PLAN == (
+            (IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
+        )
+        back = np.linalg.inv(MIRROR_ROTATION)
+        assert np.array_equal(sys.basis_drift,
+                              MIRROR_ROTATION @ sys.drift @ back)
+        assert np.array_equal(sys.basis_coupling,
+                              MIRROR_ROTATION @ sys.noise_coupling)
+        for block in ADJOINT_PLAN:
+            m = len(block)
+            linked = (sys.basis_drift[np.ix_(block, block)] != 0).astype(int)
+            reach = np.linalg.matrix_power(np.eye(m, dtype=int) + linked, m)
+            assert reach.all(), block
 
     def test_rows_match_transfer_matrix(self, fig2):
         # Unit selectors and the sweep selectors other than v, whose rows
@@ -664,6 +697,22 @@ class TestLinearSystem:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["steady", "drift", "noise_coupling",
+                                      "basis_drift", "basis_coupling"])
+    def test_derived_field_cannot_be_given(self, fig2, name):
+        # No derived field can be handed in or swapped for another value:
+        # not at construction, not by dataclasses.replace, not by assignment.
+        params, _ = fig2
+        sys = LinearSystem(params)
+        value = getattr(sys, name)
+        with pytest.raises(TypeError, match=name):
+            LinearSystem(params, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(sys, **{name: value})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sys, name, value)
+        assert getattr(sys, name) is value
 
     def test_steady_state_is_looked_up_once_per_system(self, fig2,
                                                        monkeypatch):

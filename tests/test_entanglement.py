@@ -21,9 +21,11 @@ from mirrorpair import (
     tmsv_state,
     two_channel_spectra,
 )
+from mirrorpair import dynamics
 from mirrorpair.dynamics import (
-    ADJOINT_PLAN, IQ1, IQ2, IXINB, IYIN1, IYIN2, IYINB, frequency_grid,
-    hybrid_grid, noise_weights, selected_transfer_rows, susceptibility_rows,
+    ADJOINT_PLAN, IP2, IQ1, IQ2, IXB, IXI1, IXI2, IXINB, IYB, IYIN1, IYIN2,
+    IYINB, LinearSystem, frequency_grid, hybrid_grid, noise_weights,
+    selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SYMPLECTIC_FORM, U_SELECTOR,
@@ -162,6 +164,25 @@ class TestDegreeSweep:
             else:
                 assert np.array_equal(comm, ref)
 
+    def test_reference_point_takes_the_position_rows(
+            self, fig2, decoupled, meters_only, monkeypatch):
+        # Every system of build_linear_system is the model, whose u and d
+        # rows the sweep and the readout take in closed form: none of them
+        # reaches the adjoint solve, which the via-transfer readout does.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the model's rows need no solve")
+
+        monkeypatch.setattr(dynamics, "_transfer_rows", forbidden)
+        for params, sys in (fig2, decoupled, meters_only):
+            noise = NoiseModel.from_params(params)
+            w = np.linspace(0.5, 1.5, 101) * params.big_omega
+            degree_sweep(sys, noise, w)
+            entanglement.sweep_weights(sys, w)
+            output_spectrum(sys, noise, w, 1)
+            two_channel_spectra(sys, noise, w)
+            with pytest.raises(AssertionError, match="no solve"):
+                readout.output_spectrum_via_transfer(sys, noise, w, 1)
+
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     def test_sweep_is_the_form_of_its_position_rows(self, fig2, temperature):
         # The sweep forms its weights from the real factors of the u and d
@@ -231,6 +252,53 @@ class TestDegreeSweep:
         gap = np.abs(np.sqrt(out["commutator_sq"][near])
                      - np.sqrt(want["commutator_sq"][near]))
         assert np.all(gap <= 2e-15 * terms), (gap / terms).max()
+
+    @pytest.mark.parametrize("case", ["q damping", "unequal Omega",
+                                      "noise into q", "silent", "X_b ulp",
+                                      "Y_b ulp"])
+    def test_hand_built_system_is_refused(self, fig2, case):
+        # The sweep and the readout take the model's closed-form rows, which
+        # only a drift and coupling equal to the model's have.  The first
+        # three edits break p_j = (-i omega / Omega) q_j, with which those
+        # rows would put Var(v) off by up to 1% (q damping) or 100%; the last
+        # two differ from the model in one entangler entry by one ulp, where
+        # they would still pass any value check.  No edit can be made: the
+        # system's arrays are read-only and LinearSystem takes none.
+        params, model = fig2
+        om = params.big_omega
+        sys = LinearSystem(params)
+        drift, coupling = sys.drift, sys.noise_coupling
+        if case == "q damping":
+            edits = [(drift, (IQ1, IQ1), -1e-3 * om),
+                     (drift, (IQ2, IQ2), -1e-3 * om)]
+        elif case == "unequal Omega":
+            edits = [(drift, (IQ2, IP2), 1.001 * drift[IQ2, IP2])]
+        elif case == "noise into q":
+            edits = [(coupling, (IQ1, IXI1), 1.0),
+                     (coupling, (IQ2, IXI2), 1.0)]
+        elif case == "silent":
+            edits = [(coupling, slice(None), 0.0)]
+        else:
+            entry = (IXB, IQ1) if case == "X_b ulp" else (IYB, IXB)
+            edits = [(drift, entry, np.nextafter(drift[entry], np.inf))]
+        hand_built = {"drift": drift.copy(), "noise_coupling": coupling.copy()}
+        for array, entry, value in edits:
+            with pytest.raises(ValueError, match="read-only"):
+                array[entry] = value
+            hand_built["drift" if array is drift else "noise_coupling"][
+                entry] = value
+        assert not all(np.array_equal(hand_built[k], getattr(model, k))
+                       for k in hand_built)
+        with pytest.raises(TypeError):
+            LinearSystem(params, **hand_built)
+        assert np.array_equal(drift, model.drift)
+        assert np.array_equal(coupling, model.noise_coupling)
+        noise = NoiseModel(0.1, params.big_gamma, om)
+        w = np.linspace(0.5, 1.5, 101) * om
+        got, want = degree_sweep(sys, noise, w), degree_sweep(model, noise, w)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
     def test_degenerate_commutator_raises(self, fig2):
         params, _ = fig2
