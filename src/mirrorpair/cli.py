@@ -15,10 +15,10 @@ The output directory is created only after the sweep has been solved, so a
 failed sweep leaves none behind.
 
 Temperature is an array axis of one computation, not a loop: the grid is
-solved once, E(omega, T) of every temperature is one broadcast over a
-(temperatures, omegas) array (_sweep_rows), and the bands and the argmin of
-every temperature come from one scan of that array (_bands).  Each
-temperature's block has the bits of a sweep at that temperature alone.
+solved once, and the sweep is one dict of columns broadcastable to (T, n)
+(_sweep_rows), each row of a (T, n) column with the bits of a sweep at that
+temperature alone.  The bands and the argmin of every temperature come from
+one scan of degree (_bands), and the writers slice the 2-D columns.
 
 sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
 are not formatted number by number: a numpy kernel (_e12) splits the 13
@@ -27,8 +27,8 @@ groups, looks each group up in a 10**4-entry table and writes the text as
 one packed 18-byte record; it is exact wherever its scaled mantissa is clear
 of a rounding tie (0.001 after one rounding step, 0.005 after two) and falls
 back to "%.12e" % v for the rest.
-_write_blocks formats the temperature blocks in groups, each column of a
-group in one _e12 call, and writes every row of a group from one buffer.
+_write_blocks formats each column once per group of temperature blocks, in
+its own shape (_e12), and writes every row of a group from one buffer.
 The files are overwritten in place and cut only if they were longer, so an
 interrupted write leaves new rows over old ones rather than a short file;
 only the exit code tells that a file is complete.
@@ -224,15 +224,17 @@ def _eval_chunk(sys_obj, omegas):
     return entanglement.sweep_weights(sys_obj, omegas)
 
 
-def _sweep_rows(spec: SweepSpec):
-    """Evaluate the sweep grid; returns (omegas, per-T dict of result arrays).
+def _sweep_rows(spec: SweepSpec) -> dict:
+    """Evaluate the sweep grid; returns its columns by name, each
+    broadcastable to (T, n) for the T temperatures and n omegas of spec.
 
-    The grid is checked and solved once, by _eval_chunk.  Every temperature
-    is then evaluated from the same weights in one broadcast over the
-    (temperatures, omegas) array (entanglement._degree): the temperatures
-    were checked by SweepSpec, the commutator, which has no temperature in
-    it, is formed and checked once and shared by every block, and each
-    block has the bits of a sweep at its temperature alone.
+    omega and commutator_sq have shape (n,), temperature (T, 1), and var_u,
+    var_v and degree (T, n), one row per temperature.  The grid is checked
+    and solved once, by _eval_chunk.  Every temperature is then evaluated
+    from the same weights in one broadcast (entanglement._degree): the
+    temperatures were checked by SweepSpec, the commutator, which has no
+    temperature in it, is formed and checked once, and each row has the
+    bits of a sweep at its temperature alone.
     """
     sys_obj = dynamics.build_linear_system(
         spec.params, require_stable=spec.require_stable
@@ -245,14 +247,9 @@ def _sweep_rows(spec: SweepSpec):
         big_omega=spec.params.big_omega,
         kernel=spec.brownian_kernel,
     )
-    out = entanglement._degree(weights, noise, omegas,
-                               np.array(spec.temperatures))
-    return omegas, {
-        temp: {"var_u": out["var_u"][j], "var_v": out["var_v"][j],
-               "commutator_sq": out["commutator_sq"],
-               "degree": out["degree"][j]}
-        for j, temp in enumerate(spec.temperatures)
-    }
+    temps = np.array(spec.temperatures)
+    out = entanglement._degree(weights, noise, omegas, temps)
+    return dict(out, omega=omegas, temperature=temps[:, None])
 
 
 #: Flag columns (entangled, epr) by level (degree < 1) + (degree < 1/4).
@@ -365,16 +362,19 @@ _FORMAT_ROWS = 2 ** 15
 _WRITE_ROWS = 2048
 
 
-def _group_rows(columns, sep, omegas, group):
-    """Yield each temperature block of group, a {temperature: results}
-    dict, as the rows of one (n, width) uint8 buffer, refilled per block.
+def _group_rows(columns, sep, group):
+    """Yield each temperature block of group, the sweep columns cut to k
+    temperatures (see _sweep_rows), as the rows of one (n, width) uint8
+    buffer, refilled per block.
 
-    Each column is formatted by one _e12 call: once if its values have the
-    same bytes at every temperature of the group (omega, commutator_sq),
-    else for all the blocks at once.  Their widths give the row layout: a
-    NUL-padded slot per numeric column, each followed by sep (written once
-    per group), and the flag tail in place of the last sep.  degree_clipped
-    is the bytes of degree with those of 1.0 over the rows where degree >= 1.
+    Each column is formatted by one _e12 call in its own shape: n values for
+    omega and commutator_sq, k for temperature and k * n for var_u, var_v
+    and degree; the texts are broadcast to (k, n), and those of a column of
+    shape (n,) are stored into the buffer once.  Their widths give the row
+    layout: a NUL-padded slot per numeric column, each followed by sep
+    (written once per group), and the flag tail in place of the last sep.
+    degree_clipped is the bytes of degree with those of 1.0 over the rows
+    where degree >= 1.
     """
     numeric = [c for c in columns if c not in _FLAG_COLUMNS]
     flags = [_FLAG_COLUMNS.index(c) for c in columns if c in _FLAG_COLUMNS]
@@ -384,22 +384,13 @@ def _group_rows(columns, sep, omegas, group):
     ])
     tails = tails.view(f"V{tails.itemsize}")
     source = {c: "degree" if c == "degree_clipped" else c for c in numeric}
-    k, n = len(group), omegas.size
+    k, n = len(group["temperature"]), group["omega"].size
     texts = {}
     for src in dict.fromkeys(source.values()):
-        if src == "temperature":
-            x, shape = np.array(list(group), dtype=float), (k, 1)
-        else:
-            x = np.concatenate([omegas] if src == "omega" else
-                               [res[src] for res in group.values()], dtype=float)
-            bits = x.view(np.int64).reshape(-1, n)
-            # Compared as bits: -0.0 == 0.0, but their texts differ.
-            if (bits == bits[0]).all():
-                x = x[:n]
-            shape = (x.size // n, n)
-        fields = _e12(x)
+        x = group[src]
+        fields = _e12(x.ravel())
         texts[src] = np.broadcast_to(
-            fields.view(f"V{fields.shape[1]}").reshape(shape), (k, n))
+            fields.view(f"V{fields.shape[1]}").reshape(x.shape), (k, n))
     layout = [texts[src].itemsize for src in source.values()]
     ends = np.cumsum(layout) + np.arange(len(layout))
     row = np.dtype({
@@ -410,8 +401,7 @@ def _group_rows(columns, sep, omegas, group):
     })
     buf = np.full((n, row.itemsize), ord(sep), np.uint8)
     rows = buf.view(row)[:, 0]
-    for j, res in enumerate(group.values()):
-        degree = res["degree"]
+    for j, degree in enumerate(group["degree"]):
         for c, src in source.items():
             if j and not texts[src].strides[0]:
                 continue        # buf holds these texts already
@@ -424,31 +414,32 @@ def _group_rows(columns, sep, omegas, group):
         yield buf
 
 
-def _write_blocks(path, columns, omegas, results, sep, head=b"", gap=b""):
-    """Write head, then the rows of every temperature of results; gap goes
-    between two temperature blocks.
+def _write_blocks(path, columns, results, sep, head=b"", gap=b""):
+    """Write head, then the rows of every temperature of results, the sweep
+    columns of _sweep_rows; gap goes between two temperature blocks.
 
     A row is the "%.12e" text of each numeric column (degree_clipped is
     min(degree, 1)) joined by sep, then the flag columns and a newline.
     Groups of whole blocks of at most _FORMAT_ROWS rows (a longer block
-    alone) are formatted one after another (_group_rows), and each block is
-    written with its NUL bytes removed, _WRITE_ROWS rows at a time.
+    alone), cut from the 2-D columns by one slice each, are formatted one
+    after another (_group_rows), and each block is written with its NUL
+    bytes removed, _WRITE_ROWS rows at a time.
 
     The file is overwritten in place: opened without truncation, and cut to
     the written length only if it was longer.  Rewriting an existing file
     then reuses its blocks instead of freeing and allocating them again.
     """
-    temps = list(results)
-    per_group = max(1, _FORMAT_ROWS // omegas.size)
+    per_group = max(1, _FORMAT_ROWS // results["omega"].size)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         old_size = os.fstat(f.fileno()).st_size
         f.write(head)
-        for g in range(0, len(temps), per_group):
-            group = {temp: results[temp] for temp in temps[g:g + per_group]}
-            for j, buf in enumerate(_group_rows(columns, sep, omegas, group)):
+        for g in range(0, len(results["temperature"]), per_group):
+            group = {c: x[g:g + per_group] if np.ndim(x) == 2 else x
+                     for c, x in results.items()}
+            for j, buf in enumerate(_group_rows(columns, sep, group)):
                 if g or j:
                     f.write(gap)
-                for i in range(0, omegas.size, _WRITE_ROWS):
+                for i in range(0, len(buf), _WRITE_ROWS):
                     f.write(buf[i:i + _WRITE_ROWS].tobytes().replace(b"\0", b""))
         if f.tell() < old_size:
             f.truncate()
@@ -482,8 +473,8 @@ def _bands(omegas, degree):
 def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
     """Run the sweep and write sweep.csv, summary.json and optionally
     sweep.grid (gnuplot block format).  Returns the summary dict."""
-    omegas, results = _sweep_rows(spec)
-    degree = np.array([res["degree"] for res in results.values()])
+    results = _sweep_rows(spec)
+    omegas, degree = results["omega"], results["degree"]
     imin = np.argmin(degree, axis=1)
     summary = {"temperatures": [
         {
@@ -494,21 +485,21 @@ def run_sweep(spec: SweepSpec, out_dir, emit_grid: bool = False) -> dict:
             "epr_bands": epr,
         }
         for temp, min_degree, argmin_omega, (entangled, epr) in zip(
-            results, degree[np.arange(imin.size), imin].tolist(),
+            results["temperature"].ravel().tolist(),
+            degree[np.arange(imin.size), imin].tolist(),
             omegas[imin].tolist(), _bands(omegas, degree))
     ]}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = CSV_COLUMNS if spec.emit_components else CSV_COLUMNS_BARE
-    _write_blocks(out / "sweep.csv", columns, omegas, results, ",",
+    _write_blocks(out / "sweep.csv", columns, results, ",",
                   head=",".join(columns).encode() + b"\n")
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if emit_grid:
-        _write_blocks(out / "sweep.grid", _GRID_COLUMNS, omegas, results, " ",
-                      gap=b"\n")
+        _write_blocks(out / "sweep.grid", _GRID_COLUMNS, results, " ", gap=b"\n")
     return summary
 
 

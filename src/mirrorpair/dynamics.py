@@ -329,6 +329,11 @@ class NoiseModel:
 def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
     """M(omega) = (-i omega I - A)^{-1} B, mapping noise inputs to the state.
 
+    One dense 10x10 LU solve: its rows hold about eps * cond(-i omega - A),
+    the weaker reference near a resonance.  At the Fig. 2 point at omega =
+    Omega (cond 4.3e7) its u and d rows are off a 40-digit solve by 1.0e-11
+    and 3.6e-10 of their norm, selected_transfer_rows' by <= 1.5e-16.
+
     omega is one real number under the value rule of frequency_grid
     (_frequency); anything else raises InvalidParameterError.
     """
@@ -750,6 +755,8 @@ def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.nd
     A and B are real, M(-omega) is the conjugate of M(omega) and S is Hermitian
     positive semidefinite whenever D is.  omega has the input contract of
     transfer_matrix, which checks it before anything else is evaluated.
+    Built on the dense transfer_matrix, it holds about
+    eps * cond(-i omega - A) too and is the weaker reference near a resonance.
     """
     m_plus = transfer_matrix(sys, omega)
     m_minus = transfer_matrix(sys, -omega)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -394,13 +395,22 @@ class TestSweepKernel:
                          omega_max=1e2 * params.big_omega, omega_count=700,
                          omega_spacing="log", temperatures=(0.0, 0.1, 300.0),
                          brownian_kernel=kernel)
-        omegas, results = _sweep_rows(spec)
+        cols = _sweep_rows(spec)
+        omegas, k = cols["omega"], len(spec.temperatures)
+        assert np.array_equal(omegas, spec.omega_grid())
+        assert np.array_equal(cols["temperature"],
+                              np.reshape(spec.temperatures, (k, 1)))
+        shapes = {c: np.shape(x) for c, x in cols.items()}
+        assert shapes == {"omega": (700,), "temperature": (k, 1),
+                          "commutator_sq": (700,), "var_u": (k, 700),
+                          "var_v": (k, 700), "degree": (k, 700)}
         sys = build_linear_system(params)
-        for temp in spec.temperatures:
+        for j, temp in enumerate(spec.temperatures):
             noise = NoiseModel(temp, params.big_gamma, params.big_omega, kernel)
             want = degree_sweep(sys, noise, omegas)
             for key, values in want.items():
-                assert np.array_equal(results[temp][key], values), (temp, key)
+                got = np.broadcast_to(cols[key], (k, omegas.size))[j]
+                assert np.array_equal(got, values), (temp, key)
 
     @pytest.mark.parametrize("kernel", ["corrected", "halved"])
     def test_multi_temperature_rows_equal_one_temperature_sweeps(
@@ -592,8 +602,12 @@ def _tie_neighbours(values):
         yield shifted
 
 
-def _reference_sweep_files(columns, omegas, results):
-    """sweep.csv and sweep.grid as the per-row %-template writer made them."""
+def _reference_sweep_files(columns, results):
+    """sweep.csv and sweep.grid as the per-row %-template writer made them,
+    from the sweep columns results (see cli._sweep_rows)."""
+    omegas = results["omega"]
+    temps = results["temperature"].ravel()
+
     def block(cols, temp, res, sep):
         templates = [
             sep.join({"temperature": "%.12e" % temp, "entangled": entangled,
@@ -609,7 +623,9 @@ def _reference_sweep_files(columns, omegas, results):
 
     lines = [",".join(columns)]
     blocks = []
-    for temp, res in results.items():
+    for j, temp in enumerate(temps.tolist()):
+        res = {c: np.broadcast_to(results[c], (temps.size, omegas.size))[j]
+               for c in ("var_u", "var_v", "commutator_sq", "degree")}
         lines.extend(block(columns, temp, res, ","))
         blocks.append("\n".join(
             block(("omega", "temperature", "degree_clipped"), temp, res, " ")))
@@ -617,39 +633,45 @@ def _reference_sweep_files(columns, omegas, results):
 
 
 def _random_results():
-    """Random rows with values whose %.12e is not 18 characters long
-    (negative, tiny, huge, inf, nan), and 0, at 0.1 K.  commutator_sq changes in one place between the temperatures,
-    so its reused bytes must be formatted again."""
+    """Sweep columns at 0, 0.1 and 4 K with values whose %.12e is not 18
+    characters long (negative, tiny, huge, inf, nan), and 0, at 0.1 K.
+    commutator_sq changes in one place between the temperatures, so it is a
+    (T, n) column, formatted per temperature."""
     rng = np.random.default_rng(5)
     n = 40
-    omegas = np.linspace(0.5e5, 1.5e5, n)
-    results = {}
-    for temp in (0.0, 0.1, 4.0):
+    temps = (0.0, 0.1, 4.0)
+    draws = []
+    for _ in temps:
         res = {k: 10.0 ** rng.uniform(-3, 3, n)
                for k in ("var_u", "var_v", "commutator_sq", "degree")}
-        res["commutator_sq"] = np.full(n, 0.7)
         res["degree"][::3] = rng.uniform(0.0, 0.3, res["degree"][::3].size)
-        results[temp] = res
-    results[4.0]["commutator_sq"][7] = 0.9
-    odd = results[0.1]
-    odd["var_u"][[1, 2]] = (-2.5, 0.0)
-    odd["var_v"][[3, 4, 5]] = (1e-120, 9.999999999999998e99, 1e100)
-    odd["commutator_sq"][6] = np.inf
-    odd["degree"][[8, 9, 10, 11]] = (np.nan, 0.0, -0.5, 1e300)
-    results[4.0]["degree"][12] = 5e-324
-    return omegas, results
+        draws.append(res)
+    cols = {c: np.array([res[c] for res in draws])
+            for c in ("var_u", "var_v", "degree")}
+    cols.update(omega=np.linspace(0.5e5, 1.5e5, n),
+                temperature=np.reshape(temps, (3, 1)),
+                commutator_sq=np.full((3, n), 0.7))
+    cols["commutator_sq"][2, 7] = 0.9
+    cols["var_u"][1, [1, 2]] = (-2.5, 0.0)
+    cols["var_v"][1, [3, 4, 5]] = (1e-120, 9.999999999999998e99, 1e100)
+    cols["commutator_sq"][1, 6] = np.inf
+    cols["degree"][1, [8, 9, 10, 11]] = (np.nan, 0.0, -0.5, 1e300)
+    cols["degree"][2, 12] = 5e-324
+    return cols
 
 
 def _flag_boundary_results():
-    """degree at, and one ulp below, both flag thresholds.  Every field is
-    18 characters at 0.1 K; at 4 K var_u is negative, and at 1e100 K the
-    temperature field is 19 characters, so there every row is longer."""
+    """Sweep columns with degree at, and one ulp below, both flag
+    thresholds.  Every field is 18 characters at 0.1 K; at 4 K var_u is
+    negative, and at 1e100 K the temperature field is 19 characters, so
+    there every row is longer."""
     omegas = np.array([0.9e5, 1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5])
     degree = np.array([0.1, 0.25, 0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
                        np.nextafter(0.25, 0.0)])
-    res = {"var_u": omegas * 1e-3, "var_v": 1.0 / omegas,
-           "commutator_sq": np.full(7, np.pi), "degree": degree}
-    return omegas, {0.1: res, 4.0: dict(res, var_u=-res["var_u"]), 1e100: res}
+    return {"omega": omegas, "temperature": np.array([[0.1], [4.0], [1e100]]),
+            "var_u": np.outer([1.0, -1.0, 1.0], omegas * 1e-3),
+            "var_v": np.tile(1.0 / omegas, (3, 1)),
+            "commutator_sq": np.full(7, np.pi), "degree": np.tile(degree, (3, 1))}
 
 
 # Any float, with the ends of the double range, the flag thresholds and
@@ -665,44 +687,43 @@ _ANY_FLOAT = st.one_of(
 
 @st.composite
 def _any_results(draw):
-    """Results of 2 to 4 temperatures (any floats, NaN included) over a
-    common omega column; commutator_sq is shared between the temperatures
-    in some examples, so that its reused bytes are exercised too."""
+    """Sweep columns of 2 to 4 temperatures (any floats, NaN included) over
+    a common omega column; commutator_sq is an (n,) column, formatted once
+    for every temperature, in some examples and a (T, n) one in others."""
     n = draw(st.integers(1, 12))
     column = st.lists(_ANY_FLOAT, min_size=n, max_size=n).map(np.array)
     temps = draw(st.lists(_ANY_FLOAT, min_size=2, max_size=4, unique=True))
-    shared = draw(column) if draw(st.booleans()) else None
-    results = {
-        temp: {"var_u": draw(column), "var_v": draw(column),
-               "commutator_sq": draw(column) if shared is None else shared,
-               "degree": draw(column)}
-        for temp in temps
-    }
-    return draw(column), results
+
+    def per_temperature():
+        return np.array([draw(column) for _ in temps])
+
+    shared = draw(st.booleans())
+    return {"temperature": np.reshape(temps, (-1, 1)),
+            "var_u": per_temperature(), "var_v": per_temperature(),
+            "commutator_sq": draw(column) if shared else per_temperature(),
+            "degree": per_temperature(), "omega": draw(column)}
 
 
 class TestByteWriter:
     @settings(max_examples=100, deadline=None)
     @given(data=_any_results(), components=st.booleans())
-    @example(data=(np.ones(2), {  # equal as numbers, not as text
-        0.0: {"var_u": np.ones(2), "var_v": np.ones(2),
-              "commutator_sq": np.zeros(2), "degree": np.zeros(2)},
-        1.0: {"var_u": np.ones(2), "var_v": np.ones(2),
-              "commutator_sq": -np.zeros(2), "degree": -np.zeros(2)},
-    }), components=True)
+    @example(data={  # rows equal as numbers, not as text
+        "omega": np.ones(2), "temperature": np.array([[0.0], [1.0]]),
+        "var_u": np.ones((2, 2)), "var_v": np.ones((2, 2)),
+        "commutator_sq": np.array([[0.0, 0.0], [-0.0, -0.0]]),
+        "degree": np.array([[0.0, 0.0], [-0.0, -0.0]]),
+    }, components=True)
     def test_whole_files_match_the_row_templates(self, data, components):
-        omegas, results = data
         spec = SweepSpec(params=fig2_params(), omega_min=1e5, omega_max=2e5,
                          omega_count=1, emit_components=components)
         columns = CSV_COLUMNS if components else CSV_COLUMNS_BARE
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as mp:
-            mp.setattr("mirrorpair.cli._sweep_rows",
-                       lambda spec: (omegas, results))
+            mp.setattr("mirrorpair.cli._sweep_rows", lambda spec: data)
             run_sweep(spec, tmp, emit_grid=True)
             csv = (Path(tmp) / "sweep.csv").read_bytes()
             grid = (Path(tmp) / "sweep.grid").read_bytes()
-        assert (csv, grid) == _reference_sweep_files(columns, omegas, results)
+        assert (csv, grid) == _reference_sweep_files(columns, data)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
@@ -822,10 +843,10 @@ class TestByteWriter:
                          omega_max=1e2 * params.big_omega, omega_count=1000,
                          omega_spacing="log",
                          temperatures=(0.01, 0.3, 10.0, 300.0))
-        omegas, results = _sweep_rows(spec)
-        values = np.concatenate([omegas] + [
-            res[c] for res in results.values()
-            for c in ("var_u", "var_v", "commutator_sq", "degree")])
+        cols = _sweep_rows(spec)
+        values = np.concatenate([
+            np.ravel(cols[c]) for c in
+            ("omega", "var_u", "var_v", "commutator_sq", "degree")])
         assert values.size >= 10 ** 4
         assert values.min() < 1e-30 and values.max() > 1e16
         _assert_e12_exact(values)
@@ -842,15 +863,15 @@ class TestByteWriter:
                                                      results_of, components):
         # Texts of every length, beside 18-character ones, must match the
         # per-row template, flags included.
-        omegas, results = results_of()
+        results = results_of()
+        omegas = results["omega"]
         spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
                          omega_max=omegas[-1], omega_count=omegas.size,
                          emit_components=components)
-        monkeypatch.setattr("mirrorpair.cli._sweep_rows",
-                            lambda spec: (omegas, results))
+        monkeypatch.setattr("mirrorpair.cli._sweep_rows", lambda spec: results)
         run_sweep(spec, tmp_path, emit_grid=True)
         columns = CSV_COLUMNS if components else CSV_COLUMNS_BARE
-        csv, grid = _reference_sweep_files(columns, omegas, results)
+        csv, grid = _reference_sweep_files(columns, results)
         assert (tmp_path / "sweep.csv").read_bytes() == csv
         assert (tmp_path / "sweep.grid").read_bytes() == grid
 
@@ -868,16 +889,50 @@ class TestWriterPieces:
                                             rows, batch):
         # Writes of a few rows and _e12 calls of one or many columns give
         # the bytes of the per-row templates.
-        omegas, results = _random_results()
+        results = _random_results()
+        omegas = results["omega"]
         monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
         monkeypatch.setattr(cli, "_FORMAT_ROWS", batch)
-        monkeypatch.setattr(cli, "_sweep_rows", lambda spec: (omegas, results))
+        monkeypatch.setattr(cli, "_sweep_rows", lambda spec: results)
         spec = SweepSpec(params=fig2_params(), omega_min=omegas[0],
                          omega_max=omegas[-1], omega_count=omegas.size)
         run_sweep(spec, tmp_path, emit_grid=True)
-        csv, grid = _reference_sweep_files(CSV_COLUMNS, omegas, results)
+        csv, grid = _reference_sweep_files(CSV_COLUMNS, results)
         assert (tmp_path / "sweep.csv").read_bytes() == csv
         assert (tmp_path / "sweep.grid").read_bytes() == grid
+
+    @pytest.mark.parametrize("temps,format_rows,groups", [
+        (3, None, [3]),             # the default groups: one
+        (40, 32 * 50, [32, 8]),
+    ])
+    def test_each_column_is_formatted_in_its_own_shape(
+            self, tmp_path, monkeypatch, temps, format_rows, groups):
+        # Per group of k temperature blocks of n rows, omega and
+        # commutator_sq go to _e12 once with n values, temperature with k
+        # and var_u, var_v and degree with k * n, in the order of the
+        # columns; degree_clipped reuses the texts of degree.
+        n = 50
+        params = fig2_params()
+        spec = SweepSpec(params=params, omega_min=0.5 * params.big_omega,
+                         omega_max=1.5 * params.big_omega, omega_count=n,
+                         temperatures=np.geomspace(0.01, 300.0, temps))
+        if format_rows is not None:
+            monkeypatch.setattr(cli, "_FORMAT_ROWS", format_rows)
+        calls = []
+        e12 = cli._e12
+        monkeypatch.setattr(cli, "_e12",
+                            lambda x: calls.append(np.array(x)) or e12(x))
+        run_sweep(spec, tmp_path)
+        assert [x.size for x in calls] == [
+            size for k in groups for size in (n, k, k * n, k * n, n, k * n)]
+        cols = _sweep_rows(spec)
+        starts = np.cumsum([0, *groups])
+        want = [
+            np.ravel(cols[c][lo:hi] if np.ndim(cols[c]) == 2 else cols[c])
+            for lo, hi in zip(starts, starts[1:])
+            for c in ("omega", "temperature", "var_u", "var_v",
+                      "commutator_sq", "degree")]
+        assert all(np.array_equal(got, x) for got, x in zip(calls, want))
 
     def test_peak_memory_does_not_grow_with_the_groups(self, tmp_path,
                                                        monkeypatch):
@@ -890,13 +945,15 @@ class TestWriterPieces:
         peaks = []
         for blocks in (8, 40):
             results = {
-                float(t): {k: 10.0 ** rng.uniform(-3, 3, n) for k in
-                           ("var_u", "var_v", "commutator_sq", "degree")}
-                for t in range(1, blocks + 1)}
+                k: 10.0 ** rng.uniform(-3, 3, (blocks, n)) for k in
+                ("var_u", "var_v", "commutator_sq", "degree")}
+            results.update(
+                omega=omegas,
+                temperature=np.arange(1.0, blocks + 1).reshape(-1, 1))
             tracemalloc.start()
             try:
                 cli._write_blocks(tmp_path / "sweep.csv", CSV_COLUMNS,
-                                  omegas, results, ",")
+                                  results, ",")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -956,13 +1013,28 @@ class TestRewriteInPlace:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
 
-    def test_read_only_csv_exits_2(self, tmp_path, capsys):
+    # refusal: a read-only file (no refusal for root), or an os.open that
+    # refuses the CSV path, as it does for any user without write access.
+    @pytest.mark.parametrize("refusal", ["chmod", "os.open"])
+    def test_read_only_csv_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   refusal):
         csv = tmp_path / "out" / "sweep.csv"
         csv.parent.mkdir()
         csv.write_bytes(b"old rows\n")
-        csv.chmod(0o444)
-        if os.access(csv, os.W_OK):
-            pytest.skip("this user may write a read-only file (root)")
+        if refusal == "chmod":
+            csv.chmod(0o444)
+            if os.access(csv, os.W_OK):
+                pytest.skip("this user may write a read-only file (root)")
+        else:
+            real_open = os.open
+
+            def refuse(path, *args, **kwargs):
+                if Path(path) == csv:
+                    raise PermissionError(errno.EACCES,
+                                          os.strerror(errno.EACCES), str(path))
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
         code, err = self._sweep_exit(tmp_path, capsys)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -1161,9 +1233,8 @@ class TestClaimSweeps:
         # grid; any RuntimeWarning fails the suite.
         spec = SweepSpec(params=fig2_params(p_in_b=5e-11), omega_min=99000.0,
                          omega_max=101000.0, omega_count=600)
-        _, results = _sweep_rows(spec)
-        for res in results.values():
-            assert all(np.isfinite(v).all() for v in res.values())
+        cols = _sweep_rows(spec)
+        assert all(np.isfinite(v).all() for v in cols.values())
 
     def test_degree_sweep_memory_is_bounded(self):
         # A sweep's memory is its (4, 3, n) weights and their forms: 2e5
