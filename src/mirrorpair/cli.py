@@ -220,8 +220,9 @@ _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"params"}
 
 
 def _eval_chunk(sys_obj, omegas):
-    """The weights of the whole grid, one call per sweep (sweep_weights)."""
-    return entanglement.sweep_weights(sys_obj, omegas)
+    """The six temperature-free planes of the whole grid, checked once, one
+    call per sweep (entanglement._planes)."""
+    return entanglement._planes(sys_obj, dynamics.frequency_grid(omegas))
 
 
 def _sweep_rows(spec: SweepSpec) -> dict:
@@ -231,7 +232,7 @@ def _sweep_rows(spec: SweepSpec) -> dict:
     omega and commutator_sq have shape (n,), temperature (T, 1), and var_u,
     var_v and degree (T, n), one row per temperature.  The grid is checked
     and solved once, by _eval_chunk.  Every temperature is then evaluated
-    from the same weights in one broadcast (entanglement._degree): the
+    from the same planes in one broadcast (entanglement._degree): the
     temperatures were checked by SweepSpec, the commutator, which has no
     temperature in it, is formed and checked once, and each row has the
     bits of a sweep at its temperature alone.
@@ -240,7 +241,7 @@ def _sweep_rows(spec: SweepSpec) -> dict:
         spec.params, require_stable=spec.require_stable
     )
     omegas = spec.omega_grid()
-    weights = _eval_chunk(sys_obj, omegas)
+    planes = _eval_chunk(sys_obj, omegas)
     noise = dynamics.NoiseModel(
         temperature=spec.temperatures[0],
         big_gamma=spec.params.big_gamma,
@@ -248,7 +249,7 @@ def _sweep_rows(spec: SweepSpec) -> dict:
         kernel=spec.brownian_kernel,
     )
     temps = np.array(spec.temperatures)
-    out = entanglement._degree(weights, noise, omegas, temps)
+    out = entanglement._degree(planes, noise, omegas, temps)
     return dict(out, omega=omegas, temperature=temps[:, None])
 
 

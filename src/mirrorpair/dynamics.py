@@ -126,9 +126,7 @@ def build_linear_system(
     """
     sys = LinearSystem(params)
     if require_stable:
-        eigenvalues = np.linalg.eigvals(sys.drift)
-        if not eigenvalues.real.max() < 0.0:
-            raise DriftUnstableError(eigenvalues)
+        _require_stable(sys)
     return sys
 
 
@@ -182,6 +180,14 @@ def stability_margin(sys: LinearSystem) -> float:
 
 def is_stable(sys: LinearSystem) -> bool:
     return stability_margin(sys) < 0.0
+
+
+def _require_stable(sys: LinearSystem):
+    """Raise DriftUnstableError, carrying the drift's eigenvalues, unless
+    every real part is negative; the eigenvalues are computed once."""
+    eigenvalues = np.linalg.eigvals(sys.drift)
+    if not eigenvalues.real.max() < 0.0:
+        raise DriftUnstableError(eigenvalues)
 
 
 def _wcoth(w, temperature):
@@ -255,7 +261,7 @@ class NoiseModel:
 
         Equal to 2 * pref * omega * coth(hbar omega / 2 kB T), and to
         2 * pref * |omega| at T = 0.  This is the only temperature-dependent
-        input of Var(u) and Var(v) (see entanglement.sweep_weights).
+        input of Var(u) and Var(v) (see entanglement._planes).
         """
         out = self._symmetrized(omega, self.temperature)
         return out if out.shape else float(out)
@@ -382,20 +388,19 @@ def frequency_grid(omegas) -> np.ndarray:
     return np.atleast_1d(w.astype(float, copy=False))
 
 
-#: Frequencies per piece of a sweep (entanglement.sweep_weights) and of a
+#: Frequencies per piece of a sweep (entanglement._planes) and of a
 #: readout spectrum.  The pieces bound the memory of the adjoint solve of
 #: readout.output_spectrum_via_transfer: on 2e5 omega its tracemalloc peak
 #: was 3.2 MB in pieces and 154 MB in one piece.  At the Fig. 2 point
 #: (medians of 35 interleaved calls, two runs, 2-core x86-64 VM) the two
 #: via-transfer spectra on 8000 omega took 10.5-12.6 ms in pieces of 2048
 #: and 12.4-14.2 ms in pieces of 4096 or in one piece.  The sweep holds a
-#: few real arrays per omega.  On 10^4 omega one batch of
-#: entanglement._position_weights took 0.7 ms against 1.1 ms in pieces;
-#: on 2e5 omega the pieces took 25-26 ms against 31-34 ms for one batch,
-#: with a tracemalloc peak of 20 MB against 38 MB (medians of 60 and 15
-#: interleaved calls, three runs).  A sweep may ask for cli.MAX_SWEEP_ROWS
-#: = 10^6 frequencies, so the pieces stay, for the large grids, and the
-#: piece stays at 2048.
+#: few real arrays per omega.  The six planes of entanglement._planes took
+#: 1.0 ms on 10^4 omega in pieces and in one batch alike; on 2e5 omega the
+#: pieces took 12 ms against 22 ms for one batch, with a tracemalloc peak
+#: of 10 MB against 38 MB (medians of 60 and 15 calls, same VM).  A sweep
+#: may ask for cli.MAX_SWEEP_ROWS = 10^6 frequencies, so the pieces stay,
+#: for the large grids, and the piece stays at 2048.
 CHUNK = 2048
 
 
@@ -493,7 +498,7 @@ def susceptibility_rows(sys: LinearSystem, w):
 
 def _row_factors(sys, w):
     """The real factors of the model's u and d rows (susceptibility_rows)
-    that every sweep weight and readout spectrum is made of, per omega.
+    that every sweep plane and readout spectrum is made of, per omega.
 
     Returns (u2, v2, ent, meter, twist), each of shape (n,):
 

@@ -62,97 +62,57 @@ SYMPLECTIC_FORM = np.array([
 ])
 
 
-def sweep_weights(sys: LinearSystem, omegas) -> np.ndarray:
-    """Temperature-independent reduction of the transfer rows behind E(omega).
+def _planes(sys, w):
+    """The six temperature-free planes of E(omega) on the checked grid w,
+    shape (6, n): x_u, x_v, a_u, a_v, xi, pairs, formed in CHUNK pieces
+    (dynamics._by_piece) from the real factors of the model's u and
+    d = q1 - q2 rows (dynamics._row_factors).  With S_sym the symmetrized
+    Brownian spectrum at temperature T (NoiseModel._form_real and
+    _form_imag),
 
-    The grid is checked once and evaluated in order, in the ceil(n / CHUNK)
-    pieces of np.array_split (dynamics._by_piece).  For rows
-    r = c^T M(omega) at +omega (the rows at -omega are their conjugates
-    because A and B are real) and
-    F(r_i, r_j) = NoiseModel.form(omega, *noise_weights(r_i, r_j)),
+        Var(u) = S_sym/2 x_u + a_u,  Var(v) = S_sym/2 x_v + a_v,
+        <[R_q1, R_p1]> = i (pref omega xi + pairs).
 
-        Var(u) = Re F(u, u) / 2,  Var(v) = Re F(v, v) / 2,
-        <[R_q1, R_p1]> = i Im F(q1, p1).
-
-    The weights are formed in closed form from the real factors of the
-    model's u and d = q1 - q2 rows (_position_weights), with no row and no
-    sum over channels; noise_weights of dynamics.susceptibility_rows gives
-    the same to rounding.
-
-    Returns the weights of the pairs (u, u), (v, v) and (q1, p1), the pieces
-    joined: shape (4, 3, n), in the order of noise_weights.
-    """
-    return _sweep_weights(sys, frequency_grid(omegas))
-
-
-def _sweep_weights(sys, w):
-    """sweep_weights on a checked grid w."""
-    return _by_piece(lambda piece: _position_weights(sys, piece), w)
-
-
-def _position_weights(sys, w):
-    """The sweep weights of the model from the real factors of its u and d
-    rows (dynamics._row_factors), by the q-row identity.
-
-    Row q_j of the model's drift is Omega at p_j and nothing else, and no
-    noise enters q_j, so p_j = (-i omega / Omega) q_j at every omega.  With
+    No noise enters q_j and its drift row is Omega at p_j alone, so with
     rho = omega / Omega the momentum rows are v = -i rho d and
-    p1 = -i rho q1, q1 = (u + d) / 2.  So the weights of (v, v) are rho^2
-    times those of (d, d).  Those of (q1, p1) close over q1 alone:
-    q1 conj(p1) = i rho |q1|^2 per channel, so xi_real and vacuum are 0,
-    xi_imag is rho times the Brownian sum of |q1|^2, and pairs is
-    -2 rho sum_pairs Im(q1_X conj q1_Y).  In the factors u2, v2, ent, meter
-    and twist of _row_factors:
+    p1 = -i rho q1, q1 = (u + d) / 2.  In the factors of _row_factors:
 
-        (u, u):   xi_real = 2 u2,  vacuum = 2 u2 meter
-        (d, d):   xi_real = 2 v2,  vacuum = 2 v2 meter + ent
-        (q1, p1): xi_imag = rho (u2 + v2) / 2,  pairs = -rho twist / 2
+        x_u = u2,         a_u = u2 meter,
+        x_v = v2 rho^2,   a_v = (2 v2 meter + ent) rho^2 / 2,
+        xi = rho (u2 + v2) / 2,  pairs = -rho twist / 2.
 
-    The Brownian entries of q1 are (u + d)/2 and (u - d)/2 of the common
-    entries of u and d, whose cross terms cancel in the sum, and its meter
-    pairs have no Y entry, so only the entangler pair is left in pairs.
+    The cross terms of u and d cancel in xi, and of the vacuum pairs of q1
+    only the entangler's has a Y entry.
     """
-    u2, v2, ent, meter, twist = _row_factors(sys, w)
-    rho = w / sys.params.big_omega
-    out = np.zeros((4, 3, w.size))
-    out[0, 0], out[0, 1] = 2.0 * u2, 2.0 * v2
-    out[2, 0], out[2, 1] = out[0, 0] * meter, out[0, 1] * meter + ent
-    out[:, 1] *= rho * rho
-    out[1, 2] = 0.5 * rho * (u2 + v2)
-    out[3, 2] = -0.5 * rho * twist
-    return out
+    def planes(w):
+        u2, v2, ent, meter, twist = _row_factors(sys, w)
+        rho = w / sys.params.big_omega
+        rho2 = rho * rho
+        a_v = 0.5 * ((2.0 * v2 * meter + ent) * rho2)
+        return (u2, v2 * rho2, u2 * meter, a_v,
+                0.5 * rho * (u2 + v2), -0.5 * rho * twist)
+
+    return _by_piece(planes, w)
 
 
-def degree_from_weights(weights, noise: NoiseModel, omegas) -> dict:
-    """E(omega) and its ingredients from sweep_weights(sys, omegas).
-
-    O(n) per noise model: a sweep solves once and evaluates its
-    temperatures from the same weights.  Returns the dict of degree_sweep.
-    """
-    return _degree(weights, noise, frequency_grid(omegas))
-
-
-def _degree(weights, noise, w, temperatures=None):
-    """degree_from_weights on a checked grid w, at noise.temperature or, in
-    its place, at each of a (k,) array of temperatures in one broadcast.
+def _degree(planes, noise, w, temperatures):
+    """E(omega) and its ingredients from _planes(sys, w) at each of a float
+    or a (k,) array of temperatures, in one broadcast.
 
     The commutator has no temperature in it, so it is formed and checked
     once: commutator_sq has shape (n,) either way, and var_u, var_v and
     degree have shape (n,) at one temperature and (k, n) at k, one row per
     temperature with the bits of a call at that temperature alone.
     """
-    xi_real, xi_imag, vacuum, pairs = weights
     # <[R_q1, R_p1]>: the closed-form antisymmetric part keeps it exactly
     # temperature independent, with no difference of two thermal forms.
-    comm_sq = noise._form_imag(w, xi_imag[2], pairs[2]) ** 2
+    comm_sq = noise._form_imag(w, planes[4], planes[5]) ** 2
     if np.any(comm_sq == 0.0):
         raise DegenerateCommutatorError(
             "commutator denominator vanished on the grid"
         )
-    if temperatures is None:
-        temperatures = noise.temperature
     t = np.asarray(temperatures, dtype=float)[..., None, None]
-    var = 0.5 * noise._form_real(w, xi_real[:2], vacuum[:2], t)
+    var = noise._form_real(w, planes[:2], planes[2:4], t)
     var_u, var_v = var[..., 0, :], var[..., 1, :]
     return {
         "var_u": var_u,
@@ -166,14 +126,14 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     """E(omega) over a frequency grid, solved as mirrorpair --sweep solves it.
 
     Returns a dict of arrays: var_u, var_v, commutator_sq, degree.  The
-    quadratic forms are built from transfer rows, never from the full
-    transfer matrix, so that the strongly suppressed relative-momentum
-    variance is computed without catastrophic cancellation.  The grid is
-    checked once and evaluated as sweep_weights evaluates it, in CHUNK
-    pieces, in bounded memory.
+    forms are built from the real factors of the model's closed-form u and
+    d rows (_planes), never from a transfer matrix, so that the strongly
+    suppressed relative-momentum variance is computed without catastrophic
+    cancellation.  The grid is checked once and evaluated in CHUNK pieces,
+    in bounded memory.
     """
     w = frequency_grid(omegas)
-    return _degree(_sweep_weights(sys, w), noise, w)
+    return _degree(_planes(sys, w), noise, w, noise.temperature)
 
 
 @dataclass(frozen=True)

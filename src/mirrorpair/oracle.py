@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import N_STATE, LinearSystem, NoiseModel, is_stable
-from .errors import DriftUnstableError, InvalidParameterError
+from .dynamics import N_STATE, LinearSystem, NoiseModel, _require_stable
+from .errors import InvalidParameterError
 from .entanglement import GaussianState
 from .model import check_numbers
 
@@ -116,8 +116,7 @@ def classical_sde_psd(
     high-temperature regime kB T >> hbar Omega where symmetrized quantum and
     classical spectra coincide.
     """
-    if not is_stable(sys):
-        raise DriftUnstableError(np.linalg.eigvals(sys.drift))
+    _require_stable(sys)
     phi, chol = _discretize(sys, noise, run.dt)
 
     n_burn = int(round(run.burn_in / run.dt))

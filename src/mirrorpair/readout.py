@@ -17,11 +17,11 @@ q1 = (u + d) / 2 and q2 = (u - d) / 2 and u, d the model's closed-form rows
 -omega are the conjugates of their values at +omega, so the rows at -omega
 are conj(c(omega)), and every spectrum is the hermitian form
 [c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2: one NoiseModel.form call
-on four weights, the single home of the closed form that the entanglement
-sweep uses as well.  The direct spectra never build the rows: _spectra
-forms the weights of the auto and the cross form of the two currents from
-the real factors of u and d (dynamics._row_factors), in which the two
-auto spectra are one and the cross spectrum is real.
+on four weights.  NoiseModel is the single home of that closed form, and
+the entanglement sweep uses it as well.  The direct spectra never build
+the rows: _spectra forms the weights of the auto and the cross form of the
+two currents from the real factors of u and d (dynamics._row_factors), in
+which the two auto spectra are one and the cross spectrum is real.
 output_spectrum_via_transfer builds the same spectrum from the Y_a rows of
 the adjoint solve and their weights (dynamics.noise_weights) instead, as an
 independent check.

@@ -437,11 +437,11 @@ class TestSweepKernel:
         assert grid == b"\n".join(g for _, _, g in singles)
 
     def test_degenerate_commutator_reaches_cli(self, tmp_path, monkeypatch, capsys):
-        # Weights of a system with no noise input: every form is 0.
+        # Factors of a system with no noise input: every plane is 0.
         def silent(sys, omegas):
-            return np.zeros((4, 3, np.size(omegas)))
+            return (np.zeros(np.size(omegas)),) * 5
 
-        monkeypatch.setattr(entanglement, "sweep_weights", silent)
+        monkeypatch.setattr(entanglement, "_row_factors", silent)
         params = fig2_params()
         spec = SweepSpec(params=params, omega_min=params.big_omega,
                          omega_max=params.big_omega, omega_count=1)
@@ -1237,13 +1237,13 @@ class TestClaimSweeps:
         assert all(np.isfinite(v).all() for v in cols.values())
 
     def test_degree_sweep_memory_is_bounded(self):
-        # A sweep's memory is its (4, 3, n) weights and their forms: 2e5
-        # frequencies peaked at 25.8 MB traced (19.2 MB of weights), since
-        # the weights are formed from five real factors per omega, not from
-        # (2, n, 8) complex rows (one batch of rows peaked at 109 MB), and
-        # each CHUNK piece is stored into one output (keeping the pieces
-        # and joining them peaked at 40.0 MB).  This guards against a sweep
-        # that holds more per omega; the pieces themselves are guarded by
+        # A sweep's memory is its six temperature-free planes, (6, n), and
+        # their forms: 2e5 frequencies peaked at 16.2 MB traced (9.6 MB of
+        # planes), each CHUNK piece stored into one output.  This guards
+        # against a sweep that holds more per omega, such as twelve
+        # (4, 3, n) planes (25.8 MB), pieces kept and then joined, or
+        # (2, n, 8) complex rows in one batch (109 MB).  The pieces are
+        # guarded by
         # test_readout.py::test_transfer_spectrum_memory_is_bounded_by_the_piece.
         params = fig2_params()
         sys_obj = build_linear_system(params)
@@ -1256,4 +1256,4 @@ class TestClaimSweeps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6, peak
+        assert peak < 24e6, peak

@@ -66,17 +66,22 @@ def four_row_forms(sys, noise, w):
 
 
 def row_forms(sys, noise, w):
-    """The sweep weights (4, 3, n), the auto forms of the two oriented
+    """The sweep's six planes (6, n), the auto forms of the two oriented
     currents and their cross form as the forms (noise_weights,
     NoiseModel.form) of the closed-form rows themselves: u and d of
     susceptibility_rows, q1 = (u + d) / 2 with p1 = -i rho q1, and the
-    currents gain q_j +- refl Y_in_j.  Also returns |d_Xb|^2 + |d_Yb|^2."""
+    currents gain q_j +- refl Y_in_j.  The planes of Var(u) and Var(v) are
+    half the weights of (u, u) and (v, v) = rho^2 (d, d), since
+    Var = Re F / 2; xi and pairs are the weights of (q1, p1).  Also returns
+    |d_Xb|^2 + |d_Yb|^2."""
     u, d = susceptibility_rows(sys, w)
     rho = w / sys.params.big_omega
     q1, q2 = 0.5 * (u + d), 0.5 * (u - d)
-    weights = np.stack([np.stack(noise_weights(u, u)),
-                        rho * rho * np.stack(noise_weights(d, d)),
-                        rho * np.stack(noise_weights(q1, -1j * q1))], axis=1)
+    uu, dd = noise_weights(u, u), noise_weights(d, d)
+    _, xi, _, pairs = noise_weights(q1, -1j * q1)
+    planes = np.stack([0.5 * uu[0], 0.5 * (rho * rho * dd[0]),
+                       0.5 * uu[2], 0.5 * (rho * rho * dd[2]),
+                       rho * xi, rho * pairs])
     chan = readout.ReadoutChannel.for_system(sys)
     gain = chan.gain(w)[:, None]
     c1, c2 = gain * q1, gain * q2
@@ -85,7 +90,7 @@ def row_forms(sys, noise, w):
     forms = np.stack([noise.form(w, *noise_weights(a, b))
                       for a, b in ((c1, c1), (c2, c2), (c1, c2))])
     entangler = np.abs(d[:, IXINB]) ** 2 + np.abs(d[:, IYINB]) ** 2
-    return weights, forms, entangler
+    return planes, forms, entangler
 
 
 class TestDegreeSweep:
@@ -177,7 +182,7 @@ class TestDegreeSweep:
             noise = NoiseModel.from_params(params)
             w = np.linspace(0.5, 1.5, 101) * params.big_omega
             degree_sweep(sys, noise, w)
-            entanglement.sweep_weights(sys, w)
+            entanglement._planes(sys, w)
             output_spectrum(sys, noise, w, 1)
             two_channel_spectra(sys, noise, w)
             with pytest.raises(AssertionError, match="no solve"):
@@ -185,31 +190,28 @@ class TestDegreeSweep:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
     def test_sweep_is_the_form_of_its_position_rows(self, fig2, temperature):
-        # The sweep forms its weights from the real factors of the u and d
-        # rows, not from the rows.  Bit for bit: the Brownian weights of
-        # (u, u) and (v, v) are those of the rows (u2 and v2 are the squared
-        # moduli of the rows' own entries), and every weight that the q-row
-        # identity zeroes is 0.  The forms agree with those of the rows to
+        # The sweep forms its planes from the real factors of the u and d
+        # rows, not from the rows.  Bit for bit: the Brownian planes x_u and
+        # x_v are those of the rows (u2 and v2 are the squared moduli of the
+        # rows' own entries).  The forms agree with those of the rows to
         # 8 eps: Var(u) and Var(v) relative to themselves, and the
         # commutator relative to its Brownian and vacuum terms, which cancel
         # near its zero crossings (measured: 3.8 eps and 3.3 eps).
         params, sys = fig2
         noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
         w = hybrid_grid(params.big_omega)
-        weights = entanglement.sweep_weights(sys, w)
+        planes = entanglement._planes(sys, w)
         rows, _, _ = row_forms(sys, noise, w)
-        assert np.array_equal(weights[0, :2], rows[0, :2])
-        assert not weights[[1, 3], :2].any() and not weights[[0, 2], 2].any()
+        assert np.array_equal(planes[:2], rows[:2])
         out = degree_sweep(sys, noise, w)
-        forms = noise.form(w, *rows)
-        want = {"var_u": 0.5 * forms[0].real, "var_v": 0.5 * forms[1].real,
-                "commutator_sq": forms[2].imag ** 2}
+        var = noise._form_real(w, rows[:2], rows[2:4], temperature)
+        want = {"var_u": var[0], "var_v": var[1],
+                "commutator_sq": noise._form_imag(w, rows[4], rows[5]) ** 2}
         eps = np.finfo(float).eps
         for key in ("var_u", "var_v"):
             rel = np.abs(out[key] - want[key]) / want[key]
             assert rel.max() <= 8.0 * eps, (key, rel.max() / eps)
-        terms = (noise.pref * w * np.abs(weights[1, 2])
-                 + np.abs(weights[3, 2]))
+        terms = noise.pref * w * np.abs(planes[4]) + np.abs(planes[5])
         gap = np.abs(np.sqrt(out["commutator_sq"])
                      - np.sqrt(want["commutator_sq"]))
         assert np.all(gap <= 8.0 * eps * terms), (gap / terms).max() / eps
@@ -304,25 +306,25 @@ class TestDegreeSweep:
         params, _ = fig2
         noise = NoiseModel.from_params(params)
         with pytest.raises(DegenerateCommutatorError):
-            entanglement.degree_from_weights(np.zeros((4, 3, 1)), noise,
-                                             [params.big_omega])
+            entanglement._degree(np.zeros((6, 1)), noise,
+                                 np.array([params.big_omega]),
+                                 noise.temperature)
 
 
 @pytest.mark.filterwarnings("ignore:expected entangler coupling")
 class TestRowFactorForms:
-    # The sweep weights and the direct readout spectra are formed from the
+    # The sweep's planes and the direct readout spectra are formed from the
     # five real factors of dynamics._row_factors, never from rows; here
     # they are held to the forms of the rows themselves (row_forms).
-    SUMS = ((0, 0), (2, 0), (0, 1), (2, 1), (1, 2))   # sums of squares
-    ZEROS = ((1, 0), (3, 0), (1, 1), (3, 1), (0, 2), (2, 2))
+    SUMS = (0, 1, 2, 3, 4)      # the planes that are sums of squares
 
     @settings(max_examples=40, deadline=None)
     @given(point=working_points())
     def test_weights_and_spectra_are_the_forms_of_the_rows(self, point):
         # Over the mirror blocks' poles too.  Bounds: 16 eps relative for
-        # every weight that is a sum of squares and for the auto spectra
+        # every plane that is a sum of squares and for the auto spectra
         # (measured over 300 draws: 5.4 eps and 4.0 eps); the (q1, p1)
-        # pairs weight to 4 eps of rho (|d_Xb|^2 + |d_Yb|^2), because the
+        # pairs plane to 4 eps of rho (|d_Xb|^2 + |d_Yb|^2), because the
         # rows' Im(d_Xb conj d_Yb) cancels and the factor does not (0.92
         # eps); the cross spectrum, a difference of the two mirrors' terms,
         # to 16 eps of the auto spectrum that bounds it (3.8 eps; up to
@@ -337,18 +339,16 @@ class TestRowFactorForms:
                             poles[poles > 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = entanglement.sweep_weights(sys, w)
+            got = entanglement._planes(sys, w)
             spectra = two_channel_spectra(sys, noise, w)
             direct = [output_spectrum(sys, noise, w, j) for j in (1, 2)]
             want, forms, entangler = row_forms(sys, noise, w)
         eps = np.finfo(float).eps
-        for k, j in self.SUMS:
-            rel = np.abs(got[k, j] - want[k, j]) / want[k, j]
-            assert rel.max() <= 16.0 * eps, ((k, j), rel.max() / eps)
-        for k, j in self.ZEROS:
-            assert not got[k, j].any(), (k, j)
+        for k in self.SUMS:
+            rel = np.abs(got[k] - want[k]) / want[k]
+            assert rel.max() <= 16.0 * eps, (k, rel.max() / eps)
         rho = w / params.big_omega
-        assert np.all(np.abs(got[3, 2] - want[3, 2])
+        assert np.all(np.abs(got[5] - want[5])
                       <= 4.0 * eps * rho * entangler)
         auto = forms[:2].real
         for have in (spectra.s11, spectra.s22, *direct):
@@ -361,7 +361,7 @@ class TestRowFactorForms:
         # Each rate and power of the reference point scaled by its own
         # factor 10**[-30, 30] (seeded; draws outside MAGNITUDE_RANGE are
         # refused and skipped), over [1e-3, 1e3] Omega: wherever the forms
-        # of the rows are finite and raise no warning, the sweep weights
+        # of the rows are finite and raise no warning, the sweep's planes
         # and the readout spectra are finite and raise none either.
         rng = np.random.default_rng(2002)
         base = make_params()
@@ -387,7 +387,7 @@ class TestRowFactorForms:
                 if not all(np.isfinite(x).all() for x in want):
                     continue
                 spectra = two_channel_spectra(sys, noise, w)
-                got = (entanglement.sweep_weights(sys, w), spectra.s11,
+                got = (entanglement._planes(sys, w), spectra.s11,
                        spectra.s12, output_spectrum(sys, noise, w, 1))
             assert all(np.isfinite(x).all() for x in got), values
             evaluated += 1
@@ -452,8 +452,9 @@ class TestExactInvariances:
 
 
 def commutator_sum(params, kernel):
-    """(1/pi) int_0^inf Im F(q1, p1) d omega, with F the form of the sweep's
-    (q1, p1) weights: 1/2 in a stationary state, where it is [q1, p1] = i.
+    """(1/pi) int_0^inf Im F(q1, p1) d omega, with Im F read from the sweep's
+    xi and pairs planes: 1/2 in a stationary state, where it is
+    [q1, p1] = i.
 
     Trapezoid rule over [1e-3, 1e14] s^-1 on geometric points merged with
     sinh-clustered points around each |Im lambda| of the drift, of
@@ -472,7 +473,8 @@ def commutator_sum(params, kernel):
             parts.append(c + h * np.sinh(t))
         w = np.unique(np.concatenate(parts))
         w = w[(w >= lo) & (w <= hi)]
-        f = noise.form(w, *entanglement.sweep_weights(sys, w)[:, 2]).imag
+        planes = entanglement._planes(sys, w)
+        f = noise._form_imag(w, planes[4], planes[5])
         sums.append(np.sum(np.diff(w) * (f[1:] + f[:-1])) / (2.0 * np.pi))
     return (4.0 * sums[1] - sums[0]) / 3.0
 

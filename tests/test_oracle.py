@@ -60,12 +60,23 @@ class TestSdeRunValidation:
         SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=40.0,
                trajectories=1)
 
-    def test_unstable_system_rejected(self, fig2, fig2_noise):
+    def test_unstable_system_rejected(self, fig2, fig2_noise, monkeypatch):
+        # The drift's eigenvalues are computed once, for the check and for
+        # the error alike (dynamics._require_stable).
         _, sys = fig2
         run = SdeRun(seed=1, dt=1e-7, total_time=1e-4, burn_in=0.0,
                      trajectories=2)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(matrix):
+            calls.append(np.shape(matrix))
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
         with pytest.raises(DriftUnstableError) as excinfo:
             classical_sde_psd(sys, fig2_noise, run)
+        assert calls == [(N_STATE, N_STATE)]
         assert np.max(np.real(excinfo.value.eigenvalues)) > 0
 
 
