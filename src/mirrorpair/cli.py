@@ -24,9 +24,12 @@ sweep.csv and sweep.grid hold exactly the bytes of "%.12e" per number, but
 are not formatted number by number: a numpy kernel (_e12) splits the 13
 digits of every value in [1e-32, 1e56) into a lead digit and three 4-digit
 groups, looks each group up in a 10**4-entry table and writes the text as
-one packed 18-byte record; it is exact wherever its scaled mantissa is clear
-of a rounding tie (0.001 after one rounding step, 0.005 after two) and falls
-back to "%.12e" % v for the rest.
+one packed 18-byte record.  Each value's mantissa is scaled by exact powers
+of ten in one rounding step, or in two where that value's |12 - e| > 22,
+whatever the other values of its column; the kernel is exact wherever the
+value's scaled mantissa is clear of a rounding tie by its own step's margin
+(0.001 after one step, 0.005 after two) and falls back to "%.12e" % v for
+the rest.
 _write_blocks formats each column once per group of temperature blocks, in
 its own shape (_e12), and writes every row of a group from one buffer.
 The files are overwritten in place and cut only if they were longer, so an
@@ -304,15 +307,17 @@ def _e12(x):
     Returns an (n, w) uint8 array: row i is the text of x[i] padded with NUL
     bytes to w, the length of the widest text in x and at least 18.
     In [1e-32, 1e56) the 13 digits are rint(m) for the mantissa
-    m = x * 10**(12 - e), e = floor(log10 x), scaled by exact powers of ten
-    in one correctly rounded step when every |12 - e| <= 22 and in two
-    otherwise.  One step leaves m within half an ulp, at most 2**-10, of its
-    exact value on m < 1e13, and two steps, each off by at most 2**-53
-    relative, within 2.3e-3.  m in [1e12, 1e13 - 1) and at most _TIE_ONE =
-    0.499 (one step) or _TIE_TWO = 0.495 (two steps) from its nearest
-    integer therefore rounds as the exact value does, which is what printf
-    does.  Its digits are split into a lead digit and three groups of four
-    by floor division by 10**4, and each group is one lookup in _QUADS.
+    m = x * 10**(12 - e), e = floor(log10 x), scaled by exact powers of ten:
+    every value takes one correctly rounded step by 10**clip(12 - e, -22,
+    22), and only the values with |12 - e| > 22 a second step by the rest.
+    One step leaves m within half an ulp, at most 2**-10, of its exact value
+    on m < 1e13, and two steps, each off by at most 2**-53 relative, within
+    2.3e-3.  m in [1e12, 1e13 - 1) and at most _TIE_ONE = 0.499 (a value of
+    one step) or _TIE_TWO = 0.495 (a value of two) from its nearest integer
+    therefore rounds as the exact value does, which is what printf does; a
+    value's text never depends on the other values of x.  Its digits are
+    split into a lead digit and three groups of four by floor division by
+    10**4, and each group is one lookup in _QUADS.
     Every other value (0, negatives, nan, inf, near-ties, magnitudes near or
     beyond 1e+-100) is formatted by _printf: Loitsch's fast path with one
     exact fallback.
@@ -322,15 +327,15 @@ def _e12(x):
     x_fast = np.where(fast, x, 1.0)
     e = np.floor(np.log10(x_fast)).astype(np.intp)
     k = 12 - e
-    if x.size and -22 <= k.min() and k.max() <= 22:
-        m, tie = _scale_pow10(x_fast, k), _TIE_ONE
-    else:
-        k = np.clip(k, -44, 44)
-        k_first = np.clip(k, -22, 22)
-        m = _scale_pow10(_scale_pow10(x_fast, k_first), k - k_first)
-        tie = _TIE_TWO
+    two = np.flatnonzero((k < -22) | (k > 22))
+    k_two = k[two]
+    m = _scale_pow10(x_fast, np.clip(k, -22, 22, out=k))
+    if two.size:
+        m[two] = _scale_pow10(m[two], k_two - k[two])
     digits = np.rint(m)
-    fast &= (m >= 1e12) & (m < 1e13 - 1) & (np.abs(m - digits) <= tie)
+    near = np.abs(m - digits)
+    fast &= (m >= 1e12) & (m < 1e13 - 1) & (near <= _TIE_ONE)
+    fast[two] &= near[two] <= _TIE_TWO
     digits = np.where(fast, digits, 1e12).astype(np.int64)
     record = np.empty(x.size, _E12_RECORD)
     for group in ("g2", "g1", "g0"):

@@ -771,68 +771,85 @@ class TestByteWriter:
         ((-10, 34), 1),     # every |12 - e| <= 22: one step
         ((-32, -11), 2),    # every 12 - e > 22: two steps
         ((35, 55), 2),      # every 12 - e < -22: two steps
+        # One column of both: the second step takes only the values with
+        # |12 - e| > 22.
+        pytest.param(((-10, 34), (-32, -11)), 2, id="mixed"),
     ])
     def test_kernel_scaling_branches(self, monkeypatch, exponents, steps):
         # Values and the near-ties of their 13-digit texts, two ulps either
-        # side, all inside one branch of the mantissa scaling.
+        # side.  Every value takes the first step, and the values with
+        # |12 - e| > 22, and only those, a second one.
         rng = np.random.default_rng(11)
-        lo, hi = exponents
-        values = 10.0 ** rng.uniform(lo, hi + 1, 3000)
-        values = values[(values >= float(f"1e{lo}"))
-                        & (values < float(f"1e{hi + 1}"))]
-        calls = []
+        values = []
+        for lo, hi in np.reshape(exponents, (-1, 2)):
+            drawn = 10.0 ** rng.uniform(lo, hi + 1, 3000)
+            values.append(drawn[(drawn >= float(f"1e{lo}"))
+                                & (drawn < float(f"1e{hi + 1}"))])
+        values = np.concatenate(values)
+        sizes = []
         scale = cli._scale_pow10
         monkeypatch.setattr(cli, "_scale_pow10",
-                            lambda x, j: calls.append(1) or scale(x, j))
-        for shifted in _tie_neighbours(values[:1000]):
-            calls.clear()
+                            lambda x, j: sizes.append(x.size) or scale(x, j))
+
+        def expected(x):
+            far = np.abs(12 - np.floor(np.log10(x))) > 22
+            return [x.size, far.sum()] if far.any() else [x.size]
+
+        for shifted in [values, *_tie_neighbours(values[::3])]:
+            sizes.clear()
             _assert_e12_exact(shifted)
-            assert len(calls) == steps
-        calls.clear()
-        _assert_e12_exact(values)
-        assert len(calls) == steps
+            assert len(sizes) == steps
+            assert sizes == expected(shifted)
 
     @pytest.mark.parametrize("exponents,tie", [
         ((-10, 34), cli._TIE_ONE),     # one rounding step
         ((-32, -11), cli._TIE_TWO),    # two steps
         ((35, 55), cli._TIE_TWO),
+        # One column of both, 20000 values of one step and 2000 of two: each
+        # value keeps its own step's window.
+        pytest.param(((-10, 34), (-32, -11)), (cli._TIE_ONE, cli._TIE_TWO),
+                     id="mixed"),
     ])
     def test_kernel_tie_window(self, monkeypatch, exponents, tie):
         # Decimals d.dddddddddddd f e(k) with f within 0.005 of 1/2, so that
         # the scaled mantissa m lies 0.495 to 0.5 from its nearest integer.
         # After one rounding step (m within 2**-10 of exact) the kernel
         # itself formats every m up to 0.499 from it, after two only up to
-        # 0.495; the rest, and only the rest, take the "%.12e" fallback.
+        # 0.495; the rest, and only the rest, take the "%.12e" fallback.  A
+        # value takes two steps where |12 - e| > 22, whatever the others.
         rng = np.random.default_rng(5)
-        lo, hi = exponents
-        size = 20000
-        x = np.array([float(f"{d}.{f:06d}e{k - 12}") for d, f, k in zip(
-            rng.integers(10 ** 12 + 1, 4 * 10 ** 12, size),
-            rng.integers(495_000, 505_001, size),
-            rng.integers(lo, hi + 1, size))])
+        x = np.concatenate([
+            [float(f"{d}.{f:06d}e{k - 12}") for d, f, k in zip(
+                rng.integers(10 ** 12 + 1, 4 * 10 ** 12, size),
+                rng.integers(495_000, 505_001, size),
+                rng.integers(lo, hi + 1, size))]
+            for (lo, hi), size in zip(np.reshape(exponents, (-1, 2)),
+                                      (20000, 2000))])
         k = 12 - np.floor(np.log10(x)).astype(np.intp)
-        if tie == cli._TIE_ONE:
-            m = cli._scale_pow10(x, k)
-        else:
-            first = np.clip(k, -22, 22)
-            m = cli._scale_pow10(cli._scale_pow10(x, first), k - first)
+        first = np.clip(k, -22, 22)
+        two = k != first
+        m = cli._scale_pow10(x, first)
+        m[two] = cli._scale_pow10(m[two], k[two] - first[two])
+        window = np.where(two, cli._TIE_TWO, cli._TIE_ONE)
+        assert set(window) == set(np.atleast_1d(tie))
         distance = np.abs(m - np.rint(m))
         assert np.all((m >= 1e12) & (m < 1e13 - 1))
         keep = distance > 0.495
-        assert keep.sum() > size // 2
-        x, distance, size = x[keep], distance[keep], keep.sum()
-        for window in ((0.495, 0.499), (0.499, 0.5)):
-            assert np.sum((distance > window[0])
-                          & (distance <= window[1])) > 100, window
+        assert keep.sum() > x.size // 2
+        x, distance, window = x[keep], distance[keep], window[keep]
+        for w in set(window):
+            for lo, hi in ((0.495, 0.499), (0.499, 0.5)):
+                assert np.sum((window == w) & (distance > lo)
+                              & (distance <= hi)) > 100, (w, lo, hi)
         fallback = []
         printf = cli._printf
         monkeypatch.setattr(cli, "_printf",
                             lambda v: fallback.extend(v) or printf(v))
         fields = _e12(x)
-        assert fields.shape == (size, 18)
+        assert fields.shape == (x.size, 18)
         for v, row in zip(x, fields):
             assert row.tobytes() == b"%.12e" % v, v
-        assert np.array_equal(np.sort(fallback), np.sort(x[distance > tie]))
+        assert np.array_equal(np.sort(fallback), np.sort(x[distance > window]))
 
     def test_kernel_at_the_sweeps_magnitudes(self):
         # Every column of a log sweep over 1e-2..1e2 Omega up to 300 K, as
