@@ -526,6 +526,23 @@ class TestGaussianState:
             product, _ = separability_product(state)
             assert product == pytest.approx(np.exp(-4 * r), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_tmsv_product_precision_limit(self, r):
+        # Var(q1 + q2) = e^{-2r} is a difference of entries of size
+        # cosh(2r)/2, so the product's relative error grows as
+        # eps cosh^2(2r): at most 1.0 of it was measured for these r
+        product, _ = separability_product(tmsv_state(r))
+        exact = np.exp(-4.0 * r)
+        eps = np.finfo(float).eps
+        assert abs(product - exact) / exact <= 4.0 * eps * np.cosh(2.0 * r) ** 2
+
+    def test_large_r_verdict_survives_rounding(self):
+        # the product rounds to 0 here, far below its true e^{-4r}, but the
+        # verdict product < 1 is still right
+        for r in (10.0, 20.0):
+            assert separability_product(tmsv_state(r))[0] < 1.0
+            assert optimize_separability(tmsv_state(r))[1] < 1.0
+
     def test_tmsv_zero_is_vacuum(self):
         assert np.allclose(tmsv_state(0.0).cov, 0.5 * np.eye(4))
 
@@ -616,13 +633,13 @@ class TestSeparabilityWeighting:
 
     def test_vectorized_matches_scalar(self):
         covs, _ = sample_separable_covariances(seed=3, count=16)
-        a_values = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        a_values = np.array([-2.0, 0.25, 0.5, 1.0, 2.0, 4.0])
         batch = separability_products(covs, a_values)
-        assert batch.shape == (16, 5)
+        assert batch.shape == (16, 6)
         for i in range(4):
             for k, a in enumerate(a_values):
                 single, _ = separability_product(GaussianState(cov=covs[i]), a)
-                assert batch[i, k] == pytest.approx(single, rel=1e-13)
+                assert batch[i, k] == single
 
     def test_sign_of_a_only_enters_through_magnitude(self):
         state = tmsv_state(0.7)
@@ -741,6 +758,12 @@ class TestClosedFormOptimum:
             assert flagged.sum() >= 5
         assert np.all(_smallest_pt_symplectic_eigenvalue(covs[flagged]) < 0.5)
 
+    def test_margin_is_the_smallest_eigenvalue(self, kind):
+        for cov in _RANDOM_STATES[kind]():
+            h = cov + 0.5j * SYMPLECTIC_FORM
+            margin = GaussianState(cov=cov).physicality_margin()
+            assert margin == float(np.linalg.eigvalsh(h).min())
+
     def test_batched_equals_per_state(self, kind):
         covs = _RANDOM_STATES[kind]()
         best_a, best = separability_optimum(covs)
@@ -748,6 +771,27 @@ class TestClosedFormOptimum:
             a_i, best_i = separability_optimum(cov)
             assert (a_i, best_i) == (best_a[i], best[i]), i
             assert optimize_separability(GaussianState(cov=cov)) == (a_i, best_i)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_per_state_loop_is_the_batched_calls(seed):
+    # the separability workload's loop: one GaussianState, the product at
+    # a = 1 and the optimum per state, bit for bit the batched calls; the
+    # large-r TMSVs round their products to 0 or below
+    covs = np.concatenate([
+        sample_separable_covariances(seed, 200)[0], _random_tmsv(seed, 200),
+        np.stack([tmsv_state(r).cov for r in (5.0, 10.0, 20.0)]),
+        tmsv_state(8.0, (1.0, 1.3)).cov[None],
+    ])
+    at_unit, best_a, best = (np.empty(len(covs)) for _ in range(3))
+    for i, cov in enumerate(covs):
+        state = GaussianState(cov=cov)
+        at_unit[i], _ = separability_product(state, 1.0)
+        best_a[i], best[i] = optimize_separability(state)
+    batched_a, batched = separability_optimum(covs)
+    assert at_unit.tobytes() == separability_products(covs, [1.0])[:, 0].tobytes()
+    assert best_a.tobytes() == batched_a.tobytes()
+    assert best.tobytes() == batched.tobytes()
 
 
 class TestSeparabilityOptimumInput:
