@@ -17,12 +17,11 @@ from .entanglement import (
     GaussianState, degree_sweep, optimize_separability, separability_product,
 )
 from .readout import (
-    ReadoutChannel, combine_currents, gain_condition, output_spectrum,
+    combine_currents, gain_condition, output_spectrum,
     output_spectrum_via_transfer, two_channel_spectra,
 )
 from .oracle import (
-    OracleSpectra, SdeRun, classical_sde_psd, sample_separable_gaussian,
-    tmsv_state,
+    OracleSpectra, SdeRun, classical_sde_psd, tmsv_state,
 )
 from . import errors
 
@@ -33,9 +32,8 @@ __all__ = [
     "steady_state", "LinearSystem", "NoiseModel", "build_linear_system",
     "hybrid_grid", "is_stable", "spectral_matrix", "stability_margin",
     "transfer_matrix", "GaussianState", "degree_sweep",
-    "optimize_separability", "separability_product", "ReadoutChannel",
-    "combine_currents", "gain_condition", "output_spectrum",
-    "output_spectrum_via_transfer", "two_channel_spectra", "OracleSpectra",
-    "SdeRun", "classical_sde_psd", "sample_separable_gaussian", "tmsv_state",
-    "errors",
+    "optimize_separability", "separability_product", "combine_currents",
+    "gain_condition", "output_spectrum", "output_spectrum_via_transfer",
+    "two_channel_spectra", "OracleSpectra", "SdeRun", "classical_sde_psd",
+    "tmsv_state", "errors",
 ]

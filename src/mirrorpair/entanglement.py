@@ -62,6 +62,9 @@ SYMPLECTIC_FORM = np.array([
 ])
 #: (i/2) Sigma, the term physicality_margin adds to a covariance.
 _HALF_I_SIGMA = 0.5j * SYMPLECTIC_FORM
+#: eigvalsh's rounding per unit of trace(cov), which bounds the largest
+#: eigenvalue of cov + (i/2) Sigma of a physical state.
+_EIGVALSH_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def _planes(sys, w):
@@ -132,7 +135,8 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     d rows (_planes), never from a transfer matrix, so that the strongly
     suppressed relative-momentum variance is computed without catastrophic
     cancellation.  The grid is checked once and evaluated in CHUNK pieces,
-    in bounded memory.
+    in bounded memory.  The commutator is proportional to omega, so E(0)
+    is undefined and a grid that holds 0 raises DegenerateCommutatorError.
     """
     w = frequency_grid(omegas)
     return _degree(_planes(sys, w), noise, w, noise.temperature)
@@ -167,8 +171,10 @@ class GaussianState:
         return float(np.linalg.eigvalsh(self.cov + _HALF_I_SIGMA)[0])
 
     def require_physical(self):
+        # eigvalsh rounds in proportion to the state's scale, so the
+        # allowance is max(1e-9, _EIGVALSH_ROUNDING trace(cov))
         margin = self.physicality_margin()
-        if margin < -1e-9:      # allowance for rounding in eigvalsh
+        if margin < -1e-9 and margin < -_EIGVALSH_ROUNDING * self.cov.trace():
             raise UnphysicalStateError(margin)
         # np.allclose(cov, cov.T) for finite entries, at a tenth of its cost
         cov = self.cov

@@ -29,7 +29,12 @@ class SingularityError(MirrorPairError, RuntimeError):
 
 
 class DegenerateCommutatorError(MirrorPairError, RuntimeError):
-    """The commutator denominator vanished; indicates a convention bug."""
+    """The commutator denominator vanished.
+
+    The commutator is proportional to omega, so a grid that holds
+    omega = 0 raises this: E(0) is undefined.  At any other omega it
+    indicates a convention bug.
+    """
 
 
 class UnphysicalStateError(MirrorPairError, ValueError):

@@ -171,12 +171,13 @@ def _single_mode_covs(rng, n):
 
 
 def sample_separable_covariances(seed, count):
-    """Vectorized sampler behind sample_separable_gaussian.
+    """Random separable two-mode Gaussian states, physical by construction.
 
     Returns (covs, means) with shapes (count, 4, 4) and (count, 4).  Each
     state is a random mixture rho = sum_i w_i rho_i1 (x) rho_i2 of 2 to 8
     products of displaced, rotated squeezed thermal states; the covariance
-    includes the spread of the component means.
+    includes the spread of the component means.  GaussianState(cov=c,
+    mean=m) holds one of them.
     """
     check_numbers({"seed": seed, "count": count}, counts=("count",),
                   indices=("seed",))
@@ -201,12 +202,6 @@ def sample_separable_covariances(seed, count):
         covs[idx] = second - np.einsum("bi,bj->bij", mean, mean)
         means[idx] = mean
     return covs, means
-
-
-def sample_separable_gaussian(seed, count):
-    """Random separable two-mode Gaussian states (physical by construction)."""
-    covs, means = sample_separable_covariances(seed, count)
-    return [GaussianState(cov=c, mean=m) for c, m in zip(covs, means)]
 
 
 def tmsv_state(r: float, local_scalings=None) -> GaussianState:

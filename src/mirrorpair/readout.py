@@ -5,9 +5,10 @@ phase quadrature into
 
     Y_out_j(omega) = gain_j(omega) q_j(omega) + refl(omega) Y_in_j(omega),
 
-with gain(omega) = 2 g alpha sqrt(gamma_a) / (gamma_a/2 - i omega) and a pure
-phase factor refl(omega) = (gamma_a/2 + i omega) / (gamma_a/2 - i omega) on
-the reflected vacuum.  Mirror 2 couples to its meter with the opposite sign,
+with gain(omega) = 2 g alpha sqrt(gamma_a) / (gamma_a/2 - i omega), which is
+2 c_a of dynamics._closed_form, and a pure phase factor
+refl(omega) = (gamma_a/2 + i omega) / (gamma_a/2 - i omega) on the
+reflected vacuum.  Mirror 2 couples to its meter with the opposite sign,
 so its channel carries gain with an extra factor -1; the combiner removes the
 orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
 
@@ -59,41 +60,6 @@ def _channel(channel):
     return _CHANNELS[channel]
 
 
-@dataclass(frozen=True)
-class ReadoutChannel:
-    """Transfer functions of a meter output channel.
-
-    Both channels share them; mirror 2's opposite sign is taken out by the
-    orientation of its current.
-    """
-
-    g_alpha: float
-    gamma_a: float
-
-    def __post_init__(self):
-        # g alpha comes from any valid working point, so only its sign and
-        # finiteness are checked, not its magnitude.
-        check_numbers(vars(self), positive=("gamma_a",),
-                      nonnegative=("g_alpha",), magnitude=_ANY_FINITE)
-
-    @classmethod
-    def for_system(cls, sys: LinearSystem):
-        """The channel at the working point already in sys."""
-        return cls(g_alpha=sys.params.g * sys.steady.alpha,
-                   gamma_a=sys.params.gamma_a)
-
-    def gain(self, omega):
-        """Position-to-output transfer 2 g alpha sqrt(gamma_a)/(gamma_a/2 - i w)."""
-        return (
-            2.0 * self.g_alpha * np.sqrt(self.gamma_a)
-            / (self.gamma_a / 2.0 - 1j * np.asarray(omega))
-        )
-
-    def noise_reflection(self, omega):
-        w = np.asarray(omega)
-        return (self.gamma_a / 2.0 + 1j * w) / (self.gamma_a / 2.0 - 1j * w)
-
-
 def gain_condition(sys: LinearSystem, omega: float, threshold: float = 10.0):
     """Measurement-gain figure of merit g^2 alpha^2 / [(gamma_a^2/4 + w^2)/4]
     at the working point already in sys.
@@ -106,8 +72,8 @@ def gain_condition(sys: LinearSystem, omega: float, threshold: float = 10.0):
     omega = _frequency(omega)
     check_numbers({"threshold": threshold}, signed=("threshold",),
                   magnitude=_ANY_FINITE)
-    chan = ReadoutChannel.for_system(sys)
-    ratio = chan.g_alpha ** 2 / ((chan.gamma_a ** 2 / 4.0 + omega ** 2) / 4.0)
+    g_alpha, gamma_a = sys.params.g * sys.steady.alpha, sys.params.gamma_a
+    ratio = g_alpha ** 2 / ((gamma_a ** 2 / 4.0 + omega ** 2) / 4.0)
     return float(ratio), bool(ratio > threshold)
 
 

@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -36,6 +37,18 @@ RATE_FIELDS = ("gamma_a", "gamma_b", "big_omega", "big_gamma", "g", "big_g",
 #: optical pole pair (-0.0243 +- 69.101 i) Omega, close to |delta_b|.
 P_STAR = dict(delta_b=-6.91e6, p_in_b=7.03e-3, gamma_b=4.87e3, big_g=80.6,
               g=1.28e-3, big_gamma=1.1e-2, p_in_a=8.7e-7)
+
+
+def meter_output(sys, w):
+    """(gain, refl) of the meter output current at the working point in
+    sys, from the documented formulas
+    gain = 2 g alpha sqrt(gamma_a) / (gamma_a/2 - i w) and
+    refl = (gamma_a/2 + i w) / (gamma_a/2 - i w)."""
+    p, w = sys.params, np.asarray(w)
+    gain = (2.0 * (p.g * sys.steady.alpha) * np.sqrt(p.gamma_a)
+            / (p.gamma_a / 2.0 - 1j * w))
+    refl = (p.gamma_a / 2.0 + 1j * w) / (p.gamma_a / 2.0 - 1j * w)
+    return gain, refl
 
 
 @st.composite

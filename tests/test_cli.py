@@ -1214,9 +1214,11 @@ class TestMainExitCodes:
 
 def test_import_loads_no_process_pool():
     # The sweep runs in one process, so the command line imports neither
-    # concurrent.futures nor multiprocessing.
+    # concurrent.futures nor multiprocessing; and the package needs numpy
+    # alone, so it imports none of the test and oracle dependencies.
     code = ("import mirrorpair.cli, sys; print([m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
+            "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis', "
+            "'concurrent', 'multiprocessing')])")
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

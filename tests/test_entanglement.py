@@ -39,7 +39,9 @@ from mirrorpair.errors import (
     UnphysicalStateError,
 )
 
-from conftest import P_STAR, RATE_FIELDS, make_params, working_points
+from conftest import (
+    P_STAR, RATE_FIELDS, make_params, meter_output, working_points,
+)
 
 
 #: The Fig. 2 point's commutator changes sign near these omega / Omega.
@@ -82,11 +84,10 @@ def row_forms(sys, noise, w):
     planes = np.stack([0.5 * uu[0], 0.5 * (rho * rho * dd[0]),
                        0.5 * uu[2], 0.5 * (rho * rho * dd[2]),
                        rho * xi, rho * pairs])
-    chan = readout.ReadoutChannel.for_system(sys)
-    gain = chan.gain(w)[:, None]
-    c1, c2 = gain * q1, gain * q2
-    c1[:, IYIN1] += chan.noise_reflection(w)
-    c2[:, IYIN2] -= chan.noise_reflection(w)
+    gain, refl = meter_output(sys, w)
+    c1, c2 = gain[:, None] * q1, gain[:, None] * q2
+    c1[:, IYIN1] += refl
+    c2[:, IYIN2] -= refl
     forms = np.stack([noise.form(w, *noise_weights(a, b))
                       for a, b in ((c1, c1), (c2, c2), (c1, c2))])
     entangler = np.abs(d[:, IXINB]) ** 2 + np.abs(d[:, IYINB]) ** 2
@@ -115,6 +116,20 @@ class TestDegreeSweep:
         w = np.linspace(0.5, 1.5, 201) * params.big_omega
         out = degree_sweep(sys, noise, w)
         assert np.all(out["degree"] >= 1.0 - 1e-9)
+
+    def test_zero_frequency_has_no_degree(self, fig2, fig2_noise):
+        # The commutator is proportional to omega, so E(0) is undefined;
+        # the readout spectra at omega = 0 are finite.
+        _, sys = fig2
+        w = [0.0, sys.params.big_omega]
+        with pytest.raises(DegenerateCommutatorError):
+            degree_sweep(sys, fig2_noise, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectra = two_channel_spectra(sys, fig2_noise, w)
+            got = (output_spectrum(sys, fig2_noise, w, 1), spectra.s11,
+                   spectra.s12)
+        assert all(np.isfinite(x).all() for x in got)
 
     def test_minimum_at_mechanical_resonance(self, fig2, fig2_noise):
         _, sys = fig2
@@ -549,6 +564,24 @@ class TestGaussianState:
     def test_tmsv_remains_physical_at_large_r(self):
         state = tmsv_state(20.0)
         assert state.physicality_margin() >= -1e-9 * np.abs(state.cov).max()
+
+    def test_physicality_allowance_scales_with_the_state(self):
+        # eigvalsh rounds the margin of these physical states down to about
+        # -2 eps times the largest eigenvalue: a fixed -1e-9 refused 795 of
+        # them, the first at r = 10 with scalings (1, 1.3)
+        rng = np.random.default_rng(5)
+        rs = rng.uniform(0.0, 20.0, 2000)
+        scalings = np.exp(rng.uniform(-1.0, 1.0, (2000, 2)))
+        for r, pair in zip(rs, scalings):
+            tmsv_state(r, tuple(pair))
+        tmsv_state(10.0, (1.0, 1.3))
+
+    def test_physicality_allowance_still_refuses(self):
+        cov = tmsv_state(10.0, (1.0, 1.3)).cov
+        with pytest.raises(UnphysicalStateError):
+            GaussianState(cov=cov - 1e-6 * np.abs(cov).max() * np.eye(4))
+        with pytest.raises(UnphysicalStateError):
+            GaussianState(cov=(0.5 - 2e-9) * np.eye(4))
 
     def test_negative_r_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -7,7 +7,6 @@ from mirrorpair import (
     NoiseModel,
     SdeRun,
     classical_sde_psd,
-    sample_separable_gaussian,
     tmsv_state,
 )
 from mirrorpair.dynamics import IXA1, IQ1, N_STATE
@@ -215,12 +214,6 @@ class TestSeparableSampler:
             sample_separable_covariances(seed=1, count=0)
         with pytest.raises(InvalidParameterError):
             sample_separable_covariances(seed=1, count=2.5)
-
-    def test_state_wrapper(self):
-        states = sample_separable_gaussian(seed=11, count=4)
-        assert len(states) == 4
-        for state in states:
-            state.require_physical()
 
 
 class TestTmsv:

@@ -10,7 +10,6 @@ from mirrorpair import (
     dynamics,
     model,
     readout,
-    ReadoutChannel,
     build_linear_system,
     combine_currents,
     fig2_params,
@@ -23,31 +22,19 @@ from mirrorpair import (
 from mirrorpair.dynamics import selected_transfer_rows, IYIN1, IYIN2, IQ1, IQ2, N_STATE
 from mirrorpair.errors import InvalidParameterError
 
-from conftest import raises_one_line
+from conftest import P_STAR, meter_output, raises_one_line
 
 
-class TestReadoutChannel:
-    def test_reflection_is_pure_phase(self):
-        chan = ReadoutChannel(g_alpha=1.0, gamma_a=1e5)
-        for w in (0.0, 0.3e5, 1e5, 1e7):
-            assert abs(chan.noise_reflection(w)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_gain_closed_form(self, fig2):
-        params, sys = fig2
-        ss = steady_state(params)
-        chan = ReadoutChannel.for_system(sys)
-        w = 0.9e5
-        expected = (
-            2.0 * params.g * ss.alpha * np.sqrt(params.gamma_a)
-            / (params.gamma_a / 2.0 - 1j * w)
-        )
-        assert chan.gain(w) == pytest.approx(expected, rel=1e-14)
-
-    def test_zero_frequency_gain_magnitude(self):
-        chan = ReadoutChannel(g_alpha=2.0, gamma_a=1e5)
-        assert abs(chan.gain(0.0)) == pytest.approx(
-            4.0 * np.sqrt(1e5) / (1e5 / 2.0), rel=1e-14
-        )
+class TestMeterGain:
+    @pytest.mark.parametrize("overrides", [{}, P_STAR], ids=["fig2", "pstar"])
+    def test_row_factor_meter_is_gain_squared(self, overrides):
+        # Every readout spectrum takes |gain|^2 as 4 meter of _row_factors.
+        sys = build_linear_system(fig2_params(**overrides))
+        w = dynamics.frequency_grid(
+            np.geomspace(0.01, 100.0, 7) * sys.params.big_omega)
+        meter = dynamics._row_factors(sys, w)[3]
+        gain, _ = meter_output(sys, w)
+        assert np.allclose(4.0 * meter, np.abs(gain) ** 2, rtol=1e-14, atol=0)
 
 
 class TestGainCondition:
@@ -131,7 +118,6 @@ class TestTwoChannelCombination:
         spectra = two_channel_spectra(sys, fig2_noise, w)
         combined = combine_currents(spectra, "sum")
 
-        chan1 = ReadoutChannel.for_system(sys)
         sel = np.zeros((N_STATE, 2))
         sel[IQ1, 0] = 1.0
         sel[IQ2, 1] = 1.0
@@ -142,8 +128,7 @@ class TestTwoChannelCombination:
 
         def coeff(wa):
             rows = selected_transfer_rows(sys, wa, sel)
-            refl = chan1.noise_reflection(wa)[:, None]
-            gain = chan1.gain(wa)[:, None]
+            gain, refl = (f[:, None] for f in meter_output(sys, wa))
             # oriented currents: i_j = gain * q_j + sign_j * refl * Y_in_j
             return (
                 gain * (rows[:, 0, :] + rows[:, 1, :])
@@ -161,8 +146,8 @@ class TestTwoChannelCombination:
         def current(wa, j):
             rows = selected_transfer_rows(sys, wa, sel)
             e = e1 if j == 0 else -e2
-            return (chan1.gain(wa)[:, None] * rows[:, j, :]
-                    + chan1.noise_reflection(wa)[:, None] * e)
+            gain, refl = (f[:, None] for f in meter_output(sys, wa))
+            return gain * rows[:, j, :] + refl * e
 
         s12 = 0.5 * (
             np.einsum("nk,nkl,nl->n", current(w, 0), dp, current(-w, 1))
@@ -343,11 +328,3 @@ class TestReadoutInput:
         assert gain_condition(sys, np.float64(1e5)) == want
         assert gain_condition(sys, np.array(1e5)) == want
         assert gain_condition(sys, 0.0, threshold=-1e40)[1]
-
-    @pytest.mark.parametrize("g_alpha, gamma_a, name", [
-        (1.0, -1.0, "gamma_a"), (1.0, 0.0, "gamma_a"),
-        (1.0, np.nan, "gamma_a"), (-1.0, 1.0, "g_alpha"),
-        (np.inf, 1.0, "g_alpha"), ("1", 1.0, "g_alpha"),
-    ])
-    def test_bad_channel_constants(self, g_alpha, gamma_a, name):
-        raises_one_line(lambda: ReadoutChannel(g_alpha, gamma_a), name)
