@@ -64,6 +64,28 @@ class TestGainCondition:
         r2, _ = gain_condition(sys, 1.5e5)
         assert r1 > r2
 
+    @pytest.mark.parametrize("omega", [0.0, 1e3, 1e5, 3.3e7])
+    @pytest.mark.parametrize("overrides", [{}, P_STAR], ids=["fig2", "pstar"])
+    def test_ratio_is_meter_gain_over_gamma_a(self, overrides, omega):
+        # The ratio is formed from g alpha and gamma_a of the system in the
+        # order written in the docstring, to the bit; and
+        # 4 g^2 alpha^2 / (gamma_a^2/4 + w^2) is |gain|^2 / gamma_a.
+        sys = build_linear_system(fig2_params(**overrides))
+        p = sys.params
+        ratio, ok = gain_condition(sys, omega)
+        g_alpha = p.g * sys.steady.alpha
+        by_hand = g_alpha ** 2 / ((p.gamma_a ** 2 / 4.0 + omega ** 2) / 4.0)
+        assert ratio.hex() == float(by_hand).hex()
+        assert ok == (by_hand > 10.0)
+        gain, _ = meter_output(sys, omega)
+        assert ratio == pytest.approx(abs(gain) ** 2 / p.gamma_a, rel=1e-14)
+
+    def test_no_meter_coupling_has_no_gain(self, decoupled):
+        # g = 0: no mirror signal reaches the meter output.
+        _, sys = decoupled
+        assert gain_condition(sys, 1e5) == (0.0, False)
+        assert gain_condition(sys, 0.0, threshold=-1.0) == (0.0, True)
+
     def test_reads_the_working_point_of_the_system(self, monkeypatch):
         sys = build_linear_system(fig2_params())
         calls, solve = [], model.steady_state
