@@ -108,7 +108,7 @@ _PARSERS = {
     "str": ("str", str),
     "bool": ("bool", lambda val: _BOOLS[val.lower()]),
     "tuple": ("comma-separated floats",
-              lambda val: tuple(float(t) for t in val.split(",") if t.strip())),
+              lambda val: tuple(map(float, val.split(",")))),
 }
 
 

@@ -75,35 +75,22 @@ class LinearSystem:
     params is the only argument; build_linear_system is the documented
     maker and adds the optional stability check.  The model's u = q1 + q2
     and d = q1 - q2 rows, the only rows a sweep or a readout spectrum
-    needs, have the closed form of susceptibility_rows.
-
-    The adjoint solve (selected_transfer_rows) runs in the coordinates
-    x' = T x with T = MIRROR_ROTATION, which separates the centre-of-mass
-    oscillator {q+, p+} from the relative mode and the entangler
-    {q-, p-, X_b, Y_b} (ADJOINT_PLAN).  The two mirrors are identical, so
-    their entries are equal or opposite and every rotated entry is exact in
-    binary: the rotation undoes to the same bits.  The rotated drift
-    T A T^-1 and coupling T B are worked out once, here.
+    needs, have the closed form of susceptibility_rows.  The adjoint
+    solve forms its own rotated drift and coupling from these per call
+    (selected_transfer_rows); nothing else is stored.
     """
 
     params: PhysicalParams
     steady: SteadyState = field(init=False)
     drift: np.ndarray = field(init=False)           # (10, 10) real
     noise_coupling: np.ndarray = field(init=False)  # (10, 8) real
-    #: The drift T A T^-1 and the coupling T B of the solve coordinates.
-    basis_drift: np.ndarray = field(init=False, repr=False)
-    basis_coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ss = steady_state(self.params)
         a, b = _assemble(self.params, ss)
-        rotated_a = MIRROR_ROTATION @ a @ _MIRROR_INVERSE
-        rotated_b = MIRROR_ROTATION @ b
-        for array in (a, b, rotated_a, rotated_b):
+        for array in (a, b):
             array.setflags(write=False)
-        for name, value in (("steady", ss), ("drift", a),
-                            ("noise_coupling", b), ("basis_drift", rotated_a),
-                            ("basis_coupling", rotated_b)):
+        for name, value in (("steady", ss), ("drift", a), ("noise_coupling", b)):
             object.__setattr__(self, name, value)
 
 
@@ -263,13 +250,9 @@ class NoiseModel:
         2 * pref * |omega| at T = 0.  This is the only temperature-dependent
         input of Var(u) and Var(v) (see entanglement._planes).
         """
-        out = self._symmetrized(omega, self.temperature)
+        out = 2.0 * self.pref * _wcoth(np.asarray(omega, dtype=float),
+                                       self.temperature)
         return out if out.shape else float(out)
-
-    def _symmetrized(self, omega, temperature):
-        """symmetrized_spectrum at temperature, elementwise (_wcoth)."""
-        return 2.0 * self.pref * _wcoth(np.asarray(omega, dtype=float),
-                                        temperature)
 
     def form(self, omega, xi_real, xi_imag, vacuum, pairs):
         """[r_i(w) D(w) r_j(-w) + r_i(-w) D(-w) r_j(w)] / 2 from the weights of
@@ -285,8 +268,11 @@ class NoiseModel:
     def _form_real(self, omega, xi_real, vacuum, temperature):
         """The real part of form, S_sym/2 xi_real + vacuum, at temperature in
         place of the model's own, elementwise (_wcoth): temperatures of
-        shape (k, 1, 1) against weights of shape (m, n) give (k, m, n)."""
-        return 0.5 * self._symmetrized(omega, temperature) * xi_real + vacuum
+        shape (k, 1, 1) against weights of shape (m, n) give (k, m, n).
+        S_sym/2 is formed as pref * _wcoth, the bits of symmetrized_spectrum
+        halved, since scaling by 2 and by 1/2 is exact."""
+        return (self.pref * _wcoth(np.asarray(omega, dtype=float), temperature)
+                * xi_real + vacuum)
 
     def _form_imag(self, omega, xi_imag, pairs):
         """The imaginary part of form, which has no temperature in it."""
@@ -550,10 +536,12 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     relative-momentum response is ~14 orders of magnitude below individual
     mirror responses at strong entangler drive).
 
-    The solve runs in the rotated coordinates of LinearSystem: the
-    selectors are rotated once per call, c^T T^-1, and the solutions are
-    contracted with the rotated coupling T B.  The adjoint system is block
-    triangular there, with the blocks of ADJOINT_PLAN.  The meter phase
+    The solve runs in the coordinates x' = T x, T = MIRROR_ROTATION: each
+    call forms the rotated drift T A T^-1 and coupling T B from the
+    system's own, rotates the selectors, c^T T^-1, and contracts the
+    solutions with T B.  The mirrors are identical, so every rotated entry
+    is exact in binary.  The adjoint system is block triangular there, with
+    the blocks of ADJOINT_PLAN.  The meter phase
     quadratures are solved first and the meter amplitude quadratures last,
     by one complex division each; the centre-of-mass block {q+, p+} is a
     2x2 solved in closed form; and so is the 4x4 block {q-, p-, X_b, Y_b}
@@ -612,7 +600,7 @@ def _transfer_rows(sys, w, selectors):
     """selected_transfer_rows on a checked grid w and checked selectors."""
     sel = np.asarray(selectors, dtype=complex).T @ _MIRROR_INVERSE   # (k, 10)
     n, k = w.size, sel.shape[0]
-    a = sys.basis_drift
+    a = MIRROR_ROTATION @ sys.drift @ _MIRROR_INVERSE
     # Solutions as planes, x[s] = the (n, k) values of state s, so that a
     # block reads only the planes of the solved states that feed it, and
     # the final contraction with B is one matrix product.
@@ -631,7 +619,8 @@ def _transfer_rows(sys, w, selectors):
         else:
             x[idx] = _solve_closed_form(a[np.ix_(idx, idx)], w, rhs)
         solved += idx
-    return (x.reshape(N_STATE, -1).T @ sys.basis_coupling).reshape(n, k, -1)
+    coupling = MIRROR_ROTATION @ sys.noise_coupling
+    return (x.reshape(N_STATE, -1).T @ coupling).reshape(n, k, -1)
 
 
 def _shifted_det(block, w):

@@ -14,6 +14,7 @@ periodograms instead of resolvent solves.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ from .errors import InvalidParameterError
 from .entanglement import GaussianState
 from .model import check_numbers
 
-#: Most integration steps (burn-in and record) one run may take; the record
-#: alone is 8 bytes per step, signal and trajectory.
+#: Most integration steps (burn-in and record) one run may take, and most
+#: values its record may hold: 8 bytes per recorded step, signal and
+#: trajectory, so at most 0.8 GB.
 _MAX_STEPS = 10 ** 8
 
 
@@ -57,6 +59,13 @@ class SdeRun:
             raise InvalidParameterError(
                 f"(burn_in + total_time) / dt must be at most {_MAX_STEPS:.0e}"
                 f" steps, got {steps:.3g}")
+        # The record of classical_sde_psd: signals x steps x trajectories.
+        per_trajectory = len(record) * int(round(self.total_time / self.dt))
+        if per_trajectory * self.trajectories > _MAX_STEPS:
+            raise InvalidParameterError(
+                f"trajectories must be at most {_MAX_STEPS // per_trajectory}"
+                f" to record at most {_MAX_STEPS:.0e} values, {per_trajectory}"
+                f" per trajectory, got {reprlib.repr(self.trajectories)}")
 
 
 def white_noise_intensities(noise: NoiseModel) -> np.ndarray:

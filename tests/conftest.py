@@ -5,7 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from mirrorpair import NoiseModel, build_linear_system, fig2_params
-from mirrorpair.dynamics import BROWNIAN_KERNELS
+from mirrorpair.dynamics import (
+    BROWNIAN_KERNELS, MIRROR_ROTATION, _MIRROR_INVERSE,
+)
 from mirrorpair.errors import InvalidParameterError
 
 
@@ -49,6 +51,14 @@ def meter_output(sys, w):
             / (p.gamma_a / 2.0 - 1j * w))
     refl = (p.gamma_a / 2.0 + 1j * w) / (p.gamma_a / 2.0 - 1j * w)
     return gain, refl
+
+
+def rotated(sys):
+    """(T A T^-1, T B), T = MIRROR_ROTATION: the drift and noise coupling
+    of sys in the coordinates of the adjoint solve, formed as
+    dynamics._transfer_rows forms them."""
+    return (MIRROR_ROTATION @ sys.drift @ _MIRROR_INVERSE,
+            MIRROR_ROTATION @ sys.noise_coupling)
 
 
 @st.composite

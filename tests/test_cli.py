@@ -92,6 +92,12 @@ class TestSweepSpec:
             SweepSpec(params=params, omega_min=1e5, omega_max=2e5,
                       omega_count=10, omega_spacing="cubic")
 
+    def test_temperatures_must_not_be_empty(self):
+        # The config parser cannot give an empty list; a Python caller can.
+        with pytest.raises(InvalidParameterError,
+                           match="^temperature list must be non-empty$"):
+            SweepSpec(fig2_params(), 1e5, 2e5, 3, temperatures=())
+
     def test_temperatures_must_increase(self):
         params = fig2_params()
         with pytest.raises(InvalidParameterError):
@@ -198,7 +204,8 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: temperature list must be non-empty\n"
+        assert err == ("error: temperatures: expected comma-separated "
+                       "floats, got ','\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,kind", [
@@ -206,14 +213,19 @@ class TestConfigValidation:
         ("omega_count", "2.5", "int"),
         ("emit_components", "maybe", "bool"),
         ("temperatures", "0.1, abc", "comma-separated floats"),
+        # every field of a list is parsed: an empty one is no value
+        ("temperatures", "0.1,,4", "comma-separated floats"),
+        ("temperatures", "0.1, 4,", "comma-separated floats"),
+        ("temperatures", ",0.1", "comma-separated floats"),
     ])
     def test_parse_error_names_the_key(self, tmp_path, capsys, key, value, kind):
         config = tmp_path / "cfg.txt"
         config.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["--sweep", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["--sweep", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {key}: expected {kind}, got {value!r}\n"
+        assert not out.exists()
 
     def test_every_key_parses_from_a_valid_string(self):
         valid = {

@@ -26,7 +26,9 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import P_STAR, make_params, raises_one_line, working_points
+from conftest import (
+    P_STAR, make_params, raises_one_line, rotated, working_points,
+)
 
 
 def chi(omega, params):
@@ -180,7 +182,7 @@ def check_plan(sys):
     """ADJOINT_PLAN is a back-substitution order of the rotated adjoint
     system of sys, and the rotation undoes to the bits of sys."""
     assert sorted(sum(ADJOINT_PLAN, ())) == list(range(N_STATE))
-    a = sys.basis_drift
+    a, b = rotated(sys)
     for k, block in enumerate(ADJOINT_PLAN):
         # Row j of the transposed system couples x_j to every x_i with
         # a[i, j] != 0: none of those may be solved after j's block.
@@ -188,7 +190,7 @@ def check_plan(sys):
         assert not a[np.ix_(later, block)].any(), block
     back = np.linalg.inv(MIRROR_ROTATION)
     assert np.array_equal(back @ a @ MIRROR_ROTATION, sys.drift)
-    assert np.array_equal(back @ sys.basis_coupling, sys.noise_coupling)
+    assert np.array_equal(back @ b, sys.noise_coupling)
 
 
 def dense_block_solve(block, w, rhs):
@@ -266,14 +268,12 @@ class TestAdjointSolve:
         assert ADJOINT_PLAN == (
             (IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
         )
+        a, _ = rotated(sys)
         back = np.linalg.inv(MIRROR_ROTATION)
-        assert np.array_equal(sys.basis_drift,
-                              MIRROR_ROTATION @ sys.drift @ back)
-        assert np.array_equal(sys.basis_coupling,
-                              MIRROR_ROTATION @ sys.noise_coupling)
+        assert np.array_equal(a, MIRROR_ROTATION @ sys.drift @ back)
         for block in ADJOINT_PLAN:
             m = len(block)
-            linked = (sys.basis_drift[np.ix_(block, block)] != 0).astype(int)
+            linked = (a[np.ix_(block, block)] != 0).astype(int)
             reach = np.linalg.matrix_power(np.eye(m, dtype=int) + linked, m)
             assert reach.all(), block
 
@@ -347,7 +347,7 @@ class TestAdjointSolve:
         sys = build_linear_system(params)
         assert tuple(idx) in ADJOINT_PLAN
         m = len(idx)
-        block = sys.basis_drift[np.ix_(idx, idx)]
+        block = rotated(sys)[0][np.ix_(idx, idx)]
         poles = np.abs(np.linalg.eigvals(block).imag)
         omegas = np.concatenate(
             [np.geomspace(0.1, 10.0, 129) * params.big_omega, poles])
@@ -690,16 +690,20 @@ class TestLinearSystem:
             LinearSystem(params, sys.drift)
         model = LinearSystem(params)
         assert model.params is params and model.steady == sys.steady
-        for name in ("drift", "noise_coupling", "basis_drift",
-                     "basis_coupling"):
+        for name in ("drift", "noise_coupling"):
             array = getattr(model, name)
             assert np.array_equal(array, getattr(sys, name)), name
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
-    @pytest.mark.parametrize("name", ["steady", "drift", "noise_coupling",
-                                      "basis_drift", "basis_coupling"])
+    def test_fields_are_the_model(self):
+        # The system holds the model at params and nothing derived for one
+        # solver: the adjoint solve forms its rotated pair per call.
+        assert [f.name for f in dataclasses.fields(LinearSystem)] == [
+            "params", "steady", "drift", "noise_coupling"]
+
+    @pytest.mark.parametrize("name", ["steady", "drift", "noise_coupling"])
     def test_derived_field_cannot_be_given(self, fig2, name):
         # No derived field can be handed in or swapped for another value:
         # not at construction, not by dataclasses.replace, not by assignment.

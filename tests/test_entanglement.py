@@ -40,7 +40,7 @@ from mirrorpair.errors import (
 )
 
 from conftest import (
-    P_STAR, RATE_FIELDS, make_params, meter_output, working_points,
+    P_STAR, RATE_FIELDS, make_params, meter_output, rotated, working_points,
 )
 
 
@@ -347,9 +347,10 @@ class TestRowFactorForms:
         params, kernel = point
         sys = build_linear_system(params)
         noise = NoiseModel.from_params(params, kernel)
+        a, _ = rotated(sys)
         blocks = [b for b in ADJOINT_PLAN if IQ1 in b or IQ2 in b]
         poles = np.concatenate([np.abs(np.linalg.eigvals(
-            sys.basis_drift[np.ix_(b, b)]).imag) for b in blocks])
+            a[np.ix_(b, b)]).imag) for b in blocks])
         w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
                             poles[poles > 0.0]])
         with warnings.catch_warnings():

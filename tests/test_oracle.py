@@ -59,6 +59,20 @@ class TestSdeRunValidation:
         SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=40.0,
                trajectories=1)
 
+    def test_recorded_values_bounded(self):
+        # classical_sde_psd records signals x steps x trajectories floats:
+        # 1e7 steps x 1e6 trajectories would be 72.8 TiB, refused before
+        # numpy is asked for it.  The 5e7-value run above still constructs,
+        # and so do 1e8 values, the bound, over two signals.
+        with pytest.raises(InvalidParameterError, match="trajectories"):
+            SdeRun(seed=0, dt=1e-6, total_time=10.0, burn_in=0.0,
+                   trajectories=10 ** 6)
+        with pytest.raises(InvalidParameterError, match="trajectories"):
+            SdeRun(seed=0, dt=1e-6, total_time=10.0, burn_in=0.0,
+                   trajectories=6, record=((IQ1,), (IXA1,)))
+        SdeRun(seed=0, dt=1e-6, total_time=10.0, burn_in=0.0,
+               trajectories=5, record=((IQ1,), (IXA1,)))
+
     def test_unstable_system_rejected(self, fig2, fig2_noise, monkeypatch):
         # The drift's eigenvalues are computed once, for the check and for
         # the error alike (dynamics._require_stable).

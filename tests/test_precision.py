@@ -29,7 +29,7 @@ from mirrorpair.entanglement import (
     V_SELECTOR,
 )
 
-from conftest import P_STAR, working_points
+from conftest import P_STAR, rotated, working_points
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -209,7 +209,7 @@ def relative_mechanical_pole(params):
     block {q-, p-, X_b, Y_b}, where that block is nearly singular."""
     sys = build_linear_system(params)
     relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
-    poles = np.linalg.eigvals(sys.basis_drift[np.ix_(relative, relative)])
+    poles = np.linalg.eigvals(rotated(sys)[0][np.ix_(relative, relative)])
     pole = poles[np.argmin(np.abs(poles.real))]
     return abs(pole.imag), -pole.real
 
@@ -280,7 +280,7 @@ class TestClosedFormRows:
             sys = build_linear_system(params)
             relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
             w = np.abs(np.linalg.eigvals(
-                sys.basis_drift[np.ix_(relative, relative)]).imag).max()
+                rotated(sys)[0][np.ix_(relative, relative)]).imag).max()
         else:
             w = factor * params.big_omega
         err = closed_form_row_errors(params, [w])
@@ -318,9 +318,10 @@ class TestClosedFormRows:
         # {q+, p+} and {q-, p-, X_b, Y_b}, which the u and d rows solve.
         params, _ = point
         sys = build_linear_system(params)
+        a, _ = rotated(sys)
         blocks = [b for b in ADJOINT_PLAN if IQ1 in b or IQ2 in b]
         poles = np.concatenate([np.abs(np.linalg.eigvals(
-            sys.basis_drift[np.ix_(b, b)]).imag) for b in blocks])
+            a[np.ix_(b, b)]).imag) for b in blocks])
         w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
                             poles[poles > 0.0]])
         with warnings.catch_warnings():
@@ -329,7 +330,7 @@ class TestClosedFormRows:
             want = _transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
         cond = np.max([np.linalg.cond(
             -1j * w[:, None, None] * np.eye(len(b))
-            - sys.basis_drift[np.ix_(b, b)].T) for b in blocks], axis=0)
+            - a[np.ix_(b, b)].T) for b in blocks], axis=0)
         tol = 1e-12 + 4.0 * np.finfo(float).eps * cond
         err = np.linalg.norm(got - want, axis=-1)
         assert np.all(err <= tol * np.linalg.norm(want, axis=-1))
@@ -383,7 +384,7 @@ class TestRowFactors:
         sys = build_linear_system(params)
         relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
         pole = np.abs(np.linalg.eigvals(
-            sys.basis_drift[np.ix_(relative, relative)]).imag).max()
+            rotated(sys)[0][np.ix_(relative, relative)]).imag).max()
         assert pole / params.big_omega == pytest.approx(69.101, abs=1e-3)
         err = factor_errors(params, [pole, 69.101 * params.big_omega])
         assert err.max() <= 1e-14, err
