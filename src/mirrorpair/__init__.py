@@ -11,7 +11,7 @@ from .model import (
 )
 from .dynamics import (
     LinearSystem, NoiseModel, build_linear_system, hybrid_grid, is_stable,
-    spectral_matrix, stability_margin, transfer_matrix,
+    stability_margin, transfer_matrix,
 )
 from .entanglement import (
     GaussianState, degree_sweep, optimize_separability, separability_product,
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "PhysicalParams", "SteadyState", "fig2_params", "power_to_amplitude",
     "steady_state", "LinearSystem", "NoiseModel", "build_linear_system",
-    "hybrid_grid", "is_stable", "spectral_matrix", "stability_margin",
-    "transfer_matrix", "GaussianState", "degree_sweep",
+    "hybrid_grid", "is_stable", "stability_margin", "transfer_matrix",
+    "GaussianState", "degree_sweep",
     "optimize_separability", "separability_product", "combine_currents",
     "gain_condition", "output_spectrum", "output_spectrum_via_transfer",
     "two_channel_spectra", "OracleSpectra", "SdeRun", "classical_sde_psd",

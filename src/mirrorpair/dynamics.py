@@ -742,21 +742,6 @@ def noise_weights(ri, rj):
             vacuum, reduce(np.add, pairs))
 
 
-def spectral_matrix(sys: LinearSystem, noise: NoiseModel, omega: float) -> np.ndarray:
-    """Stationary cross-spectral matrix S(omega) = M(omega) D(omega) M(-omega)^T.
-
-    Entry (i, j) is the stationary limit of <x_i(omega) x_j(-omega)>.  Because
-    A and B are real, M(-omega) is the conjugate of M(omega) and S is Hermitian
-    positive semidefinite whenever D is.  omega has the input contract of
-    transfer_matrix, which checks it before anything else is evaluated.
-    Built on the dense transfer_matrix, it holds about
-    eps * cond(-i omega - A) too and is the weaker reference near a resonance.
-    """
-    m_plus = transfer_matrix(sys, omega)
-    m_minus = transfer_matrix(sys, -omega)
-    return m_plus @ noise.input_spectrum(omega) @ m_minus.T
-
-
 def hybrid_grid(big_omega: float) -> np.ndarray:
     """Frequency grid refined around the mechanical resonance.
 

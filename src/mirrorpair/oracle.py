@@ -14,6 +14,7 @@ periodograms instead of resolvent solves.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -59,8 +60,18 @@ class SdeRun:
             raise InvalidParameterError(
                 f"(burn_in + total_time) / dt must be at most {_MAX_STEPS:.0e}"
                 f" steps, got {steps:.3g}")
+        # A periodogram needs 2 recorded steps, and a standard error 2
+        # trajectories.
+        n_rec = int(round(self.total_time / self.dt))
+        if n_rec < 2:
+            raise InvalidParameterError(
+                f"total_time must hold at least 2 steps of dt, got"
+                f" {self.total_time!r} / {self.dt!r} = {n_rec} steps")
+        if self.trajectories < 2:
+            raise InvalidParameterError(
+                f"trajectories must be at least 2, got {self.trajectories!r}")
         # The record of classical_sde_psd: signals x steps x trajectories.
-        per_trajectory = len(record) * int(round(self.total_time / self.dt))
+        per_trajectory = len(record) * n_rec
         if per_trajectory * self.trajectories > _MAX_STEPS:
             raise InvalidParameterError(
                 f"trajectories must be at most {_MAX_STEPS // per_trajectory}"
@@ -77,7 +88,8 @@ def white_noise_intensities(noise: NoiseModel) -> np.ndarray:
 
 
 def _discretize(sys: LinearSystem, noise: NoiseModel, dt: float):
-    """One-step propagator and noise-increment Cholesky factor."""
+    """One-step propagator and a square root of the noise-increment
+    covariance."""
     # Imported here so that `import mirrorpair` does not load scipy.
     from scipy.linalg import expm
 
@@ -85,19 +97,31 @@ def _discretize(sys: LinearSystem, noise: NoiseModel, dt: float):
     b = sys.noise_coupling
     q = b @ np.diag(white_noise_intensities(noise)) @ b.T
     # Van Loan block-exponential for the exact discrete-time noise
-    # covariance integral_0^dt e^{As} Q e^{A^T s} ds.
+    # covariance cov(h) = integral_0^h e^{As} Q e^{A^T s} ds, taken over
+    # h = dt / 2^doublings with |A|_1 h < 1.  Its e^{-Ah} block grows with
+    # h: taken over a dt with |A|_1 dt of some tens, phi @ e12 cancels
+    # every digit (at dt = 1e-3 s on the decoupled system, e^{-A dt} holds
+    # e^50).
+    # Doubling reaches dt by sums of positive semidefinite terms:
+    #     cov(2h) = cov(h) + phi(h) cov(h) phi(h)^T,  phi(2h) = phi(h)^2.
+    doublings = max(0, math.frexp(np.linalg.norm(a, 1) * dt)[1])
     blk = np.zeros((2 * N_STATE, 2 * N_STATE))
     blk[:N_STATE, :N_STATE] = -a
     blk[:N_STATE, N_STATE:] = q
     blk[N_STATE:, N_STATE:] = a.T
-    e = expm(blk * dt)
+    e = expm(blk * (dt / 2 ** doublings))
     phi = e[N_STATE:, N_STATE:].T
     cov = phi @ e[:N_STATE, N_STATE:]
+    for _ in range(doublings):
+        cov = cov + phi @ cov @ phi.T
+        phi = phi @ phi
     cov = 0.5 * (cov + cov.T)
-    # Small jitter keeps the Cholesky factor defined when channels vanish.
-    scale = max(np.abs(cov).max(), 1e-300)
-    chol = np.linalg.cholesky(cov + 1e-14 * scale * np.eye(N_STATE))
-    return phi, chol
+    # Any square root of cov samples the same increments.  That of eigh
+    # needs no positive definite cov: no noise drives q1 and q2 directly,
+    # so their increments scale as dt^3 against dt for the rest, and the
+    # eigenvalues that rounding puts below 0 are taken as 0.
+    lam, vec = np.linalg.eigh(cov)
+    return phi, vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -126,7 +150,7 @@ def classical_sde_psd(
     classical spectra coincide.
     """
     _require_stable(sys)
-    phi, chol = _discretize(sys, noise, run.dt)
+    phi, root = _discretize(sys, noise, run.dt)
 
     n_burn = int(round(run.burn_in / run.dt))
     n_rec = int(round(run.total_time / run.dt))
@@ -143,7 +167,7 @@ def classical_sde_psd(
     recorded = np.empty((len(run.record), n_rec, n_traj))
     for step in range(n_burn + n_rec):
         w = rng.standard_normal((N_STATE, n_traj))
-        x = phi @ x + chol @ w
+        x = phi @ x + root @ w
         if step >= n_burn:
             recorded[:, step - n_burn, :] = sel @ x
 

@@ -23,11 +23,10 @@ from mirrorpair import (
     output_spectrum,
     output_spectrum_via_transfer,
     separability_product,
-    spectral_matrix,
     tmsv_state,
 )
 from mirrorpair.cli import SweepSpec, run_sweep
-from mirrorpair.dynamics import IQ1
+from mirrorpair.dynamics import IQ1, IQ2
 from mirrorpair.entanglement import separability_optimum, separability_products
 from mirrorpair.oracle import sample_separable_covariances
 from conftest import make_params
@@ -133,11 +132,9 @@ def test_criterion_6a_decoupled_closed_form():
     expected = 0.5 * np.abs(chi) ** 2 * (
         noise.brownian_spectrum(omegas) + noise.brownian_spectrum(-omegas)
     )
-    measured = np.array([
-        0.5 * (spectral_matrix(sys, noise, w)[IQ1, IQ1]
-               + spectral_matrix(sys, noise, -w)[IQ1, IQ1]).real
-        for w in omegas
-    ])
+    # Two independent identical mirrors: <R_u^2> = 2 <R_q1^2>, where
+    # <R_q1^2> = |chi|^2 [S_xi(w) + S_xi(-w)] / 4.
+    measured = degree_sweep(sys, noise, omegas)["var_u"]
     rel = np.abs(measured - expected) / expected
     _report(6, "oracle 6a decoupled closed form", bool(rel.max() <= 1e-8))
 
@@ -150,16 +147,14 @@ def test_criterion_6b_monte_carlo_periodogram():
     sys = build_linear_system(params)
     noise = NoiseModel(300.0, params.big_gamma, params.big_omega)
     run = SdeRun(seed=20240817, dt=2e-5, total_time=0.1, burn_in=5e-3,
-                 trajectories=800, record=((IQ1,),))
+                 trajectories=800, record=((IQ1, IQ2),))
     spectra = classical_sde_psd(sys, noise, run)
     order = np.argsort(np.abs(spectra.omegas - params.big_omega))[:11]
-    ws = spectra.omegas[order]
     mc = spectra.psd[0, order].mean()
-    theory = np.array([
-        0.5 * (spectral_matrix(sys, noise, w)[IQ1, IQ1]
-               + spectral_matrix(sys, noise, -w)[IQ1, IQ1]).real
-        for w in ws
-    ]).mean()
+    # The periodogram of u = q1 + q2 estimates [S_uu(w) + S_uu(-w)] / 2,
+    # and the sweep's var_u is <R_u^2> = [S_uu(w) + S_uu(-w)] / 4.
+    var_u = degree_sweep(sys, noise, spectra.omegas[order])["var_u"]
+    theory = 2.0 * var_u.mean()
     rel = abs(mc / theory - 1.0)
     print(f"  MC/theory at resonance: {mc:.6e} / {theory:.6e} "
           f"(rel {rel:.3%}, {run.trajectories} trajectories)")

@@ -10,8 +10,7 @@ from scipy.constants import hbar as HBAR, k as KB
 from mirrorpair import (
     NoiseModel, build_linear_system, degree_sweep, fig2_params, hybrid_grid,
     is_stable, output_spectrum, output_spectrum_via_transfer,
-    spectral_matrix, stability_margin, transfer_matrix,
-    two_channel_spectra,
+    stability_margin, transfer_matrix, two_channel_spectra,
 )
 from mirrorpair import dynamics
 from mirrorpair.dynamics import (
@@ -110,7 +109,6 @@ class TestDriftStructure:
 #: Every public entry that takes one frequency, as f(sys, noise, omega).
 FREQUENCY_ENTRIES = {
     "transfer_matrix": lambda sys, noise, w: transfer_matrix(sys, w),
-    "spectral_matrix": spectral_matrix,
 }
 BAD_FREQUENCIES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "None": None,
                    "text": "1e5", "list": [1e5]}
@@ -159,6 +157,26 @@ class TestTransferMatrix:
         for w in (0.3e5, 1.0e5, 2.7e5):
             m = transfer_matrix(sys, w)
             assert m[IQ1, IXI1] == pytest.approx(chi(w, params), rel=1e-12)
+
+    def test_commutator_part_temperature_independent(self, fig2):
+        # reconstruct the antisymmetric output spectrum from the transfer
+        # matrix and the closed-form antisymmetric input spectrum
+        _, sys = fig2
+        params = sys.params
+        w = 1e5
+        m_p = transfer_matrix(sys, w)
+        m_m = transfer_matrix(sys, -w)
+        anti = []
+        for temp in (0.0, 0.1, 300.0):
+            noise = NoiseModel(temp, params.big_gamma, params.big_omega)
+            anti.append(m_p @ noise.commutator_spectrum(w) @ m_m.T)
+        scale = np.abs(anti[0]).max()
+        assert np.allclose(anti[0], anti[1], rtol=0, atol=1e-12 * scale)
+        assert np.allclose(anti[0], anti[2], rtol=0, atol=1e-12 * scale)
+        # it is genuinely antisymmetric under (omega, transpose) reversal
+        noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
+        back = m_m @ noise.commutator_spectrum(-w) @ m_p.T
+        assert np.allclose(anti[0], -back.T, rtol=0, atol=1e-12 * scale)
 
 
 def check_rows_against_transfer_matrix(sys, selectors, omegas,
@@ -598,75 +616,6 @@ class TestNoiseModel:
         good = {"temperature": 1.0, "big_gamma": 1.0, "big_omega": 1e5}
         with pytest.raises(InvalidParameterError):
             NoiseModel(**{**good, field: value})
-
-
-class TestSpectralMatrix:
-    def test_decoupled_position_spectrum_matches_closed_form(self, decoupled):
-        params, sys = decoupled
-        noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
-        for w in (0.5e5, 1.0e5, 1.5e5):
-            s = spectral_matrix(sys, noise, w)
-            sym = 0.5 * (s[IQ1, IQ1] + spectral_matrix(sys, noise, -w)[IQ1, IQ1])
-            expected = 0.5 * abs(chi(w, params)) ** 2 * (
-                noise.brownian_spectrum(w) + noise.brownian_spectrum(-w)
-            )
-            assert sym.real == pytest.approx(expected, rel=1e-10)
-            assert abs(sym.imag) < 1e-12 * abs(sym.real)
-
-    def test_no_cross_correlation_without_entangler(self, meters_only):
-        params, sys = meters_only
-        noise = NoiseModel.from_params(params)
-        s = spectral_matrix(sys, noise, 1e5)
-        assert abs(s[IQ1, IQ2]) == 0.0
-        assert abs(s[IP1, IP2]) == 0.0
-
-    def test_symmetrized_spectrum_positive_semidefinite(self, fig2, fig2_noise):
-        _, sys = fig2
-        s = spectral_matrix(sys, fig2_noise, sys.params.big_omega)
-        sym = 0.5 * (s + s.conj().T)
-        eigs = np.linalg.eigvalsh(sym)
-        assert eigs.min() >= -1e-10 * np.linalg.norm(s)
-
-    def test_diagonal_hermitian_combination_real(self, fig2, fig2_noise):
-        _, sys = fig2
-        w = 0.9e5
-        s = spectral_matrix(sys, fig2_noise, w)
-        s_m = spectral_matrix(sys, fig2_noise, -w)
-        for i in range(N_STATE):
-            val = s[i, i] + s_m[i, i]
-            assert abs(val.imag) <= 1e-10 * max(abs(val.real), 1e-300)
-
-    def test_commutator_part_temperature_independent(self, fig2):
-        # reconstruct the antisymmetric output spectrum from the transfer
-        # matrix and the closed-form antisymmetric input spectrum
-        _, sys = fig2
-        params = sys.params
-        w = 1e5
-        m_p = transfer_matrix(sys, w)
-        m_m = transfer_matrix(sys, -w)
-        anti = []
-        for temp in (0.0, 0.1, 300.0):
-            noise = NoiseModel(temp, params.big_gamma, params.big_omega)
-            anti.append(m_p @ noise.commutator_spectrum(w) @ m_m.T)
-        scale = np.abs(anti[0]).max()
-        assert np.allclose(anti[0], anti[1], rtol=0, atol=1e-12 * scale)
-        assert np.allclose(anti[0], anti[2], rtol=0, atol=1e-12 * scale)
-        # it is genuinely antisymmetric under (omega, transpose) reversal
-        noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
-        back = m_m @ noise.commutator_spectrum(-w) @ m_p.T
-        assert np.allclose(anti[0], -back.T, rtol=0, atol=1e-12 * scale)
-
-    def test_position_spectrum_monotone_in_temperature(self, fig2):
-        _, sys = fig2
-        params = sys.params
-        w = params.big_omega
-        values = []
-        for temp in (0.1, 1.0, 4.0, 77.0, 300.0):
-            noise = NoiseModel(temp, params.big_gamma, params.big_omega)
-            s = spectral_matrix(sys, noise, w)[IQ1, IQ1]
-            s_m = spectral_matrix(sys, noise, -w)[IQ1, IQ1]
-            values.append((s + s_m).real)
-        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_hybrid_grid_shape_and_refinement():

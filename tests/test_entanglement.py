@@ -117,6 +117,20 @@ class TestDegreeSweep:
         out = degree_sweep(sys, noise, w)
         assert np.all(out["degree"] >= 1.0 - 1e-9)
 
+    def test_variances_do_not_decrease_with_temperature(self, fig2):
+        # Thermal noise only adds to the mirrors' motion: at every omega of
+        # the grid, Var(u) and Var(v) do not decrease from T to T.
+        params, sys = fig2
+        omegas = hybrid_grid(params.big_omega)
+        previous = None
+        for temp in (0.1, 1.0, 4.0, 77.0, 300.0):
+            noise = NoiseModel(temp, params.big_gamma, params.big_omega)
+            out = degree_sweep(sys, noise, omegas)
+            if previous is not None:
+                for key in ("var_u", "var_v"):
+                    assert np.all(out[key] >= previous[key]), (temp, key)
+            previous = out
+
     def test_zero_frequency_has_no_degree(self, fig2, fig2_noise):
         # The commutator is proportional to omega, so E(0) is undefined;
         # the readout spectra at omega = 0 are finite.

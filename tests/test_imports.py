@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""The package's public names, and no module of the package or of the
+tests imports a name it never uses.
 
 No linter runs on this repository, so the check is made here with ast: a
 name bound by an import statement must be read somewhere in its module.
@@ -11,6 +12,21 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import mirrorpair
+
+#: `mirrorpair.__all__`, sorted: a name added to or deleted from the public
+#: API is an edit of this list.
+PUBLIC_API = [
+    "GaussianState", "LinearSystem", "NoiseModel", "OracleSpectra",
+    "PhysicalParams", "SdeRun", "SteadyState", "build_linear_system",
+    "classical_sde_psd", "combine_currents", "degree_sweep", "errors",
+    "fig2_params", "gain_condition", "hybrid_grid", "is_stable",
+    "optimize_separability", "output_spectrum",
+    "output_spectrum_via_transfer", "power_to_amplitude",
+    "separability_product", "stability_margin", "steady_state",
+    "tmsv_state", "transfer_matrix", "two_channel_spectra",
+]
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*(ROOT / "src" / "mirrorpair").glob("*.py"),
@@ -71,3 +87,8 @@ def test_the_check_finds_an_unused_import(tmp_path):
         "    return os.sep\n",
         encoding="utf-8")
     assert unused_imports(module) == [(2, "system"), (4, "pi")]
+
+
+def test_public_api_is_pinned():
+    assert sorted(mirrorpair.__all__) == PUBLIC_API
+    assert all(hasattr(mirrorpair, name) for name in PUBLIC_API)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from mirrorpair import (
     NoiseModel,
@@ -23,20 +24,20 @@ from mirrorpair.oracle import (
 class TestSdeRunValidation:
     def test_bad_settings_rejected(self):
         good = dict(seed=1, dt=1e-6, total_time=1.0, burn_in=0.0,
-                    trajectories=1)
+                    trajectories=2)
         for field, value in [
             ("dt", 0.0), ("total_time", -1.0), ("trajectories", 0),
             ("dt", np.nan), ("total_time", np.inf), ("burn_in", np.inf),
             ("trajectories", 2.5), ("trajectories", True),
         ]:
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError, match=field):
                 SdeRun(**{**good, field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
     def test_seed_must_be_an_integer_at_least_0(self, seed):
         with pytest.raises(InvalidParameterError, match="seed"):
             SdeRun(seed=seed, dt=1e-6, total_time=1.0, burn_in=0.0,
-                   trajectories=1)
+                   trajectories=2)
         with pytest.raises(InvalidParameterError, match="seed"):
             sample_separable_covariances(seed=seed, count=4)
 
@@ -47,23 +48,23 @@ class TestSdeRunValidation:
     def test_record_must_hold_state_indices(self, record):
         with pytest.raises(InvalidParameterError, match="record"):
             SdeRun(seed=0, dt=1e-6, total_time=1.0, burn_in=0.0,
-                   trajectories=1, record=record)
+                   trajectories=2, record=record)
 
     def test_step_count_bounded(self):
         with pytest.raises(InvalidParameterError, match="steps"):
             SdeRun(seed=1, dt=1e-30, total_time=1e30, burn_in=0.0,
-                   trajectories=1)
+                   trajectories=2)
         with pytest.raises(InvalidParameterError, match="steps"):
             SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=60.0,
-                   trajectories=1)
+                   trajectories=2)
         SdeRun(seed=1, dt=1e-6, total_time=50.0, burn_in=40.0,
-               trajectories=1)
+               trajectories=2)
 
     def test_recorded_values_bounded(self):
         # classical_sde_psd records signals x steps x trajectories floats:
         # 1e7 steps x 1e6 trajectories would be 72.8 TiB, refused before
-        # numpy is asked for it.  The 5e7-value run above still constructs,
-        # and so do 1e8 values, the bound, over two signals.
+        # numpy is asked for it.  The run of 2 x 5e7 values above, the
+        # bound, still constructs, and so do 1e8 values over two signals.
         with pytest.raises(InvalidParameterError, match="trajectories"):
             SdeRun(seed=0, dt=1e-6, total_time=10.0, burn_in=0.0,
                    trajectories=10 ** 6)
@@ -72,6 +73,26 @@ class TestSdeRunValidation:
                    trajectories=6, record=((IQ1,), (IXA1,)))
         SdeRun(seed=0, dt=1e-6, total_time=10.0, burn_in=0.0,
                trajectories=5, record=((IQ1,), (IXA1,)))
+
+    def test_a_periodogram_needs_two_recorded_steps(self, decoupled):
+        # total_time / dt rounds to the recorded steps: 0 and 1 are refused,
+        # and 2 give a periodogram with a finite standard error.
+        for total_time in (4e-7, 1.4e-6):
+            with pytest.raises(InvalidParameterError, match="total_time"):
+                SdeRun(seed=0, dt=1e-6, total_time=total_time, burn_in=0.0,
+                       trajectories=2)
+        params, sys = decoupled
+        noise = NoiseModel(4.0, params.big_gamma, params.big_omega)
+        run = SdeRun(seed=0, dt=1e-6, total_time=1.6e-6, burn_in=0.0,
+                     trajectories=2)
+        spectra = classical_sde_psd(sys, noise, run)
+        assert spectra.psd.shape == spectra.stderr.shape == (1, 2)
+        assert np.all(np.isfinite(spectra.stderr))
+
+    def test_a_standard_error_needs_two_trajectories(self):
+        with pytest.raises(InvalidParameterError, match="trajectories"):
+            SdeRun(seed=0, dt=1e-6, total_time=1e-3, burn_in=0.0,
+                   trajectories=1)
 
     def test_unstable_system_rejected(self, fig2, fig2_noise, monkeypatch):
         # The drift's eigenvalues are computed once, for the check and for
@@ -100,13 +121,33 @@ class TestDiscretization:
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
         dt = 3e-6
-        phi, chol = _discretize(sys, noise, dt)
-        cov = chol @ chol.T
+        phi, root = _discretize(sys, noise, dt)
+        cov = root @ root.T
         lam = params.gamma_a / 2.0
         assert phi[IXA1, IXA1] == pytest.approx(np.exp(-lam * dt), rel=1e-10)
         assert cov[IXA1, IXA1] == pytest.approx(
             1.0 - np.exp(-2.0 * lam * dt), rel=1e-10
         )
+
+    def test_long_step_matches_the_stationary_covariance(self, decoupled):
+        # Over dt = 1e-3 s the meters relax 50 e-folds.  The increment
+        # covariance of a stationary process is P - phi P phi^T, with P
+        # the Lyapunov solution of A P + P A^T + Q = 0.
+        params, sys = decoupled
+        noise = NoiseModel(4.0, params.big_gamma, params.big_omega)
+        dt = 1e-3
+        phi, root = _discretize(sys, noise, dt)
+        b = sys.noise_coupling
+        q = b @ np.diag(white_noise_intensities(noise)) @ b.T
+        p = solve_continuous_lyapunov(sys.drift, -q)
+        expected = p - phi @ p @ phi.T
+        cov = root @ root.T
+        assert np.abs(cov - expected).max() <= 1e-9 * np.abs(expected).max()
+        assert cov[IXA1, IXA1] == pytest.approx(1.0, rel=1e-12)
+        run = SdeRun(seed=0, dt=dt, total_time=0.1, burn_in=0.0,
+                     trajectories=4)
+        spectra = classical_sde_psd(sys, noise, run)
+        assert np.all(np.isfinite(spectra.psd))
 
     def test_euler_and_exact_agree_to_second_order(self, decoupled):
         params, sys = decoupled

@@ -14,6 +14,7 @@ from mirrorpair import (
     combine_currents,
     fig2_params,
     gain_condition,
+    hybrid_grid,
     output_spectrum,
     output_spectrum_via_transfer,
     steady_state,
@@ -218,6 +219,15 @@ class TestTwoChannelCombination:
         spectra = two_channel_spectra(sys, noise, w)
         combined = combine_currents(spectra, "sum")
         assert np.allclose(combined, 2.0, rtol=0, atol=1e-12)
+
+    def test_no_cross_spectrum_without_entangler(self, meters_only):
+        # With G = 0 the two mirrors and their meters are independent: s12
+        # is rounding against each channel's signal above the floor 1.
+        params, sys = meters_only
+        noise = NoiseModel.from_params(params)
+        spectra = two_channel_spectra(sys, noise,
+                                      hybrid_grid(params.big_omega))
+        assert np.all(np.abs(spectra.s12) <= 1e-13 * (spectra.s11 - 1.0))
 
     def test_bad_mode_rejected(self, decoupled):
         params, sys = decoupled
