@@ -110,6 +110,23 @@ class TestDegreeSweep:
                 expected ** 2, rel=1e-10
             )
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
+    def test_decoupled_variances_closed_form(self, decoupled, temperature):
+        # with g = G = 0 each mirror is a free Brownian oscillator, so
+        # Var(u) = |chi|^2 [S_xi(w) + S_xi(-w)] / 2 and, since
+        # p = -i (w / Omega) q, Var(v) = (w / Omega)^2 Var(u)
+        params, sys = decoupled
+        noise = NoiseModel(temperature, params.big_gamma, params.big_omega)
+        w = hybrid_grid(params.big_omega)
+        out = degree_sweep(sys, noise, w)
+        expected = 0.5 * abs(chi(w, params)) ** 2 * (
+            noise.brownian_spectrum(w) + noise.brownian_spectrum(-w)
+        )
+        rho = w / params.big_omega
+        assert np.allclose(out["var_u"], expected, rtol=1e-10, atol=0)
+        assert np.allclose(out["var_v"], rho ** 2 * expected, rtol=1e-10,
+                           atol=0)
+
     def test_no_entangler_never_entangled(self, meters_only):
         params, sys = meters_only
         noise = NoiseModel.from_params(params)

@@ -229,6 +229,23 @@ class TestTwoChannelCombination:
                                       hybrid_grid(params.big_omega))
         assert np.all(np.abs(spectra.s12) <= 1e-13 * (spectra.s11 - 1.0))
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.1, 300.0])
+    def test_spectrum_matrix_positive_semidefinite(self, temperature):
+        # The two currents commute, so [[s11, s12], [s12*, s22]] is the
+        # covariance of a pair of observables; with s11 = s22 and s12 real
+        # its eigenvalues are s11 +- |s12|.  At the Fig. 2 point at 300 K
+        # the smaller one is 3e-15 of s11; at P* at 0 K it is 0.65 of it.
+        for overrides in ({}, P_STAR):
+            params = fig2_params(**overrides)
+            sys = build_linear_system(params)
+            noise = NoiseModel(temperature, params.big_gamma,
+                               params.big_omega)
+            spectra = two_channel_spectra(sys, noise,
+                                          hybrid_grid(params.big_omega))
+            assert np.all(spectra.s11 > 0.0)
+            assert np.all(np.abs(spectra.s12) - spectra.s11
+                          <= 1e-12 * spectra.s11)
+
     def test_bad_mode_rejected(self, decoupled):
         params, sys = decoupled
         noise = NoiseModel(0.0, params.big_gamma, params.big_omega)
