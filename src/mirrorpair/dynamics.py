@@ -43,41 +43,17 @@ IXI1, IXI2, IXIN1, IYIN1, IXIN2, IYIN2, IXINB, IYINB = range(8)
 BROWNIAN_KERNELS = ("corrected", "halved")
 
 
-def _mirror_map(scale):
-    """Identity but for scale * [[I, I], [I, -I]] on (q1, p1, q2, p2)."""
-    t = np.eye(N_STATE)
-    t[:IP2 + 1, :IP2 + 1] = scale * np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
-    t.setflags(write=False)
-    return t
-
-
-#: The mirror rotation x' = T x: q+ = q1 + q2, p+ = p1 + p2, q- = q1 - q2
-#: and p- = p1 - p2 in the slots of q1, p1, q2 and p2, every other state kept.
-#: Its inverse is the same map halved, so both have entries 0, +-1 and +-1/2.
-MIRROR_ROTATION, _MIRROR_INVERSE = _mirror_map(1.0), _mirror_map(0.5)
-
-
-#: Diagonal blocks of the adjoint solve in the rotated coordinates, in
-#: solve order: the meter phase quadratures, the centre of mass {q+, p+},
-#: the relative mode with the entangler {q-, p-, X_b, Y_b} and the meter
-#: amplitude quadratures.  The slots of q1, p1, q2 and p2 hold q+, p+, q-
-#: and p-.  A block is solved after every block that it drives, for every
-#: model system (tests/test_dynamics.py).
-ADJOINT_PLAN = ((IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB),
-                (IXA1,), (IXA2,))
-
-
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """The linearized model at params: drift, noise coupling and the steady
     state they are assembled at, as read-only arrays.
 
     params is the only argument; build_linear_system is the documented
-    maker and adds the optional stability check.  The model's u = q1 + q2
-    and d = q1 - q2 rows, the only rows a sweep or a readout spectrum
-    needs, have the closed form of susceptibility_rows.  The adjoint
-    solve forms its own rotated drift and coupling from these per call
-    (selected_transfer_rows); nothing else is stored.
+    maker and adds the optional stability check.  Every row of the
+    transfer matrix has the closed form of params and steady
+    (susceptibility_rows, selected_transfer_rows); the drift and the
+    coupling serve the stability check, the dense transfer_matrix and the
+    time-domain oracle.  Nothing else is stored.
     """
 
     params: PhysicalParams
@@ -324,7 +300,7 @@ def transfer_matrix(sys: LinearSystem, omega: float) -> np.ndarray:
     One dense 10x10 LU solve: its rows hold about eps * cond(-i omega - A),
     the weaker reference near a resonance.  At the Fig. 2 point at omega =
     Omega (cond 4.3e7) its u and d rows are off a 40-digit solve by 1.0e-11
-    and 3.6e-10 of their norm, selected_transfer_rows' by <= 1.5e-16.
+    and 3.6e-10 of their norm, selected_transfer_rows' by <= 1.4e-16.
 
     omega is one real number under the value rule of frequency_grid
     (_frequency); anything else raises InvalidParameterError.
@@ -375,18 +351,20 @@ def frequency_grid(omegas) -> np.ndarray:
 
 
 #: Frequencies per piece of a sweep (entanglement._planes) and of a
-#: readout spectrum.  The pieces bound the memory of the adjoint solve of
+#: readout spectrum.  The pieces bound the memory of the rows of
 #: readout.output_spectrum_via_transfer: on 2e5 omega its tracemalloc peak
-#: was 3.2 MB in pieces and 154 MB in one piece.  At the Fig. 2 point
+#: was 3.4 MB in pieces and 141 MB in one piece.  At the Fig. 2 point
 #: (medians of 35 interleaved calls, two runs, 2-core x86-64 VM) the two
-#: via-transfer spectra on 8000 omega took 10.5-12.6 ms in pieces of 2048
-#: and 12.4-14.2 ms in pieces of 4096 or in one piece.  The sweep holds a
-#: few real arrays per omega.  The six planes of entanglement._planes took
-#: 1.0 ms on 10^4 omega in pieces and in one batch alike; on 2e5 omega the
-#: pieces took 12 ms against 22 ms for one batch, with a tracemalloc peak
-#: of 10 MB against 38 MB (medians of 60 and 15 calls, same VM).  A sweep
-#: may ask for cli.MAX_SWEEP_ROWS = 10^6 frequencies, so the pieces stay,
-#: for the large grids, and the piece stays at 2048.
+#: via-transfer spectra on 8000 omega took 4.8 ms in pieces of 2048,
+#: 4.3-4.4 ms in pieces of 4096 and 4.5-4.6 ms in one piece.  The sweep
+#: holds a few real arrays per omega.  The six planes of
+#: entanglement._planes took 0.68 ms on 10^4 omega in pieces of 2048 and
+#: 0.60 ms in pieces of 4096 (medians of 30); on 2e5 omega the pieces took
+#: 12 ms against 22 ms for one batch, with a tracemalloc peak of 10 MB
+#: against 38 MB.  A sweep may ask for cli.MAX_SWEEP_ROWS = 10^6
+#: frequencies, so the pieces stay.  A larger piece changes the timed code
+#: of every workload, so that choice needs a benchmark run; the piece
+#: stays at 2048.
 CHUNK = 2048
 
 
@@ -448,25 +426,30 @@ def susceptibility_rows(sys: LinearSystem, w):
 
     The entangler does not reach the centre of mass u.  D is formed as
     (kappa - i Delta_b)(kappa + i Delta_b), so nothing cancels near
-    w = |Delta_b|, and the real part of mech as in _shifted_det.  Near a
-    lightly damped pole of the relative mode mech D and the spring term
-    cancel in den, as they do in the adjoint solve's relative block: at the
+    w = |Delta_b|, and the real part of mech as (Omega - w)(Omega + w), so
+    nothing cancels near w = Omega.  The entangler entries of d are formed
+    as _row_factors forms them, the modulus 2 G |beta| sqrt(gamma_b) Omega /
+    den times the unit phase beta / |beta|.  Near a lightly damped pole of
+    the relative mode mech D and the spring term cancel in den: at the
     stable point P* (tests/test_precision.py), whose relative mechanical
     pole at 0.92496 Omega has a damping of 7.9e-7 Omega, the d row holds
-    only ~eps |mech D| / |den|, 2.4e-11 there, and the block solver no better.
+    only ~eps |mech D| / |den|, 2.4e-11 there.
 
     The sweep and the readout need only the real factors of these rows
-    (_row_factors); the rows themselves are the reference those factors are
-    tested against.  A zero mech or den raises SingularityError
-    (_closed_form).
+    (_row_factors); the rows are the reference those factors are tested
+    against, and every row of selected_transfer_rows is made of them.  A
+    zero mech or den raises SingularityError (_closed_form).
 
     w: a float array of shape (n,) as frequency_grid returns it; it is not
     checked again.  Returns shape (2, n, 8): the u row, then the d row.
     """
-    mech, kappa, spring, den, c_a = _closed_form(sys, w)
-    p, ss = sys.params, sys.steady
-    om, g_b = p.big_omega, p.gamma_b
-    gbeta_r, gbeta_i = p.big_g * ss.beta.real, p.big_g * ss.beta.imag
+    return _model_rows(sys, w, *_closed_form(sys, w))
+
+
+def _model_rows(sys, w, mech, kappa, spring, den, c_a):
+    """susceptibility_rows from the closed form of _closed_form on w."""
+    p, beta = sys.params, sys.steady.beta
+    om = p.big_omega
     rows = np.zeros((2, w.size, N_NOISE), dtype=complex)
     u, d = rows
     u[:, IXI1] = u[:, IXI2] = om / mech
@@ -476,9 +459,10 @@ def susceptibility_rows(sys: LinearSystem, w):
     d[:, IXI1] = scale * spring
     d[:, IXI2] = -d[:, IXI1]
     d[:, IXIN1] = d[:, IXIN2] = d[:, IXI1] * c_a
-    scale *= np.sqrt(g_b)
-    d[:, IXINB] = scale * (-2.0 * gbeta_r * kappa - 2.0 * gbeta_i * p.delta_b)
-    d[:, IYINB] = scale * (2.0 * gbeta_r * p.delta_b - 2.0 * gbeta_i * kappa)
+    e = scale * (2.0 * p.big_g * abs(beta) * np.sqrt(p.gamma_b))
+    phase = beta / abs(beta) if beta else 0j
+    d[:, IXINB] = e * (-phase.real * kappa - phase.imag * p.delta_b)
+    d[:, IYINB] = e * (phase.real * p.delta_b - phase.imag * kappa)
     return rows
 
 
@@ -521,62 +505,39 @@ def _row_factors(sys, w):
 
 
 def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
-    """Rows c^T M(omega) of the transfer matrix for selection vectors c.
+    """Rows c^T M(omega) of the transfer matrix for selection vectors c, in
+    the closed form of the model.
 
-    The model's sweep and readout take their u and d rows from
-    susceptibility_rows instead.  This solve gives every selector the
-    closed form does not cover and output_spectrum_via_transfer, and it is
-    the independent check of the closed form.  Near an ill-conditioned
-    relative block it is the less accurate of the two (the d row at P*'s
-    optical pole, tests/test_precision.py).
+    Every state's row is made of the u and d rows of susceptibility_rows
+    and direct input entries.  With rho = -i w / Omega and
+    r = 1 / (gamma_a/2 - i w), and the upper signs for mirror 1:
 
-    Solving the adjoint system per selector avoids forming the full transfer
-    matrix and, crucially, avoids the catastrophic cancellation that appears
-    when nearly-equal large matrix entries are differenced afterwards (the
-    relative-momentum response is ~14 orders of magnitude below individual
-    mirror responses at strong entangler drive).
+        q_j = (u +- d) / 2,  p_j = rho q_j,  X_aj = sqrt(gamma_a) r e_Xin_j,
+        Y_aj = r (+-2 g alpha q_j + sqrt(gamma_a) e_Yin_j),
 
-    The solve runs in the coordinates x' = T x, T = MIRROR_ROTATION: each
-    call forms the rotated drift T A T^-1 and coupling T B from the
-    system's own, rotates the selectors, c^T T^-1, and contracts the
-    solutions with T B.  The mirrors are identical, so every rotated entry
-    is exact in binary.  The adjoint system is block triangular there, with
-    the blocks of ADJOINT_PLAN.  The meter phase
-    quadratures are solved first and the meter amplitude quadratures last,
-    by one complex division each; the centre-of-mass block {q+, p+} is a
-    2x2 solved in closed form; and so is the 4x4 block {q-, p-, X_b, Y_b}
-    of the relative mode and the entangler, by 2x2-block elimination.  No
-    block goes through LAPACK.  Leaving the meter states out of the
-    relative block keeps the mirror rows accurate: near the two zero
-    crossings of the commutator at the Fig. 2 point the commutator of its
-    q1 and p1 rows stays within ~3e-12 of a 30-digit reference
-    (tests/test_precision.py holds it to 5e-12), where the rows of a dense
-    10x10 LU were off by up to ~5e-8.  The split also keeps the X_b and Y_b
-    rows to rounding at omega = Omega, where the 6x6 mirror-entangler core
-    lost ~1e-9 of them.
+    and (X_b, Y_b) solve the entangler's 2x2 system driven by d, of
+    determinant D = (kappa - i Delta_b)(kappa + i Delta_b).  So a row is
+    c_u u + c_d d plus the meter and entangler input entries, with
+    a1 = c_q1 + rho c_p1 + 2 g alpha r c_Ya1,
+    a2 = c_q2 + rho c_p2 - 2 g alpha r c_Ya2, c_u = (a1 + a2) / 2 and
+    c_d = (a1 - a2) / 2 + [c_Xb (2 G beta_i kappa + 2 G beta_r Delta_b)
+    + c_Yb (2 G beta_i Delta_b - 2 G beta_r kappa)] / D.  Complex selectors
+    keep their imaginary part.
 
-    One routine, _solve_closed_form, solves both blocks.  The block's
-    shifted transpose is [[P, Q], [R, T]], T the trailing pair, or the whole
-    block of a 2x2, which is adj(T) / det T.  The trailing pair of the 4x4
-    is the damped entangler {X_b, Y_b}, whose shifted determinant
-    (gamma_b/2 - i omega)^2 + Delta_b^2 no real omega zeroes.  For a 4x4,
-    with K = Q T^-1 R and C = P - K,
-    x_m = adj(C) (r_m - Q T^-1 r_o) / det C and x_o = T^-1 (r_o - R x_m),
-    from per-omega coefficients T^-1 and C^-1 built once per call for all k
-    columns.  Every 2x2 determinant det(-i omega - A_b) = (d - omega^2)
-    + i t omega, d and t the block's determinant and trace (_shifted_det),
-    has its real part formed as (r - omega)(r + omega), r = sqrt(d), when
-    d > 0; the square root of a rounded square is exact, so the
-    centre-of-mass block gives (Omega - omega)(Omega + omega) - i Gamma
-    omega, with no cancellation of omega^2 against Omega^2 near resonance.
-    det C is formed as det P - tr(adj(P) K) + det Q det R / det T: at the
-    pole of a weakly driven relative mode C's own products cancel to ~1e-5,
-    and this keeps the q1 - q2 row to ~4e-16 of a 40-digit reference where
-    LAPACK is off by ~2e-12.  The known limit: the X_b and Y_b unit rows
-    lose ~2e-12 at a narrow entangler resonance, where LAPACK keeps 3e-16,
-    because x_o cancels when T^-1 is large; no package selector reaches
-    them (nothing feeds X_b or Y_b).  A zero diagonal, det T or det C
-    raises SingularityError before any division (_nonzero).
+    No row is a difference of the two mirrors' responses, so the relative
+    momentum, ~14 orders of magnitude below one mirror's response at strong
+    entangler drive, keeps its digits.  Against a 40-digit solve
+    (tests/test_precision.py) every unit row holds 4e-16 at omega = Omega,
+    where the shifted drift has condition 4.3e7 and the dense
+    transfer_matrix is off by up to 3.6e-10.  At the zero crossings of the
+    commutator at the Fig. 2 point the commutator of the q1 and p1 rows
+    stays within 4.3e-12 of a 30-digit reference.  The known limits: at a
+    lightly damped pole of the relative mode the rows that carry d hold
+    only ~eps |mech D| / |den| (susceptibility_rows); at a narrow entangler
+    resonance (gamma_b = 150 s^-1, Delta_b = 1.25e4 s^-1) the X_b and Y_b
+    unit rows lose up to 8e-13, where the dense LU keeps 5e-15, and no
+    package selector reaches them.  A zero mech or den raises
+    SingularityError (_closed_form).
 
     omegas: shape (n,), see frequency_grid; selectors: a finite numeric
     array of shape (10, k), k >= 1; anything else raises
@@ -596,50 +557,31 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     return _transfer_rows(sys, w, c)
 
 
-def _transfer_rows(sys, w, selectors):
-    """selected_transfer_rows on a checked grid w and checked selectors."""
-    sel = np.asarray(selectors, dtype=complex).T @ _MIRROR_INVERSE   # (k, 10)
-    n, k = w.size, sel.shape[0]
-    a = MIRROR_ROTATION @ sys.drift @ _MIRROR_INVERSE
-    # Solutions as planes, x[s] = the (n, k) values of state s, so that a
-    # block reads only the planes of the solved states that feed it, and
-    # the final contraction with B is one matrix product.
-    x = np.empty((N_STATE, n, k), dtype=complex)
-    solved = []
-    for block in ADJOINT_PLAN:
-        idx, m = list(block), len(block)
-        rhs = np.broadcast_to(sel[:, idx].T[:, None, :], (m, n, k))
-        drives = a[:, idx].any(axis=1)
-        feeds = [s for s in solved if drives[s]]
-        if feeds:
-            feed = a[np.ix_(feeds, idx)].T @ x[feeds].reshape(len(feeds), -1)
-            rhs = rhs + feed.reshape(m, n, k)
-        if m == 1:
-            x[idx[0]] = rhs[0] / _nonzero(-1j * w - a[idx[0], idx[0]])[:, None]
-        else:
-            x[idx] = _solve_closed_form(a[np.ix_(idx, idx)], w, rhs)
-        solved += idx
-    coupling = MIRROR_ROTATION @ sys.noise_coupling
-    return (x.reshape(N_STATE, -1).T @ coupling).reshape(n, k, -1)
-
-
-def _shifted_det(block, w):
-    """det(-i w - block) = (d - w^2) + i t w of a real (2, 2) block, with d
-    and t its determinant and trace, for every omega of w.
-
-    For d > 0 the real part is formed as (r - w)(r + w), r = sqrt(d), with
-    no cancellation of w^2 against d near w = r.
-    """
-    (a00, a01), (a10, a11) = block
-    d = a00 * a11 - a01 * a10
-    det = np.empty(w.shape, dtype=complex)
-    if d > 0.0:
-        r = np.sqrt(d)
-        det.real = (r - w) * (r + w)
-    else:
-        det.real = d - w * w
-    det.imag = (a00 + a11) * w
-    return det
+def _transfer_rows(sys, w, c):
+    """selected_transfer_rows on a checked grid w and checked selectors c."""
+    form = _closed_form(sys, w)
+    kappa, spring = form[1][:, None], form[2][:, None]
+    u, d = _model_rows(sys, w, *form)
+    p, ss = sys.params, sys.steady
+    # Planes of shape (n, 1) against selector entries of shape (k,).
+    r = 1.0 / (0.5 * p.gamma_a - 1j * w[:, None])
+    rho = (-1j / p.big_omega) * w[:, None]
+    push = 2.0 * p.g * ss.alpha * r         # Y_a1 per unit q1
+    a1 = c[IQ1] + rho * c[IP1] + push * c[IYA1]
+    a2 = c[IQ2] + rho * c[IP2] - push * c[IYA2]
+    pull = 2.0 * p.big_g * ss.beta          # d drives X_b and Y_b by it
+    c_u = 0.5 * (a1 + a2)
+    c_d = 0.5 * (a1 - a2) + (
+        c[IXB] * (pull.imag * kappa + pull.real * p.delta_b)
+        + c[IYB] * (pull.imag * p.delta_b - pull.real * kappa)) / spring
+    rows = c_u[..., None] * u[:, None, :] + c_d[..., None] * d[:, None, :]
+    meter = np.sqrt(p.gamma_a) * r
+    for s, k in ((IXA1, IXIN1), (IYA1, IYIN1), (IXA2, IXIN2), (IYA2, IYIN2)):
+        rows[..., k] += meter * c[s]
+    entangler = np.sqrt(p.gamma_b) / spring
+    rows[..., IXINB] += entangler * (c[IXB] * kappa + c[IYB] * p.delta_b)
+    rows[..., IYINB] += entangler * (c[IYB] * kappa - c[IXB] * p.delta_b)
+    return rows
 
 
 def _nonzero(det):
@@ -648,61 +590,6 @@ def _nonzero(det):
     if not det.all():
         raise SingularityError("shifted drift matrix singular on grid")
     return det
-
-
-def _apply(inv, x0, x1):
-    """A 2x2 matrix, given as its entries (i00, i01, i10, i11), times the
-    pair of planes (x0, x1)."""
-    return inv[0] * x0 + inv[1] * x1, inv[2] * x0 + inv[3] * x1
-
-
-def _solve_closed_form(block, w, rhs):
-    """x with (-i w - block)^T x = rhs for every omega, in closed form (see
-    selected_transfer_rows).
-
-    block: (2, 2) real, or (4, 4) real with its trailing pair of nonzero
-    trace and determinant, such as the damped entangler pair; w: (n,);
-    rhs: (m, n, k) for an (m, m) block.  Returns (m, n, k).
-    """
-    s = -1j * w
-    # The shifted transpose is [[P, Q], [R, T]] per omega, T = s - o its
-    # trailing pair (the whole block for m = 2) and, for m = 4, P = s - m
-    # with Q and R constant.
-    bt = block.T
-    (o00, o01), (o10, o11) = bt[-2:, -2:]
-    det_t = _nonzero(_shifted_det(block[-2:, -2:], w))
-    adj_t = ((s - o11)[:, None], o01, o10, (s - o00)[:, None])
-    if len(block) == 2:
-        return np.stack(_apply(adj_t, *rhs)) / det_t[:, None]
-    (m00, m01), (m10, m11) = bt[:2, :2]
-    q, r = -bt[:2, 2:], -bt[2:, :2]
-    inv_t = 1.0 / det_t
-    # T^-1 = (s I + adj(-o)) / det T, so K = Q T^-1 R = (k0 + s k1) / det T
-    # with the constants k0 = Q adj(-o) R and k1 = Q R.
-    k0, k1 = q @ np.array([[-o11, o01], [o10, -o00]]) @ r, q @ r
-    (k00, k01), (k10, k11) = [[(k0[i, j] + s * k1[i, j]) * inv_t
-                               for j in (0, 1)] for i in (0, 1)]
-    p00, p11 = s - m00, s - m11
-    # det C = det P - tr(adj(P) K) + det K, with det P of the real-part
-    # recipe and det K = det Q det R / det T: near a pole of P no term
-    # cancels against another, where c00 c11 - c01 c10 loses ~2e-12.
-    inv_c = 1.0 / _nonzero(
-        _shifted_det(block[:2, :2], w)
-        - (p11 * k00 + p00 * k11 + m01 * k10 + m10 * k01)
-        + (q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
-        * (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]) * inv_t)
-    # C^-1 = adj(C) / det C, C = [[p00 - k00, -m01 - k01], [-m10 - k10, p11 - k11]],
-    # and T^-1, each as four (n, 1) coefficients for the k columns.
-    c_inv = [c[:, None] for c in ((p11 - k11) * inv_c, (m01 + k01) * inv_c,
-                                  (m10 + k10) * inv_c, (p00 - k00) * inv_c)]
-    t_inv = [c * inv_t[:, None] for c in adj_t]
-    rm0, rm1, ro0, ro1 = rhs
-    y0, y1 = _apply(t_inv, ro0, ro1)
-    xm0, xm1 = _apply(c_inv, rm0 - (q[0, 0] * y0 + q[0, 1] * y1),
-                      rm1 - (q[1, 0] * y0 + q[1, 1] * y1))
-    xo0, xo1 = _apply(t_inv, ro0 - (r[0, 0] * xm0 + r[0, 1] * xm1),
-                      ro1 - (r[1, 0] * xm0 + r[1, 1] * xm1))
-    return np.stack([xm0, xm1, xo0, xo1])
 
 
 # The input spectrum D(omega) is the Brownian diagonal plus constant vacuum

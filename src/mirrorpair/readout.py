@@ -23,12 +23,13 @@ the entanglement sweep uses it as well.  The direct spectra never build
 the rows: _spectra forms the weights of the auto and the cross form of the
 two currents from the real factors of u and d (dynamics._row_factors), in
 which the two auto spectra are one and the cross spectrum is real.
-output_spectrum_via_transfer builds the same spectrum from the Y_a rows of
-the adjoint solve and their weights (dynamics.noise_weights) instead, as an
-independent check.
+output_spectrum_via_transfer builds the same spectrum from the complex Y_a
+rows of dynamics.selected_transfer_rows, made of the same u and d, and
+their weights (dynamics.noise_weights) instead: a check of the real-factor
+contraction against the complex-row one, not of the rows.
 Each spectrum is evaluated in the sweep's CHUNK pieces
 (dynamics._by_piece), with the bits of one call; the pieces bound the
-memory of the adjoint solve of output_spectrum_via_transfer.
+memory of the rows of output_spectrum_via_transfer.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def output_spectrum_via_transfer(
     sys: LinearSystem, noise: NoiseModel, omegas, channel: int
 ):
     """Same spectrum assembled from the boundary relation
-    Y_out = sqrt(gamma_a) Y_cav - Y_in, from the Y_a rows of the adjoint
-    solve (selected_transfer_rows) and their hermitian form (noise_weights):
-    an independent check of output_spectrum, which shares no rows with it."""
+    Y_out = sqrt(gamma_a) Y_cav - Y_in, from the complex Y_a rows of
+    selected_transfer_rows and their hermitian form (noise_weights).  Both
+    spectra take the closed form of dynamics._closed_form, so this checks
+    output_spectrum's contraction of the real row factors, not the rows;
+    the rows are checked against the dense transfer_matrix and the
+    extended-precision references of the tests."""
     iya, iyin = _channel(channel)
 
     def spectrum(w):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mirrorpair import NoiseModel, build_linear_system, fig2_params
-from mirrorpair.dynamics import (
-    BROWNIAN_KERNELS, MIRROR_ROTATION, _MIRROR_INVERSE,
-)
+from mirrorpair.dynamics import BROWNIAN_KERNELS, IXB, IYB, N_STATE
 from mirrorpair.errors import InvalidParameterError
 
 
@@ -53,12 +51,24 @@ def meter_output(sys, w):
     return gain, refl
 
 
-def rotated(sys):
-    """(T A T^-1, T B), T = MIRROR_ROTATION: the drift and noise coupling
-    of sys in the coordinates of the adjoint solve, formed as
-    dynamics._transfer_rows forms them."""
-    return (MIRROR_ROTATION @ sys.drift @ _MIRROR_INVERSE,
-            MIRROR_ROTATION @ sys.noise_coupling)
+def mirror_blocks(sys):
+    """The centre-of-mass block {q+, p+} and the relative block {q-, p-,
+    X_b, Y_b} of the drift of sys, q+- = q1 +- q2 and p+- = p1 +- p2.  In
+    these coordinates the drift is block triangular, so the poles of the
+    u and d rows are the eigenvalues of the two blocks."""
+    t = np.eye(N_STATE)
+    t[:4, :4] = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+    a = t @ sys.drift @ np.linalg.inv(t)
+    relative = [2, 3, IXB, IYB]
+    return a[:2, :2], a[np.ix_(relative, relative)]
+
+
+def mirror_poles(sys):
+    """|Im| of the eigenvalues of both mirror_blocks, the frequencies of
+    the poles of the u and d rows, zeros (overdamped poles) left out."""
+    poles = np.abs(np.concatenate(
+        [np.linalg.eigvals(b) for b in mirror_blocks(sys)]).imag)
+    return poles[poles > 0.0]
 
 
 @st.composite

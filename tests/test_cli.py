@@ -360,9 +360,9 @@ class TestSweepKernel:
         # The sweep solves in this process whatever the worker count, so the
         # spy sees every chunk; degree_sweep shares the sweep's chunk loop.
         # At the Fig. 2 point each chunk takes the five real factors of the
-        # closed-form u and d rows only, nothing goes through the adjoint
-        # solve, and the grid is checked once per sweep, not again per chunk
-        # or per temperature.
+        # closed-form u and d rows only, nothing goes through
+        # selected_transfer_rows, and the grid is checked once per sweep,
+        # not again per chunk or per temperature.
         calls, checks = [], []
         factors, check = entanglement._row_factors, dynamics.frequency_grid
 

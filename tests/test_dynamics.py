@@ -14,9 +14,9 @@ from mirrorpair import (
 )
 from mirrorpair import dynamics
 from mirrorpair.dynamics import (
-    ADJOINT_PLAN, IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1,
-    IXI2, IXIN1, IXIN2, MIRROR_ROTATION, N_NOISE, N_STATE, LinearSystem,
-    _nonzero, _solve_closed_form, frequency_grid, selected_transfer_rows,
+    IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
+    IXIN2, N_NOISE, N_STATE, LinearSystem, _nonzero, frequency_grid,
+    selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -25,9 +25,7 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import (
-    P_STAR, make_params, raises_one_line, rotated, working_points,
-)
+from conftest import P_STAR, make_params, raises_one_line, working_points
 
 
 def chi(omega, params):
@@ -196,41 +194,6 @@ def check_rows_against_transfer_matrix(sys, selectors, omegas,
         assert np.all(err <= tol), (w, err / tol)
 
 
-def check_plan(sys):
-    """ADJOINT_PLAN is a back-substitution order of the rotated adjoint
-    system of sys, and the rotation undoes to the bits of sys."""
-    assert sorted(sum(ADJOINT_PLAN, ())) == list(range(N_STATE))
-    a, b = rotated(sys)
-    for k, block in enumerate(ADJOINT_PLAN):
-        # Row j of the transposed system couples x_j to every x_i with
-        # a[i, j] != 0: none of those may be solved after j's block.
-        later = list(sum(ADJOINT_PLAN[k + 1:], ()))
-        assert not a[np.ix_(later, block)].any(), block
-    back = np.linalg.inv(MIRROR_ROTATION)
-    assert np.array_equal(back @ a @ MIRROR_ROTATION, sys.drift)
-    assert np.array_equal(back @ b, sys.noise_coupling)
-
-
-def dense_block_solve(block, w, rhs):
-    """x with (-i w - block)^T x = rhs by batched LAPACK, in the layout of
-    _solve_closed_form: rhs and x of shape (m, n, k)."""
-    shifted_t = -1j * w[:, None, None] * np.eye(len(block)) - block.T
-    return np.linalg.solve(shifted_t,
-                           rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-
-def check_block_against_dense_solve(block, omegas):
-    """_solve_closed_form against dense_block_solve on the unit right-hand
-    sides, each solution to 1e-12 of its norm."""
-    block, w = np.array(block, dtype=float), np.array(omegas, dtype=float)
-    m = len(block)
-    rhs = np.broadcast_to(np.eye(m)[:, None, :], (m, w.size, m))
-    got = _solve_closed_form(block, w, rhs)
-    want = dense_block_solve(block, w, rhs)
-    err = np.linalg.norm(got - want, axis=0)
-    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0)), err
-
-
 #: Model points away from the fixtures, as overrides of the Fig. 2 point.
 PLAN_POINTS = {
     "p_in_a": dict(p_in_a=0.0), "p_in_b": dict(p_in_b=0.0),
@@ -255,7 +218,6 @@ class TestAdjointSolve:
             sys = build_linear_system(make_params(**PLAN_POINTS[point]))
         else:
             _, sys = request.getfixturevalue(point)
-        check_plan(sys)
         omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * sys.params.big_omega
         check_rows_against_transfer_matrix(sys, np.eye(N_STATE), omegas)
 
@@ -264,36 +226,15 @@ class TestAdjointSolve:
     @given(point=working_points())
     def test_plan_holds_at_random_working_points(self, point):
         # Here the dense path is the less accurate one: at drawn points its
-        # rows were off by up to 2e-4 (at cond 2e17), and at eleven points
-        # where they were more than 3e-12 off, the block solve held 4e-15
-        # of a 40-digit solve.  So the dense LU is allowed its own normwise
-        # error on top of 1e-12 (measured: at most 1.4 eps cond ||M|| over
-        # 3000 draws; check_rows_against_transfer_matrix allows 8).
+        # rows were off by up to 2e-4 (at cond 2e17).  So the dense LU is
+        # allowed its own normwise error on top of 1e-12 (measured: at most
+        # 1.4 eps cond ||M|| over 3000 draws; check_rows_against_transfer_matrix
+        # allows 8).
         params, _ = point
         sys = build_linear_system(params)
-        check_plan(sys)
         omegas = np.array([1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2]) * params.big_omega
         check_rows_against_transfer_matrix(sys, np.eye(N_STATE), omegas,
                                            lu_allowance=True)
-
-    def test_block_plan_at_reference_point(self, fig2):
-        # The mirror rotation puts q+, p+, q- and p- in the slots of q1, p1,
-        # q2 and p2: the centre of mass {q+, p+} splits off the relative
-        # mode and the entangler {q-, p-, X_b, Y_b}.  At the reference point
-        # no block splits further: each is strongly connected in the rotated
-        # drift, so the fixed plan is the finest order there.
-        _, sys = fig2
-        assert ADJOINT_PLAN == (
-            (IYA1,), (IYA2,), (IQ1, IP1), (IQ2, IP2, IXB, IYB), (IXA1,), (IXA2,),
-        )
-        a, _ = rotated(sys)
-        back = np.linalg.inv(MIRROR_ROTATION)
-        assert np.array_equal(a, MIRROR_ROTATION @ sys.drift @ back)
-        for block in ADJOINT_PLAN:
-            m = len(block)
-            linked = (a[np.ix_(block, block)] != 0).astype(int)
-            reach = np.linalg.matrix_power(np.eye(m, dtype=int) + linked, m)
-            assert reach.all(), block
 
     def test_rows_match_transfer_matrix(self, fig2):
         # Unit selectors and the sweep selectors other than v, whose rows
@@ -305,27 +246,6 @@ class TestAdjointSolve:
             [np.eye(N_STATE), U_SELECTOR, Q1_SELECTOR, P1_SELECTOR])
         omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * params.big_omega
         check_rows_against_transfer_matrix(sys, selectors, omegas)
-
-    @pytest.mark.parametrize("spring", [-1.0, 1.0], ids=["oscillator", "saddle"])
-    def test_closed_form_2x2_matches_dense_solve(self, fig2, spring):
-        # The 2x2 block [[0, Omega], [spring * Omega, -1]] has determinant
-        # -spring * Omega^2: the oscillator takes the factored real part of
-        # det(-i omega - A_b), the saddle the plain one.
-        om = fig2[0].big_omega
-        check_block_against_dense_solve([[0.0, om], [spring * om, -1.0]],
-                                        np.array([0.0, 0.5, 0.999, 1.0, 2.0]) * om)
-
-    def test_singular_closed_form_2x2_raises(self, fig2):
-        # The centre of mass of two identical undamped mirrors is exactly
-        # singular at omega = Omega, and no division warns first.
-        om = fig2[0].big_omega
-        block = np.array([[0.0, om], [-om, 0.0]])
-        rhs = np.ones((2, 2, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _solve_closed_form(block, np.array([0.5 * om]), rhs[:, :1])
-            with pytest.raises(SingularityError):
-                _solve_closed_form(block, np.array([0.5 * om, om]), rhs)
 
     @pytest.mark.parametrize("grid", ["hybrid", "resonance"])
     def test_centre_of_mass_row_matches_closed_form(self, fig2, grid):
@@ -346,81 +266,23 @@ class TestAdjointSolve:
         # Relative per channel, so every other channel must be exactly 0.
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
-    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
-    @pytest.mark.parametrize("idx", [[IQ1, IP1], [IQ2, IP2, IXB, IYB]],
-                             ids=["centre_of_mass", "relative"])
-    @settings(max_examples=40, deadline=None)
-    @given(point=working_points())
-    def test_closed_form_4x4_matches_lapack(self, idx, point):
-        # The closed-form solve of the centre-of-mass block {q+, p+} and of
-        # the relative block {q-, p-, X_b, Y_b} (by 2x2-block elimination)
-        # against LAPACK on the same block, on a grid across the block's
-        # poles.  Every selector the package solves gives the relative
-        # block a right-hand side in {q-, p-} only (nothing feeds X_b or
-        # Y_b), so the two leading unit vectors span them.  LAPACK itself is
-        # off by up to ~cond * eps near a pole (2e-7 at one drawn point, where
-        # the closed form held 2e-13 of a 50-digit solve), hence that
-        # allowance above 1e-12.
-        params, _ = point
-        sys = build_linear_system(params)
-        assert tuple(idx) in ADJOINT_PLAN
-        m = len(idx)
-        block = rotated(sys)[0][np.ix_(idx, idx)]
-        poles = np.abs(np.linalg.eigvals(block).imag)
-        omegas = np.concatenate(
-            [np.geomspace(0.1, 10.0, 129) * params.big_omega, poles])
-        rhs = np.broadcast_to(np.eye(m)[:, None, :2], (m, omegas.size, 2))
-        got = _solve_closed_form(block, omegas, rhs)
-        want = dense_block_solve(block, omegas, rhs)
-        err = np.linalg.norm(got - want, axis=0)
-        shifted_t = -1j * omegas[:, None, None] * np.eye(m) - block.T
-        tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(shifted_t)
-        assert np.all(err <= tol[:, None] * np.linalg.norm(want, axis=0))
-
-    def test_dense_closed_form_4x4_matches_dense_solve(self):
-        # Every entry nonzero, so det Q det R / det T, which the drift of
-        # build_linear_system leaves 0, enters det C.
-        block = np.random.default_rng(5).normal(size=(4, 4))
-        block[2:, 2:] = [[-1.0, 2.0], [-2.0, -1.0]]
-        check_block_against_dense_solve(block, [0.0, 0.5, 1.0, 2.0, 10.0])
-
-    def test_singular_closed_form_4x4_raises(self):
-        # Two equal rows make the block singular, so at omega = 0 det C is
-        # exactly 0 while det T is 1; no division warns first.
-        block = np.array([[-1.0, 0.0, 1.0, 0.0],
-                          [-1.0, 0.0, 1.0, 0.0],
-                          [0.0, 0.0, -1.0, 1.0],
-                          [0.0, 1.0, 0.0, -1.0]])
-        rhs = np.ones((4, 2, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _solve_closed_form(block, np.array([0.5]), rhs[:, :1])
-            with pytest.raises(SingularityError):
-                _solve_closed_form(block, np.array([0.5, 0.0]), rhs)
-
-    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
-    @settings(max_examples=40, deadline=None)
-    @given(point=working_points())
-    def test_no_working_point_needs_lapack(self, point):
-        # Every block of ADJOINT_PLAN is one division or a closed form, at
-        # every model system.
-        params, _ = point
-        sys = build_linear_system(params)
-        calls = []
-        solve = np.linalg.solve
-
-        def spy(*args):
-            calls.append(args[0].shape)
-            return solve(*args)
-
-        omegas = np.array([1e-2, 0.5, 1.0, 2.0, 1e2]) * params.big_omega
-        with mock.patch.object(np.linalg, "solve", spy):
-            rows = selected_transfer_rows(sys, omegas, np.eye(N_STATE))
-        assert calls == []
-        assert np.isfinite(rows).all()
+    def test_complex_selectors_keep_their_imaginary_part(self, fig2):
+        # The rows are linear in the selectors, complex ones included: the
+        # rows of a + i b are rows(a) + i rows(b) to rounding, where a cast
+        # of the selectors to float would return rows(a).
+        params, sys = fig2
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(2, N_STATE, 3))
+        omegas = np.array([1e-2, 0.5, 0.9, 1.0, 1.1, 2.0, 1e2]) * params.big_omega
+        got = selected_transfer_rows(sys, omegas, a + 1j * b)
+        want = (selected_transfer_rows(sys, omegas, a)
+                + 1j * selected_transfer_rows(sys, omegas, b))
+        err = np.linalg.norm(got - want, axis=-1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=-1))
 
     def test_singular_single_state_block_raises(self):
-        # A zero diagonal entry: -i omega - 0 vanishes at omega = 0 only.
+        # _nonzero passes a determinant with no zero entry through and
+        # raises on one: -i omega - 0 vanishes at omega = 0 only.
         shifted = -1j * np.array([1.0, 0.0]) - 0.0
         first = shifted[:1]
         assert _nonzero(first) is first
@@ -648,7 +510,7 @@ class TestLinearSystem:
 
     def test_fields_are_the_model(self):
         # The system holds the model at params and nothing derived for one
-        # solver: the adjoint solve forms its rotated pair per call.
+        # solver: every row is the closed form of params and steady.
         assert [f.name for f in dataclasses.fields(LinearSystem)] == [
             "params", "steady", "drift", "noise_coupling"]
 

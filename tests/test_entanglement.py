@@ -23,8 +23,8 @@ from mirrorpair import (
 )
 from mirrorpair import dynamics
 from mirrorpair.dynamics import (
-    ADJOINT_PLAN, IP2, IQ1, IQ2, IXB, IXI1, IXI2, IXINB, IYB, IYIN1, IYIN2,
-    IYINB, LinearSystem, frequency_grid, hybrid_grid, noise_weights,
+    IP2, IQ1, IQ2, IXB, IXI1, IXI2, IXINB, IYB, IYIN1, IYIN2, IYINB,
+    LinearSystem, frequency_grid, hybrid_grid, noise_weights,
     selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
@@ -40,7 +40,8 @@ from mirrorpair.errors import (
 )
 
 from conftest import (
-    P_STAR, RATE_FIELDS, make_params, meter_output, rotated, working_points,
+    P_STAR, RATE_FIELDS, make_params, meter_output, mirror_poles,
+    working_points,
 )
 
 
@@ -219,7 +220,7 @@ class TestDegreeSweep:
             self, fig2, decoupled, meters_only, monkeypatch):
         # Every system of build_linear_system is the model, whose u and d
         # rows the sweep and the readout take in closed form: none of them
-        # reaches the adjoint solve, which the via-transfer readout does.
+        # reaches selected_transfer_rows, which the via-transfer readout does.
         def forbidden(*args, **kwargs):
             raise AssertionError("the model's rows need no solve")
 
@@ -378,12 +379,8 @@ class TestRowFactorForms:
         params, kernel = point
         sys = build_linear_system(params)
         noise = NoiseModel.from_params(params, kernel)
-        a, _ = rotated(sys)
-        blocks = [b for b in ADJOINT_PLAN if IQ1 in b or IQ2 in b]
-        poles = np.concatenate([np.abs(np.linalg.eigvals(
-            a[np.ix_(b, b)]).imag) for b in blocks])
         w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
-                            poles[poles > 0.0]])
+                            mirror_poles(sys)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = entanglement._planes(sys, w)

@@ -17,19 +17,19 @@ from scipy.constants import hbar as HBAR, k as KB
 
 from mirrorpair import (
     NoiseModel, build_linear_system, degree_sweep, fig2_params, output_spectrum,
-    output_spectrum_via_transfer, steady_state, two_channel_spectra,
+    output_spectrum_via_transfer, steady_state, transfer_matrix,
+    two_channel_spectra,
 )
 from mirrorpair.dynamics import (
-    ADJOINT_PLAN, IQ1, IQ2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
-    _row_factors, _transfer_rows, hybrid_grid, noise_weights,
-    selected_transfer_rows, susceptibility_rows,
+    IQ1, IQ2, IXA1, IXA2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
+    _row_factors, hybrid_grid, noise_weights, selected_transfer_rows,
+    susceptibility_rows,
 )
 from mirrorpair.entanglement import (
-    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
-    V_SELECTOR,
+    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
 )
 
-from conftest import P_STAR, rotated, working_points
+from conftest import P_STAR, mirror_blocks, mirror_poles, working_points
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -171,21 +171,38 @@ def test_block_solver_commutator_at_the_crossings(reference):
         assert abs(have - want) <= 5e-12 * want, (w_k, have / want - 1.0)
 
 
-def test_unit_rows_at_resonance_match_extended_precision():
-    # At omega = Omega the shifted drift has condition ~4e7.  The adjoint
-    # solve keeps every row to rounding, where rows of the dense
-    # transfer_matrix are off by ~1e-11.  The X_b and Y_b rows held only
-    # ~1e-9 while they were solved in one 6x6 block with the two mirrors;
-    # in the 4x4 block of the relative mode they hold ~1e-16.
-    params = fig2_params()
-    sys = build_linear_system(params)
-    w = params.big_omega
-    got = selected_transfer_rows(sys, [w], np.eye(N_STATE))[0]
+#: The unit rows that carry d = q1 - q2: all but the meter amplitudes.
+CARRY_D = [i for i in range(N_STATE) if i not in (IXA1, IXA2)]
+
+
+def unit_row_errors(params, w):
+    """Relative errors of the ten unit rows of selected_transfer_rows at w
+    against the 40-digit Reference, shape (10,)."""
+    got = selected_transfer_rows(build_linear_system(params), [w],
+                                 np.eye(N_STATE))[0]
     ref = Reference(params, dps=40).selected_rows(w, np.eye(N_STATE))
-    for i, row in enumerate(ref):
-        want = np.array([complex(x) for x in row])
-        rel = np.linalg.norm(got[i] - want) / np.linalg.norm(want)
-        assert rel <= 1e-14, (i, rel)
+    want = np.array([[complex(x) for x in row] for row in ref])
+    return np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+
+
+@pytest.mark.filterwarnings("ignore:expected entangler coupling")
+def test_unit_rows_at_resonance_match_extended_precision():
+    # At omega = Omega the shifted drift has condition ~4e7 at the Fig. 2
+    # point and ~1e9 at P*, where rows of the dense transfer_matrix are off
+    # by ~1e-11.  The closed form keeps every row to rounding there.  At
+    # P*'s relative mechanical pole the rows that carry d hold only its
+    # ~eps |mech D| / |den| (TestClosedFormRows); at the optical pole pair
+    # (69.101 Omega) the closed form meets no cancellation.
+    params = fig2_params()
+    err = unit_row_errors(params, params.big_omega)
+    assert err.max() <= 1e-14, err
+    star = fig2_params(**P_STAR)
+    for w in (star.big_omega, relative_mechanical_pole(star)[0],
+              optical_pole(star)):
+        err = unit_row_errors(star, w)
+        tol = np.full(N_STATE, 1e-14)
+        tol[CARRY_D] += 4.0 * np.finfo(float).eps * den_cancellation(star, w)
+        assert np.all(err <= tol), (w / star.big_omega, err / tol)
 
 
 def test_weak_entangler_relative_row_at_its_pole():
@@ -207,11 +224,17 @@ def test_weak_entangler_relative_row_at_its_pole():
 def relative_mechanical_pole(params):
     """Frequency and damping of the least damped pole of the relative
     block {q-, p-, X_b, Y_b}, where that block is nearly singular."""
-    sys = build_linear_system(params)
-    relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
-    poles = np.linalg.eigvals(rotated(sys)[0][np.ix_(relative, relative)])
+    _, relative = mirror_blocks(build_linear_system(params))
+    poles = np.linalg.eigvals(relative)
     pole = poles[np.argmin(np.abs(poles.real))]
     return abs(pole.imag), -pole.real
+
+
+def optical_pole(params):
+    """Frequency of the fastest pole of the relative block, the optical
+    pole pair near |Delta_b| (69.101 Omega at P*)."""
+    _, relative = mirror_blocks(build_linear_system(params))
+    return np.abs(np.linalg.eigvals(relative).imag).max()
 
 
 def weak_entangler_pole():
@@ -268,19 +291,16 @@ class TestClosedFormRows:
     @pytest.mark.parametrize("factor", [0.5, 1.0, 68.5, 69.101, 69.7,
                                         "optical pole"])
     def test_stable_point(self, factor):
-        # Near the optical pole pair the block solver's d row is off by
-        # 1.4e-13 (69.101 Omega) and 5.5e-15 (69.7 Omega), because it
-        # solves the relative block's 4x4 system, which is ill-conditioned
-        # there; the closed form never forms that system.  The grid points
-        # are whole numbers of s^-1, whose squares are exact; at the pole
-        # itself (69.1010452 Omega) D taken as kappa^2 + Delta_b^2 instead
-        # of its factors would be 8.8e-14 off.
+        # Near the optical pole pair a solve of the relative block's 4x4
+        # system, which is ill-conditioned there, leaves the d row off by
+        # 1.4e-13 (69.101 Omega) and 5.5e-15 (69.7 Omega); the closed form
+        # never forms that system.  The grid points are whole numbers of
+        # s^-1, whose squares are exact; at the pole itself (69.1010452
+        # Omega) D taken as kappa^2 + Delta_b^2 instead of its factors
+        # would be 8.8e-14 off.
         params = fig2_params(**P_STAR)
         if factor == "optical pole":
-            sys = build_linear_system(params)
-            relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
-            w = np.abs(np.linalg.eigvals(
-                rotated(sys)[0][np.ix_(relative, relative)]).imag).max()
+            w = optical_pole(params)
         else:
             w = factor * params.big_omega
         err = closed_form_row_errors(params, [w])
@@ -291,8 +311,7 @@ class TestClosedFormRows:
         # The known limit of the closed form.  At P*'s relative mechanical
         # pole mech D and the spring term cancel in den to ~1e-5, so the d
         # row holds only ~eps |mech D| / |den| (measured <= 1.08 of that,
-        # 2.4e-11 at the pole itself); the u row never meets den.  The
-        # block solver is no better there.
+        # 2.4e-11 at the pole itself); the u row never meets den.
         params = fig2_params(**P_STAR)
         om = params.big_omega
         pole, damping = relative_mechanical_pole(params)
@@ -310,30 +329,33 @@ class TestClosedFormRows:
     @settings(max_examples=40, deadline=None)
     @given(point=working_points())
     def test_block_solver_agrees_at_random_working_points(self, point):
-        # The generic path on the same (model) system, across the poles of
-        # the centre of mass and the relative mode.  The block solver is off
-        # by up to ~cond * eps near a pole (the closed form is not: see
-        # test_stable_point), so the rows are held to 1e-12 plus 4 eps times
-        # the larger condition number of the two shifted mirror blocks,
-        # {q+, p+} and {q-, p-, X_b, Y_b}, which the u and d rows solve.
+        # The dense transfer_matrix on the same (model) system, across the
+        # poles of the centre of mass and the relative mode.  The rows are
+        # held to 1e-12 plus 4 eps times the larger condition number of the
+        # two shifted mirror blocks, {q+, p+} and {q-, p-, X_b, Y_b}, and
+        # the dense LU is allowed its own normwise error on top, 8 eps
+        # cond ||M|| (as check_rows_against_transfer_matrix allows it).
         params, _ = point
         sys = build_linear_system(params)
-        a, _ = rotated(sys)
-        blocks = [b for b in ADJOINT_PLAN if IQ1 in b or IQ2 in b]
-        poles = np.concatenate([np.abs(np.linalg.eigvals(
-            a[np.ix_(b, b)]).imag) for b in blocks])
+        blocks = mirror_blocks(sys)
         w = np.concatenate([np.geomspace(0.1, 10.0, 65) * params.big_omega,
-                            poles[poles > 0.0]])
+                            mirror_poles(sys)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = susceptibility_rows(sys, w)
-            want = _transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
+        selectors = np.column_stack([U_SELECTOR, D_SELECTOR])
         cond = np.max([np.linalg.cond(
-            -1j * w[:, None, None] * np.eye(len(b))
-            - a[np.ix_(b, b)].T) for b in blocks], axis=0)
-        tol = 1e-12 + 4.0 * np.finfo(float).eps * cond
-        err = np.linalg.norm(got - want, axis=-1)
-        assert np.all(err <= tol * np.linalg.norm(want, axis=-1))
+            -1j * w[:, None, None] * np.eye(len(b)) - b.T) for b in blocks],
+            axis=0)
+        eps = np.finfo(float).eps
+        for i, w_k in enumerate(w):
+            m = transfer_matrix(sys, w_k)
+            want = selectors.T @ m
+            shifted = -1j * w_k * np.eye(N_STATE) - sys.drift
+            tol = ((1e-12 + 4.0 * eps * cond[i]) * np.linalg.norm(want, axis=-1)
+                   + 8.0 * eps * np.linalg.cond(shifted) * np.linalg.norm(m, 2))
+            err = np.linalg.norm(got[:, i] - want, axis=-1)
+            assert np.all(err <= tol), (w_k, err / tol)
 
 
 def reference_factors(params, omegas):
@@ -381,10 +403,7 @@ class TestRowFactors:
         # P*'s entangled band at its optical pole pair: the pole itself and
         # the grid point 69.101 Omega (measured: 1.8e-16).
         params = fig2_params(**P_STAR)
-        sys = build_linear_system(params)
-        relative = next(b for b in ADJOINT_PLAN if IQ2 in b)
-        pole = np.abs(np.linalg.eigvals(
-            rotated(sys)[0][np.ix_(relative, relative)]).imag).max()
+        pole = optical_pole(params)
         assert pole / params.big_omega == pytest.approx(69.101, abs=1e-3)
         err = factor_errors(params, [pole, 69.101 * params.big_omega])
         assert err.max() <= 1e-14, err

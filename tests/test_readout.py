@@ -256,8 +256,8 @@ class TestTwoChannelCombination:
 
 class TestReadoutSolveCount:
     # The direct spectra take the real factors of the u and d rows from one
-    # closed-form call (_row_factors) and never solve; the via-transfer
-    # spectra take the Y_a rows from one adjoint solve.
+    # closed-form call (_row_factors); the via-transfer spectra take the
+    # Y_a rows from one selected_transfer_rows call.
     @pytest.mark.parametrize("call,rows", [
         (lambda sys, noise, w: readout.two_channel_spectra(sys, noise, w),
          "_row_factors"),
@@ -302,9 +302,9 @@ class TestReadoutSolveCount:
 
 
 def test_transfer_spectrum_memory_is_bounded_by_the_piece():
-    # output_spectrum_via_transfer solves the adjoint system in CHUNK
-    # pieces: on 2e5 frequencies it peaked at 4.8 MB traced, where one
-    # batch (CHUNK = 10**6) peaked at 154 MB.  This guards the pieces.
+    # output_spectrum_via_transfer forms its rows in CHUNK pieces: on 2e5
+    # frequencies it peaked at 3.4 MB traced, where one batch
+    # (CHUNK = 10**6) peaked at 141 MB.  This guards the pieces.
     params = fig2_params()
     sys = build_linear_system(params)
     noise = NoiseModel(0.1, params.big_gamma, params.big_omega)
