@@ -51,16 +51,27 @@ def meter_output(sys, w):
     return gain, refl
 
 
-def mirror_blocks(sys):
-    """The centre-of-mass block {q+, p+} and the relative block {q-, p-,
-    X_b, Y_b} of the drift of sys, q+- = q1 +- q2 and p+- = p1 +- p2.  In
-    these coordinates the drift is block triangular, so the poles of the
-    u and d rows are the eigenvalues of the two blocks."""
+#: The states of the centre-of-mass block {q+, p+} and of the relative
+#: block {q-, p-, X_b, Y_b} in the coordinates of mirror_rotation.
+MIRROR_STATES = ([0, 1], [2, 3, IXB, IYB])
+
+
+def mirror_rotation():
+    """T with T x = (q+, p+, q-, p-, the rest of x unchanged), q+- = q1 +- q2
+    and p+- = p1 +- p2."""
     t = np.eye(N_STATE)
     t[:4, :4] = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+    return t
+
+
+def mirror_blocks(sys):
+    """The centre-of-mass block {q+, p+} and the relative block {q-, p-,
+    X_b, Y_b} of the drift of sys (MIRROR_STATES).  In these coordinates
+    the drift is block triangular, so the poles of the u and d rows are the
+    eigenvalues of the two blocks."""
+    t = mirror_rotation()
     a = t @ sys.drift @ np.linalg.inv(t)
-    relative = [2, 3, IXB, IYB]
-    return a[:2, :2], a[np.ix_(relative, relative)]
+    return tuple(a[np.ix_(s, s)] for s in MIRROR_STATES)
 
 
 def mirror_poles(sys):

@@ -15,8 +15,8 @@ from mirrorpair import (
 from mirrorpair import dynamics
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
-    IXIN2, N_NOISE, N_STATE, LinearSystem, _nonzero, frequency_grid,
-    selected_transfer_rows,
+    IXIN2, IXINB, IYINB, N_NOISE, N_STATE, LinearSystem, _closed_form,
+    _nonzero, frequency_grid, selected_transfer_rows, susceptibility_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -25,7 +25,10 @@ from mirrorpair.errors import (
     DriftUnstableError, InvalidParameterError, SingularityError,
 )
 
-from conftest import P_STAR, make_params, raises_one_line, working_points
+from conftest import (
+    MIRROR_STATES, P_STAR, make_params, mirror_blocks, mirror_rotation,
+    raises_one_line, working_points,
+)
 
 
 def chi(omega, params):
@@ -279,6 +282,111 @@ class TestAdjointSolve:
                 + 1j * selected_transfer_rows(sys, omegas, b))
         err = np.linalg.norm(got - want, axis=-1)
         assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=-1))
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_no_working_point_needs_lapack(self, point):
+        # Every row is the closed form of the model, at every model system.
+        params, _ = point
+        sys = build_linear_system(params)
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        omegas = np.array([1e-2, 0.5, 1.0, 2.0, 1e2]) * params.big_omega
+        with mock.patch.object(np.linalg, "solve", spy):
+            rows = selected_transfer_rows(sys, omegas, np.eye(N_STATE))
+        assert calls == []
+        assert np.isfinite(rows).all()
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_mirror_blocks_decouple(self, point):
+        # The entangler pushes on q1 - q2 and is driven by it, so in the
+        # mirror coordinates the centre of mass and the relative block do
+        # not reach each other, and neither reads a meter's phase
+        # quadrature: the u row has no entangler entries, and every row is
+        # made of u and d.
+        params, _ = point
+        sys = build_linear_system(params)
+        t = mirror_rotation()
+        a = t @ sys.drift @ np.linalg.inv(t)
+        com, rel = MIRROR_STATES
+        assert not a[np.ix_(com, rel)].any()
+        assert not a[np.ix_(rel, com)].any()
+        assert not a[np.ix_(com + rel, [IYA1, IYA2])].any()
+        u = susceptibility_rows(sys, np.array([0.5, 1.0, 2.0]) * params.big_omega)[0]
+        assert not u[:, [IXINB, IYINB]].any()
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @pytest.mark.parametrize("block", [0, 1], ids=["centre_of_mass", "relative"])
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_model_rows_match_lapack_on_their_block(self, block, point):
+        # The u row is the q+ row of the resolvent of the centre-of-mass
+        # block times that block's noise coupling, the d row the q- row of
+        # the relative block's: on the channels that drive the block
+        # directly (xi_1, xi_2 into p+- and X_inb, Y_inb into X_b, Y_b),
+        # against LAPACK on the block alone, on a grid across the block's
+        # poles.  LAPACK is off by up to ~cond * eps near a pole, hence
+        # that allowance above 1e-12.
+        params, _ = point
+        sys = build_linear_system(params)
+        a = mirror_blocks(sys)[block]
+        b = (mirror_rotation() @ sys.noise_coupling)[MIRROR_STATES[block]]
+        channels = [IXI1, IXI2, IXINB, IYINB]
+        assert not np.delete(b, channels, axis=1).any()
+        m = len(a)
+        w = np.concatenate([np.geomspace(0.1, 10.0, 129) * params.big_omega,
+                            np.abs(np.linalg.eigvals(a).imag)])
+        w = w[w > 0.0]
+        got = susceptibility_rows(sys, w)[block]
+        shifted = -1j * w[:, None, None] * np.eye(m) - a
+        want = np.linalg.solve(shifted, np.broadcast_to(
+            b.astype(complex), (w.size, m, N_NOISE)))[:, 0]
+        err = np.linalg.norm(got[:, channels] - want[:, channels], axis=-1)
+        tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(shifted)
+        assert np.all(err <= tol * np.linalg.norm(want, axis=-1))
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @pytest.mark.parametrize("block", [0, 1], ids=["centre_of_mass", "relative"])
+    @settings(max_examples=40, deadline=None)
+    @given(point=working_points())
+    def test_closed_form_determinants_are_the_block_determinants(self, block,
+                                                                 point):
+        # mech = det(-i w - A_com) and den = det(-i w - A_rel), so a zero of
+        # either is a pole of the rows.  A determinant by LU holds about
+        # eps (|w| + ||A||)^m.
+        params, _ = point
+        sys = build_linear_system(params)
+        a = mirror_blocks(sys)[block]
+        m = len(a)
+        w = np.geomspace(0.1, 10.0, 33) * params.big_omega
+        got = _closed_form(sys, w)[3 * block]
+        want = np.linalg.det(-1j * w[:, None, None] * np.eye(m) - a)
+        scale = (w + np.linalg.norm(a, 2)) ** m
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("point", ["fig2", "decoupled", "p_star"])
+    def test_rows_at_negative_omega_are_the_conjugates(self, fig2, decoupled,
+                                                       point):
+        # A and B are real, so M(-w) = conj M(w), and the rows at w = 0 are
+        # real: noise_weights relies on it.
+        sys = {"fig2": fig2[1], "decoupled": decoupled[1],
+               "p_star": build_linear_system(make_params(**P_STAR))}[point]
+        selectors = np.column_stack([np.eye(N_STATE), SWEEP_SELECTORS])
+        w = np.array([0.0, 1e-2, 0.5, 1.0, 2.0, 1e2]) * sys.params.big_omega
+        plus = selected_transfer_rows(sys, w, selectors)
+        minus = selected_transfer_rows(sys, -w, selectors)
+        err = np.linalg.norm(minus - plus.conj(), axis=-1)
+        assert np.all(err <= 4.0 * np.finfo(float).eps
+                      * np.linalg.norm(plus, axis=-1))
+        assert not plus[0].imag.any()
 
     def test_singular_single_state_block_raises(self):
         # _nonzero passes a determinant with no zero entry through and
