@@ -245,12 +245,7 @@ def _sweep_rows(spec: SweepSpec) -> dict:
     )
     omegas = spec.omega_grid()
     planes = _eval_chunk(sys_obj, omegas)
-    noise = dynamics.NoiseModel(
-        temperature=spec.temperatures[0],
-        big_gamma=spec.params.big_gamma,
-        big_omega=spec.params.big_omega,
-        kernel=spec.brownian_kernel,
-    )
+    noise = dynamics.NoiseModel.from_params(spec.params, spec.brownian_kernel)
     temps = np.array(spec.temperatures)
     out = entanglement._degree(planes, noise, omegas, temps)
     return dict(out, omega=omegas, temperature=temps[:, None])

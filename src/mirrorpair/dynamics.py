@@ -51,9 +51,9 @@ class LinearSystem:
     params is the only argument; build_linear_system is the documented
     maker and adds the optional stability check.  Every row of the
     transfer matrix has the closed form of params and steady
-    (susceptibility_rows, selected_transfer_rows); the drift and the
-    coupling serve the stability check, the dense transfer_matrix and the
-    time-domain oracle.  Nothing else is stored.
+    (selected_transfer_rows); the drift and the coupling serve the
+    stability check, the dense transfer_matrix and the time-domain oracle.
+    Nothing else is stored.
     """
 
     params: PhysicalParams
@@ -193,17 +193,25 @@ class NoiseModel:
     def __post_init__(self):
         if self.kernel not in BROWNIAN_KERNELS:
             raise InvalidParameterError(f"unknown Brownian kernel {self.kernel!r}")
+        if not _is_real(self.temperature) or np.ndim(self.temperature):
+            raise InvalidParameterError("temperature must be one real number, "
+                                        f"got {_shown(self.temperature)}")
         check_numbers(vars(self), positive=("big_gamma", "big_omega"),
                       nonnegative=("temperature",))
 
     @classmethod
     def from_params(cls, params: PhysicalParams, kernel: str = "corrected"):
-        return cls(
-            temperature=params.temperature,
-            big_gamma=params.big_gamma,
-            big_omega=params.big_omega,
-            kernel=kernel,
-        )
+        return cls(params.temperature, params.big_gamma, params.big_omega,
+                   kernel)
+
+    def _check_mechanics(self, sys: LinearSystem):
+        """Raise InvalidParameterError unless big_gamma and big_omega are
+        those of sys.params, whose spectra take this noise."""
+        p = sys.params
+        if (self.big_gamma, self.big_omega) != (p.big_gamma, p.big_omega):
+            raise InvalidParameterError(
+                f"noise has big_gamma, big_omega = {self.big_gamma!r}, "
+                f"{self.big_omega!r}, the system {p.big_gamma!r}, {p.big_omega!r}")
 
     @property
     def pref(self) -> float:
@@ -353,18 +361,17 @@ def frequency_grid(omegas) -> np.ndarray:
 #: Frequencies per piece of a sweep (entanglement._planes) and of a
 #: readout spectrum.  The pieces bound the memory of the rows of
 #: readout.output_spectrum_via_transfer: on 2e5 omega its tracemalloc peak
-#: was 3.4 MB in pieces and 141 MB in one piece.  At the Fig. 2 point
+#: was 2.6 MB in pieces and 95 MB in one piece.  At the Fig. 2 point
 #: (medians of 35 interleaved calls, two runs, 2-core x86-64 VM) the two
-#: via-transfer spectra on 8000 omega took 4.8 ms in pieces of 2048,
-#: 4.3-4.4 ms in pieces of 4096 and 4.5-4.6 ms in one piece.  The sweep
+#: via-transfer spectra on 8000 omega took 4.0-4.1 ms in pieces of 2048,
+#: 3.8-3.9 ms in pieces of 4096 and 6.4-6.6 ms in one piece.  The sweep
 #: holds a few real arrays per omega.  The six planes of
 #: entanglement._planes took 0.68 ms on 10^4 omega in pieces of 2048 and
 #: 0.60 ms in pieces of 4096 (medians of 30); on 2e5 omega the pieces took
 #: 12 ms against 22 ms for one batch, with a tracemalloc peak of 10 MB
 #: against 38 MB.  A sweep may ask for cli.MAX_SWEEP_ROWS = 10^6
-#: frequencies, so the pieces stay.  A larger piece changes the timed code
-#: of every workload, so that choice needs a benchmark run; the piece
-#: stays at 2048.
+#: frequencies, so the pieces stay; a larger piece changes the timed code
+#: of every workload and needs a benchmark run.
 CHUNK = 2048
 
 
@@ -386,8 +393,8 @@ def _by_piece(evaluate, w):
 
 
 def _closed_form(sys, w):
-    """mech, kappa, D, den and c_a of susceptibility_rows on the checked grid
-    w, each of shape (n,).
+    """mech, kappa, D, den and c_a of selected_transfer_rows on the checked
+    grid w, each of shape (n,).
 
     A zero mech or den raises SingularityError (_nonzero), so that no
     caller divides by it.
@@ -408,66 +415,8 @@ def _closed_form(sys, w):
     return _nonzero(mech), kappa, spring, _nonzero(den), c_a
 
 
-def susceptibility_rows(sys: LinearSystem, w):
-    """The u = q1 + q2 and d = q1 - q2 rows of the transfer matrix in the
-    closed form of the model: the mechanical susceptibility and the optical
-    spring of the entangler.
-
-    With mech = (Omega - w)(Omega + w) - i Gamma w, c_a = g alpha
-    sqrt(gamma_a) / (gamma_a/2 - i w), kappa = gamma_b/2 - i w,
-    D = kappa^2 + Delta_b^2 and den = mech D + 4 Omega G^2 |beta|^2 Delta_b,
-    on the noise channels (xi_1, xi_2, X_in1, Y_in1, X_in2, Y_in2, X_inb,
-    Y_inb):
-
-        u = (Omega / mech) [1, 1, c_a, 0, -c_a, 0, 0, 0]
-        d = (Omega / den) [D, -D, D c_a, 0, D c_a, 0,
-                           sqrt(gamma_b) (-2 G beta_r kappa - 2 G beta_i Delta_b),
-                           sqrt(gamma_b) (2 G beta_r Delta_b - 2 G beta_i kappa)]
-
-    The entangler does not reach the centre of mass u.  D is formed as
-    (kappa - i Delta_b)(kappa + i Delta_b), so nothing cancels near
-    w = |Delta_b|, and the real part of mech as (Omega - w)(Omega + w), so
-    nothing cancels near w = Omega.  The entangler entries of d are formed
-    as _row_factors forms them, the modulus 2 G |beta| sqrt(gamma_b) Omega /
-    den times the unit phase beta / |beta|.  Near a lightly damped pole of
-    the relative mode mech D and the spring term cancel in den: at the
-    stable point P* (tests/test_precision.py), whose relative mechanical
-    pole at 0.92496 Omega has a damping of 7.9e-7 Omega, the d row holds
-    only ~eps |mech D| / |den|, 2.4e-11 there.
-
-    The sweep and the readout need only the real factors of these rows
-    (_row_factors); the rows are the reference those factors are tested
-    against, and every row of selected_transfer_rows is made of them.  A
-    zero mech or den raises SingularityError (_closed_form).
-
-    w: a float array of shape (n,) as frequency_grid returns it; it is not
-    checked again.  Returns shape (2, n, 8): the u row, then the d row.
-    """
-    return _model_rows(sys, w, *_closed_form(sys, w))
-
-
-def _model_rows(sys, w, mech, kappa, spring, den, c_a):
-    """susceptibility_rows from the closed form of _closed_form on w."""
-    p, beta = sys.params, sys.steady.beta
-    om = p.big_omega
-    rows = np.zeros((2, w.size, N_NOISE), dtype=complex)
-    u, d = rows
-    u[:, IXI1] = u[:, IXI2] = om / mech
-    u[:, IXIN1] = u[:, IXI1] * c_a
-    u[:, IXIN2] = -u[:, IXIN1]
-    scale = om / den
-    d[:, IXI1] = scale * spring
-    d[:, IXI2] = -d[:, IXI1]
-    d[:, IXIN1] = d[:, IXIN2] = d[:, IXI1] * c_a
-    e = scale * (2.0 * p.big_g * abs(beta) * np.sqrt(p.gamma_b))
-    phase = beta / abs(beta) if beta else 0j
-    d[:, IXINB] = e * (-phase.real * kappa - phase.imag * p.delta_b)
-    d[:, IYINB] = e * (phase.real * p.delta_b - phase.imag * kappa)
-    return rows
-
-
 def _row_factors(sys, w):
-    """The real factors of the model's u and d rows (susceptibility_rows)
+    """The real factors of the model's u and d rows (selected_transfer_rows)
     that every sweep plane and readout spectrum is made of, per omega.
 
     Returns (u2, v2, ent, meter, twist), each of shape (n,):
@@ -485,7 +434,7 @@ def _row_factors(sys, w):
     |Omega / den|^2 with sums of positive terms, so nothing cancels in
     them, where Im(d_Xb conj d_Yb) formed from the rows' entries cancels
     far from omega = |Delta_b|.  A zero mech or den raises
-    SingularityError, as in susceptibility_rows (_closed_form).
+    SingularityError (_closed_form).
 
     w: a float array of shape (n,) as frequency_grid returns it.
     """
@@ -508,17 +457,32 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     """Rows c^T M(omega) of the transfer matrix for selection vectors c, in
     the closed form of the model.
 
-    Every state's row is made of the u and d rows of susceptibility_rows
-    and direct input entries.  With rho = -i w / Omega and
-    r = 1 / (gamma_a/2 - i w), and the upper signs for mirror 1:
+    With mech = (Omega - w)(Omega + w) - i Gamma w, c_a = g alpha
+    sqrt(gamma_a) / (gamma_a/2 - i w), kappa = gamma_b/2 - i w,
+    D = kappa^2 + Delta_b^2 and den = mech D + 4 Omega G^2 |beta|^2 Delta_b,
+    the rows of u = q1 + q2 and d = q1 - q2 (entanglement.SWEEP_SELECTORS)
+    on the noise channels (xi_1, xi_2, X_in1, Y_in1, X_in2, Y_in2, X_inb,
+    Y_inb) are
+
+        u = (Omega / mech) [1, 1, c_a, 0, -c_a, 0, 0, 0]
+        d = (Omega / den) [D, -D, D c_a, 0, D c_a, 0,
+                           sqrt(gamma_b) (-2 G beta_r kappa - 2 G beta_i Delta_b),
+                           sqrt(gamma_b) (2 G beta_r Delta_b - 2 G beta_i kappa)].
+
+    D is formed as (kappa - i Delta_b)(kappa + i Delta_b) and the real part
+    of mech as (Omega - w)(Omega + w), so nothing cancels near w = |Delta_b|
+    or w = Omega.  The entangler entries of d are the modulus
+    e = 2 G |beta| sqrt(gamma_b) Omega / den times the unit phase
+    beta / |beta|, as _row_factors forms e.  Every other state is u and d
+    plus direct inputs.  With rho = -i w / Omega, r = 1 / (gamma_a/2 - i w)
+    and the upper signs for mirror 1:
 
         q_j = (u +- d) / 2,  p_j = rho q_j,  X_aj = sqrt(gamma_a) r e_Xin_j,
         Y_aj = r (+-2 g alpha q_j + sqrt(gamma_a) e_Yin_j),
 
     and (X_b, Y_b) solve the entangler's 2x2 system driven by d, of
-    determinant D = (kappa - i Delta_b)(kappa + i Delta_b).  So a row is
-    c_u u + c_d d plus the meter and entangler input entries, with
-    a1 = c_q1 + rho c_p1 + 2 g alpha r c_Ya1,
+    determinant D.  So a row is c_u u + c_d d plus the meter and entangler
+    input entries, with a1 = c_q1 + rho c_p1 + 2 g alpha r c_Ya1,
     a2 = c_q2 + rho c_p2 - 2 g alpha r c_Ya2, c_u = (a1 + a2) / 2 and
     c_d = (a1 - a2) / 2 + [c_Xb (2 G beta_i kappa + 2 G beta_r Delta_b)
     + c_Yb (2 G beta_i Delta_b - 2 G beta_r kappa)] / D.  Complex selectors
@@ -533,11 +497,11 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
     commutator at the Fig. 2 point the commutator of the q1 and p1 rows
     stays within 4.3e-12 of a 30-digit reference.  The known limits: at a
     lightly damped pole of the relative mode the rows that carry d hold
-    only ~eps |mech D| / |den| (susceptibility_rows); at a narrow entangler
-    resonance (gamma_b = 150 s^-1, Delta_b = 1.25e4 s^-1) the X_b and Y_b
-    unit rows lose up to 8e-13, where the dense LU keeps 5e-15, and no
-    package selector reaches them.  A zero mech or den raises
-    SingularityError (_closed_form).
+    only ~eps |mech D| / |den| (2.4e-11 at P*'s relative mechanical pole);
+    at a narrow entangler resonance (gamma_b = 150 s^-1, Delta_b = 1.25e4
+    s^-1, p_in_b = 1 W) the X_b and Y_b unit rows lose up to 1.1e-12, where
+    the dense LU keeps 9e-15, and no package selector reaches them.  A zero
+    mech or den raises SingularityError (_closed_form).
 
     omegas: shape (n,), see frequency_grid; selectors: a finite numeric
     array of shape (10, k), k >= 1; anything else raises
@@ -559,11 +523,9 @@ def selected_transfer_rows(sys: LinearSystem, omegas, selectors) -> np.ndarray:
 
 def _transfer_rows(sys, w, c):
     """selected_transfer_rows on a checked grid w and checked selectors c."""
-    form = _closed_form(sys, w)
-    kappa, spring = form[1][:, None], form[2][:, None]
-    u, d = _model_rows(sys, w, *form)
-    p, ss = sys.params, sys.steady
     # Planes of shape (n, 1) against selector entries of shape (k,).
+    mech, kappa, spring, den, c_a = (x[:, None] for x in _closed_form(sys, w))
+    p, ss = sys.params, sys.steady
     r = 1.0 / (0.5 * p.gamma_a - 1j * w[:, None])
     rho = (-1j / p.big_omega) * w[:, None]
     push = 2.0 * p.g * ss.alpha * r         # Y_a1 per unit q1
@@ -574,13 +536,24 @@ def _transfer_rows(sys, w, c):
     c_d = 0.5 * (a1 - a2) + (
         c[IXB] * (pull.imag * kappa + pull.real * p.delta_b)
         + c[IYB] * (pull.imag * p.delta_b - pull.real * kappa)) / spring
-    rows = c_u[..., None] * u[:, None, :] + c_d[..., None] * d[:, None, :]
+    scale = p.big_omega / den
+    u = c_u * (p.big_omega / mech)                      # c_u u_xi
+    d = c_d * (scale * spring)                          # c_d d_xi
+    e = scale * (2.0 * p.big_g * abs(ss.beta) * np.sqrt(p.gamma_b))
+    phase = ss.beta / abs(ss.beta) if ss.beta else 0j
     meter = np.sqrt(p.gamma_a) * r
-    for s, k in ((IXA1, IXIN1), (IYA1, IYIN1), (IXA2, IXIN2), (IYA2, IYIN2)):
-        rows[..., k] += meter * c[s]
     entangler = np.sqrt(p.gamma_b) / spring
-    rows[..., IXINB] += entangler * (c[IXB] * kappa + c[IYB] * p.delta_b)
-    rows[..., IYINB] += entangler * (c[IYB] * kappa - c[IXB] * p.delta_b)
+    rows = np.empty(c_u.shape + (N_NOISE,), dtype=complex)
+    rows[..., IXI1] = xi1 = u + d
+    rows[..., IXI2] = xi2 = u - d
+    rows[..., IXIN1] = xi1 * c_a + meter * c[IXA1]
+    rows[..., IYIN1] = meter * c[IYA1]
+    rows[..., IXIN2] = -xi2 * c_a + meter * c[IXA2]
+    rows[..., IYIN2] = meter * c[IYA2]
+    rows[..., IXINB] = (c_d * (e * (-phase.real * kappa - phase.imag * p.delta_b))
+                        + entangler * (c[IXB] * kappa + c[IYB] * p.delta_b))
+    rows[..., IYINB] = (c_d * (e * (phase.real * p.delta_b - phase.imag * kappa))
+                        + entangler * (c[IYB] * kappa - c[IXB] * p.delta_b))
     return rows
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import (
     IP1, IP2, IQ1, IQ2, N_STATE, LinearSystem, NoiseModel, _by_piece,
-    _row_factors, frequency_grid,
+    _row_factors, _shown, frequency_grid,
 )
 # The sweep never calls selected_transfer_rows; the benchmark's trace table
 # patches entanglement.selected_transfer_rows by name, so the name stays.
@@ -35,6 +35,7 @@ from .dynamics import selected_transfer_rows  # noqa: F401
 from .errors import (
     DegenerateCommutatorError, InvalidParameterError, UnphysicalStateError,
 )
+from .model import _is_real
 
 
 def _selector(*pairs):
@@ -49,8 +50,8 @@ D_SELECTOR = _selector((IQ1, 1.0), (IQ2, -1.0))
 V_SELECTOR = _selector((IP1, 1.0), (IP2, -1.0))
 Q1_SELECTOR = _selector((IQ1, 1.0))
 P1_SELECTOR = _selector((IP1, 1.0))
-#: The u = q1 + q2 and d = q1 - q2 selectors, as columns: the rows of
-#: dynamics.susceptibility_rows.
+#: The u = q1 + q2 and d = q1 - q2 selectors, as columns: the model's
+#: closed-form rows (dynamics.selected_transfer_rows).
 SWEEP_SELECTORS = np.stack([U_SELECTOR, D_SELECTOR], axis=1)
 
 #: Symplectic form for (q1, p1, q2, p2) with [q, p] = i.
@@ -139,6 +140,7 @@ def degree_sweep(sys: LinearSystem, noise: NoiseModel, omegas) -> dict:
     is undefined and a grid that holds 0 raises DegenerateCommutatorError.
     """
     w = frequency_grid(omegas)
+    noise._check_mechanics(sys)
     return _degree(_planes(sys, w), noise, w, noise.temperature)
 
 
@@ -215,6 +217,27 @@ def _moments(covs):
             c[..., 1, 1], c[..., 3, 3], c[..., 1, 3])
 
 
+def _checked_moments(covs):
+    """_moments of covs, after raising InvalidParameterError unless covs is
+    a finite real array of shape (..., 4, 4); a GaussianState's is."""
+    try:
+        c = np.asarray(covs)
+    except ValueError:      # a ragged nesting of sequences
+        c = np.asarray(None)
+    if not _is_real(c) or c.shape[-2:] != (4, 4) or not np.isfinite(c).all():
+        raise InvalidParameterError("covs must be a finite real array of "
+                                    f"shape (..., 4, 4), got {_shown(covs)}")
+    return _moments(c)
+
+
+def _weights(a_values):
+    """a_values as floats; InvalidParameterError unless finite and nonzero."""
+    a = np.asarray(a_values, dtype=float)
+    if not (np.isfinite(a) & (a != 0.0)).all():
+        raise InvalidParameterError("a must be finite and nonzero")
+    return a
+
+
 def _products(moments, a, out=None):
     """Var(|a| q1 + q2/a) Var(|a| p1 - p2/a), with t = a^2 and s = sign a:
     (qa t + 2 s qc + qb/t)(pa t - 2 s pc + pb/t).  a (..., m) broadcasts
@@ -240,12 +263,11 @@ def separability_products(covs, a_values) -> np.ndarray:
     = e^{-2r} comes from entries of size cosh(2r)/2, and the product's
     relative error is about eps cosh^2(2r): 2.7e-8 at r = 5, 2.7e-3 at
     r = 8, and from r = 10 on the product rounds to 0 (or below).  The
-    verdict product < 1 stays right there; the value does not.
+    verdict product < 1 stays right there; the value does not.  covs must
+    be a finite real array and a_values finite and nonzero; anything else
+    raises InvalidParameterError.
     """
-    a = np.asarray(a_values, dtype=float)
-    if not (np.isfinite(a) & (a != 0.0)).all():
-        raise InvalidParameterError("a must be finite and nonzero")
-    return _products(_moments(covs), a)
+    return _products(_checked_moments(covs), _weights(a_values))
 
 
 def separability_optimum(covs):
@@ -255,9 +277,14 @@ def separability_optimum(covs):
     qa pa t^4 + (qc pa - pc qa) t^3 - (qc pb - pc qb) t - qb pb, one of which
     exists since qa pa >= 1/4 and qb pb > 0.  Every root's real part > 0 and
     a = 1 are scored exactly, so no candidate undercuts the true minimum and
-    best_product <= product(a = 1).
+    best_product <= product(a = 1).  covs that are not a finite real
+    array raise InvalidParameterError.
     """
-    moments = _moments(covs)
+    return _optimum(_checked_moments(covs))
+
+
+def _optimum(moments):
+    """separability_optimum from the _moments of checked covariances."""
     qa, qb, qc, pa, pb, pc = moments
     lead = qa * pa
     comp = np.zeros(lead.shape + (4, 4))    # companions of the monic quartics
@@ -288,11 +315,11 @@ def separability_product(state: GaussianState, a: float = 1.0):
     product < bound certifies entanglement; product < bound/4 certifies EPR
     correlations.  The bound |<[q1, p1]>|^2 is 1 in this convention.
     """
-    product = float(separability_products(state.cov, [float(a)])[0])
+    product = float(_products(_moments(state.cov), _weights([float(a)]))[0])
     return product, 1.0
 
 
 def optimize_separability(state: GaussianState):
     """Most violating weighting a > 0 and its product, in closed form."""
-    best_a, best = separability_optimum(state.cov)
+    best_a, best = _optimum(_moments(state.cov))
     return float(best_a), float(best)

@@ -149,6 +149,7 @@ def classical_sde_psd(
     high-temperature regime kB T >> hbar Omega where symmetrized quantum and
     classical spectra coincide.
     """
+    noise._check_mechanics(sys)
     _require_stable(sys)
     phi, root = _discretize(sys, noise, run.dt)
 

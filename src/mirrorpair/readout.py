@@ -14,7 +14,7 @@ orientation so that "sum" always estimates the center-of-mass signal q1 + q2.
 
 The oriented currents gain * q_j +- refl * Y_in_j carry +gain * q_j, with
 q1 = (u + d) / 2 and q2 = (u - d) / 2 and u, d the model's closed-form rows
-(dynamics.susceptibility_rows).  A and B are real, and gain and refl at
+(dynamics.selected_transfer_rows).  A and B are real, and gain and refl at
 -omega are the conjugates of their values at +omega, so the rows at -omega
 are conj(c(omega)), and every spectrum is the hermitian form
 [c_i(w) D(w) c_j(-w) + c_i(-w) D(-w) c_j(w)] / 2: one NoiseModel.form call
@@ -113,6 +113,7 @@ def output_spectrum(sys: LinearSystem, noise: NoiseModel, omegas, channel: int):
     the interference term carried by the correlated intracavity solution.
     Both channels have the same spectrum (see _spectra)."""
     _channel(channel)
+    noise._check_mechanics(sys)
     out = _by_piece(lambda w: _spectra(sys, noise, w)[0].real,
                     frequency_grid(omegas))
     return out if np.ndim(omegas) else float(out[0])
@@ -129,6 +130,7 @@ def output_spectrum_via_transfer(
     the rows are checked against the dense transfer_matrix and the
     extended-precision references of the tests."""
     iya, iyin = _channel(channel)
+    noise._check_mechanics(sys)
 
     def spectrum(w):
         rows = selected_transfer_rows(sys, w, np.eye(N_STATE)[:, [iya]])
@@ -159,6 +161,7 @@ def two_channel_spectra(sys: LinearSystem, noise: NoiseModel, omegas):
 
     s11 and s22 are equal bit for bit and s12 is real (see _spectra)."""
     w = frequency_grid(omegas)
+    noise._check_mechanics(sys)
     auto, cross = _by_piece(lambda piece: _spectra(sys, noise, piece), w)
     s11 = auto.real
     return TwoChannelSpectra(omegas=w, s11=s11, s22=s11.copy(), s12=cross)

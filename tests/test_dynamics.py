@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from scipy.constants import hbar as HBAR, k as KB
 
 from mirrorpair import (
-    NoiseModel, build_linear_system, degree_sweep, fig2_params, hybrid_grid,
-    is_stable, output_spectrum, output_spectrum_via_transfer,
-    stability_margin, transfer_matrix, two_channel_spectra,
+    NoiseModel, SdeRun, build_linear_system, classical_sde_psd, degree_sweep,
+    fig2_params, hybrid_grid, is_stable, output_spectrum,
+    output_spectrum_via_transfer, stability_margin, transfer_matrix,
+    two_channel_spectra,
 )
 from mirrorpair import dynamics
 from mirrorpair.dynamics import (
     IP1, IP2, IQ1, IQ2, IXA1, IXA2, IXB, IYA1, IYA2, IYB, IXI1, IXI2, IXIN1,
     IXIN2, IXINB, IYINB, N_NOISE, N_STATE, LinearSystem, _closed_form,
-    _nonzero, frequency_grid, selected_transfer_rows, susceptibility_rows,
+    _nonzero, _row_factors, frequency_grid, selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
     P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
@@ -198,7 +199,7 @@ def check_rows_against_transfer_matrix(sys, selectors, omegas,
 
 
 #: Model points away from the fixtures, as overrides of the Fig. 2 point.
-PLAN_POINTS = {
+MODEL_POINTS = {
     "p_in_a": dict(p_in_a=0.0), "p_in_b": dict(p_in_b=0.0),
     "no_meters": dict(g=0.0), "p_star": P_STAR,
     "weak_entangler": dict(p_in_b=5e-11),
@@ -207,18 +208,18 @@ PLAN_POINTS = {
 }
 
 
-class TestAdjointSolve:
+class TestTransferRows:
     @pytest.mark.parametrize("point", ["fig2", "decoupled", "meters_only",
-                                       *PLAN_POINTS])
-    def test_plan_holds_at_model_points(self, request, point):
+                                       *MODEL_POINTS])
+    def test_rows_hold_at_model_points(self, request, point):
         # The reference point, the decoupled mirrors, the meters alone,
         # either drive off (p_in_a = 0, p_in_b = 0) or the meters' coupling
         # (g = 0), P*, a vanishing entangler drive, the entangler detuned to
         # the other side, and cavities 100 times wider than Omega.  Omega is
         # left out: the shifted drift has condition ~4e7 there at the Fig. 2
         # point, and neither solve holds 1e-12 on every row.
-        if point in PLAN_POINTS:
-            sys = build_linear_system(make_params(**PLAN_POINTS[point]))
+        if point in MODEL_POINTS:
+            sys = build_linear_system(make_params(**MODEL_POINTS[point]))
         else:
             _, sys = request.getfixturevalue(point)
         omegas = np.array([1e-2, 0.5, 0.9, 1.1, 2.0, 1e2]) * sys.params.big_omega
@@ -227,7 +228,7 @@ class TestAdjointSolve:
     @pytest.mark.filterwarnings("ignore:expected entangler coupling")
     @settings(max_examples=40, deadline=None)
     @given(point=working_points())
-    def test_plan_holds_at_random_working_points(self, point):
+    def test_rows_hold_at_random_working_points(self, point):
         # Here the dense path is the less accurate one: at drawn points its
         # rows were off by up to 2e-4 (at cond 2e17).  So the dense LU is
         # allowed its own normwise error on top of 1e-12 (measured: at most
@@ -320,7 +321,8 @@ class TestAdjointSolve:
         assert not a[np.ix_(com, rel)].any()
         assert not a[np.ix_(rel, com)].any()
         assert not a[np.ix_(com + rel, [IYA1, IYA2])].any()
-        u = susceptibility_rows(sys, np.array([0.5, 1.0, 2.0]) * params.big_omega)[0]
+        w = np.array([0.5, 1.0, 2.0]) * params.big_omega
+        u = selected_transfer_rows(sys, w, SWEEP_SELECTORS)[:, 0]
         assert not u[:, [IXINB, IYINB]].any()
 
     @pytest.mark.filterwarnings("ignore:expected entangler coupling")
@@ -345,7 +347,7 @@ class TestAdjointSolve:
         w = np.concatenate([np.geomspace(0.1, 10.0, 129) * params.big_omega,
                             np.abs(np.linalg.eigvals(a).imag)])
         w = w[w > 0.0]
-        got = susceptibility_rows(sys, w)[block]
+        got = selected_transfer_rows(sys, w, SWEEP_SELECTORS)[:, block]
         shifted = -1j * w[:, None, None] * np.eye(m) - a
         want = np.linalg.solve(shifted, np.broadcast_to(
             b.astype(complex), (w.size, m, N_NOISE)))[:, 0]
@@ -387,6 +389,24 @@ class TestAdjointSolve:
         assert np.all(err <= 4.0 * np.finfo(float).eps
                       * np.linalg.norm(plus, axis=-1))
         assert not plus[0].imag.any()
+
+    @pytest.mark.filterwarnings("ignore:expected entangler coupling")
+    @pytest.mark.parametrize("point", ["fig2", "p_star", "decoupled",
+                                       "weak_entangler"])
+    def test_row_factors_are_the_squared_rows(self, fig2, decoupled, point):
+        # u2 and v2 of _row_factors are the squared moduli of the xi_1
+        # entries of the u and d rows, bit for bit, on the hybrid grid: the
+        # sweep's Brownian planes are those of the rows.
+        if point in MODEL_POINTS:
+            sys = build_linear_system(make_params(**MODEL_POINTS[point]))
+        else:
+            sys = {"fig2": fig2[1], "decoupled": decoupled[1]}[point]
+        w = hybrid_grid(sys.params.big_omega)
+        xi = selected_transfer_rows(sys, w, SWEEP_SELECTORS)[..., IXI1].T
+        u2, v2 = _row_factors(sys, w)[:2]
+        squared = xi.real * xi.real + xi.imag * xi.imag
+        assert np.array_equal(squared[0], u2)
+        assert np.array_equal(squared[1], v2)
 
     def test_singular_single_state_block_raises(self):
         # _nonzero passes a determinant with no zero entry through and
@@ -451,6 +471,20 @@ class TestFrequencyGrid:
         w = frequency_grid(grid)
         assert w.dtype == float and w.shape == (np.size(grid),)
         assert np.array_equal(w, np.ravel(np.asarray(grid, dtype=float)))
+
+
+#: Every public entry that takes a system and its noise, as f(sys, noise).
+NOISE_ENTRIES = {
+    "degree_sweep": lambda sys, noise: degree_sweep(sys, noise, [1e5]),
+    "output_spectrum": lambda sys, noise: output_spectrum(sys, noise, 1e5, 1),
+    "output_spectrum_via_transfer":
+        lambda sys, noise: output_spectrum_via_transfer(sys, noise, 1e5, 1),
+    "two_channel_spectra":
+        lambda sys, noise: two_channel_spectra(sys, noise, [1e5]),
+    "classical_sde_psd": lambda sys, noise: classical_sde_psd(
+        sys, noise, SdeRun(seed=0, dt=1e-6, total_time=1e-5, burn_in=0.0,
+                           trajectories=2)),
+}
 
 
 class TestNoiseModel:
@@ -575,17 +609,39 @@ class TestNoiseModel:
         with pytest.raises(InvalidParameterError):
             NoiseModel(1.0, 1.0, 1.0, kernel="bogus")
 
-    # Temperature cases keep their bare ids: [-1.0], [nan], [inf].
+    # Temperature cases keep their bare ids: [-1.0], [nan], [inf].  A
+    # NoiseModel takes one temperature: a sweep's temperature axis is the
+    # private argument of _form_real.
     @pytest.mark.parametrize("field,value", [
         pytest.param("temperature", v, id=str(v)) for v in (-1.0, np.nan, np.inf)
+    ] + [
+        pytest.param("temperature", (0.1, 4.0), id="tuple"),
+        pytest.param("temperature", np.array([0.1, 4.0]), id="array"),
     ] + [
         (f, v) for f in ("big_gamma", "big_omega")
         for v in (0.0, -1.0, np.nan, np.inf)
     ])
     def test_bad_temperature_rejected(self, field, value):
         good = {"temperature": 1.0, "big_gamma": 1.0, "big_omega": 1e5}
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=field):
             NoiseModel(**{**good, field: value})
+
+    @pytest.mark.parametrize("field,factor", [("big_gamma", 10.0),
+                                              ("big_omega", 2.0)])
+    @pytest.mark.parametrize("entry", NOISE_ENTRIES.values(),
+                             ids=NOISE_ENTRIES.keys())
+    def test_noise_of_other_mechanics_is_refused(self, meters_only, entry,
+                                                 field, factor):
+        # NoiseModel repeats the mechanics of PhysicalParams; a spectrum of
+        # the system with another Gamma or Omega in its Brownian kernel is
+        # not the model's (at the Fig. 2 point E(Omega) is 1.00e-2, and
+        # 6.0e-4 with 10 Gamma in the noise).
+        params, sys = meters_only
+        noise = NoiseModel.from_params(params)
+        other = dataclasses.replace(
+            noise, **{field: factor * getattr(noise, field)})
+        with pytest.raises(InvalidParameterError, match="big_omega"):
+            entry(sys, other)
 
 
 def test_hybrid_grid_shape_and_refinement():

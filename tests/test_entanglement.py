@@ -25,10 +25,10 @@ from mirrorpair import dynamics
 from mirrorpair.dynamics import (
     IP2, IQ1, IQ2, IXB, IXI1, IXI2, IXINB, IYB, IYIN1, IYIN2, IYINB,
     LinearSystem, frequency_grid, hybrid_grid, noise_weights,
-    selected_transfer_rows, susceptibility_rows,
+    selected_transfer_rows,
 )
 from mirrorpair.entanglement import (
-    P1_SELECTOR, Q1_SELECTOR, SYMPLECTIC_FORM, U_SELECTOR,
+    P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, SYMPLECTIC_FORM, U_SELECTOR,
     V_SELECTOR, separability_optimum, separability_products,
 )
 from mirrorpair.oracle import sample_separable_covariances
@@ -72,12 +72,12 @@ def row_forms(sys, noise, w):
     """The sweep's six planes (6, n), the auto forms of the two oriented
     currents and their cross form as the forms (noise_weights,
     NoiseModel.form) of the closed-form rows themselves: u and d of
-    susceptibility_rows, q1 = (u + d) / 2 with p1 = -i rho q1, and the
+    selected_transfer_rows, q1 = (u + d) / 2 with p1 = -i rho q1, and the
     currents gain q_j +- refl Y_in_j.  The planes of Var(u) and Var(v) are
     half the weights of (u, u) and (v, v) = rho^2 (d, d), since
     Var = Re F / 2; xi and pairs are the weights of (q1, p1).  Also returns
     |d_Xb|^2 + |d_Yb|^2."""
-    u, d = susceptibility_rows(sys, w)
+    u, d = selected_transfer_rows(sys, w, SWEEP_SELECTORS).transpose(1, 0, 2)
     rho = w / sys.params.big_omega
     q1, q2 = 0.5 * (u + d), 0.5 * (u - d)
     uu, dd = noise_weights(u, u), noise_weights(d, d)
@@ -854,6 +854,29 @@ def test_per_state_loop_is_the_batched_calls(seed):
     assert at_unit.tobytes() == separability_products(covs, [1.0])[:, 0].tobytes()
     assert best_a.tobytes() == batched_a.tobytes()
     assert best.tobytes() == batched.tobytes()
+
+
+def _vacuum_with(index, value):
+    cov = 0.5 * np.eye(4)
+    cov[index] = value
+    return cov
+
+
+#: Covariances that are not a finite real array of shape (..., 4, 4).
+BAD_COVS = {
+    "nan": _vacuum_with((0, 2), np.nan), "inf": _vacuum_with((1, 3), np.inf),
+    "3x3": 0.5 * np.eye(3), "vector": np.full(4, 0.5),
+}
+
+
+@pytest.mark.parametrize("covs", BAD_COVS.values(), ids=BAD_COVS.keys())
+@pytest.mark.parametrize("call", [
+    lambda covs: separability_products(covs, [1.0]), separability_optimum,
+], ids=["separability_products", "separability_optimum"])
+def test_batched_calls_check_their_covariances(call, covs):
+    # A NaN entry gave a NaN product, and a (3, 3) array a raw IndexError.
+    with pytest.raises(InvalidParameterError, match="covs"):
+        call(covs)
 
 
 class TestSeparabilityOptimumInput:

@@ -23,10 +23,10 @@ from mirrorpair import (
 from mirrorpair.dynamics import (
     IQ1, IQ2, IXA1, IXA2, IYA1, IYA2, IYIN1, IYIN2, N_STATE,
     _row_factors, hybrid_grid, noise_weights, selected_transfer_rows,
-    susceptibility_rows,
 )
 from mirrorpair.entanglement import (
-    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, U_SELECTOR, V_SELECTOR,
+    D_SELECTOR, P1_SELECTOR, Q1_SELECTOR, SWEEP_SELECTORS, U_SELECTOR,
+    V_SELECTOR,
 )
 
 from conftest import P_STAR, mirror_blocks, mirror_poles, working_points
@@ -153,10 +153,10 @@ def test_sweep_commutator_at_the_hybrid_grid_crossings(reference,
         assert abs(have - want) <= 1e-12 * want, (w_k, have / want - 1.0)
 
 
-def test_block_solver_commutator_at_the_crossings(reference):
+def test_transfer_rows_commutator_at_the_crossings(reference):
     # The generic path's commutator, the form of its q1 and p1 rows, at the
     # four points that straddle the zero crossings of the commutator
-    # (measured: within 2.7e-12; the rows of a dense 10x10 LU, as
+    # (measured: within 4.3e-12; the rows of a dense 10x10 LU, as
     # transfer_matrix forms them, were off by up to 4.6e-8 there).  The
     # commutator does not depend on temperature.
     params = fig2_params()
@@ -245,7 +245,7 @@ def weak_entangler_pole():
 
 
 def den_cancellation(params, w):
-    """|mech D| / |den| of dynamics.susceptibility_rows at w: how far
+    """|mech D| / |den| of the d row of selected_transfer_rows at w: how far
     mech D and the spring term cancel in den = mech D + 4 Omega G^2 |beta|^2
     Delta_b.  A scale for a bound, so double precision suffices."""
     om = params.big_omega
@@ -261,20 +261,21 @@ def den_cancellation(params, w):
 def closed_form_row_errors(params, omegas):
     """Relative errors of the closed-form u and d rows against the 40-digit
     Reference, shape (n, 2)."""
-    got = susceptibility_rows(build_linear_system(params), np.array(omegas))
+    got = selected_transfer_rows(build_linear_system(params),
+                                 np.array(omegas), SWEEP_SELECTORS)
     ref = Reference(params, dps=40)
     err = np.empty((len(omegas), 2))
     for i, w in enumerate(omegas):
         for k, row in enumerate(ref.selected_rows(w, (U_SELECTOR,
                                                       D_SELECTOR))):
             want = np.array([complex(x) for x in row])
-            err[i, k] = (np.linalg.norm(got[k, i] - want)
+            err[i, k] = (np.linalg.norm(got[i, k] - want)
                          / np.linalg.norm(want))
     return err
 
 
 class TestClosedFormRows:
-    """dynamics.susceptibility_rows, the production rows of the sweep and
+    """The u and d rows of selected_transfer_rows, the rows of the sweep and
     the readout, against the 40-digit resolvent at 1e-14."""
 
     def test_fig2_frequencies(self):
@@ -328,7 +329,7 @@ class TestClosedFormRows:
     @pytest.mark.filterwarnings("ignore:expected entangler coupling")
     @settings(max_examples=40, deadline=None)
     @given(point=working_points())
-    def test_block_solver_agrees_at_random_working_points(self, point):
+    def test_closed_form_agrees_at_random_working_points(self, point):
         # The dense transfer_matrix on the same (model) system, across the
         # poles of the centre of mass and the relative mode.  The rows are
         # held to 1e-12 plus 4 eps times the larger condition number of the
@@ -342,19 +343,18 @@ class TestClosedFormRows:
                             mirror_poles(sys)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = susceptibility_rows(sys, w)
-        selectors = np.column_stack([U_SELECTOR, D_SELECTOR])
+            got = selected_transfer_rows(sys, w, SWEEP_SELECTORS)
         cond = np.max([np.linalg.cond(
             -1j * w[:, None, None] * np.eye(len(b)) - b.T) for b in blocks],
             axis=0)
         eps = np.finfo(float).eps
         for i, w_k in enumerate(w):
             m = transfer_matrix(sys, w_k)
-            want = selectors.T @ m
+            want = SWEEP_SELECTORS.T @ m
             shifted = -1j * w_k * np.eye(N_STATE) - sys.drift
             tol = ((1e-12 + 4.0 * eps * cond[i]) * np.linalg.norm(want, axis=-1)
                    + 8.0 * eps * np.linalg.cond(shifted) * np.linalg.norm(m, 2))
-            err = np.linalg.norm(got[:, i] - want, axis=-1)
+            err = np.linalg.norm(got[i] - want, axis=-1)
             assert np.all(err <= tol), (w_k, err / tol)
 
 
